@@ -96,12 +96,14 @@ u32 manifest_crc(World& w) {
   return crc;
 }
 
-/// CRCs of every live process's "ballast" segment, ascending by pid.
+/// CRCs of every live process's "ballast" segment, ascending by virtual
+/// pid. Real pids follow the order in which hosts finish restarting, which
+/// depends on the codec; virtual pids name the same rank in every world.
 std::vector<u32> restored_ballast_crcs(World& w) {
   std::vector<u32> out;
-  for (const Pid pid : w.k().live_pids()) {
+  for (const auto& [vpid, pid] : w.ctl->shared().vpid_map) {
     sim::Process* p = w.k().find_process(pid);
-    if (p == nullptr) continue;
+    if (p == nullptr || p->state() != sim::ProcState::kRunning) continue;
     const sim::MemSegment* seg = p->mem().find("ballast");
     if (seg == nullptr) continue;
     out.push_back(crc32(seg->data.materialize(0, seg->data.size())));

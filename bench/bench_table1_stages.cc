@@ -80,22 +80,17 @@ int main() {
 
   Table b({"restart stage", "uncompressed_s", "compressed_s", "paper_uncmp",
            "paper_cmp"});
-  auto hosts = [](const core::RestartRun& r) {
-    return std::max(r.hosts_reported, 1);
-  };
   b.add_row({"Restore files and ptys",
-             Table::fmt(un.restart.files_ptys_seconds / hosts(un.restart), 4),
-             Table::fmt(gz.restart.files_ptys_seconds / hosts(gz.restart), 4),
-             "0.0056", "0.0088"});
-  b.add_row({"Reconnect sockets",
-             Table::fmt(un.restart.reconnect_seconds / hosts(un.restart), 4),
-             Table::fmt(gz.restart.reconnect_seconds / hosts(gz.restart), 4),
-             "0.0400", "0.0214"});
-  b.add_row(
-      {"Restore memory/threads",
-       Table::fmt(un.restart.memory_threads_seconds / hosts(un.restart), 4),
-       Table::fmt(gz.restart.memory_threads_seconds / hosts(gz.restart), 4),
-       "0.8139", "2.1167"});
+             Table::fmt(un.restart.files_ptys_seconds, 4),
+             Table::fmt(gz.restart.files_ptys_seconds, 4), "0.0056",
+             "0.0088"});
+  b.add_row({"Reconnect sockets", Table::fmt(un.restart.reconnect_seconds, 4),
+             Table::fmt(gz.restart.reconnect_seconds, 4), "0.0400",
+             "0.0214"});
+  b.add_row({"Restore memory/threads",
+             Table::fmt(un.restart.memory_threads_seconds, 4),
+             Table::fmt(gz.restart.memory_threads_seconds, 4), "0.8139",
+             "2.1167"});
   b.add_row({"Refill kernel buffers",
              Table::fmt(un.restart.refill_seconds, 4),
              Table::fmt(gz.restart.refill_seconds, 4), "0.0009", "0.0018"});

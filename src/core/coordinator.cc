@@ -49,6 +49,12 @@ struct CoordState {
   // Discovery entries are valid for one restart only; stale addresses from
   // a previous restart point at rendezvous listeners that no longer exist.
   size_t discovery_epoch = 0;
+  // The current restart's stage notes: per stage, the summed seconds and
+  // the hosts that reported it. The RestartRun fields hold sum / hosts,
+  // refreshed on every note: a host's memory note follows its last fork
+  // and can land after restart:refilled.
+  size_t stage_epoch = 0;
+  std::map<std::string, std::pair<double, int>> stage_sums;
   // Chunk-store service and RPC-fabric stats at the previous round's close,
   // so each CkptRound records this round's delta (lookups served, wait
   // time, network bytes, scrub/heal results).
@@ -574,14 +580,21 @@ Task<void> client_handler(CoordState* st, sim::ProcessCtx* pctx, Fd fd) {
         break;
       }
       case MsgType::kStageNote: {
-        if (!st->shared->stats.restarts.empty()) {
-          RestartRun& rr = st->shared->stats.restarts.back();
-          const double secs = to_seconds(static_cast<SimTime>(m->ua));
-          if (m->s == "files") rr.files_ptys_seconds += secs;
-          else if (m->s == "reconnect") rr.reconnect_seconds += secs;
+        auto& restarts = st->shared->stats.restarts;
+        if (!restarts.empty()) {
+          if (st->stage_epoch != restarts.size()) {
+            st->stage_epoch = restarts.size();
+            st->stage_sums.clear();
+          }
+          auto& [sum, hosts] = st->stage_sums[m->s];
+          sum += to_seconds(static_cast<SimTime>(m->ua));
+          const double avg = sum / ++hosts;
+          RestartRun& rr = restarts.back();
+          if (m->s == "files") rr.files_ptys_seconds = avg;
+          else if (m->s == "reconnect") rr.reconnect_seconds = avg;
           else if (m->s == "memory") {
-            rr.memory_threads_seconds += secs;
-            rr.hosts_reported++;
+            rr.memory_threads_seconds = avg;
+            rr.hosts_reported = hosts;
           }
         }
         break;

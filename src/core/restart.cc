@@ -1,7 +1,10 @@
 #include "core/restart.h"
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "core/msg_io.h"
 #include "core/protocol.h"
 #include "mtcp/mtcp.h"
+#include "obs/trace.h"
 #include "sim/model_params.h"
 #include "sim/pctx.h"
 #include "sim/sync.h"
@@ -28,8 +32,91 @@ using sim::TcpVNode;
 struct LoadedImage {
   mtcp::ProcessImage img;
   ConnTable table;
+};
+
+/// One chunk of a manifest image on its way back into memory: read off
+/// its sources, then decoded. Chunks are compressed independently, so each
+/// streams on its own.
+struct ChunkRead {
+  ckptstore::ChunkKey key;
+  u64 bytes = 0;  // the chunk's stored bytes (the fetch RPC's accounting)
+  /// The devices the bytes come off: the read plan's holders under the
+  /// chunk-store service, this node's own device otherwise.
+  std::vector<ckptstore::ChunkPlacement::FetchSource> sources;
+  /// This chunk's share of the image's decode CPU, plus the erasure decode
+  /// of a degraded read.
   double decode_seconds = 0;
 };
+
+/// The restarting node's decoder pool: kCoresPerNode workers taking chunk
+/// decode jobs FIFO, one CpuModel job each. Bounded on purpose — CpuModel
+/// reschedules every running job on each submit, so a job per chunk all at
+/// once would cost O(chunks^2) events. Each job is one `restart.decode`
+/// span on the node's restart lane, so the critical path names the decode.
+class DecoderPool : public std::enable_shared_from_this<DecoderPool> {
+ public:
+  DecoderPool(sim::Kernel& k, NodeId node) : k_(k), node_(node) {}
+
+  void submit(double seconds, std::function<void()> done) {
+    queue_.push_back({seconds, std::move(done)});
+    pump();
+  }
+  int peak() const { return peak_; }
+
+ private:
+  struct Job {
+    double seconds;
+    std::function<void()> done;
+  };
+
+  void pump() {
+    while (running_ < sim::params::kCoresPerNode && !queue_.empty()) {
+      Job job = std::move(queue_.front());
+      queue_.pop_front();
+      peak_ = std::max(peak_, ++running_);
+      obs::Tracer* tr = k_.loop().tracer();
+      const u64 span =
+          tr ? tr->begin("restart.decode", node_, "restart", k_.loop().now())
+             : 0;
+      k_.node(node_).cpu().submit(
+          job.seconds,
+          [self = shared_from_this(), span, done = std::move(job.done)] {
+            if (obs::Tracer* t = self->k_.loop().tracer()) {
+              t->end(span, self->k_.loop().now());
+            }
+            --self->running_;
+            self->pump();
+            done();
+          });
+    }
+  }
+
+  sim::Kernel& k_;
+  NodeId node_;
+  std::deque<Job> queue_;
+  int running_ = 0;
+  int peak_ = 0;
+};
+
+/// Stream one chunk into `pool`: every source is read off its device and,
+/// for a remote holder, sent over its NIC (both legs in parallel); once
+/// every leg has landed, the chunk's decode share queues on the pool.
+void read_then_decode(sim::Kernel& k, NodeId node, const std::string& path,
+                      bool remote, const ChunkRead& c,
+                      std::shared_ptr<DecoderPool> pool,
+                      std::function<void()> decoded) {
+  auto legs = std::make_shared<size_t>(c.sources.size() * (remote ? 2 : 1));
+  auto landed = [legs, pool, secs = c.decode_seconds,
+                 decoded = std::move(decoded)] {
+    if (--*legs == 0) pool->submit(secs, decoded);
+  };
+  for (const auto& src : c.sources) {
+    // Device charges are *reads*: delta restart must never inflate the
+    // write counters (the split the device accounting regression test pins).
+    k.charge_storage_bg(src.node, path, src.bytes, /*is_read=*/true, landed);
+    if (remote) k.net().transfer(src.node, node, src.bytes, landed);
+  }
+}
 
 struct RestartArgs {
   NodeId coord_node = 0;
@@ -84,22 +171,22 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
   DSIM_CHECK_MSG(!args.images.empty(), "dmtcp_restart: no images given");
 
   // --- Load the images. Metadata (connection tables) is needed now; the
-  // bulk memory cost (read + gunzip) is charged in stage 3-5, where each
+  // bulk memory cost (read + decode) is charged in stage 3-5, where each
   // restored process pays it — in parallel across the node's cores, as the
   // real restart does after forking.
   std::vector<LoadedImage> loaded;
-  double total_decode_seconds = 0;
-  u64 total_read_bytes = 0;
-  // Chunk-store service mode: reads are charged to the node holding each
-  // chunk (first surviving replica), and every chunk read is one Fetch RPC
-  // routed to the key's shard.
-  std::map<NodeId, u64> fetch_by_node;
-  std::vector<std::pair<ckptstore::ChunkKey, u64>> fetch_chunks;
+  // Bytes read off this node's device before anything else: manifests and
+  // full images.
+  u64 local_read_bytes = 0;
+  // Full images: one decode job each (a gzip stream cannot be split).
+  std::vector<double> image_decodes;
+  // Manifest images: every referenced chunk, streamed on its own.
+  std::vector<ChunkRead> chunks;
+  auto* svc = shared->store_service.get();
   for (const auto& path : args.images) {
     auto inode = k.fs_for(self.node(), path).lookup(path);
     DSIM_CHECK_MSG(inode != nullptr, "dmtcp_restart: image not found");
     auto container = inode->data.materialize(0, inode->data.size());
-    double decode_seconds = 0;
     LoadedImage li;
     if (ckptstore::Manifest::is_manifest(container)) {
       // Delta restart: materialize the image from the generation manifest
@@ -117,62 +204,60 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
                       cfg_err)
                          .c_str());
       std::string err;
-      u64 chunk_read_bytes = 0;
       const ckptstore::Repository& repo = shared->repo_for(self.node());
-      li.img = mtcp::decode_incremental(mf, repo, &decode_seconds,
-                                        &chunk_read_bytes, &err);
+      li.img = mtcp::decode_incremental(mf, repo, nullptr, nullptr, &err);
       DSIM_CHECK_MSG(err.empty(), err.c_str());
-      if (const auto* svc = shared->store_service.get()) {
-        // Placement-aware fetch plan. decode_incremental succeeded, so
-        // every referenced chunk is resident; the pre-flight in
-        // DmtcpControl::restart guarantees a surviving holder. The holder
-        // choice consults *membership* on top of placement: a node the
-        // cluster has declared dead is never fetched from, even in the
-        // window where a detected death has not yet propagated everywhere
-        // (placement and membership share ground truth, but belt and
-        // braces is exactly what a restart path wants).
-        const auto& membership = shared->membership;
-        const std::function<bool(NodeId)> member_alive =
-            membership ? std::function<bool(NodeId)>([&membership](NodeId n) {
-              return membership->alive(n);
-            })
-                       : nullptr;
-        for (const auto& sm : mf.segments) {
-          for (const auto& ref : sm.chunks) {
-            const ckptstore::Chunk* c = repo.find(ref.key);
-            DSIM_CHECK(c != nullptr);
+      // Placement-aware read plan. decode_incremental succeeded, so every
+      // referenced chunk is resident; the pre-flight in
+      // DmtcpControl::restart guarantees a surviving holder. The holder
+      // choice consults *membership* on top of placement: a node the
+      // cluster has declared dead is never fetched from, even in the window
+      // where a detected death has not yet propagated everywhere (placement
+      // and membership share ground truth, but belt and braces is exactly
+      // what a restart path wants).
+      const auto& membership = shared->membership;
+      const std::function<bool(NodeId)> member_alive =
+          membership ? std::function<bool(NodeId)>([&membership](NodeId n) {
+            return membership->alive(n);
+          })
+                     : nullptr;
+      const auto codec = static_cast<compress::CodecKind>(mf.codec);
+      for (const auto& sm : mf.segments) {
+        for (const auto& ref : sm.chunks) {
+          const ckptstore::Chunk* c = repo.find(ref.key);
+          DSIM_CHECK(c != nullptr);
+          ChunkRead cr{ref.key, c->charged_bytes, {},
+                       mtcp::decode_cpu_seconds(ref.len, codec)};
+          if (svc != nullptr) {
             // Replication: one surviving copy, full bytes. Erasure: k
             // fragment reads — and when a data fragment is dead or
             // corrupt, a parity fragment substitutes and the degraded
             // read pays a decode pass on the restarting node's CPU.
             bool needs_decode = false;
-            const auto plan = svc->placement().read_plan(
-                ref.key, &needs_decode, member_alive);
-            if (plan.empty()) {
-              // Pre-flight guarantees availability; an empty plan here
-              // means the membership view lags placement — read locally
-              // rather than off a node the cluster considers dead.
-              fetch_by_node[self.node()] += c->charged_bytes;
-            } else {
-              for (const auto& src : plan) fetch_by_node[src.node] += src.bytes;
-              if (needs_decode) {
-                decode_seconds +=
-                    ckptstore::erasure::decode_seconds(c->charged_bytes);
-              }
+            cr.sources = svc->placement().read_plan(ref.key, &needs_decode,
+                                                    member_alive);
+            if (needs_decode && !cr.sources.empty()) {
+              cr.decode_seconds +=
+                  ckptstore::erasure::decode_seconds(c->charged_bytes);
             }
-            fetch_chunks.emplace_back(ref.key, c->charged_bytes);
           }
+          // Without the service the chunk sits on this node's device. With
+          // it, the pre-flight guarantees availability, so an empty plan
+          // means the membership view lags placement — read locally rather
+          // than off a node the cluster considers dead.
+          if (cr.sources.empty()) {
+            cr.sources.push_back({self.node(), c->charged_bytes});
+          }
+          chunks.push_back(std::move(cr));
         }
-        total_read_bytes += container.size();
-      } else {
-        total_read_bytes += container.size() + chunk_read_bytes;
       }
+      local_read_bytes += container.size();
     } else {
+      double decode_seconds = 0;
       li.img = mtcp::decode(container, shared->opts.codec, &decode_seconds);
-      total_read_bytes += inode->charge_or_size();
+      image_decodes.push_back(decode_seconds);
+      local_read_bytes += inode->charge_or_size();
     }
-    li.decode_seconds = decode_seconds;
-    total_decode_seconds += decode_seconds;
     li.table = ConnTable::decode(li.img.dmtcp_blob);
     loaded.push_back(std::move(li));
   }
@@ -365,57 +450,57 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
   }
 
   // --- Stages 3-5 (§4.4): fork into user processes, rearrange fds with
-  // dup2 semantics, restore memory and threads. The per-image read and
-  // decompress costs run concurrently (one core each, fluid-shared).
+  // dup2 semantics, restore memory and threads.
   const SimTime t_mem = ctx.now();
   {
-    if (auto* svc = shared->store_service.get();
-        svc != nullptr && !fetch_chunks.empty()) {
-      // Chunk fetches are RPCs through the shard queues (contending with
-      // any other host restarting concurrently)...
-      auto fq = std::make_shared<sim::CountLatch>(
-          static_cast<int>(fetch_chunks.size()));
-      // Fetches ride the restart QoS band: the fair-queueing scheduler
-      // serves them ahead of any tenant's checkpoint-storm traffic, so a
-      // restarting computation is never starved by a noisy neighbor.
-      for (const auto& [key, b] : fetch_chunks) {
-        ckptstore::StoreRequest req;
-        req.op = ckptstore::StoreOp::kFetch;
-        req.tenant = shared->opts.tenant_id;
-        req.qos = ckptstore::QosClass::kRestart;
-        req.from = self.node();
-        req.keys = {key};
-        req.bytes = b;
-        req.done = [fq] { fq->done_one(); };
-        svc->submit(std::move(req));
-      }
-      while (fq->remaining > 0) co_await fq->wq.wait(ctx.thread());
-      // ...and the bytes stream off the holding nodes' devices and over
-      // their NICs to this node, concurrently across holders. Device
-      // charges are *reads*: delta restart must never inflate the write
-      // counters (the split the device accounting regression test pins).
-      auto rd = std::make_shared<sim::CountLatch>(
-          2 * static_cast<int>(fetch_by_node.size()));
-      for (const auto& [holder, bytes] : fetch_by_node) {
-        k.charge_storage_bg(holder, args.images[0], bytes, /*is_read=*/true,
-                            [rd] { rd->done_one(); });
-        k.net().transfer(holder, self.node(), bytes,
-                         [rd] { rd->done_one(); });
-      }
-      while (rd->remaining > 0) co_await rd->wq.wait(ctx.thread());
-    }
-    // Device: one sequential read stream per restart process (manifests
-    // and full images on this node).
+    // Device: one sequential read of this node's manifests and full images.
+    // It comes first — no chunk can be located before its manifest is read.
     co_await k.charge_storage(ctx.thread(), self.node(), args.images[0],
-                              total_read_bytes, /*is_read=*/true);
-    // CPU: per-image gunzip/copy jobs in parallel on this node's cores.
-    auto sync = std::make_shared<sim::CountLatch>(
-        static_cast<int>(loaded.size()));
-    for (auto& li : loaded) {
-      k.node(self.node()).cpu().submit(li.decode_seconds,
-                                       [sync] { sync->done_one(); });
+                              local_read_bytes, /*is_read=*/true);
+    auto left = std::make_shared<sim::CountLatch>(
+        static_cast<int>(image_decodes.size() + chunks.size()));
+    // CPU: full images decode as one job each, in parallel on this node's
+    // cores (fluid-shared).
+    for (const double secs : image_decodes) {
+      k.node(self.node()).cpu().submit(secs, [left] { left->done_one(); });
     }
-    while (sync->remaining > 0) co_await sync->wq.wait(ctx.thread());
+    // Manifest chunks stream: each chunk's bytes move as soon as its fetch
+    // RPC names the holders, and its decode starts as soon as they land, so
+    // index waits, transfers and decode overlap across chunks.
+    auto pool = std::make_shared<DecoderPool>(k, self.node());
+    const bool remote = svc != nullptr;
+    for (const ChunkRead& c : chunks) {
+      auto stream = [&kern = k, node = self.node(), path = args.images[0],
+                     remote, c, pool, left] {
+        read_then_decode(kern, node, path, remote, c, pool,
+                         [left] { left->done_one(); });
+      };
+      if (!remote) {
+        stream();
+        continue;
+      }
+      // Fetches are RPCs through the shard queues (contending with any
+      // other host restarting concurrently), on the restart QoS band: the
+      // fair-queueing scheduler serves them ahead of any tenant's
+      // checkpoint-storm traffic, so a restarting computation is never
+      // starved by a noisy neighbor.
+      ckptstore::StoreRequest req;
+      req.op = ckptstore::StoreOp::kFetch;
+      req.tenant = shared->opts.tenant_id;
+      req.qos = ckptstore::QosClass::kRestart;
+      req.from = self.node();
+      req.keys = {c.key};
+      req.bytes = c.bytes;
+      req.done = std::move(stream);
+      svc->submit(std::move(req));
+    }
+    while (left->remaining > 0) co_await left->wq.wait(ctx.thread());
+
+    RestartRun& rr = shared->stats.restarts.back();
+    for (const double secs : image_decodes) rr.decode_cpu_seconds += secs;
+    for (const ChunkRead& c : chunks) rr.decode_cpu_seconds += c.decode_seconds;
+    rr.decode_jobs += image_decodes.size() + chunks.size();
+    rr.peak_decode_jobs = std::max(rr.peak_decode_jobs, pool->peak());
   }
   for (auto& li : loaded) {
     sim::Process& child = k.fork_bare_child(self);

@@ -167,11 +167,21 @@ struct RestartRun {
   SimTime script_started = 0;
   SimTime refilled = 0;      // == resume point (§4.4 steps 6-7)
   int procs = 0;
-  // Per-host stage durations, averaged across hosts (Table 1b methodology).
+  // Per-host stage durations, averaged across the hosts' stage notes
+  // (Table 1b methodology); hosts_reported counts the memory notes.
   double files_ptys_seconds = 0;
   double reconnect_seconds = 0;
   double memory_threads_seconds = 0;
   int hosts_reported = 0;
+
+  // Memory-stage decode, summed over hosts: CPU-seconds charged to the
+  // restarting nodes' cores (gunzip/assembly plus degraded-read erasure
+  // decode), the CPU jobs that carried them — one per full image, one per
+  // manifest chunk — and the most chunk jobs one host's decoder pool ran
+  // at once (0 when every image is a full image).
+  double decode_cpu_seconds = 0;
+  u64 decode_jobs = 0;
+  int peak_decode_jobs = 0;
 
   double total_seconds() const { return to_seconds(refilled - script_started); }
   double refill_seconds = 0;  // duration between restart B5 and B6

@@ -128,13 +128,16 @@ ProcessImage decode(std::span<const std::byte> container,
   ByteReader r(serialized);
   ProcessImage img = ProcessImage::deserialize(r);
   if (decode_seconds) {
-    const double virt = static_cast<double>(img.memory_bytes());
-    *decode_seconds =
-        codec == compress::CodecKind::kNone
-            ? virt / sim::params::kImageAssembleBw
-            : virt / sim::params::kGunzipOutBw;
+    *decode_seconds = decode_cpu_seconds(img.memory_bytes(), codec);
   }
   return img;
+}
+
+double decode_cpu_seconds(u64 bytes, compress::CodecKind codec) {
+  const double virt = static_cast<double>(bytes);
+  return codec == compress::CodecKind::kNone
+             ? virt / sim::params::kImageAssembleBw
+             : virt / sim::params::kGunzipOutBw;
 }
 
 EncodedDelta encode_incremental(const ProcessImage& img,
@@ -317,11 +320,7 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
 
   if (read_bytes) *read_bytes = reads;
   if (decode_seconds) {
-    const double virt = static_cast<double>(img.memory_bytes());
-    *decode_seconds =
-        codec == compress::CodecKind::kNone
-            ? virt / sim::params::kImageAssembleBw
-            : virt / sim::params::kGunzipOutBw;
+    *decode_seconds = decode_cpu_seconds(img.memory_bytes(), codec);
   }
   return img;
 }

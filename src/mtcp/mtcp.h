@@ -37,9 +37,13 @@ ProcessImage capture(sim::Process& p);
 EncodedImage encode(const ProcessImage& img, compress::CodecKind codec);
 
 /// Inverse of encode. Also returns the decode CPU cost in seconds via
-/// `decode_seconds` (gunzip is output-rate-bound; §5.4).
+/// `decode_seconds` (decode_cpu_seconds of the image's memory bytes).
 ProcessImage decode(std::span<const std::byte> container,
                     compress::CodecKind codec, double* decode_seconds);
+
+/// Decode CPU for `bytes` of restored memory: gunzip is output-rate-bound
+/// (§5.4); an uncompressed image is an assembly copy.
+double decode_cpu_seconds(u64 bytes, compress::CodecKind codec);
 
 /// Rebuild memory/signals/identity into `p` (threads are started by the
 /// restart driver; shared-memory §4.5 rules are applied by core::restart).

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ckptstore/erasure.h"
@@ -314,6 +316,49 @@ TEST(ErasureE2E, RestartSurvivesMNodeLossesViaDegradedReads) {
   EXPECT_EQ(rr.lost_chunks, 0u);
   EXPECT_EQ(rr.procs, 2);
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
+}
+
+/// content_crc() of every live process's ballast, keyed by its result name.
+std::map<std::string, u32> ballast_crcs(World& w) {
+  std::map<std::string, u32> out;
+  for (const Pid pid : w.k().live_pids()) {
+    sim::Process* p = w.k().find_process(pid);
+    const sim::MemSegment* seg = p->mem().find("ballast");
+    if (seg != nullptr) out[p->argv().back()] = seg->data.content_crc();
+  }
+  return out;
+}
+
+TEST(ErasureE2E, StreamedRestartOverlapsDecodeAtZeroOneTwoLosses) {
+  // Each host's chunks stream through a kCoresPerNode decoder pool while
+  // later chunks are still being fetched, so a (4,2) restart — healthy or
+  // reading through parity — ends before one core could have decoded a
+  // single host's image, and restores the same bytes.
+  constexpr int kHosts = 2;
+  for (const int losses : {0, 1, 2}) {
+    SCOPED_TRACE("losses " + std::to_string(losses));
+    DmtcpOptions o = erasure_opts(4, 2);
+    o.codec = compress::CodecKind::kGzipish;
+    World w(8, o);
+    const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+    const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    add_ballast(w, pa, 4 * 1024 * 1024, 0xAA);
+    add_ballast(w, pb, 4 * 1024 * 1024, 0xBB);
+    w.ctl.checkpoint_now();
+    const auto before = ballast_crcs(w);
+    ASSERT_EQ(before.size(), 2u);
+
+    auto& svc = *w.ctl.shared().store_service;
+    for (int f = 0; f < losses; ++f) svc.fail_node(7 - f);
+    w.ctl.kill_computation();
+    const auto& rr = w.ctl.restart();
+    EXPECT_FALSE(rr.needs_restore);
+    EXPECT_EQ(rr.procs, kHosts);
+    EXPECT_LE(rr.peak_decode_jobs, sim::params::kCoresPerNode);
+    EXPECT_LT(rr.total_seconds(), rr.decode_cpu_seconds / kHosts);
+    EXPECT_EQ(ballast_crcs(w), before);
+  }
 }
 
 TEST(ErasureE2E, BeyondMLossesReportLostChunksBeforeRestart) {

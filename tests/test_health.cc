@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -485,6 +486,45 @@ TEST(HealthWorld, HealthJsonIsByteIdenticalAcrossIdenticalRuns) {
   EXPECT_NE(a.find("\"critical_path\":"), std::string::npos);
   EXPECT_NE(a.find("\"slo\":"), std::string::npos);
   EXPECT_NE(a.find("\"phases\":"), std::string::npos);
+}
+
+TEST(HealthWorld, ErasureRestartBlamesTheDecoderPool) {
+  // A healthy (4,2) gzip restart: the chunks' decode on the restarting
+  // nodes' decoder pools is what the window waits on, and each pool job is
+  // a restart.decode span the sweep can name.
+  DmtcpOptions o = health_opts("");
+  o.codec = compress::CodecKind::kGzipish;
+  o.chunk_replicas = 1;
+  o.erasure_k = 4;
+  o.erasure_m = 2;
+  World w(8, o, 0xDEC0);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 2 * 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 2 * 1024 * 1024, 0xBB);
+  w.ctl.checkpoint_now();
+  w.ctl.kill_computation();
+  const core::RestartRun& rr = w.ctl.restart();
+  ASSERT_EQ(rr.procs, 2);
+
+  // The restart window still partitions exactly, and the decode leads.
+  EXPECT_EQ(rr.critical_path.attributed_ns(), rr.refilled - rr.script_started);
+  ASSERT_FALSE(rr.critical_path.entries.empty());
+  EXPECT_EQ(rr.critical_path.entries.front().stage, "restart.decode");
+  EXPECT_NE(find_stage(rr.critical_path, "restart.load"), nullptr);
+
+  // trace_report.py re-derives the same partition from the Chrome trace.
+  const std::string trace = "/tmp/dsim_test_restart_decode.trace.json";
+  const std::string doc = "/tmp/dsim_test_restart_decode.health.json";
+  ASSERT_TRUE(w.ctl.shared().tracer->write_chrome_json(trace));
+  std::ofstream(doc) << w.ctl.health_json();
+  const std::string cmd = std::string("python3 ") + DSIM_SOURCE_DIR +
+                          "/tools/trace_report.py " + trace +
+                          " --critical-path " + doc + " > /dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0);
+  std::remove(trace.c_str());
+  std::remove(doc.c_str());
 }
 
 TEST(HealthWorld, HealthOutFlagWritesTheDocument) {

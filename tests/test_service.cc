@@ -8,11 +8,13 @@
 #include <vector>
 
 #include "ckptstore/cdc.h"
+#include "ckptstore/manifest.h"
 #include "ckptstore/placement.h"
 #include "ckptstore/service.h"
 #include "core/launch.h"
 #include "mtcp/mtcp.h"
 #include "sim/cluster.h"
+#include "sim/model_params.h"
 #include "tests/testprogs.h"
 #include "tests/testutil.h"
 #include "util/rng.h"
@@ -770,6 +772,68 @@ TEST(ServiceE2E, NextGenerationHealsLostChunks) {
   EXPECT_FALSE(rr.needs_restore);
   EXPECT_EQ(rr.procs, 2);
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
+}
+
+/// decode_incremental's decode CPU and chunk count, summed over every
+/// manifest of the current restart plan.
+std::pair<double, u64> plan_decode(World& w) {
+  double seconds = 0;
+  u64 chunks = 0;
+  for (const auto& host : w.ctl.read_restart_plan().hosts) {
+    for (const auto& img : host.images) {
+      auto inode = w.k().fs_for(host.host, img).lookup(img);
+      const auto mf = ckptstore::Manifest::decode(
+          inode->data.materialize(0, inode->data.size()));
+      double secs = 0;
+      std::string err;
+      mtcp::decode_incremental(mf, w.ctl.shared().repo_for(host.host), &secs,
+                               nullptr, &err);
+      EXPECT_EQ(err, "");
+      seconds += secs;
+      chunks += mf.all_keys().size();
+    }
+  }
+  return {seconds, chunks};
+}
+
+TEST(ServiceE2E, StreamedRestartConservesDecodeCpuOnABoundedPool) {
+  World w(4, service_opts(/*replicas=*/2));
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 2 * 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 2 * 1024 * 1024, 0xBB);
+  w.ctl.checkpoint_now();
+  const auto [decode_seconds, chunks] = plan_decode(w);
+  ASSERT_GT(chunks, 2u * sim::params::kCoresPerNode);
+
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  EXPECT_EQ(rr.procs, 2);
+  // Per-chunk shares sum to the whole-image decode: only the overlap moves.
+  EXPECT_NEAR(rr.decode_cpu_seconds, decode_seconds, 1e-9 * decode_seconds);
+  EXPECT_EQ(rr.decode_jobs, chunks);
+  // The pool fills every core and never more.
+  EXPECT_EQ(rr.peak_decode_jobs, sim::params::kCoresPerNode);
+}
+
+TEST(ServiceE2E, FullImageRestartDecodesEachImageAsOneJob) {
+  // A gzip stream cannot be split: full images keep one decode job each,
+  // outside the chunk decoder pool.
+  DmtcpOptions o;
+  o.codec = compress::CodecKind::kGzipish;
+  World w(2, o);
+  w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.launch(0, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.launch(1, kComputeLoop, {"1000000", "200", "c"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  w.ctl.checkpoint_now();
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  EXPECT_EQ(rr.procs, 3);
+  EXPECT_EQ(rr.decode_jobs, 3u);
+  EXPECT_EQ(rr.peak_decode_jobs, 0);
+  EXPECT_GT(rr.decode_cpu_seconds, 0.0);
 }
 
 TEST(ServiceE2E, ReplicaOneNodeLossForcesRestore) {

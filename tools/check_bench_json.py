@@ -689,6 +689,8 @@ BASELINE_METRICS = {
             lambda d: d["summary"]["wait_ms_shards4_at_max_ranks"], "lower"),
         "shard_speedup": (
             lambda d: d["summary"]["shard_speedup"], "higher"),
+        "r2_restart_seconds": (
+            lambda d: d["failover"]["r2_restart_seconds"], "lower"),
     },
     "BENCH_failover.json": {
         "kill_ckpt_seconds": (
@@ -716,6 +718,9 @@ BASELINE_METRICS = {
         "restart_seconds_at_max_losses": (
             lambda d: d["summary"]["restart_seconds_at_max_losses"],
             "lower"),
+        "restart_seconds_healthy": (
+            lambda d: next(p["restart_seconds"] for p in d["restart_sweep"]
+                           if p["losses"] == 0), "lower"),
     },
     "BENCH_tenants.json": {
         "fq_p99_ms": (
