@@ -14,15 +14,6 @@ namespace {
 constexpr u64 kZeroTag = 0x5A45524F434B5A00ull;  // "ZEROCKZ"
 constexpr u64 kRandTag = 0x52414E44434B5200ull;  // "RANDCKR"
 
-u64 fnv1a64(std::span<const std::byte> data, u64 h) {
-  constexpr u64 kPrime = 0x100000001B3ull;
-  for (std::byte b : data) {
-    h ^= static_cast<u64>(b);
-    h *= kPrime;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::string ChunkKey::str() const {
@@ -34,11 +25,17 @@ std::string ChunkKey::str() const {
 }
 
 ChunkKey content_key(std::span<const std::byte> data) {
-  // Two independently-seeded FNV-1a streams form the 128-bit address.
-  ChunkKey k;
-  k.hi = fnv1a64(data, 0xCBF29CE484222325ull);
-  k.lo = fnv1a64(data, 0x84222325CBF29CE4ull) ^ mix64(data.size());
-  return k;
+  // Two independently-seeded FNV-1a streams form the 128-bit address. One
+  // pass feeds both: the two multiply chains are independent, so they
+  // overlap in the pipeline and the bytes are read once.
+  constexpr u64 kPrime = 0x100000001B3ull;
+  u64 hi = 0xCBF29CE484222325ull;
+  u64 lo = 0x84222325CBF29CE4ull;
+  for (std::byte b : data) {
+    hi = (hi ^ static_cast<u64>(b)) * kPrime;
+    lo = (lo ^ static_cast<u64>(b)) * kPrime;
+  }
+  return ChunkKey{hi, lo ^ mix64(data.size())};
 }
 
 ChunkKey zero_key(u64 len) { return ChunkKey{kZeroTag, mix64(len)}; }

@@ -7,7 +7,6 @@
 #include "obs/trace.h"
 #include "sim/model_params.h"
 #include "util/assertx.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -916,7 +915,10 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
     const bool missing = !beyond_repair && !placement_.available(key);
     bool corrupt = beyond_repair;
     if (!missing && !corrupt && chunk->kind == sim::ExtentKind::kReal) {
-      corrupt = crc32(chunk->materialize(codec)) != chunk->crc;
+      // Decoding verifies the content against the container's header CRC;
+      // the header CRC then stands for the content.
+      chunk->materialize(codec);
+      corrupt = compress::container_crc(*chunk->stored) != chunk->crc;
     }
     if (!missing && !corrupt && placement_.degraded(key)) {
       // The walk tripped over a replica-degraded survivor (a death the heal

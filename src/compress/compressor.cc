@@ -255,6 +255,10 @@ double codec_cost_factor(CodecKind kind) {
   return 1.0;
 }
 
+u32 container_crc(std::span<const std::byte> container) {
+  return unwrap(container).crc;
+}
+
 const Codec& codec(CodecKind kind) {
   static const NoneCodec none;
   static const RleCodec rle;

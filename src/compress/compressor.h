@@ -57,6 +57,12 @@ class Codec {
       std::span<const std::byte> container) const = 0;
 };
 
+/// The CRC-32 of the original data, read from a container's header (checks
+/// the magic, decodes nothing). Once `decompress` has accepted a container
+/// — it verifies the decoded bytes against exactly this value — the header
+/// CRC stands for the content, so callers need not hash it again.
+u32 container_crc(std::span<const std::byte> container);
+
 /// Singleton accessor for a codec implementation.
 const Codec& codec(CodecKind kind);
 

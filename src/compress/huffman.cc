@@ -4,7 +4,6 @@
 #include <array>
 #include <queue>
 
-#include "compress/bitstream.h"
 #include "util/assertx.h"
 #include "util/serialize.h"
 
@@ -101,70 +100,116 @@ u32 reverse_bits(u32 code, int len) {
   return r;
 }
 
+/// The bit patterns actually written: each symbol's canonical code, reversed.
+std::array<u32, kAlphabet> reversed_codes(
+    const std::array<u8, kAlphabet>& lengths) {
+  auto codes = canonical_codes(lengths);
+  for (int s = 0; s < kAlphabet; ++s) {
+    codes[s] = reverse_bits(codes[s], lengths[s]);
+  }
+  return codes;
+}
+
+constexpr size_t kHeaderBytes = kAlphabet + 8;  // code lengths + u64 count
+
 }  // namespace
 
 std::vector<std::byte> huffman_encode(std::span<const std::byte> input) {
   std::array<u64, kAlphabet> freq{};
   for (std::byte b : input) freq[static_cast<u8>(b)]++;
   const auto lengths = code_lengths(freq);
-  const auto codes = canonical_codes(lengths);
+  const auto codes = reversed_codes(lengths);
+  u64 total_bits = 0;
+  for (int s = 0; s < kAlphabet; ++s) total_bits += freq[s] * lengths[s];
 
-  ByteWriter header;
-  for (int s = 0; s < kAlphabet; ++s) header.put_u8(lengths[s]);
-  header.put_u64(input.size());
-
-  BitWriter bits;
+  // The output is sized exactly from the code-length sum; whole 32-bit
+  // words go out as the accumulator fills, the last partial word bytewise.
+  std::vector<std::byte> out(kHeaderBytes + (total_bits + 7) / 8);
+  for (int s = 0; s < kAlphabet; ++s) {
+    out[s] = static_cast<std::byte>(lengths[s]);
+  }
+  store_le<u64>(out.data() + kAlphabet, input.size());
+  std::byte* dst = out.data() + kHeaderBytes;
+  u64 acc = 0;
+  int fill = 0;
   for (std::byte b : input) {
     const int s = static_cast<u8>(b);
-    bits.put_bits(reverse_bits(codes[s], lengths[s]), lengths[s]);
+    acc |= static_cast<u64>(codes[s]) << fill;
+    fill += lengths[s];
+    if (fill >= 32) {
+      store_le<u32>(dst, static_cast<u32>(acc));
+      dst += 4;
+      acc >>= 32;
+      fill -= 32;
+    }
   }
-  auto payload = bits.finish();
-  header.put_bytes(payload);
-  return header.take();
+  for (; fill > 0; fill -= 8, acc >>= 8) *dst++ = static_cast<std::byte>(acc);
+  return out;
 }
 
 std::vector<std::byte> huffman_decode(std::span<const std::byte> input) {
   ByteReader reader(input);
   std::array<u8, kAlphabet> lengths{};
-  for (int s = 0; s < kAlphabet; ++s) lengths[s] = reader.get_u8();
+  int max_len = 0;
+  for (int s = 0; s < kAlphabet; ++s) {
+    lengths[s] = reader.get_u8();
+    DSIM_CHECK_MSG(lengths[s] <= kMaxBits, "corrupt huffman stream");
+    max_len = std::max<int>(max_len, lengths[s]);
+  }
   const u64 count = reader.get_u64();
-  const auto codes = canonical_codes(lengths);
+  const auto payload = reader.get_bytes(reader.remaining());
+  // Every symbol costs at least one bit.
+  DSIM_CHECK_MSG(count <= 8 * static_cast<u64>(payload.size()),
+                 "corrupt huffman stream");
+  const auto codes = reversed_codes(lengths);
 
-  // Build a direct-indexed decode table over kMaxBits bits: each entry maps
-  // the next kMaxBits (LSB-first) to (symbol, length).
+  // Direct-indexed decode table over the next max_len bits (LSB-first),
+  // each entry mapping to (symbol, length). No code is longer than
+  // max_len, so a wider table would only repeat this one with period
+  // 2^max_len: sizing it to the stream's own longest code decodes
+  // identically — corrupt code sets included — at a fraction of the set-up.
   struct Entry {
     i16 symbol = -1;
     u8 len = 0;
   };
-  std::vector<Entry> table(static_cast<size_t>(1) << kMaxBits);
+  std::vector<Entry> table(size_t{1} << max_len);
+  const u64 mask = table.size() - 1;
   for (int s = 0; s < kAlphabet; ++s) {
     const int len = lengths[s];
     if (!len) continue;
-    const u32 rcode = reverse_bits(codes[s], len);
-    // All table slots whose low `len` bits equal rcode decode to s.
-    const u32 step = 1u << len;
-    for (u32 idx = rcode; idx < table.size(); idx += step) {
+    // All table slots whose low `len` bits equal the code decode to s.
+    for (size_t idx = codes[s]; idx < table.size(); idx += size_t{1} << len) {
       table[idx] = {static_cast<i16>(s), static_cast<u8>(len)};
     }
   }
 
-  std::vector<std::byte> out;
-  out.reserve(count);
-  // Bit-level scan with manual buffer (BitReader cannot peek past the end on
-  // the final symbols, so pad the accumulator with zeros).
-  auto payload = reader.get_bytes(reader.remaining());
+  std::vector<std::byte> out(count);
+  // Bits past the end of the payload read as zeros; `fill` goes negative
+  // as a symbol consumes them, and a symbol needing more than kMaxBits of
+  // them is corrupt.
+  const std::byte* const in = payload.data();
+  const size_t in_size = payload.size();
   u64 acc = 0;
   int fill = 0;
   size_t pos = 0;
   for (u64 i = 0; i < count; ++i) {
-    while (fill < kMaxBits && pos < payload.size()) {
-      acc |= static_cast<u64>(static_cast<u8>(payload[pos++])) << fill;
-      fill += 8;
+    if (fill < kMaxBits) {
+      if (in_size - pos >= 8) {
+        // One 8-byte load tops the accumulator up to 56..63 valid bits.
+        acc |= load_le<u64>(in + pos) << fill;
+        pos += static_cast<size_t>(63 - fill) / 8;
+        fill |= 56;
+      } else {
+        while (fill < kMaxBits && pos < in_size) {
+          acc |= static_cast<u64>(static_cast<u8>(in[pos++])) << fill;
+          fill += 8;
+        }
+      }
     }
-    const Entry e = table[acc & ((1u << kMaxBits) - 1)];
+    const Entry e = table[acc & mask];
     DSIM_CHECK_MSG(e.symbol >= 0 && e.len > 0 && e.len <= fill + kMaxBits,
                    "corrupt huffman stream");
-    out.push_back(static_cast<std::byte>(e.symbol));
+    out[i] = static_cast<std::byte>(e.symbol);
     acc >>= e.len;
     fill -= e.len;
   }

@@ -4,7 +4,6 @@
 
 #include "sim/model_params.h"
 #include "util/assertx.h"
-#include "util/crc32.h"
 
 namespace dsim::mtcp {
 namespace {
@@ -201,8 +200,8 @@ EncodedDelta encode_incremental(const ProcessImage& img,
         c.seed = span.seed;
         c.pos = span.off;
         if (span.kind == ExtentKind::kReal) {
-          c.crc = crc32(content);
           auto container = compress::codec(codec).compress(content);
+          c.crc = compress::container_crc(container);  // hashed by compress
           c.charged_bytes = container.size();
           c.stored = std::make_shared<const std::vector<std::byte>>(
               std::move(container));
@@ -294,8 +293,11 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
       }
       reads += c->charged_bytes;
       if (c->kind == ExtentKind::kReal) {
+        // materialize verified the content against the container's header
+        // CRC, so comparing that CRC with the manifest's checks the content.
         auto content = c->materialize(codec);
-        if (content.size() != ref.len || crc32(content) != ref.crc) {
+        if (content.size() != ref.len ||
+            compress::container_crc(*c->stored) != ref.crc) {
           return fail("restart: corrupted chunk " + ref.key.str() +
                       " in segment '" + sm.name + "' @" +
                       std::to_string(off) + ": content CRC mismatch");

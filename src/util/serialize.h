@@ -18,6 +18,26 @@
 
 namespace dsim {
 
+/// Little-endian fixed-width load from / store to a raw position, for hot
+/// loops that cannot pay ByteReader's per-byte bounds checks; the caller
+/// guarantees sizeof(T) bytes are in range. Compilers fold the byte
+/// assembly into a single (on big-endian hosts, byte-swapped) access.
+template <typename T>
+inline T load_le(const std::byte* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<u8>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+template <typename T>
+inline void store_le(std::byte* p, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+  }
+}
+
 /// Append-only binary writer.
 class ByteWriter {
  public:
@@ -55,9 +75,9 @@ class ByteWriter {
  private:
   template <typename T>
   void put_le(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-    }
+    const size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    store_le(buf_.data() + at, v);
   }
   std::vector<std::byte> buf_;
 };
@@ -112,12 +132,7 @@ class ByteReader {
   }
   template <typename T>
   T get_le() {
-    auto s = take(sizeof(T));
-    T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<u8>(s[i])) << (8 * i);
-    }
-    return v;
+    return load_le<T>(take(sizeof(T)).data());
   }
   std::span<const std::byte> data_;
   size_t pos_ = 0;
