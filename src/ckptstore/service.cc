@@ -37,11 +37,7 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
   shards_.reserve(static_cast<size_t>(shards));
   endpoints_.reserve(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    auto q = std::make_shared<IndexQueue>();
-    q->dev = std::make_shared<sim::StorageDevice>(
-        loop, "chunkstore" + std::to_string(s), params::kStoreServiceBw,
-        params::kStoreServiceLatency);
-    shards_.push_back(Shard{std::move(q), {}});
+    shards_.push_back(Shard{make_queue(s), {}});
     // Default spread until the coordinator assigns real endpoints.
     endpoints_.push_back(static_cast<NodeId>(s % net.num_nodes()));
   }
@@ -113,8 +109,17 @@ ChunkStoreService::make_request(NodeId from, u64 request_bytes,
   return req;
 }
 
-void ChunkStoreService::enqueue_index(std::shared_ptr<IndexQueue> q,
-                                      TenantId tenant, QosClass qos, u64 cost,
+ChunkStoreService::IndexQueue* ChunkStoreService::make_queue(int s) {
+  auto q = std::make_unique<IndexQueue>();
+  q->dev = std::make_unique<sim::StorageDevice>(
+      loop_, "chunkstore" + std::to_string(s), params::kStoreServiceBw,
+      params::kStoreServiceLatency);
+  queues_.push_back(std::move(q));
+  return queues_.back().get();
+}
+
+void ChunkStoreService::enqueue_index(IndexQueue* q, TenantId tenant,
+                                      QosClass qos, u64 cost,
                                       std::function<void()> run,
                                       obs::TraceContext tctx) {
   // The fq_wait span covers push -> dispatch: zero-length when fair
@@ -139,10 +144,10 @@ void ChunkStoreService::enqueue_index(std::shared_ptr<IndexQueue> q,
   }
   q->fq.push(qos, tenant, tenants_.weight(tenant),
              FairQueue::Item{cost, std::move(wrapped)});
-  pump_queue(std::move(q));
+  pump_queue(q);
 }
 
-void ChunkStoreService::pump_queue(std::shared_ptr<IndexQueue> q) {
+void ChunkStoreService::pump_queue(IndexQueue* q) {
   // Dispatch while the device is free. Each dispatched item submits into
   // the device and advances its busy_until, so exactly one item is in
   // service at a time and everything else waits *in the FairQueue*, where
@@ -1129,19 +1134,13 @@ void ChunkStoreService::rebalance(int new_shards,
   // Swap in the new shard set first: foreground routing (there is none
   // between rounds, but restarts may race in tests) immediately uses the
   // new assignment, while the migration traffic below drains through both
-  // the old queues (index reads) and the new ones (index inserts). The old
-  // queues stay alive inside the batch closures until the last batch
-  // lands.
-  auto old_set =
-      std::make_shared<std::vector<Shard>>(std::move(shards_));
+  // the old queues (index reads) and the new ones (index inserts), which
+  // queues_ keeps alive.
+  const std::vector<Shard> old_set = std::move(shards_);
   shards_.clear();
   shards_.reserve(static_cast<size_t>(new_shards));
   for (int s = 0; s < new_shards; ++s) {
-    auto q = std::make_shared<IndexQueue>();
-    q->dev = std::make_shared<sim::StorageDevice>(
-        loop_, "chunkstore" + std::to_string(s), params::kStoreServiceBw,
-        params::kStoreServiceLatency);
-    shards_.push_back(Shard{std::move(q), {}});
+    shards_.push_back(Shard{make_queue(s), {}});
   }
   endpoints_ = std::move(new_endpoints);
   assigned_endpoints_ = endpoints_;
@@ -1191,9 +1190,9 @@ void ChunkStoreService::rebalance(int new_shards,
         if (--*remaining == 0) (*all_done)();
       };
       // Old shard queue: read the n index entries out...
-      (*old_set)[static_cast<size_t>(from_s)].q->dev->submit(
+      old_set[static_cast<size_t>(from_s)].q->dev->submit(
           n * params::kStoreLookupBytes,
-          [this, old_set, from_ep, to_ep, to_q, n, wire, finish_batch] {
+          [this, from_ep, to_ep, to_q, n, wire, finish_batch] {
             // ...ship them endpoint to endpoint as one metadata RPC...
             fabric_.call(
                 from_ep, to_ep, wire, params::kRpcHeaderBytes,

@@ -398,16 +398,16 @@ class ChunkStoreService {
   /// single tenant this is timing-identical to submitting straight into
   /// the device FIFO.
   struct IndexQueue {
-    std::shared_ptr<sim::StorageDevice> dev;
+    std::unique_ptr<sim::StorageDevice> dev;
     FairQueue fq;
     bool pump_scheduled = false;
   };
   struct Shard {
-    /// shared_ptr: in-flight serve closures capture the queue they were
-    /// aimed at, so a rebalance that swaps the shard set mid-flight (a
+    /// Owned by queues_. In-flight serve closures capture the queue they
+    /// were aimed at, so a rebalance that swaps the shard set mid-flight (a
     /// racing restart) can never leave a closure indexing a vector that
     /// shrank under it — the request drains through its original queue.
-    std::shared_ptr<IndexQueue> q;
+    IndexQueue* q = nullptr;
     /// Requests whose endpoint died mid-flight, FIFO, awaiting re-home.
     std::deque<std::shared_ptr<ShardRequest>> parked;
   };
@@ -437,14 +437,15 @@ class ChunkStoreService {
   /// the actual device submission (or discard) when the scheduler
   /// dispatches it. Bypasses the FairQueue entirely when fair queueing is
   /// off — `run` executes immediately, the PR-3 arrival-FIFO behavior.
-  void enqueue_index(std::shared_ptr<IndexQueue> q, TenantId tenant,
-                     QosClass qos, u64 cost, std::function<void()> run,
-                     obs::TraceContext tctx = {});
+  void enqueue_index(IndexQueue* q, TenantId tenant, QosClass qos, u64 cost,
+                     std::function<void()> run, obs::TraceContext tctx = {});
   /// Dispatch queued items while the shard device is free; re-arm at
   /// busy_until() otherwise. One item dispatches per device-free instant,
   /// so late-arriving restart-band work can still overtake a queued
   /// checkpoint storm.
-  void pump_queue(std::shared_ptr<IndexQueue> q);
+  void pump_queue(IndexQueue* q);
+  /// A new shard queue (device "chunkstore<s>"), owned by queues_.
+  IndexQueue* make_queue(int s);
   /// Serve handler for a single index probe/insert on the shard's queue,
   /// routed through the fair-queueing scheduler under (tenant, qos).
   rpc::RpcFabric::Handler index_serve(int shard, bool is_read,
@@ -488,6 +489,11 @@ class ChunkStoreService {
   std::shared_ptr<rpc::NodeHealth> health_;
   rpc::RpcFabric fabric_;
   std::vector<Shard> shards_;
+  /// Every shard queue this service has made, current or retired by a
+  /// rebalance: work already aimed at a queue drains through it, so queues
+  /// live as long as the service. Closures hold plain pointers — a queued
+  /// item owning its own queue would be a cycle nothing ever frees.
+  std::vector<std::unique_ptr<IndexQueue>> queues_;
   std::vector<NodeId> endpoints_;
   /// The coordinator-assigned (or rebalance-chosen) endpoint per shard:
   /// where each shard *should* live when its node is up. endpoints_ drifts

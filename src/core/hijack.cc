@@ -8,6 +8,7 @@
 #include "ckptstore/tenant.h"
 #include "core/msg_io.h"
 #include "mtcp/mtcp.h"
+#include "sim/cpu.h"
 #include "sim/model_params.h"
 #include "sim/sync.h"
 #include "util/assertx.h"
@@ -29,22 +30,35 @@ std::string sanitize(std::string s) {
   return s;
 }
 
-/// Store phase of one async drain job: replays the synchronous incremental
-/// store sequence (lookups -> stores/heals -> device charges -> manifest ->
-/// GC drops) as a callback chain off the event loop, so the checkpoint
-/// barrier releases without waiting on any of it. Kept alive by the
-/// callbacks it registers.
-struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
+/// The store sequence of one chunk-store checkpoint, run by both modes as
+/// a callback chain off the event loop:
+///
+///   batched Lookups -> per new chunk: its encode share on the writer's
+///   core pool, then its Store (heals re-store directly) -> home-device
+///   and manifest writes -> --sync flush -> retention -> done
+///
+/// The synchronous write co_awaits it inside the write barrier. The async
+/// pipeline runs it after its own chunk and compress stages, so it passes
+/// no encode shares and every Store leaves at once. Without the service
+/// the encodes still run on the pool and one local write follows the last.
+/// Kept alive by the callbacks it registers; it owns nothing of
+/// DmtcpShared or the service, so a drain still in flight at teardown
+/// cannot pin them in a cycle.
+struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   sim::Kernel* k = nullptr;
-  std::shared_ptr<DmtcpShared> shared;
-  std::shared_ptr<ckptstore::ChunkStoreService> svc;  // null: local-repo path
+  DmtcpShared* shared = nullptr;
+  ckptstore::ChunkStoreService* svc = nullptr;  // null: local-repo path
   ckptstore::TenantId tenant = ckptstore::kDefaultTenant;
   NodeId node = 0;
+  int round = 0;
   std::string path;
-  std::vector<ckptstore::ChunkKey> probes;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> to_store;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
   size_t fresh = 0;  // to_store[0..fresh) are new stores; the rest heals
+  /// Per new chunk: its codec CPU plus its erasure stripe. Empty when the
+  /// caller has charged the encode already.
+  std::vector<double> encode;
+  bool flush = false;  // --sync: flush the writer's device before retention
   u64 manifest_size = 0;
   u64 submitted_bytes = 0;
   std::function<void()> done;
@@ -55,22 +69,64 @@ struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
   void run() {
     auto self = shared_from_this();
     if (!svc) {
-      k->charge_storage_bg(node, path, submitted_bytes, /*is_read=*/false,
-                           [self] { self->gc_and_done(); });
+      pending = static_cast<int>(fresh);
+      if (pending == 0) {
+        write_local();
+        return;
+      }
+      encode_each([self](size_t) {
+        if (--self->pending == 0) self->write_local();
+      });
       return;
     }
+    // Every chunk submission is a Lookup RPC (hit or miss alike) routed to
+    // its key's shard: the probes cross this node's NIC, pay the endpoint's
+    // message CPU and serialize on the shard queues, so N ranks' probes
+    // contend the way the paper's coordinator/peer messages do (§4.3).
     ckptstore::StoreRequest lk;
     lk.op = ckptstore::StoreOp::kLookup;
     lk.tenant = tenant;
     lk.from = node;
-    lk.keys = probes;
+    lk.keys.reserve(dup_chunks.size() + to_store.size());
+    for (const auto& [key, bytes] : dup_chunks) lk.keys.push_back(key);
+    for (const auto& [key, bytes] : to_store) lk.keys.push_back(key);
     lk.done = [self] { self->stores(); };
     svc->submit(std::move(lk));
   }
 
+  /// Hand each new chunk to `encoded` once its encode share has run on the
+  /// writer's core pool — at once when it has none (codec none without
+  /// erasure, or an encode already charged): no zero-length jobs.
+  void encode_each(const std::function<void(size_t)>& encoded) {
+    std::shared_ptr<sim::CpuPool> pool;
+    CkptRound* r = nullptr;
+    for (size_t i = 0; i < fresh; ++i) {
+      const double secs = i < encode.size() ? encode[i] : 0.0;
+      if (secs <= 0) {
+        encoded(i);
+        continue;
+      }
+      if (!pool) {
+        pool = std::make_shared<sim::CpuPool>(
+            k->loop(), k->node(node).cpu(), node, "ckpt.encode", "ckpt");
+        r = &shared->stats.rounds[static_cast<size_t>(round)];
+      }
+      r->encode_cpu_seconds += secs;
+      r->encode_jobs++;
+      pool->submit(secs, [encoded, i] { encoded(i); });
+    }
+    // Every job is queued at once, so the pool has reached its peak here.
+    if (pool) r->peak_encode_jobs = std::max(r->peak_encode_jobs, pool->peak());
+  }
+
   void stores() {
-    // Heal forward: dedup hits whose every replica died with its node are
-    // re-stored over the survivors (same rule as the synchronous path).
+    // Dedup hits normally cost nothing — but a hit on a chunk whose every
+    // replica died with its node would pin permanently unrestorable data
+    // into this generation's manifest, so those are re-stored over the
+    // survivors: the store heals forward as generations land. lost(), not
+    // !available(): a hit on a key another rank's Store is still carrying
+    // is merely unrecorded. dup_chunks holds one entry per *reference*, so
+    // each lost key heals once.
     if (svc->placement().any_dead()) {
       std::set<ckptstore::ChunkKey> healed;
       for (const auto& [key, bytes] : dup_chunks) {
@@ -83,38 +139,62 @@ struct AsyncStoreJob : std::enable_shared_from_this<AsyncStoreJob> {
       charges();
       return;
     }
-    auto self = shared_from_this();
     pending = static_cast<int>(to_store.size());
-    auto one = [self] {
+    encode_each([self = shared_from_this()](size_t i) { self->store(i); });
+    for (size_t i = fresh; i < to_store.size(); ++i) store(i);
+  }
+
+  /// One Store (or heal re-store) through the service queue: it lands on
+  /// the key's placement homes, whose device writes follow in charges().
+  void store(size_t i) {
+    const auto& [key, bytes] = to_store[i];
+    ckptstore::StoreRequest st;
+    st.op = i < fresh ? ckptstore::StoreOp::kStore
+                      : ckptstore::StoreOp::kRestore;
+    st.tenant = tenant;
+    st.from = node;
+    st.keys = {key};
+    st.bytes = bytes;
+    st.done = [self = shared_from_this()] {
       if (--self->pending == 0) self->charges();
     };
-    for (size_t i = 0; i < to_store.size(); ++i) {
-      const auto& [key, bytes] = to_store[i];
-      ckptstore::StoreRequest st;
-      st.op = i < fresh ? ckptstore::StoreOp::kStore
-                        : ckptstore::StoreOp::kRestore;
-      st.tenant = tenant;
-      st.from = node;
-      st.keys = {key};
-      st.bytes = bytes;
-      st.done = one;
-      const auto reply = svc->submit(std::move(st));
-      for (const auto& t : reply.targets) home_bytes[t.node] += t.bytes;
-    }
+    const auto reply = svc->submit(std::move(st));
+    for (const auto& t : reply.targets) home_bytes[t.node] += t.bytes;
   }
 
   void charges() {
     auto self = shared_from_this();
     pending = static_cast<int>(home_bytes.size()) + 1;  // +1: the manifest
     auto one = [self] {
-      if (--self->pending == 0) self->gc_and_done();
+      if (--self->pending == 0) self->durable();
     };
     for (const auto& [home, bytes] : home_bytes) {
       k->charge_storage_bg(home, path, bytes, /*is_read=*/false, one);
     }
+    // The manifest itself stays a file in this process's ckpt_dir.
     k->charge_storage_bg(node, path, manifest_size, /*is_read=*/false, one);
   }
 
+  void write_local() {
+    k->charge_storage_bg(node, path, submitted_bytes, /*is_read=*/false,
+                         [self = shared_from_this()] { self->durable(); });
+  }
+
+  void durable() {
+    if (!flush) {
+      gc_and_done();
+      return;
+    }
+    k->sync_storage_bg(node, path,
+                       [self = shared_from_this()] { self->gc_and_done(); });
+  }
+
+  /// Retention: drop generations beyond the keep window and trim the
+  /// reclaimed chunk bytes. The service trims each dead chunk from the
+  /// placement homes that actually hold it (one Drop request through its
+  /// queue); without it the trim lands on this node's device. The pass is
+  /// scoped to this tenant's owner namespace, so each tenant keeps its own
+  /// last N.
   void gc_and_done() {
     ckptstore::Repository& repo = shared->repo_for(node);
     if (svc) {
@@ -683,17 +763,10 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         ckptstore::tenant_owner(shared_->opts.tenant_id,
                                 std::to_string(vpid_)),
         round, repo);
-    ckptstore::ChunkStoreService* svc = shared_->store_service.get();
-    // Striping new chunk containers into k+m fragments is checkpoint-path
-    // CPU like compression, priced by the parity rows at kErasureBw.
-    double erasure_seconds = 0;
-    if (svc != nullptr && svc->erasure().enabled()) {
-      erasure_seconds = ckptstore::erasure::encode_seconds(
-          delta.new_chunk_bytes, svc->erasure().k, svc->erasure().m);
-    }
     if (pipe == nullptr) {
-      co_await ctx.cpu(delta.assemble_seconds + delta.compress_seconds +
-                       erasure_seconds);
+      // The manager's serial pass is the scan and hash; each new chunk's
+      // encode streams through the drain below.
+      co_await ctx.cpu(delta.assemble_seconds);
     } else {
       // Async mode: the app pays only the fork/COW snapshot cost here; the
       // scan/chunk and compress CPU are re-priced onto the background
@@ -707,10 +780,29 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     inode->data = sim::ByteImage(delta.manifest_bytes.size());
     inode->data.write(0, delta.manifest_bytes);
     inode->charged_size = delta.submitted_bytes;
+
+    ckptstore::ChunkStoreService* svc = shared_->store_service.get();
+    if (svc != nullptr) svc->note_raw_bytes(delta.new_logical_bytes());
+    // Striping new chunk containers into k+m fragments is checkpoint-path
+    // CPU like compression, priced by the parity rows at kErasureBw.
+    const bool striped = svc != nullptr && svc->erasure().enabled();
+    auto drain = std::make_shared<StoreDrain>();
+    drain->k = &k;
+    drain->shared = shared_.get();
+    drain->svc = svc;
+    drain->tenant = shared_->opts.tenant_id;
+    drain->node = p_.node();
+    drain->round = round;
+    drain->path = path;
+    drain->fresh = delta.stored_chunks.size();
+    drain->to_store = std::move(delta.stored_chunks);
+    drain->dup_chunks = std::move(delta.dup_chunks);
+    drain->manifest_size = delta.manifest_bytes.size();
+    drain->submitted_bytes = delta.submitted_bytes;
     if (pipe != nullptr) {
       // Hand the drain to the pipeline: chunk CPU, compress CPU (re-priced
-      // under --compress-bw and the codec's cost factor), then the same
-      // store sequence the synchronous path runs, as a callback chain.
+      // under --compress-bw and the codec's cost factor), then the store
+      // sequence with the encode already charged.
       double compress_seconds = 0;
       if (shared_->opts.codec != compress::CodecKind::kNone) {
         // Zero-class input flies through the codec at the same zero:data
@@ -724,193 +816,43 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
              static_cast<double>(delta.new_logical_zero_bytes) /
                  (pipe->compress_bw() * zero_speedup));
       }
-      auto job = std::make_shared<AsyncStoreJob>();
-      job->k = &k;
-      job->shared = shared_;
-      job->svc = shared_->store_service;
-      job->tenant = shared_->opts.tenant_id;
-      job->node = p_.node();
-      job->path = path;
-      if (job->svc) {
-        job->probes.reserve(delta.dup_chunks.size() +
-                            delta.stored_chunks.size());
-        for (const auto& [key, bytes] : delta.dup_chunks) {
-          job->probes.push_back(key);
-        }
-        for (const auto& [key, bytes] : delta.stored_chunks) {
-          job->probes.push_back(key);
-        }
+      if (striped) {
+        // The background drain stripes compressed chunks on the way out,
+        // so the erasure encode rides the pipeline's compress stage.
+        compress_seconds += ckptstore::erasure::encode_seconds(
+            delta.new_chunk_bytes, svc->erasure().k, svc->erasure().m);
       }
-      job->fresh = delta.stored_chunks.size();
-      job->to_store = std::move(delta.stored_chunks);
-      job->dup_chunks = std::move(delta.dup_chunks);
-      job->manifest_size = delta.manifest_bytes.size();
-      job->submitted_bytes = delta.submitted_bytes;
-      if (job->svc) job->svc->note_raw_bytes(delta.new_logical_bytes());
-
       ckptasync::JobSpec spec;
       spec.key = upid_.str();
       spec.node = p_.node();
       spec.chunk_seconds = delta.assemble_seconds;
-      // The background drain stripes compressed chunks on the way out, so
-      // the encode cost rides the pipeline's compress stage.
-      spec.compress_seconds = compress_seconds + erasure_seconds;
+      spec.compress_seconds = compress_seconds;
       spec.queued_bytes = delta.submitted_bytes;
       spec.raw_new_bytes = delta.new_logical_bytes();
       spec.compressed_new_bytes = delta.new_chunk_bytes;
       spec.segments = p_.mem().segments();
-      spec.store = [job](std::function<void()> done) {
-        job->done = std::move(done);
-        job->run();
+      spec.store = [drain](std::function<void()> done) {
+        drain->done = std::move(done);
+        drain->run();
       };
-      auto shared = shared_;
-      auto* kp = &k;
-      spec.on_complete = [kp, shared, round] {
-        auto& r = shared->stats.rounds[static_cast<size_t>(round)];
+      spec.on_complete = [kp = &k, sh = shared_.get(), round] {
+        auto& r = sh->stats.rounds[static_cast<size_t>(round)];
         r.background_done = std::max(r.background_done, kp->loop().now());
       };
       pipe->start(std::move(spec));
-
-      Msg stats;
-      stats.type = MsgType::kImageStats;
-      stats.upid = upid_;
-      stats.a = round;
-      stats.b = p_.node();
-      stats.ua = delta.virtual_uncompressed;
-      stats.s = path;
-      ByteWriter bw;
-      bw.put_u64(delta.submitted_bytes);
-      bw.put_u64(delta.total_chunks);
-      bw.put_u64(delta.new_chunks);
-      bw.put_u64(delta.dup_chunk_bytes);
-      bw.put_u64(delta.new_chunk_bytes);      // post-codec stored bytes
-      bw.put_u64(delta.new_logical_bytes());  // pre-codec chunked bytes
-      bw.put_u64(kImageFlagAsync);
-      stats.blob = bw.take();
-      co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
-      co_return;
-    }
-    if (svc) {
-      svc->note_raw_bytes(delta.new_logical_bytes());
-      // Remote chunk-store service: every chunk submission is a Lookup RPC
-      // (hit or miss alike) routed to its key's shard — the probes cross
-      // this node's NIC, pay the endpoint's message CPU, and serialize on
-      // the shard queues, so N ranks' probes contend the way the paper's
-      // coordinator/peer messages do (§4.3).
-      {
-        std::vector<ckptstore::ChunkKey> probes;
-        probes.reserve(delta.dup_chunks.size() + delta.stored_chunks.size());
-        for (const auto& [key, bytes] : delta.dup_chunks) {
-          probes.push_back(key);
-        }
-        for (const auto& [key, bytes] : delta.stored_chunks) {
-          probes.push_back(key);
-        }
-        DSIM_CHECK(probes.size() == delta.total_chunks);
-        auto lk = std::make_shared<sim::CountLatch>(1);
-        ckptstore::StoreRequest req;
-        req.op = ckptstore::StoreOp::kLookup;
-        req.tenant = shared_->opts.tenant_id;
-        req.from = p_.node();
-        req.keys = std::move(probes);
-        req.done = [lk] { lk->done_one(); };
-        svc->submit(std::move(req));
-        while (lk->remaining > 0) co_await lk->wq.wait(ctx.thread());
-      }
-      // Store phase: new chunks go through the service queue and land as
-      // R copies on their rendezvous-placement homes' devices (restart
-      // reads will charge whichever home survives). Dedup hits normally
-      // cost nothing — but a hit on a chunk whose every replica died with
-      // its node would pin permanently unrestorable data into this
-      // generation's manifest, so those are re-stored over the survivors:
-      // the store heals forward as generations land.
-      std::map<NodeId, u64> home_bytes;
-      const size_t fresh = delta.stored_chunks.size();
-      auto to_store = std::move(delta.stored_chunks);
-      if (svc->placement().any_dead()) {  // nothing can be lost otherwise
-        std::set<ckptstore::ChunkKey> healed;
-        for (const auto& [key, bytes] : delta.dup_chunks) {
-          // lost(), not !available(): a dup hit on a key some rank's
-          // Store is still carrying this round is merely unrecorded, not
-          // lost. dup_chunks holds one entry per *reference* (shared zero
-          // chunks recur across segments) — heal each lost key once.
-          if (svc->placement().lost(key) && healed.insert(key).second) {
-            to_store.emplace_back(key, bytes);
-          }
-        }
-      }
-      if (!to_store.empty()) {
-        auto st = std::make_shared<sim::CountLatch>(
-            static_cast<int>(to_store.size()));
-        for (size_t i = 0; i < to_store.size(); ++i) {
-          const auto& [key, bytes] = to_store[i];
-          ckptstore::StoreRequest req;
-          req.op = i < fresh ? ckptstore::StoreOp::kStore
-                             : ckptstore::StoreOp::kRestore;
-          req.tenant = shared_->opts.tenant_id;
-          req.from = p_.node();
-          req.keys = {key};
-          req.bytes = bytes;
-          req.done = [st] { st->done_one(); };
-          const auto reply = svc->submit(std::move(req));
-          for (const auto& t : reply.targets) home_bytes[t.node] += t.bytes;
-        }
-        while (st->remaining > 0) co_await st->wq.wait(ctx.thread());
-      }
-      if (!home_bytes.empty()) {
-        auto wr = std::make_shared<sim::CountLatch>(
-            static_cast<int>(home_bytes.size()));
-        for (const auto& [home, bytes] : home_bytes) {
-          k.charge_storage_bg(home, path, bytes, /*is_read=*/false,
-                              [wr] { wr->done_one(); });
-        }
-        while (wr->remaining > 0) co_await wr->wq.wait(ctx.thread());
-      }
-      // The manifest itself stays a file in this process's ckpt_dir.
-      co_await k.charge_storage(ctx.thread(), p_.node(), path,
-                                delta.manifest_bytes.size(),
-                                /*is_read=*/false);
     } else {
-      co_await k.charge_storage(ctx.thread(), p_.node(), path,
-                                delta.submitted_bytes, /*is_read=*/false);
-    }
-    if (shared_->opts.sync == SyncMode::kSyncAfter) {
-      co_await k.sync_storage(ctx.thread(), p_.node(), path);
-    }
-    // Retention: drop generations beyond the keep window and trim the
-    // reclaimed chunk bytes from the store device. The service trims each
-    // dead chunk from the placement homes that actually hold it (one
-    // DropOwner-style metadata request through its queue); without the
-    // service the trim lands on the GC-triggering node's device.
-    if (svc) {
-      // Per-tenant retention: scope the GC pass to this tenant's owner
-      // namespace, so each tenant applies its own keep-last-N without
-      // touching the generations of tenants sharing the store.
-      std::vector<ckptstore::Repository::ReclaimedChunk> dead;
-      const u64 reclaimed = repo.collect_garbage(
-          shared_->opts.keep_generations, &dead,
-          ckptstore::tenant_prefix(shared_->opts.tenant_id));
-      if (reclaimed > 0) {
-        for (const auto& rc : dead) {
-          // One Drop RPC per reclaimed chunk, routed to the shard that
-          // owns the key; the trim lands on the placement homes that
-          // actually hold the copies.
-          ckptstore::StoreRequest dr;
-          dr.op = ckptstore::StoreOp::kDrop;
-          dr.tenant = shared_->opts.tenant_id;
-          dr.from = p_.node();
-          dr.keys = {rc.key};
-          dr.bytes = rc.bytes;
-          svc->submit(std::move(dr));
-          for (NodeId home : svc->placement().forget(rc.key)) {
-            k.discard_storage(home, path, rc.bytes);
-          }
+      drain->encode = std::move(delta.encode_seconds);
+      if (striped) {
+        for (size_t i = 0; i < drain->fresh; ++i) {
+          drain->encode[i] += ckptstore::erasure::encode_seconds(
+              drain->to_store[i].second, svc->erasure().k, svc->erasure().m);
         }
       }
-    } else {
-      const u64 reclaimed =
-          repo.collect_garbage(shared_->opts.keep_generations);
-      if (reclaimed > 0) k.discard_storage(p_.node(), path, reclaimed);
+      drain->flush = shared_->opts.sync == SyncMode::kSyncAfter;
+      auto drained = std::make_shared<sim::CountLatch>(1);
+      drain->done = [drained] { drained->done_one(); };
+      drain->run();
+      while (drained->remaining > 0) co_await drained->wq.wait(ctx.thread());
     }
 
     Msg stats;
@@ -927,7 +869,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     bw.put_u64(delta.dup_chunk_bytes);  // logical bytes dedup answered
     bw.put_u64(delta.new_chunk_bytes);      // post-codec stored bytes
     bw.put_u64(delta.new_logical_bytes());  // pre-codec chunked bytes
-    bw.put_u64(0);                          // flags: synchronous drain
+    bw.put_u64(pipe != nullptr ? kImageFlagAsync : 0);
     stats.blob = bw.take();
     co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
     co_return;

@@ -1,7 +1,6 @@
 #include "core/restart.h"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -15,8 +14,6 @@
 #include "core/msg_io.h"
 #include "core/protocol.h"
 #include "mtcp/mtcp.h"
-#include "obs/trace.h"
-#include "sim/model_params.h"
 #include "sim/pctx.h"
 #include "sim/sync.h"
 #include "util/assertx.h"
@@ -48,62 +45,12 @@ struct ChunkRead {
   double decode_seconds = 0;
 };
 
-/// The restarting node's decoder pool: kCoresPerNode workers taking chunk
-/// decode jobs FIFO, one CpuModel job each. Bounded on purpose — CpuModel
-/// reschedules every running job on each submit, so a job per chunk all at
-/// once would cost O(chunks^2) events. Each job is one `restart.decode`
-/// span on the node's restart lane, so the critical path names the decode.
-class DecoderPool : public std::enable_shared_from_this<DecoderPool> {
- public:
-  DecoderPool(sim::Kernel& k, NodeId node) : k_(k), node_(node) {}
-
-  void submit(double seconds, std::function<void()> done) {
-    queue_.push_back({seconds, std::move(done)});
-    pump();
-  }
-  int peak() const { return peak_; }
-
- private:
-  struct Job {
-    double seconds;
-    std::function<void()> done;
-  };
-
-  void pump() {
-    while (running_ < sim::params::kCoresPerNode && !queue_.empty()) {
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      peak_ = std::max(peak_, ++running_);
-      obs::Tracer* tr = k_.loop().tracer();
-      const u64 span =
-          tr ? tr->begin("restart.decode", node_, "restart", k_.loop().now())
-             : 0;
-      k_.node(node_).cpu().submit(
-          job.seconds,
-          [self = shared_from_this(), span, done = std::move(job.done)] {
-            if (obs::Tracer* t = self->k_.loop().tracer()) {
-              t->end(span, self->k_.loop().now());
-            }
-            --self->running_;
-            self->pump();
-            done();
-          });
-    }
-  }
-
-  sim::Kernel& k_;
-  NodeId node_;
-  std::deque<Job> queue_;
-  int running_ = 0;
-  int peak_ = 0;
-};
-
 /// Stream one chunk into `pool`: every source is read off its device and,
 /// for a remote holder, sent over its NIC (both legs in parallel); once
 /// every leg has landed, the chunk's decode share queues on the pool.
 void read_then_decode(sim::Kernel& k, NodeId node, const std::string& path,
                       bool remote, const ChunkRead& c,
-                      std::shared_ptr<DecoderPool> pool,
+                      std::shared_ptr<sim::CpuPool> pool,
                       std::function<void()> decoded) {
   auto legs = std::make_shared<size_t>(c.sources.size() * (remote ? 2 : 1));
   auto landed = [legs, pool, secs = c.decode_seconds,
@@ -467,7 +414,9 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
     // Manifest chunks stream: each chunk's bytes move as soon as its fetch
     // RPC names the holders, and its decode starts as soon as they land, so
     // index waits, transfers and decode overlap across chunks.
-    auto pool = std::make_shared<DecoderPool>(k, self.node());
+    auto pool = std::make_shared<sim::CpuPool>(
+        k.loop(), k.node(self.node()).cpu(), self.node(), "restart.decode",
+        "restart");
     const bool remote = svc != nullptr;
     for (const ChunkRead& c : chunks) {
       auto stream = [&kern = k, node = self.node(), path = args.images[0],

@@ -124,6 +124,16 @@ struct CkptRound {
   /// the workload's dirty-locality signal (generation 0 reads 1.0).
   double dirty_page_fraction = 0;
 
+  // Chunk-store write stage, summed over the round's writers: encode
+  // CPU-seconds (codec plus erasure stripe) charged to the writers' core
+  // pools, the pool jobs that carried them — one per new chunk that needs
+  // CPU — and the most jobs one writer's pool ran at once. All 0 when the
+  // pool went unused: full images, async drains (their pipeline charges
+  // the encode), codec none without erasure.
+  double encode_cpu_seconds = 0;
+  u64 encode_jobs = 0;
+  int peak_encode_jobs = 0;
+
   // Async COW pipeline (--ckpt-async), this round's view.
   u64 cow_pages_copied = 0;       // snapshot pages the app dirtied mid-drain
   double cow_copy_seconds = 0;    // background CPU those copies charged

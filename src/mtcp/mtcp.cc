@@ -139,6 +139,13 @@ double decode_cpu_seconds(u64 bytes, compress::CodecKind codec) {
              : virt / sim::params::kGunzipOutBw;
 }
 
+double encode_cpu_seconds(u64 len, ExtentKind kind,
+                          compress::CodecKind codec) {
+  const double bw = kind == ExtentKind::kZero ? sim::params::kGzipZeroBw
+                                              : sim::params::kGzipDataBw;
+  return compress::codec_cost_factor(codec) * static_cast<double>(len) / bw;
+}
+
 EncodedDelta encode_incremental(const ProcessImage& img,
                                 compress::CodecKind codec,
                                 const ckptstore::ChunkingParams& chunking,
@@ -227,6 +234,8 @@ EncodedDelta encode_incremental(const ProcessImage& img,
         out.new_chunk_bytes += c.charged_bytes;
         out.new_chunks++;
         out.stored_chunks.emplace_back(key, c.charged_bytes);
+        out.encode_seconds.push_back(
+            encode_cpu_seconds(span.len, span.kind, codec));
         repo.put(key, std::move(c));
       }
       sm.chunks.push_back(ref);
@@ -247,12 +256,6 @@ EncodedDelta encode_incremental(const ProcessImage& img,
   }
   out.new_logical_zero_bytes = new_zero_bytes;
   out.new_logical_data_bytes = new_other_bytes;
-  if (codec != compress::CodecKind::kNone) {
-    out.compress_seconds =
-        compress::codec_cost_factor(codec) *
-        (static_cast<double>(new_zero_bytes) / sim::params::kGzipZeroBw +
-         static_cast<double>(new_other_bytes) / sim::params::kGzipDataBw);
-  }
   repo.commit_generation(owner, generation, mf.all_keys(), mf.full_bytes());
   return out;
 }

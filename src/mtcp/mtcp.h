@@ -45,6 +45,12 @@ ProcessImage decode(std::span<const std::byte> container,
 /// (§5.4); an uncompressed image is an assembly copy.
 double decode_cpu_seconds(u64 bytes, compress::CodecKind codec);
 
+/// Codec CPU to compress one `len`-byte chunk of content class `kind`:
+/// zero input flies through the codec, everything else crawls at data
+/// rate, scaled by the codec's cost factor (0 for CodecKind::kNone).
+double encode_cpu_seconds(u64 len, sim::ExtentKind kind,
+                          compress::CodecKind codec);
+
 /// Rebuild memory/signals/identity into `p` (threads are started by the
 /// restart driver; shared-memory §4.5 rules are applied by core::restart).
 void restore_memory(sim::Process& p, const ProcessImage& img);
@@ -74,11 +80,14 @@ struct EncodedDelta {
     return new_logical_zero_bytes + new_logical_data_bytes;
   }
   double assemble_seconds = 0;  // scan + hash cost over the full image
-  double compress_seconds = 0;  // codec cost over *new* chunk bytes only
   /// The chunks stored this generation (key, device-charged bytes), in
   /// store order. The chunk-store service places each one on its replica
   /// nodes and charges their devices; sums to new_chunk_bytes.
   std::vector<std::pair<ckptstore::ChunkKey, u64>> stored_chunks;
+  /// Each stored chunk's codec CPU (encode_cpu_seconds), parallel to
+  /// stored_chunks: chunks compress independently, so the writer charges
+  /// them one by one rather than as one image-sized job.
+  std::vector<double> encode_seconds;
   /// Chunks answered by already-resident content (key, resident
   /// device-charged bytes). The service checks these against placement:
   /// a dedup hit whose every replica died with its node must be

@@ -1,5 +1,9 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
+
+#include "obs/trace.h"
+#include "sim/model_params.h"
 #include "util/assertx.h"
 
 namespace dsim::sim {
@@ -78,6 +82,30 @@ void CpuModel::cancel(JobId id) {
     return;
   }
   paused_.erase(id);
+}
+
+void CpuPool::submit(double seconds, std::function<void()> done) {
+  queue_.push_back({seconds, std::move(done)});
+  pump();
+}
+
+void CpuPool::pump() {
+  while (running_ < params::kCoresPerNode && !queue_.empty()) {
+    Job job = std::move(queue_.front());
+    queue_.pop_front();
+    peak_ = std::max(peak_, ++running_);
+    obs::Tracer* tr = loop_.tracer();
+    const u64 span = tr ? tr->begin(span_, node_, lane_, loop_.now()) : 0;
+    cpu_.submit(job.seconds,
+                [self = shared_from_this(), span, done = std::move(job.done)] {
+                  if (obs::Tracer* t = self->loop_.tracer()) {
+                    t->end(span, self->loop_.now());
+                  }
+                  --self->running_;
+                  self->pump();
+                  done();
+                });
+  }
 }
 
 }  // namespace dsim::sim

@@ -8,8 +8,11 @@
 // casing.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "sim/event_loop.h"
 #include "util/types.h"
@@ -53,6 +56,46 @@ class CpuModel {
   JobId next_id_ = 1;
   std::map<JobId, Job> running_;
   std::map<JobId, Job> paused_;
+};
+
+/// A node's worker pool for per-chunk codec work: kCoresPerNode workers
+/// taking jobs FIFO, one CpuModel job each. Bounded on purpose — CpuModel
+/// reschedules every running job on each submit, so a job per chunk all at
+/// once would cost O(chunks^2) events. Each job is one `span` on the node's
+/// `lane`, so the critical path names the work: restart decodes chunks as
+/// `restart.decode`, the chunk-store checkpoint encodes them as
+/// `ckpt.encode`. Running jobs hold the pool, so it outlives its owner.
+class CpuPool : public std::enable_shared_from_this<CpuPool> {
+ public:
+  /// `span` must be a string literal (the tracer keeps the pointer).
+  CpuPool(EventLoop& loop, CpuModel& cpu, NodeId node, const char* span,
+          std::string lane)
+      : loop_(loop),
+        cpu_(cpu),
+        node_(node),
+        span_(span),
+        lane_(std::move(lane)) {}
+
+  void submit(double seconds, std::function<void()> done);
+  /// The most jobs that ran at once.
+  int peak() const { return peak_; }
+
+ private:
+  struct Job {
+    double seconds;
+    std::function<void()> done;
+  };
+
+  void pump();
+
+  EventLoop& loop_;
+  CpuModel& cpu_;
+  NodeId node_;
+  const char* span_;
+  std::string lane_;
+  std::deque<Job> queue_;
+  int running_ = 0;
+  int peak_ = 0;
 };
 
 }  // namespace dsim::sim

@@ -703,12 +703,17 @@ void Kernel::charge_storage_bg(NodeId node_id, const std::string& path,
 Task<void> Kernel::sync_storage(Thread& t, NodeId node_id,
                                 const std::string& path) {
   auto sp = std::make_shared<SyncPoint>();
-  if (backend_for(path) == StorageBackend::kLocalDisk) {
-    node(node_id).storage().sync([sp] { sp->complete(); });
-  } else {
-    shared_device_for(node_id).submit(1, [sp] { sp->complete(); });
-  }
+  sync_storage_bg(node_id, path, [sp] { sp->complete(); });
   while (!sp->done) co_await sp->wq.wait(t);
+}
+
+void Kernel::sync_storage_bg(NodeId node_id, const std::string& path,
+                             std::function<void()> done) {
+  if (backend_for(path) == StorageBackend::kLocalDisk) {
+    node(node_id).storage().sync(std::move(done));
+  } else {
+    shared_device_for(node_id).submit(1, std::move(done));
+  }
 }
 
 void Kernel::discard_storage(NodeId node_id, const std::string& path,

@@ -156,6 +156,9 @@ class Kernel {
                          bool is_read, std::function<void()> done);
   /// Issue a sync on the storage backing `path` (the §5.2 experiment).
   Task<void> sync_storage(Thread& t, NodeId node, const std::string& path);
+  /// Callback variant (the chunk-store drain's --sync flush).
+  void sync_storage_bg(NodeId node, const std::string& path,
+                       std::function<void()> done);
   /// Account checkpoint-store GC: drop `bytes` of dead-generation data from
   /// the storage serving `path` at metadata (trim) rate.
   void discard_storage(NodeId node, const std::string& path, u64 bytes);

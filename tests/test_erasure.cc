@@ -361,6 +361,71 @@ TEST(ErasureE2E, StreamedRestartOverlapsDecodeAtZeroOneTwoLosses) {
   }
 }
 
+TEST(ErasureE2E, StreamedWriteStripesEachChunkOnTheWritersPool) {
+  // A CPU-bound (4,2) gzip round: each new chunk's codec CPU plus its
+  // parity stripe is one job on its writer's core pool, and its Store
+  // leaves when that job ends — so the write stage ends before one core
+  // could have encoded a single writer's image.
+  constexpr int kWriters = 2;
+  DmtcpOptions o = erasure_opts(4, 2);
+  o.codec = compress::CodecKind::kGzipish;
+  World w(8, o);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 4 * 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 4 * 1024 * 1024, 0xBB);
+  const core::CkptRound r = w.ctl.checkpoint_now();
+  const auto [serial_seconds, chunks] =
+      first_round_serial_encode(w.ctl, o.codec, 4, 2);
+
+  EXPECT_NEAR(r.encode_cpu_seconds, serial_seconds, 1e-9 * serial_seconds);
+  EXPECT_EQ(r.encode_jobs, chunks);
+  EXPECT_EQ(r.peak_encode_jobs, sim::params::kCoresPerNode);
+  EXPECT_LT(r.write_seconds(), r.encode_cpu_seconds / kWriters);
+}
+
+TEST(ErasureE2E, SyncRetentionTrimsOneFragmentPerHome) {
+  // Retention trims a reclaimed chunk's *fragment* from each home that
+  // holds one, so across rounds that rewrite pages and reclaim the old
+  // chunks, every store-only node's placement bytes stay exactly what its
+  // device wrote minus what GC discarded there.
+  DmtcpOptions o = erasure_opts(4, 2);
+  o.keep_generations = 1;
+  World w(8, o);
+  const std::vector<Pid> pids = {
+      w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"}),
+      w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"})};
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    add_ballast(w, pids[i], 1024 * 1024, 0xA0 + i);
+  }
+  for (u64 gen = 0; gen < 4; ++gen) {
+    for (size_t i = 0; i < pids.size(); ++i) {
+      // Rewrite a quarter of the ballast: its old chunks fall out of the
+      // one-generation keep window at the next round's GC.
+      auto& seg = w.k().find_process(pids[i])->mem().find("ballast")->data;
+      seg.fill(256 * 1024 * (gen % 4), 256 * 1024, ExtentKind::kRand,
+               0xC0 + 16 * gen + i);
+    }
+    w.ctl.checkpoint_now();
+  }
+
+  const auto placed =
+      w.ctl.shared().store_service->placement().bytes_per_node();
+  u64 discarded = 0;
+  for (int n = 2; n < 8; ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const auto& st = w.k().node(n).storage();
+    const u64 written = st.cache().total_written_bytes();
+    const u64 trimmed = st.disk().total_discarded_bytes();
+    ASSERT_GE(written, trimmed);
+    EXPECT_EQ(placed[static_cast<size_t>(n)], written - trimmed);
+    discarded += trimmed;
+  }
+  EXPECT_GT(discarded, 0u);
+}
+
 TEST(ErasureE2E, BeyondMLossesReportLostChunksBeforeRestart) {
   World w(8, erasure_opts(4, 2));
   const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});

@@ -5,6 +5,7 @@
 // heal-backlog alert and clear it once re-replication drains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -517,6 +518,49 @@ TEST(HealthWorld, ErasureRestartBlamesTheDecoderPool) {
   // trace_report.py re-derives the same partition from the Chrome trace.
   const std::string trace = "/tmp/dsim_test_restart_decode.trace.json";
   const std::string doc = "/tmp/dsim_test_restart_decode.health.json";
+  ASSERT_TRUE(w.ctl.shared().tracer->write_chrome_json(trace));
+  std::ofstream(doc) << w.ctl.health_json();
+  const std::string cmd = std::string("python3 ") + DSIM_SOURCE_DIR +
+                          "/tools/trace_report.py " + trace +
+                          " --critical-path " + doc + " > /dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0);
+  std::remove(trace.c_str());
+  std::remove(doc.c_str());
+}
+
+TEST(HealthWorld, ErasureRoundBlamesTheEncodePool) {
+  // A (4,2) gzip round: each new chunk's encode on its writer's core pool
+  // is a ckpt.encode span, so the sweep names the encode that the write
+  // barrier used to absorb as one serial job.
+  DmtcpOptions o = health_opts("");
+  o.codec = compress::CodecKind::kGzipish;
+  o.chunk_replicas = 1;
+  o.erasure_k = 4;
+  o.erasure_m = 2;
+  World w(8, o, 0xE2C0);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 2 * 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 2 * 1024 * 1024, 0xBB);
+  const core::CkptRound r = w.ctl.checkpoint_now();
+  ASSERT_GT(r.encode_jobs, 0u);
+
+  // The round window still partitions exactly, and the encode ranks ahead
+  // of whatever the write barrier still absorbs.
+  EXPECT_EQ(r.critical_path.attributed_ns(), r.refilled - r.requested);
+  const auto& entries = r.critical_path.entries;
+  const auto rank = [&](const std::string& stage) {
+    return std::find_if(entries.begin(), entries.end(),
+                        [&](const auto& e) { return e.stage == stage; }) -
+           entries.begin();
+  };
+  ASSERT_NE(find_stage(r.critical_path, "ckpt.encode"), nullptr);
+  EXPECT_LT(rank("ckpt.encode"), rank("barrier.write"));
+
+  // trace_report.py re-derives the same partition from the Chrome trace.
+  const std::string trace = "/tmp/dsim_test_ckpt_encode.trace.json";
+  const std::string doc = "/tmp/dsim_test_ckpt_encode.health.json";
   ASSERT_TRUE(w.ctl.shared().tracer->write_chrome_json(trace));
   std::ofstream(doc) << w.ctl.health_json();
   const std::string cmd = std::string("python3 ") + DSIM_SOURCE_DIR +

@@ -1,6 +1,7 @@
 // The remote chunk-store service: rendezvous placement and replication,
 // queued dedup lookups contending across ranks, replica failover on node
-// failure, the R=1 data-loss path, and FastCDC normalized chunking.
+// failure, the R=1 data-loss path, FastCDC normalized chunking, and the
+// per-chunk encode and decode pools of the streamed write and restart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -834,6 +835,61 @@ TEST(ServiceE2E, FullImageRestartDecodesEachImageAsOneJob) {
   EXPECT_EQ(rr.decode_jobs, 3u);
   EXPECT_EQ(rr.peak_decode_jobs, 0);
   EXPECT_GT(rr.decode_cpu_seconds, 0.0);
+}
+
+TEST(ServiceE2E, StreamedCheckpointEncodesEachNewChunkOnABoundedPool) {
+  // Chunks compress independently, so the write stage runs each new
+  // chunk's codec CPU as its own job on the writer's core pool, and the
+  // chunk's Store leaves the moment its encode finishes.
+  DmtcpOptions o = service_opts(/*replicas=*/2);
+  o.codec = compress::CodecKind::kGzipish;
+  World w(4, o);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 2 * 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 2 * 1024 * 1024, 0xBB);
+  const core::CkptRound r = w.ctl.checkpoint_now();
+  const auto [serial_seconds, chunks] =
+      first_round_serial_encode(w.ctl, o.codec);
+  ASSERT_GT(chunks, 2u * sim::params::kCoresPerNode);
+
+  // Per-chunk shares sum to the old serial charge: only the overlap moves.
+  EXPECT_NEAR(r.encode_cpu_seconds, serial_seconds, 1e-9 * serial_seconds);
+  // Every new chunk needs codec CPU under gzip: one pool job each.
+  EXPECT_EQ(r.new_chunks, chunks);
+  EXPECT_EQ(r.encode_jobs, chunks);
+  // The pool fills every core and never more.
+  EXPECT_EQ(r.peak_encode_jobs, sim::params::kCoresPerNode);
+}
+
+TEST(ServiceE2E, RoundsWithoutChunkEncodeCpuLeaveThePoolUnused) {
+  // A gzip stream cannot be split, so full images keep their one serial
+  // encode; and codec none without erasure has no encode CPU, so its
+  // Stores leave directly — no zero-length pool jobs.
+  {
+    DmtcpOptions o;
+    o.codec = compress::CodecKind::kGzipish;
+    World w(2, o);
+    w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    const core::CkptRound r = w.ctl.checkpoint_now();
+    EXPECT_GT(r.total_compressed, 0u);
+    EXPECT_EQ(r.encode_jobs, 0u);
+    EXPECT_EQ(r.peak_encode_jobs, 0);
+    EXPECT_EQ(r.encode_cpu_seconds, 0.0);
+  }
+  {
+    World w(4, service_opts(/*replicas=*/2));
+    const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    add_ballast(w, pa, 1024 * 1024, 0xAA);
+    const core::CkptRound r = w.ctl.checkpoint_now();
+    EXPECT_GT(r.new_chunks, 0u);
+    EXPECT_EQ(r.encode_jobs, 0u);
+    EXPECT_EQ(r.peak_encode_jobs, 0);
+    EXPECT_EQ(r.encode_cpu_seconds, 0.0);
+  }
 }
 
 TEST(ServiceE2E, ReplicaOneNodeLossForcesRestore) {

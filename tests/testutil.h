@@ -1,4 +1,6 @@
-// Shared deterministic content and chunking-config helpers.
+// Shared deterministic content and chunking-config helpers, plus the
+// serial-encode reference the streamed chunk-store write is checked
+// against.
 //
 // Tests and benches that exercise the chunk store generate their "real"
 // content from the same tiny LCG so dedup scenarios (identical libraries,
@@ -6,9 +8,16 @@
 // a tweak to content generation must not silently diverge between suites.
 #pragma once
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "ckptstore/cdc.h"
+#include "ckptstore/erasure.h"
+#include "ckptstore/manifest.h"
+#include "compress/compressor.h"
+#include "core/launch.h"
+#include "sim/model_params.h"
 #include "util/types.h"
 
 namespace dsim::test {
@@ -41,6 +50,43 @@ inline ckptstore::ChunkingParams cdc_params(
   p.avg_bytes = avg;
   p.max_bytes = max;
   return p;
+}
+
+/// The encode CPU a synchronous chunk-store round charged as one serial job
+/// per writer — summed over writers — and the new chunks it covered, for
+/// the first round into an empty store (so every key the manifests name is
+/// one new chunk). The codec share is the gzip-class content-class model
+/// over the round's new bytes; `erasure_k` > 0 adds the (k,m) parity
+/// stripe over their stored bytes.
+inline std::pair<double, u64> first_round_serial_encode(
+    core::DmtcpControl& ctl, compress::CodecKind codec, int erasure_k = 0,
+    int erasure_m = 0) {
+  std::set<ckptstore::ChunkKey> seen;
+  u64 zero = 0, other = 0, stored = 0;
+  for (const auto& host : ctl.read_restart_plan().hosts) {
+    const ckptstore::Repository& repo = ctl.shared().repo_for(host.host);
+    for (const auto& img : host.images) {
+      auto inode = ctl.kernel().fs_for(host.host, img).lookup(img);
+      const auto mf = ckptstore::Manifest::decode(
+          inode->data.materialize(0, inode->data.size()));
+      for (const auto& sm : mf.segments) {
+        for (const auto& ref : sm.chunks) {
+          if (!seen.insert(ref.key).second) continue;
+          const ckptstore::Chunk* c = repo.find(ref.key);
+          (c->kind == sim::ExtentKind::kZero ? zero : other) += c->len;
+          stored += c->charged_bytes;
+        }
+      }
+    }
+  }
+  double seconds =
+      compress::codec_cost_factor(codec) *
+      (static_cast<double>(zero) / sim::params::kGzipZeroBw +
+       static_cast<double>(other) / sim::params::kGzipDataBw);
+  if (erasure_k > 0) {
+    seconds += ckptstore::erasure::encode_seconds(stored, erasure_k, erasure_m);
+  }
+  return {seconds, seen.size()};
 }
 
 }  // namespace dsim::test
