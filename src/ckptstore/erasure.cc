@@ -128,8 +128,8 @@ const Matrix& encoding_matrix(int k, int m) {
 
 std::vector<std::vector<std::byte>> encode(std::span<const std::byte> data,
                                            int k, int m) {
-  DSIM_CHECK_MSG(k >= 2 && m >= 1 && k + m <= 255,
-                 "erasure profile must satisfy 2 <= k, 1 <= m, k+m <= 255");
+  DSIM_CHECK_MSG(k >= 1 && m >= 0 && k + m <= 255,
+                 "erasure profile must satisfy 1 <= k, 0 <= m, k+m <= 255");
   const u64 frag = fragment_bytes(data.size(), k);
   std::vector<std::vector<std::byte>> out(
       static_cast<size_t>(k + m), std::vector<std::byte>(frag, std::byte{0}));
@@ -199,12 +199,19 @@ std::vector<std::byte> reconstruct(
 }
 
 double encode_seconds(u64 bytes, int k, int m) {
+  if (k == 1) return 0;
   return static_cast<double>(bytes) * static_cast<double>(m) /
          static_cast<double>(k) / sim::params::kErasureBw;
 }
 
-double decode_seconds(u64 bytes) {
+double decode_seconds(u64 bytes, int k) {
+  if (k == 1) return 0;
   return static_cast<double>(bytes) / sim::params::kErasureBw;
+}
+
+u64 store_wire_bytes(u64 bytes, int k, int m) {
+  if (k == 1) return bytes;
+  return fragment_bytes(bytes, k) * static_cast<u64>(k + m);
 }
 
 }  // namespace dsim::ckptstore::erasure

@@ -4,8 +4,9 @@
 // fragments (systematic: the first k fragments are the container split in
 // order, so a healthy read concatenates them without touching the field
 // arithmetic). Any k of the k+m fragments reconstruct the container — the
-// store survives m simultaneous fragment losses at (k+m)/k byte overhead,
-// versus R× for R-way replication at R-1 loss tolerance.
+// store survives m simultaneous fragment losses at (k+m)/k byte overhead.
+// At k = 1 every row of the matrix below is all ones, so each fragment is a
+// plain copy of the container: R-way replication is the (1, R-1) code.
 //
 // The construction is the classic Vandermonde-derived systematic matrix:
 // build the (k+m)×k Vandermonde matrix over distinct evaluation points,
@@ -19,7 +20,10 @@
 // charges one pass over the container, both at sim::params::kErasureBw —
 // table-lookup arithmetic, an order of magnitude faster than the gzip-class
 // kCompressBw but visible on the restart critical path when data fragments
-// are missing.
+// are missing. The three cost helpers below are the only place the k = 1
+// case is special: copies need no field arithmetic and no parity on the
+// wire, so the (1, R-1) code costs exactly what whole-copy replication
+// does.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +44,7 @@ inline u64 fragment_bytes(u64 len, int k) {
 /// Stripe `data` into k data + m parity fragments, each
 /// fragment_bytes(data.size(), k) long. Fragment i < k is the i-th k-way
 /// split of the input (systematic); fragments k..k+m-1 are parity.
-/// Requires 2 <= k, 1 <= m, k + m <= 255.
+/// Requires 1 <= k, 0 <= m, k + m <= 255.
 std::vector<std::vector<std::byte>> encode(std::span<const std::byte> data,
                                            int k, int m);
 
@@ -53,12 +57,19 @@ std::vector<std::byte> reconstruct(
     int k, int m, u64 orig_len);
 
 /// CPU seconds to encode a `bytes`-long container: the parity rows are the
-/// work (m output bytes per k input bytes), priced at kErasureBw.
+/// work (m output bytes per k input bytes), priced at kErasureBw. 0 at
+/// k = 1, where the "parity" is a copy the writer never computes.
 double encode_seconds(u64 bytes, int k, int m);
 
 /// CPU seconds to decode a `bytes`-long container when at least one *data*
 /// fragment is missing (one matrix-multiply pass over the container).
-/// Healthy systematic reads cost nothing — the data fragments concatenate.
-double decode_seconds(u64 bytes);
+/// Healthy systematic reads cost nothing — the data fragments concatenate —
+/// and neither does any read at k = 1: every fragment is the container.
+double decode_seconds(u64 bytes, int k);
+
+/// Bytes a Store of a `bytes`-long container ships over the writer's NIC:
+/// all k+m fragments, (k+m) x fragment_bytes, when the writer computed
+/// parity; one container at k = 1, where there is no parity to ship.
+u64 store_wire_bytes(u64 bytes, int k, int m);
 
 }  // namespace dsim::ckptstore::erasure

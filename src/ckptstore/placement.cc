@@ -8,28 +8,16 @@
 
 namespace dsim::ckptstore {
 
-ChunkPlacement::ChunkPlacement(int num_nodes, int replicas)
-    : replicas_(replicas), alive_(static_cast<size_t>(num_nodes), true) {
+ChunkPlacement::ChunkPlacement(int num_nodes, int k, int m)
+    : k_(k), m_(m), alive_(static_cast<size_t>(num_nodes), true) {
   DSIM_CHECK_MSG(num_nodes >= 1, "placement needs at least one node");
-  DSIM_CHECK_MSG(replicas >= 1, "placement needs at least one replica");
-}
-
-void ChunkPlacement::enable_erasure(int k, int m) {
-  DSIM_CHECK_MSG(entries_.empty(),
-                 "enable_erasure must precede the first record_store");
-  DSIM_CHECK_MSG(k >= 2 && m >= 1 && k + m <= 32,
-                 "erasure profile must satisfy 2 <= k, 1 <= m, k+m <= 32");
-  DSIM_CHECK_MSG(k + m <= num_nodes(),
-                 "erasure needs k+m distinct nodes for the fragments");
-  erasure_k_ = k;
-  erasure_m_ = m;
+  DSIM_CHECK_MSG(k >= 1 && m >= 0 && k + m <= 32,
+                 "erasure profile must satisfy 1 <= k, 0 <= m, k+m <= 32");
 }
 
 void ChunkPlacement::set_cold_profile(int k, int m) {
-  DSIM_CHECK_MSG(erasure_enabled(),
-                 "cold profile requires erasure mode (enable_erasure first)");
-  DSIM_CHECK_MSG(k >= 2 && m >= 1 && k + m <= 32,
-                 "cold profile must satisfy 2 <= k, 1 <= m, k+m <= 32");
+  DSIM_CHECK_MSG(k >= 1 && m >= 0 && k + m <= 32,
+                 "cold profile must satisfy 1 <= k, 0 <= m, k+m <= 32");
   DSIM_CHECK_MSG(k + m <= num_nodes(),
                  "cold profile needs k+m distinct nodes for the fragments");
   cold_k_ = k;
@@ -39,7 +27,7 @@ void ChunkPlacement::set_cold_profile(int k, int m) {
 ChunkPlacement::ErasureInfo ChunkPlacement::erasure_info(
     const ChunkKey& key) const {
   auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.k == 0) return {};
+  if (it == entries_.end()) return {};
   return {it->second.k, it->second.m, it->second.frag_bytes};
 }
 
@@ -71,9 +59,7 @@ std::vector<NodeId> ChunkPlacement::place_n(const ChunkKey& key,
 }
 
 std::vector<NodeId> ChunkPlacement::place(const ChunkKey& key) const {
-  return place_n(key, erasure_enabled()
-                          ? static_cast<size_t>(erasure_k_ + erasure_m_)
-                          : static_cast<size_t>(replicas_));
+  return place_n(key, static_cast<size_t>(k_ + m_));
 }
 
 std::vector<NodeId> ChunkPlacement::record_store(const ChunkKey& key,
@@ -82,11 +68,9 @@ std::vector<NodeId> ChunkPlacement::record_store(const ChunkKey& key,
   if (!fresh) return {};  // dedup hit: the copies are already placed
   it->second.homes = place(key);
   it->second.bytes = charged_bytes;
-  if (erasure_enabled()) {
-    it->second.k = static_cast<u16>(erasure_k_);
-    it->second.m = static_cast<u16>(erasure_m_);
-    it->second.frag_bytes = erasure::fragment_bytes(charged_bytes, erasure_k_);
-  }
+  it->second.k = static_cast<u16>(k_);
+  it->second.m = static_cast<u16>(m_);
+  it->second.frag_bytes = erasure::fragment_bytes(charged_bytes, k_);
   DSIM_CHECK_MSG(!it->second.homes.empty(),
                  "chunk store has no alive node to place on");
   return it->second.homes;
@@ -97,8 +81,7 @@ i32 ChunkPlacement::holder(const ChunkKey& key) const {
   if (it == entries_.end()) return kNoHolder;
   const Entry& e = it->second;
   for (size_t i = 0; i < e.homes.size(); ++i) {
-    if (!node_alive(e.homes[i])) continue;
-    if (e.k > 0 && (e.corrupt_mask >> i) & 1u) continue;
+    if (!node_alive(e.homes[i]) || (e.corrupt_mask >> i) & 1u) continue;
     return e.homes[i];
   }
   return kNoHolder;
@@ -127,19 +110,11 @@ std::vector<ChunkPlacement::FetchSource> ChunkPlacement::read_plan(
   if (it == entries_.end()) return {};
   const Entry& e = it->second;
   auto usable = [&](size_t i) {
-    if (!node_alive(e.homes[i])) return false;
-    if (e.k > 0 && (e.corrupt_mask >> i) & 1u) return false;
+    if (!node_alive(e.homes[i]) || (e.corrupt_mask >> i) & 1u) return false;
     return !also_alive || also_alive(e.homes[i]);
   };
-  if (e.k == 0) {
-    // Replication: any one surviving copy carries the whole chunk.
-    for (size_t i = 0; i < e.homes.size(); ++i) {
-      if (usable(i)) return {{e.homes[i], e.bytes}};
-    }
-    return {};
-  }
-  // Erasure: the k data fragments when healthy (systematic — no decode),
-  // else the first k usable fragments of any kind plus a decode pass.
+  // The k data fragments when healthy (systematic — no decode), else the
+  // first k usable fragments of any kind plus a decode pass.
   const size_t k = e.k;
   std::vector<size_t> picks;
   picks.reserve(k);
@@ -167,7 +142,7 @@ bool ChunkPlacement::degraded(const ChunkKey& key) const {
 
 bool ChunkPlacement::corrupt_fragment(const ChunkKey& key, int index) {
   auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.k == 0) return false;
+  if (it == entries_.end()) return false;
   if (index < 0 || static_cast<size_t>(index) >= it->second.homes.size()) {
     return false;
   }
@@ -184,7 +159,7 @@ std::vector<NodeId> ChunkPlacement::repair_fragments(const ChunkKey& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return {};
   Entry& e = it->second;
-  if (e.k == 0 || e.corrupt_mask == 0) return {};
+  if (e.corrupt_mask == 0) return {};
   if (clean_alive(e) < e.k) return {};  // beyond repair: quarantine path
   std::vector<NodeId> rewritten;
   for (size_t i = 0; i < e.homes.size(); ++i) {
@@ -211,7 +186,7 @@ std::vector<NodeId> ChunkPlacement::forget(const ChunkKey& key) {
 u64 ChunkPlacement::home_charge(const ChunkKey& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return 0;
-  return it->second.k > 0 ? it->second.frag_bytes : it->second.bytes;
+  return it->second.frag_bytes;
 }
 
 std::vector<NodeId> ChunkPlacement::re_place(const ChunkKey& key) {
@@ -248,46 +223,30 @@ std::vector<NodeId> ChunkPlacement::heal(const ChunkKey& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return {};
   Entry& e = it->second;
-  std::vector<NodeId> alive_homes;
-  for (NodeId n : e.homes) {
-    if (node_alive(n)) alive_homes.push_back(n);
-  }
-  if (e.k == 0) {
-    if (alive_homes.empty()) return {};  // lost: re_place()'s job, not heal's
-    const std::vector<NodeId> want = place(key);
-    if (want.size() <= alive_homes.size()) return {};  // already at strength
-    // Rendezvous scores are fixed per (key, node), so removing dead nodes
-    // only promotes the next-best scorers: `want` is a superset of the
-    // surviving homes, and the difference is exactly the copies to write.
-    std::vector<NodeId> fresh;
-    for (NodeId n : want) {
-      if (std::find(alive_homes.begin(), alive_homes.end(), n) ==
-          alive_homes.end()) {
-        fresh.push_back(n);
-      }
-    }
-    e.homes = want;
-    return fresh;
-  }
-  // Erasure: surviving fragments stay pinned to their slots (their bytes
-  // are already right); only dead slots get fresh homes, and each fresh
-  // home receives a *rebuilt* fragment decoded from k survivors.
   if (clean_alive(e) < e.k) return {};  // lost: nothing to rebuild from
-  const std::vector<NodeId> want =
-      place_n(key, static_cast<size_t>(e.k + e.m));
-  std::vector<NodeId> candidates;  // alive, not already hosting a fragment
-  for (NodeId n : want) {
-    if (std::find(alive_homes.begin(), alive_homes.end(), n) ==
-        alive_homes.end()) {
+  // Surviving fragments stay pinned to their slots (their bytes are
+  // already right); only dead or never-filled slots get fresh homes, and
+  // each fresh home receives a fragment *rebuilt* from k survivors.
+  // Rendezvous scores are fixed per (key, node), so the candidates are the
+  // next-best alive scorers not already holding a fragment.
+  const size_t slots = static_cast<size_t>(e.k + e.m);
+  std::vector<NodeId> candidates;
+  for (NodeId n : place_n(key, slots)) {
+    if (std::find(e.homes.begin(), e.homes.end(), n) == e.homes.end()) {
       candidates.push_back(n);
     }
   }
   std::vector<NodeId> fresh;
   size_t next = 0;
-  for (size_t i = 0; i < e.homes.size() && next < candidates.size(); ++i) {
-    if (node_alive(e.homes[i])) continue;
-    e.homes[i] = candidates[next++];
-    e.corrupt_mask &= ~(1u << i);  // the rebuilt fragment is clean
+  for (size_t i = 0; i < slots && next < candidates.size(); ++i) {
+    if (i == e.homes.size()) {
+      e.homes.push_back(candidates[next++]);
+    } else if (!node_alive(e.homes[i])) {
+      e.homes[i] = candidates[next++];
+      e.corrupt_mask &= ~(1u << i);  // the rebuilt fragment is clean
+    } else {
+      continue;
+    }
     fresh.push_back(e.homes[i]);
   }
   return fresh;
@@ -304,7 +263,6 @@ ChunkPlacement::DemotePlan ChunkPlacement::demote(const ChunkKey& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return plan;
   Entry& e = it->second;
-  if (e.k == 0) return plan;  // replication entries never re-stripe
   if (e.k == cold_k_ && e.m == cold_m_) return plan;  // already cold
   bool needs_decode = false;
   plan.read = read_plan(key, &needs_decode);
@@ -348,31 +306,20 @@ bool ChunkPlacement::any_dead() const {
 size_t ChunkPlacement::clean_alive(const Entry& e) const {
   size_t clean = 0;
   for (size_t i = 0; i < e.homes.size(); ++i) {
-    if (!node_alive(e.homes[i])) continue;
-    if (e.k > 0 && (e.corrupt_mask >> i) & 1u) continue;
-    ++clean;
+    if (node_alive(e.homes[i]) && !((e.corrupt_mask >> i) & 1u)) ++clean;
   }
   return clean;
 }
 
-size_t ChunkPlacement::want_homes(const Entry& e, size_t alive_nodes) const {
-  const size_t full = e.k > 0 ? static_cast<size_t>(e.k + e.m)
-                              : static_cast<size_t>(replicas_);
-  return std::min(full, alive_nodes);
-}
-
 bool ChunkPlacement::entry_lost(const Entry& e) const {
-  if (e.k > 0) return clean_alive(e) < e.k;
-  return std::none_of(e.homes.begin(), e.homes.end(),
-                      [&](NodeId n) { return node_alive(n); });
+  return clean_alive(e) < e.k;
 }
 
 bool ChunkPlacement::entry_degraded(const Entry& e,
                                     size_t alive_nodes) const {
   const size_t clean = clean_alive(e);
-  if (e.k > 0 && clean < e.k) return false;  // lost, not degraded
-  if (e.k == 0 && clean == 0) return false;
-  return clean < want_homes(e, alive_nodes);
+  if (clean < e.k) return false;  // lost, not degraded
+  return clean < std::min(static_cast<size_t>(e.k + e.m), alive_nodes);
 }
 
 size_t ChunkPlacement::count_alive() const {
@@ -399,8 +346,7 @@ u64 ChunkPlacement::lost_bytes() const {
 std::vector<u64> ChunkPlacement::bytes_per_node() const {
   std::vector<u64> out(alive_.size(), 0);
   for (const auto& [key, e] : entries_) {
-    const u64 per_home = e.k > 0 ? e.frag_bytes : e.bytes;
-    for (NodeId n : e.homes) out[static_cast<size_t>(n)] += per_home;
+    for (NodeId n : e.homes) out[static_cast<size_t>(n)] += e.frag_bytes;
   }
   return out;
 }

@@ -1,29 +1,26 @@
-// Per-node chunk placement, replication and erasure striping for the
-// cluster-wide store.
+// Per-node chunk placement for the cluster-wide store: every stored chunk
+// is striped under one (k, m) erasure code.
 //
 // The cluster-scope repository answers *what* is stored; this layer answers
-// *where*. Two redundancy modes share the rendezvous-hash machinery:
+// *where*. Each stored chunk container is split into k data + m parity
+// fragments (src/ckptstore/erasure.*), fragment i living on the i-th
+// rendezvous home (highest-random-weight over (key, node)). Any k clean,
+// alive fragments reconstruct the chunk, so m losses are survivable at
+// (k+m)/k stored bytes. The code is systematic: a healthy read fetches only
+// the k data fragments and skips the decode; reads through dead or corrupt
+// fragments substitute parity (read_plan() reports which).
 //
-//   Replication (default): every stored chunk is placed on `replicas`
-//   distinct node-local devices (highest-random-weight over (key, node)).
-//   Any surviving home serves reads; R-1 node losses are survivable at R×
-//   stored bytes.
+// R-way replication is the (1, R-1) code: at k = 1 every fragment is a full
+// copy, any one survivor serves the read, and R-1 losses are survivable at
+// R x stored bytes. The cost helpers in erasure.h price k = 1 as plain
+// copies; nothing here treats it specially.
 //
-//   Erasure (enable_erasure(k, m)): every stored chunk container is striped
-//   into k data + m parity fragments (src/ckptstore/erasure.*), fragment i
-//   living on the i-th rendezvous home. Any k clean, alive fragments
-//   reconstruct the chunk — m losses are survivable at (k+m)/k stored
-//   bytes, the better byte economics bench_erasure gates. The code is
-//   systematic, so a healthy read fetches only the k data fragments and
-//   skips the decode; reads through dead or corrupt fragments substitute
-//   parity and pay decode CPU (read_plan() reports which).
-//
-// Both modes keep the rendezvous properties:
+// Rendezvous properties:
 //   - restart reads are charged to the devices of the nodes that actually
 //     hold each chunk's bytes, not the restarting node's;
 //   - assignments are stable — a node failure moves nothing that survives,
 //     it only removes the failed node from every preference list, so
-//     heal() rebuilds exactly the fragments/copies that died;
+//     heal() rebuilds exactly the fragments that died, each in its slot;
 //   - per-fragment corruption (corrupt_fragment(), the scrubber's fault
 //     model) is repairable in place from the k clean survivors
 //     (repair_fragments()) instead of quarantining the whole chunk.
@@ -46,24 +43,18 @@ namespace dsim::ckptstore {
 
 class ChunkPlacement {
  public:
-  ChunkPlacement(int num_nodes, int replicas);
+  /// New stores are striped (k, m): 1 <= k, 0 <= m, and at most 32
+  /// fragments (the corrupt-mask width). A chunk gets min(k+m, alive nodes)
+  /// homes, so 5 copies on 2 nodes degrade to one copy per node.
+  ChunkPlacement(int num_nodes, int k, int m);
 
   int num_nodes() const { return static_cast<int>(alive_.size()); }
-  int replicas() const { return replicas_; }
-
-  /// Switch new stores to (k,m) erasure striping (2 <= k, 1 <= m,
-  /// fragment count capped at 32 by the corrupt-mask width). Call before
-  /// the first record_store; replaces `replicas` as the redundancy scheme.
-  void enable_erasure(int k, int m);
-  bool erasure_enabled() const { return erasure_k_ > 0; }
-  int erasure_k() const { return erasure_k_; }
-  int erasure_m() const { return erasure_m_; }
   /// Arm demote(): the wider (k,m) profile cold chunks re-stripe to.
   void set_cold_profile(int k, int m);
 
-  /// A recorded chunk's own erasure profile ({0,0,0} for replication
-  /// entries): the service uses frag_bytes to charge per-fragment device
-  /// and network traffic.
+  /// A recorded chunk's own erasure profile ({0,0,0} for unknown keys):
+  /// the service uses frag_bytes to charge per-fragment device and network
+  /// traffic.
   struct ErasureInfo {
     int k = 0;
     int m = 0;
@@ -71,36 +62,33 @@ class ChunkPlacement {
   };
   ErasureInfo erasure_info(const ChunkKey& key) const;
 
-  /// The min(want, alive nodes) highest-scoring *alive* nodes for `key`,
-  /// best first, where want is replicas (replication) or k+m (erasure).
-  /// Pure function of (key, alive set).
+  /// The min(k+m, alive nodes) highest-scoring *alive* nodes for `key`,
+  /// best first. Pure function of (key, alive set).
   std::vector<NodeId> place(const ChunkKey& key) const;
 
   /// Record a chunk stored on its current placement. Returns the homes the
-  /// caller must charge the write to (one replica copy — or one fragment —
-  /// per home; see home_charge()). Re-recording an already-placed key is a
-  /// no-op returning no homes (dedup hit: the bytes are already on disk).
+  /// caller must charge the write to (one fragment per home; see
+  /// home_charge()). Re-recording an already-placed key is a no-op
+  /// returning no homes (dedup hit: the bytes are already on disk).
   std::vector<NodeId> record_store(const ChunkKey& key, u64 charged_bytes);
 
-  /// The preferred surviving home holding readable bytes of `key` (first
-  /// alive, non-corrupt fragment home under erasure), or kNoHolder when
-  /// nothing survives (or the key was never recorded).
+  /// The preferred surviving home holding readable bytes of `key` (the
+  /// first alive, non-corrupt fragment home), or kNoHolder when nothing
+  /// survives (or the key was never recorded).
   static constexpr i32 kNoHolder = -1;
   i32 holder(const ChunkKey& key) const;
-  /// True when `key` is recorded and readable: a surviving replica, or >= k
-  /// clean alive fragments under erasure.
+  /// True when `key` is recorded and readable: >= k clean alive fragments.
   bool available(const ChunkKey& key) const;
   /// The recorded homes of `key`, best-first as placed (dead ones
-  /// included; fragment i lives on homes[i] under erasure). Restart uses
-  /// read_plan() instead — it additionally filters corruption and
-  /// membership.
+  /// included; fragment i lives on homes[i]). Restart uses read_plan()
+  /// instead — it additionally filters corruption and membership.
   std::vector<NodeId> homes_of(const ChunkKey& key) const;
 
-  /// The devices to read `key` back from. Replication: one surviving home,
-  /// full bytes. Erasure: k clean alive fragment homes at frag_bytes each —
-  /// the k data fragments when all are healthy (`*needs_decode` = false:
-  /// systematic concatenation), otherwise any k survivors with
-  /// `*needs_decode` = true (the caller charges decode CPU at kErasureBw).
+  /// The devices to read `key` back from: k clean alive fragment homes at
+  /// frag_bytes each — the k data fragments when all are healthy
+  /// (`*needs_decode` = false: systematic concatenation), otherwise any k
+  /// survivors with `*needs_decode` = true (the caller charges
+  /// erasure::decode_seconds, which is 0 at k = 1).
   /// `also_alive`, when set, additionally filters sources (restart passes
   /// the membership view — belt and braces over placement's ground truth).
   /// Empty when the chunk is not readable (lost, or never recorded).
@@ -113,23 +101,21 @@ class ChunkPlacement {
       const std::function<bool(NodeId)>& also_alive = nullptr) const;
 
   /// True when `key` is recorded, readable, and below full redundancy
-  /// (alive, clean homes < min(want, alive nodes)) — the per-key form of
+  /// (alive, clean homes < min(k+m, alive nodes)) — the per-key form of
   /// degraded_chunks(), used by the scrubber to re-route stragglers into
   /// the heal path.
   bool degraded(const ChunkKey& key) const;
-  /// True only for a *recorded* chunk that is unreadable — every replica
-  /// dead, or fewer than k clean alive fragments. Distinct from
-  /// !available(): an unrecorded key is not lost, its Store is simply
-  /// still in flight somewhere this round.
+  /// True only for a *recorded* chunk that is unreadable — fewer than k
+  /// clean alive fragments. Distinct from !available(): an unrecorded key
+  /// is not lost, its Store is simply still in flight somewhere this round.
   bool lost(const ChunkKey& key) const;
 
-  /// Simulated fragment rot (erasure only): mark fragment `index` of `key`
-  /// corrupt. Returns false when the key is unknown, not erasure-coded, or
+  /// Simulated fragment rot: mark fragment `index` of `key` (copy `index`
+  /// under replication) corrupt. Returns false when the key is unknown or
   /// the index is out of range. The scrubber repairs corrupt fragments in
   /// place via repair_fragments().
   bool corrupt_fragment(const ChunkKey& key, int index);
-  /// Bitmask of currently-corrupt fragment indices (0 when clean or not
-  /// erasure-coded).
+  /// Bitmask of currently-corrupt fragment indices (0 when clean).
   u32 corrupt_mask(const ChunkKey& key) const;
   /// Repair every corrupt fragment of `key` in place: requires >= k clean
   /// alive fragments to reconstruct from. Clears the corrupt bits and
@@ -143,15 +129,15 @@ class ChunkPlacement {
   /// bytes each, read *before* forgetting); dead homes are gone with their
   /// node.
   std::vector<NodeId> forget(const ChunkKey& key);
-  /// Device bytes one home of `key` holds: frag_bytes under erasure, the
-  /// full charged bytes under replication. 0 for unknown keys.
+  /// Device bytes one home of `key` holds: its frag_bytes (the full
+  /// charged bytes at k = 1). 0 for unknown keys.
   u64 home_charge(const ChunkKey& key) const;
 
   /// Recompute an existing entry's homes over the currently-alive nodes
   /// (healing a chunk whose content must be re-stored from scratch).
-  /// Returns the new homes — the copies/fragments the caller must write —
-  /// or empty when the key was never recorded. Under erasure this is a
-  /// full re-stripe: fresh fragments everywhere, corruption cleared.
+  /// Returns the new homes — the fragments the caller must write — or
+  /// empty when the key was never recorded. A full re-stripe: fresh
+  /// fragments everywhere, corruption cleared.
   std::vector<NodeId> re_place(const ChunkKey& key);
 
   /// Recorded chunks that are readable but below full redundancy —
@@ -160,15 +146,13 @@ class ChunkPlacement {
   std::vector<ChunkKey> degraded_chunks() const;
   u64 degraded_count() const;
 
-  /// Heal one degraded entry. Replication: recompute the full placement
-  /// over the alive nodes (rendezvous keeps every surviving home) and
-  /// return the *fresh* homes — the copies the re-replication daemon must
-  /// write, charged bytes_of() each. Erasure: surviving fragments stay
-  /// pinned to their slots; each dead slot is reassigned to the next fresh
-  /// rendezvous node and its fragment must be *rebuilt* there from k
+  /// Heal one degraded entry. Surviving fragments stay pinned to their
+  /// slots; each dead (or never-filled) slot is assigned the next fresh
+  /// rendezvous node, and its fragment must be *rebuilt* there from k
   /// survivors (frag_bytes each — the caller reads a read_plan() taken
-  /// before this call). Empty when the key is unknown, lost, or not
-  /// degraded, so re-queued heal work is a safe no-op.
+  /// before this call). Returns those fresh homes in slot order; empty when
+  /// the key is unknown, lost, or not degraded, so re-queued heal work is a
+  /// safe no-op.
   std::vector<NodeId> heal(const ChunkKey& key);
   u64 bytes_of(const ChunkKey& key) const;
 
@@ -176,8 +160,7 @@ class ChunkPlacement {
   /// The plan carries everything the demotion daemon charges: k read
   /// sources at the hot frag_bytes, the alive hot homes to trim, and the
   /// new cold homes to write. Empty (no reads, no writes) when the key is
-  /// unknown, not erasure-coded, already cold, unreadable, or no cold
-  /// profile is armed.
+  /// unknown, already cold, unreadable, or no cold profile is armed.
   struct DemotePlan {
     std::vector<FetchSource> read;  // k hot-fragment sources
     std::vector<NodeId> trim;       // alive hot homes; trim_bytes each
@@ -198,40 +181,35 @@ class ChunkPlacement {
   /// O(chunk-refs) loss scans: with every node alive nothing can be lost.
   bool any_dead() const;
 
-  /// Chunks / stored bytes that are unreadable (every replica gone, or
-  /// > m fragments gone). O(placed chunks); called from pre-flight and
-  /// tests.
+  /// Chunks / stored bytes that are unreadable (> m fragments gone).
+  /// O(placed chunks); called from pre-flight and tests.
   u64 lost_chunks() const;
   u64 lost_bytes() const;
   u64 placed_chunks() const { return entries_.size(); }
-  /// Stored bytes currently resident per node (replica copies counted in
-  /// full, erasure fragments at frag_bytes — the physical device footprint
-  /// bench_erasure's overhead comparison sums).
+  /// Stored bytes currently resident per node (frag_bytes per home — the
+  /// physical device footprint bench_erasure's overhead comparison sums).
   std::vector<u64> bytes_per_node() const;
 
  private:
   struct Entry {
     std::vector<NodeId> homes;  // best-first at store time; slot i = frag i
     u64 bytes = 0;              // device-charged bytes of the whole chunk
-    u16 k = 0;                  // erasure profile; 0 = replication entry
+    u16 k = 0;                  // the entry's own erasure profile
     u16 m = 0;
-    u64 frag_bytes = 0;     // per-fragment device bytes (erasure only)
-    u32 corrupt_mask = 0;   // bit i: fragment i rotten (erasure only)
+    u64 frag_bytes = 0;     // per-fragment device bytes
+    u32 corrupt_mask = 0;   // bit i: fragment i rotten
   };
   static u64 score(const ChunkKey& key, NodeId node);
   /// Top `want` alive nodes by rendezvous score, best first.
   std::vector<NodeId> place_n(const ChunkKey& key, size_t want) const;
-  /// Alive, non-corrupt homes/fragments of an entry.
+  /// Alive, non-corrupt fragments of an entry.
   size_t clean_alive(const Entry& e) const;
-  /// Full-strength home count for an entry given the current alive set.
-  size_t want_homes(const Entry& e, size_t alive_nodes) const;
   bool entry_lost(const Entry& e) const;
   bool entry_degraded(const Entry& e, size_t alive_nodes) const;
   size_t count_alive() const;
 
-  int replicas_;
-  int erasure_k_ = 0;
-  int erasure_m_ = 0;
+  int k_;
+  int m_;
   int cold_k_ = 0;
   int cold_m_ = 0;
   std::vector<bool> alive_;

@@ -15,8 +15,8 @@ namespace dsim::ckptstore {
 namespace params = sim::params;
 
 ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
-                                     int replicas, int shards,
-                                     int lookup_batch, ErasureConfig erasure)
+                                     ErasureConfig erasure, int shards,
+                                     int lookup_batch)
     : loop_(loop),
       net_(net),
       health_(std::make_shared<rpc::NodeHealth>(net.num_nodes())),
@@ -24,15 +24,12 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
       lookup_batch_(lookup_batch),
       erasure_(erasure),
       repo_(std::make_shared<Repository>()),
-      placement_(net.num_nodes(), replicas) {
+      placement_(net.num_nodes(), erasure.k, erasure.m) {
   DSIM_CHECK_MSG(shards >= 1, "chunk-store service needs at least one shard");
   DSIM_CHECK_MSG(lookup_batch >= 1,
                  "lookup batch must carry at least one key per RPC");
-  if (erasure_.enabled()) {
-    placement_.enable_erasure(erasure_.k, erasure_.m);
-    if (erasure_.cold_enabled()) {
-      placement_.set_cold_profile(erasure_.cold_k, erasure_.cold_m);
-    }
+  if (erasure_.cold_enabled()) {
+    placement_.set_cold_profile(erasure_.cold_k, erasure_.cold_m);
   }
   shards_.reserve(static_cast<size_t>(shards));
   endpoints_.reserve(static_cast<size_t>(shards));
@@ -368,14 +365,11 @@ void ChunkStoreService::queue_store(NodeId from, TenantId tenant,
   // physical writes land on the placement homes' node devices, charged by
   // the caller against the homes the StoreReply returns — the shard queue
   // is the metadata path, so store bursts do not stall other ranks' probes
-  // beyond their index share. Under erasure the wire carries all k+m
-  // fragments — the (k+m)/k parity overhead is paid in NIC egress as well
-  // as device bytes.
+  // beyond their index share. The wire carries every fragment the writer
+  // striped — the (k+m)/k parity overhead is paid in NIC egress as well as
+  // device bytes — or one container under replication.
   const u64 wire_bytes =
-      erasure_.enabled()
-          ? erasure::fragment_bytes(charged_bytes, erasure_.k) *
-                static_cast<u64>(erasure_.k + erasure_.m)
-          : charged_bytes;
+      erasure::store_wire_bytes(charged_bytes, erasure_.k, erasure_.m);
   auto sreq =
       make_request(from, params::kRpcHeaderBytes + wire_bytes,
                    params::kRpcHeaderBytes,
@@ -655,10 +649,9 @@ int ChunkStoreService::handle_node_death(NodeId node) {
   // (fail_node's ground truth), but a death declared by membership alone
   // must land there too before heal scans run.
   placement_.fail_node(node);
-  // Degraded (some alive homes, fewer than R — or >= k but fewer than k+m
-  // clean fragments) chunks are healable — kick the daemon. Fully lost
-  // chunks are not: those wait for the encode path's forward-heal
-  // (StoreOp::kRestore) at the next generation.
+  // Degraded (>= k but fewer than k+m clean fragments) chunks are healable
+  // — kick the daemon. Fully lost chunks are not: those wait for the encode
+  // path's forward-heal (StoreOp::kRestore) at the next generation.
   if (redundant()) schedule_heal_scan();
   // Re-home every shard stranded on the dead endpoint to the next live
   // node in its rendezvous order, then replay its parked requests there in
@@ -705,163 +698,106 @@ void ChunkStoreService::pump_heal() {
 }
 
 void ChunkStoreService::heal_one(const ChunkKey& key) {
-  if (erasure_.enabled()) {
-    heal_one_erasure(key);
-    return;
-  }
-  const i32 holder = placement_.holder(key);
-  const u64 bytes = placement_.bytes_of(key);
-  if (holder < 0 || bytes == 0) return;  // lost or unknown: not healable
-  const std::vector<NodeId> fresh = placement_.heal(key);
-  if (fresh.empty()) return;  // raced with another heal / already whole
-  stats_.rereplicated_chunks++;
-  stats_.rereplicated_bytes += bytes;
-  // One full-copy read off the holder, then a NIC hop + device write per
-  // fresh home: 1 + 2F copies of physical movement for F lost replicas.
-  stats_.heal_moved_bytes += bytes * (1 + 2 * fresh.size());
-  heal_in_flight_++;
-  const size_t s = static_cast<size_t>(shard_of(key));
-  obs::Tracer* tr = loop_.tracer();
-  const u64 heal_span =
-      tr ? tr->begin("store.heal", obs::kServicePid, "heal", loop_.now()) : 0;
-  auto finish = std::make_shared<std::function<void()>>([this, heal_span] {
-    if (heal_span) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(heal_span, loop_.now());
-    }
-    heal_in_flight_--;
-    pump_heal();
-  });
-  // Walk the repair through the owning shard's scheduler as system-tenant
-  // work (an index probe that contends with foreground lookups, as a real
-  // repair stream does), read the surviving copy off the holder's device,
-  // then stream it over the holder's NIC to each fresh home and land it on
-  // that home's device.
-  const auto q = shards_[s].q;
-  enqueue_index(
-      q, kSystemTenant, QosClass::kCheckpoint, params::kStoreLookupBytes,
-      [this, q, holder, bytes, fresh, finish] {
-        q->dev->submit(
-            params::kStoreLookupBytes,
-            [this, holder, bytes, fresh, finish] {
-              charge_node(
-                  holder, bytes, /*is_read=*/true,
-                  [this, holder, bytes, fresh, finish] {
-                    auto left = std::make_shared<int>(
-                        static_cast<int>(fresh.size()));
-                    for (NodeId home : fresh) {
-                      net_.transfer(
-                          holder, home, bytes,
-                          [this, home, bytes, left, finish] {
-                            charge_node(home, bytes, /*is_read=*/false,
-                                        [left, finish] {
-                                          if (--*left == 0) (*finish)();
-                                        });
-                          });
-                    }
-                  });
-            },
-            /*is_read=*/true);
-      });
-}
-
-void ChunkStoreService::heal_one_erasure(const ChunkKey& key) {
-  const auto info = placement_.erasure_info(key);
-  if (info.k == 0) return;  // unknown (or raced into a forget)
   // Read sources *before* heal() — heal reassigns the dead slots, and the
   // rebuild must stream from the fragments that existed when the node died.
   bool needs_decode = false;
-  const auto sources = placement_.read_plan(key, &needs_decode);
-  if (sources.empty()) return;  // lost (< k survivors): forward-heal's job
-  const std::vector<NodeId> fresh = placement_.heal(key);
-  if (fresh.empty()) return;  // raced with another heal / already whole
+  RepairJob job;
+  job.sources = placement_.read_plan(key, &needs_decode);
+  if (job.sources.empty()) return;  // unknown or lost: forward-heal's job
+  job.targets = placement_.heal(key);
+  if (job.targets.empty()) return;  // raced with another heal / already whole
+  const auto info = placement_.erasure_info(key);
+  const u64 fresh = job.targets.size();
   stats_.rereplicated_chunks++;
-  stats_.rereplicated_bytes += info.frag_bytes * fresh.size();
-  stats_.rebuilt_fragments += fresh.size();
+  stats_.rereplicated_bytes += info.frag_bytes * fresh;
+  stats_.rebuilt_fragments += fresh;
   // k fragment reads, k NIC hops to the rebuilder, F fragment writes and
-  // F-1 onward hops: (2k + 2F - 1) fragments of movement, against the
-  // 1 + 2F *full copies* replication pays for the same F lost homes.
+  // F-1 onward hops: (2k + 2F - 1) fragments of movement — the 1 + 2F full
+  // copies of a replica heal at k = 1.
   stats_.heal_moved_bytes +=
-      info.frag_bytes * (2 * sources.size() + 2 * fresh.size() - 1);
+      info.frag_bytes * (2 * job.sources.size() + 2 * fresh - 1);
   heal_in_flight_++;
-  const size_t s = static_cast<size_t>(shard_of(key));
-  const NodeId rebuilder = fresh.front();
-  const double decode_cpu = erasure::decode_seconds(placement_.bytes_of(key));
+  // The first fresh home rebuilds: it gathers the k survivors, decodes
+  // (real CPU through the fluid share; none for a copy), keeps its own
+  // fragment and forwards the rest — fragments move, never full
+  // containers, which is the erasure economy bench_erasure gates.
+  job.coder = job.targets.front();
+  job.cpu_seconds = erasure::decode_seconds(placement_.bytes_of(key), info.k);
+  job.target_bytes = info.frag_bytes;
   obs::Tracer* tr = loop_.tracer();
   const u64 heal_span =
       tr ? tr->begin("store.heal", obs::kServicePid, "heal", loop_.now()) : 0;
-  auto finish = std::make_shared<std::function<void()>>([this, heal_span] {
-    if (heal_span) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(heal_span, loop_.now());
-    }
-    heal_in_flight_--;
-    pump_heal();
+  // Walk the repair through the owning shard's scheduler first: an index
+  // probe that contends with foreground lookups, as a real repair stream
+  // does.
+  system_probe(key, [this, job = std::move(job), heal_span]() mutable {
+    run_repair(std::move(job), [this, heal_span] {
+      if (heal_span) {
+        if (obs::Tracer* t = loop_.tracer()) t->end(heal_span, loop_.now());
+      }
+      heal_in_flight_--;
+      pump_heal();
+    });
   });
-  // Index probe on the owning shard (system tenant, through the
-  // scheduler), then: stream k surviving fragments to the rebuilding node,
-  // decode there (real CPU through the fluid share), and land the rebuilt
-  // fragments on every fresh home — the first one locally, the rest over
-  // the rebuilder's NIC. This is the erasure economy bench_erasure gates:
-  // fragments move, never full copies.
-  const auto q = shards_[s].q;
-  enqueue_index(
-      q, kSystemTenant, QosClass::kCheckpoint, params::kStoreLookupBytes,
-      [this, q, sources, fresh, rebuilder, decode_cpu,
-       frag = info.frag_bytes, finish] {
-        q->dev->submit(
-            params::kStoreLookupBytes,
-            [this, sources, fresh, rebuilder, decode_cpu, frag, finish] {
-              auto gathered =
-                  std::make_shared<int>(static_cast<int>(sources.size()));
-              auto decode_done = [this, fresh, rebuilder, frag, finish] {
-                auto left =
-                    std::make_shared<int>(static_cast<int>(fresh.size()));
-                const auto landed = [left, finish] {
-                  if (--*left == 0) (*finish)();
-                };
-                for (NodeId home : fresh) {
-                  if (home == rebuilder) {
-                    charge_node(home, frag, /*is_read=*/false, landed);
-                  } else {
-                    net_.transfer(rebuilder, home, frag,
-                                  [this, home, frag, landed] {
-                                    charge_node(home, frag,
-                                                /*is_read=*/false, landed);
-                                  });
-                  }
-                }
-              };
-              for (const auto& src : sources) {
-                charge_node(
-                    src.node, src.bytes, /*is_read=*/true,
-                    [this, src, rebuilder, gathered, decode_cpu,
-                     decode_done] {
-                      net_.transfer(
-                          src.node, rebuilder, src.bytes,
-                          [this, rebuilder, gathered, decode_cpu,
-                           decode_done] {
-                            if (--*gathered > 0) return;
-                            obs::Tracer* t0 = loop_.tracer();
-                            const u64 dec =
-                                t0 ? t0->begin("store.erasure_decode",
-                                               obs::kServicePid, "heal",
-                                               loop_.now())
-                                   : 0;
-                            charge_cpu(rebuilder, decode_cpu,
-                                       [this, dec, decode_done] {
-                                         if (dec) {
-                                           if (obs::Tracer* t =
-                                                   loop_.tracer()) {
-                                             t->end(dec, loop_.now());
-                                           }
-                                         }
-                                         decode_done();
-                                       });
-                          });
-                    });
-              }
-            },
-            /*is_read=*/true);
-      });
+}
+
+void ChunkStoreService::system_probe(const ChunkKey& key,
+                                     std::function<void()> then) {
+  IndexQueue* q = shards_[static_cast<size_t>(shard_of(key))].q;
+  enqueue_index(q, kSystemTenant, QosClass::kCheckpoint,
+                params::kStoreLookupBytes,
+                [q, then = std::move(then)]() mutable {
+                  q->dev->submit(params::kStoreLookupBytes, std::move(then),
+                                 /*is_read=*/true);
+                });
+}
+
+void ChunkStoreService::run_repair(RepairJob job, std::function<void()> done) {
+  auto j = std::make_shared<const RepairJob>(std::move(job));
+  const auto scatter = [this, j, done = std::move(done)] {
+    for (NodeId home : j->trim) {
+      if (trimmer_) trimmer_(home, j->trim_bytes);
+    }
+    auto left = std::make_shared<size_t>(j->targets.size());
+    const auto landed = [left, done] {
+      if (--*left == 0) done();
+    };
+    for (NodeId home : j->targets) {
+      if (home == j->coder) {
+        charge_node(home, j->target_bytes, /*is_read=*/false, landed);
+      } else {
+        net_.transfer(j->coder, home, j->target_bytes, [this, j, home, landed] {
+          charge_node(home, j->target_bytes, /*is_read=*/false, landed);
+        });
+      }
+    }
+  };
+  const auto coded = [this, j, scatter] {
+    if (j->cpu_seconds <= 0) {
+      scatter();
+      return;
+    }
+    obs::Tracer* tr = loop_.tracer();
+    const u64 span = tr ? tr->begin("store.erasure_decode", obs::kServicePid,
+                                    j->lane, loop_.now())
+                        : 0;
+    charge_cpu(j->coder, j->cpu_seconds, [this, span, scatter] {
+      if (span) {
+        if (obs::Tracer* t = loop_.tracer()) t->end(span, loop_.now());
+      }
+      scatter();
+    });
+  };
+  auto gathered = std::make_shared<size_t>(j->sources.size());
+  for (const auto& src : j->sources) {
+    charge_node(src.node, src.bytes, /*is_read=*/true,
+                [this, j, src, gathered, coded] {
+                  net_.transfer(src.node, j->coder, src.bytes,
+                                [gathered, coded] {
+                                  if (--*gathered == 0) coded();
+                                });
+                });
+  }
 }
 
 void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
@@ -887,30 +823,28 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
   for (const auto& [key, chunk] : batch) {
     scrub_cursor_ = key;
     stats_.scrubbed_chunks++;
-    // Fragment rot (erasure): a corrupt fragment is *repaired*, not
-    // quarantined — reconstructed from the k clean survivors and rewritten
-    // in place, charging the fragment reads, a decode at the first
-    // repaired home and the fragment rewrites. Only a chunk with > m bad
-    // fragments is beyond repair and falls through to the quarantine path
-    // below, exactly like a rotten replication container.
+    // Fragment rot: a corrupt fragment (or replica copy) is *repaired*,
+    // not quarantined — the repair job gathers k clean survivors at the
+    // first repaired home, decodes there and rewrites the bad fragments in
+    // place. Only a chunk with > m bad fragments is beyond repair and falls
+    // through to the quarantine path below, like a rotten container.
     bool beyond_repair = false;
-    if (erasure_.enabled() && placement_.corrupt_mask(key) != 0) {
-      const auto info = placement_.erasure_info(key);
+    if (placement_.corrupt_mask(key) != 0) {
       bool needs_decode = false;
-      const auto sources = placement_.read_plan(key, &needs_decode);
-      const std::vector<NodeId> rewritten = placement_.repair_fragments(key);
-      if (rewritten.empty()) {
+      RepairJob job;
+      job.sources = placement_.read_plan(key, &needs_decode);
+      job.targets = placement_.repair_fragments(key);
+      if (job.targets.empty()) {
         beyond_repair = true;
       } else {
-        stats_.scrub_repaired_fragments += rewritten.size();
-        for (const auto& src : sources) {
-          charge_node(src.node, src.bytes, /*is_read=*/true, [] {});
-        }
-        charge_cpu(rewritten.front(),
-                   erasure::decode_seconds(chunk->charged_bytes), [] {});
-        for (NodeId home : rewritten) {
-          charge_node(home, info.frag_bytes, /*is_read=*/false, [] {});
-        }
+        stats_.scrub_repaired_fragments += job.targets.size();
+        const auto info = placement_.erasure_info(key);
+        job.coder = job.targets.front();
+        job.cpu_seconds =
+            erasure::decode_seconds(chunk->charged_bytes, info.k);
+        job.target_bytes = info.frag_bytes;
+        job.lane = "scrub";
+        run_repair(std::move(job), [] {});
       }
     }
     // Verify synchronously (GC may reclaim the chunk before its shard queue
@@ -926,12 +860,11 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
       corrupt = compress::container_crc(*chunk->stored) != chunk->crc;
     }
     if (!missing && !corrupt && placement_.degraded(key)) {
-      // The walk tripped over a replica-degraded survivor (a death the heal
+      // The walk tripped over a degraded survivor (a death the heal
       // daemon's one-shot scan may have raced past): route it back through
       // the heal path.
       saw_degraded = true;
     }
-    const size_t s = static_cast<size_t>(shard_of(key));
     const i32 holder = placement_.holder(key);
     const u64 read_bytes = chunk->charged_bytes;
     if (corrupt) {
@@ -945,43 +878,35 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
       // surviving homes' devices and dropped from the owning shard's index
       // at metadata rate.
       stats_.scrub_quarantined_chunks++;
-      // Per-home trim: a home holds one fragment under erasure, the full
-      // container under replication (read before forget drops the entry).
+      // Per-home trim: a home holds one fragment (read before forget drops
+      // the entry).
       const u64 per_home = placement_.home_charge(key);
       const u64 rotten = repo_->quarantine(key);
       const std::vector<NodeId> homes = placement_.forget(key);
       if (rotten > 0) {
         for (NodeId home : homes) {
-          if (trimmer_) trimmer_(home, per_home > 0 ? per_home : rotten);
+          if (trimmer_) trimmer_(home, per_home);
         }
         StoreRequest drop;
         drop.op = StoreOp::kDrop;
         drop.tenant = kSystemTenant;
-        drop.from = endpoint_of(static_cast<int>(s));
+        drop.from = endpoint_of(shard_of(key));
         drop.keys = {key};
         drop.bytes = rotten;
         submit(std::move(drop));
       }
     }
-    const auto q = shards_[s].q;
-    enqueue_index(
-        q, kSystemTenant, QosClass::kCheckpoint, params::kStoreLookupBytes,
-        [this, q, corrupt, missing, holder, read_bytes, verified] {
-          q->dev->submit(
-              params::kStoreLookupBytes,
-              [this, corrupt, missing, holder, read_bytes, verified] {
-                // The verification reread streams off the surviving holder.
-                if (holder >= 0 && read_bytes > 0) {
-                  charge_node(holder, read_bytes, /*is_read=*/true,
-                              [verified] { (*verified)(); });
-                } else {
-                  (*verified)();
-                }
-                if (corrupt) stats_.scrub_corrupt_chunks++;
-                if (missing) stats_.scrub_missing_chunks++;
-              },
-              /*is_read=*/true);
-        });
+    system_probe(key, [this, corrupt, missing, holder, read_bytes, verified] {
+      // The verification reread streams off the surviving holder.
+      if (holder >= 0 && read_bytes > 0) {
+        charge_node(holder, read_bytes, /*is_read=*/true,
+                    [verified] { (*verified)(); });
+      } else {
+        (*verified)();
+      }
+      if (corrupt) stats_.scrub_corrupt_chunks++;
+      if (missing) stats_.scrub_missing_chunks++;
+    });
   }
   if (saw_degraded && redundant()) schedule_heal_scan();
 }
@@ -997,14 +922,13 @@ int ChunkStoreService::demote_cold(u64 max_chunks) {
   };
   for (const ChunkKey& key : repo_->cold_keys(hot_for)) {
     if (static_cast<u64>(demoted) >= max_chunks) break;
-    auto plan = std::make_shared<ChunkPlacement::DemotePlan>(
-        placement_.demote(key));
+    const ChunkPlacement::DemotePlan plan = placement_.demote(key);
     // Already cold (demoted in an earlier round), or currently unreadable:
     // rescanning it next round is a free no-op either way.
-    if (plan->read.empty() || plan->write.empty()) continue;
+    if (plan.read.empty() || plan.write.empty()) continue;
     ++demoted;
     stats_.demoted_chunks++;
-    stats_.demoted_bytes += plan->logical_bytes;
+    stats_.demoted_bytes += plan.logical_bytes;
     // One standalone span per demoted chunk, open from scheduling until
     // the last cold fragment lands (the fire-and-forget tail is exactly
     // what the trace should make visible).
@@ -1014,68 +938,29 @@ int ChunkStoreService::demote_cold(u64 max_chunks) {
             ? tr0->begin("store.demote", obs::kServicePid, "demote",
                          loop_.now())
             : 0;
-    const size_t s = static_cast<size_t>(shard_of(key));
-    const NodeId coder = plan->write.front();
-    const double cpu =
-        erasure::decode_seconds(plan->logical_bytes) +
-        erasure::encode_seconds(plan->logical_bytes, erasure_.cold_k,
-                                erasure_.cold_m);
     // Index update on the owning shard (the fragment layout is re-keyed),
-    // then fire-and-forget: stream the k hot fragments to the first cold
-    // home, decode + re-encode there, trim the hot fragments, and land the
-    // cold ones — locally at the coder, over its NIC elsewhere. Background
-    // work end to end; nothing waits on it.
-    const auto q = shards_[s].q;
-    enqueue_index(
-        q, kSystemTenant, QosClass::kCheckpoint, params::kStoreLookupBytes,
-        [this, q, plan, coder, cpu, demote_span] {
-          q->dev->submit(
-              params::kStoreLookupBytes,
-              [this, plan, coder, cpu, demote_span] {
-                auto gathered = std::make_shared<int>(
-                    static_cast<int>(plan->read.size()));
-                auto recode_done = [this, plan, coder, demote_span] {
-                  for (NodeId home : plan->trim) {
-                    if (trimmer_) trimmer_(home, plan->trim_bytes);
-                  }
-                  auto wleft = std::make_shared<int>(
-                      static_cast<int>(plan->write.size()));
-                  const auto landed = [this, wleft, demote_span] {
-                    if (--*wleft != 0) return;
-                    if (demote_span != 0) {
-                      if (obs::Tracer* t = loop_.tracer()) {
-                        t->end(demote_span, loop_.now());
-                      }
-                    }
-                  };
-                  for (NodeId home : plan->write) {
-                    if (home == coder) {
-                      charge_node(home, plan->write_bytes, /*is_read=*/false,
-                                  landed);
-                    } else {
-                      net_.transfer(coder, home, plan->write_bytes,
-                                    [this, home, plan, landed] {
-                                      charge_node(home, plan->write_bytes,
-                                                  /*is_read=*/false, landed);
-                                    });
-                    }
-                  }
-                };
-                for (const auto& src : plan->read) {
-                  charge_node(
-                      src.node, src.bytes, /*is_read=*/true,
-                      [this, src, coder, gathered, cpu, recode_done] {
-                        net_.transfer(src.node, coder, src.bytes,
-                                      [this, coder, gathered, cpu,
-                                       recode_done] {
-                                        if (--*gathered > 0) return;
-                                        charge_cpu(coder, cpu, recode_done);
-                                      });
-                      });
-                }
-              },
-              /*is_read=*/true);
-        });
+    // then the repair job: gather the k hot fragments at the first cold
+    // home, decode + re-encode there, trim the hot fragments and land the
+    // cold ones. Background work end to end; nothing waits on it.
+    RepairJob job;
+    job.sources = plan.read;
+    job.coder = plan.write.front();
+    job.cpu_seconds =
+        erasure::decode_seconds(plan.logical_bytes, erasure_.k) +
+        erasure::encode_seconds(plan.logical_bytes, erasure_.cold_k,
+                                erasure_.cold_m);
+    job.trim = plan.trim;
+    job.trim_bytes = plan.trim_bytes;
+    job.targets = plan.write;
+    job.target_bytes = plan.write_bytes;
+    job.lane = "demote";
+    system_probe(key, [this, job = std::move(job), demote_span]() mutable {
+      run_repair(std::move(job), [this, demote_span] {
+        if (demote_span != 0) {
+          if (obs::Tracer* t = loop_.tracer()) t->end(demote_span, loop_.now());
+        }
+      });
+    });
   }
   return demoted;
 }

@@ -9,8 +9,10 @@
 //   kLookup   one dedup probe per submitted chunk key, batched K keys per
 //             RPC (`--lookup-batch`); each probe occupies its shard's queue,
 //   kStore    a chunk accepted (payload over the caller's NIC, an index
-//             insert on the shard) and placed on `replicas` node devices,
-//   kRestore  re-store of a dedup-hit chunk whose every replica died,
+//             insert on the shard) and striped onto its k+m placement
+//             homes — R full copies under --chunk-replicas R, the (1, R-1)
+//             code (placement.h),
+//   kRestore  re-store of a dedup-hit chunk that lost more than m fragments,
 //   kFetch    a restart locating a chunk (index probe; the bulk bytes
 //             stream off the holding node's device and NIC, charged by the
 //             caller),
@@ -50,18 +52,23 @@
 // consistent-hash rebalance: only the keys whose rendezvous winner changed
 // migrate, in batched metadata RPCs through the normal queues.
 //
-// Three background activities ride the same queues (as kSystemTenant, on
-// the checkpoint band — repair storms are weighed against foreground
-// traffic, not above it):
-//   - re-replication: after a node death, replica-degraded chunks (alive
-//     homes < R but > 0) are re-copied from a surviving holder to fresh
-//     rendezvous homes until the store is back at `replicas` copies;
+// Background activities ride the same queues (as kSystemTenant, on the
+// checkpoint band — repair storms are weighed against foreground traffic,
+// not above it):
+//   - heal: after a node death, degraded chunks (>= k but < k+m clean
+//     fragments) get each dead fragment rebuilt on a fresh rendezvous home;
 //   - scrubbing: scrub(N, codec) verifies up to N resident chunks per round
-//     against their manifest CRCs. Corrupt chunks are *quarantined* (repo
-//     entry masked, placement forgotten) so the next generation's encode
-//     re-stores them fresh from live content — the forward-heal path;
-//     degraded survivors the scan trips over are routed to the heal daemon.
+//     against their manifest CRCs. A rotten fragment (or replica copy) is
+//     repaired in place from its clean siblings; a corrupt container is
+//     *quarantined* (repo entry masked, placement forgotten) so the next
+//     generation's encode re-stores it fresh from live content — the
+//     forward-heal path; degraded survivors the scan trips over are routed
+//     to the heal daemon;
+//   - cold demotion: chunks only old generations reference re-stripe to
+//     the wider cold profile;
 //   - rebalancing: see above.
+// Heal, scrub repair and demotion move their bytes through one repair job:
+// gather k fragments at a coder node, code there, then write the targets.
 //
 // The service charges its shard queues and the RPC fabric. Physical bytes
 // land on node-local devices through the injected DeviceCharger (stores and
@@ -95,8 +102,8 @@ struct ServiceStats {
   u64 store_requests = 0;
   u64 fetch_requests = 0;
   u64 drop_requests = 0;
-  u64 store_bytes = 0;  // accepted chunk bytes (one copy; replicas multiply
-                        // on the node devices, not the shard queues)
+  u64 store_bytes = 0;  // accepted chunk bytes (one container; fragments
+                        // land on the node devices, not the shard queues)
   u64 fetch_bytes = 0;
   /// Submit -> completion wait of every lookup/fetch key (one histogram
   /// sample per key, including the RPC's network hops and endpoint message
@@ -108,14 +115,15 @@ struct ServiceStats {
   // before dispatching.
   u64 admission_held_requests = 0;
   obs::Histogram admission_wait;
-  // Re-replication daemon: chunks restored to full replica strength after a
-  // node failure, and the copy bytes written doing it.
+  // Heal daemon: chunks restored to full strength after a node failure, and
+  // the fragment bytes written doing it (frag_bytes per fresh home — one
+  // full copy per fresh home under replication).
   u64 rereplicated_chunks = 0;
   u64 rereplicated_bytes = 0;
   // Scrub daemon: chunks verified against manifest CRCs, and the failures.
   u64 scrubbed_chunks = 0;
   u64 scrub_corrupt_chunks = 0;  // content no longer matches its CRC
-  u64 scrub_missing_chunks = 0;  // no surviving replica holds the bytes
+  u64 scrub_missing_chunks = 0;  // fewer than k fragments survive
   /// Corrupt chunks the scrubber quarantined for forward re-store (the next
   /// generation's encode writes them fresh from live content).
   u64 scrub_quarantined_chunks = 0;
@@ -138,17 +146,16 @@ struct ServiceStats {
   u64 rebalance_scanned_keys = 0;   // resident keys examined across passes
   u64 rebalance_scanned_bytes = 0;  // stored bytes examined across passes
   /// Bytes physically moved by heal repairs — device reads, network hops
-  /// and device writes summed, in both redundancy modes. The
-  /// rebuild-traffic comparison bench_erasure gates: a (k,m) fragment
-  /// rebuild moves ~(2k + 2F - 1)/k fragment-sizes where an R-way re-store
-  /// moves 1 + 2F full copies for the same F lost homes.
+  /// and device writes summed. The rebuild-traffic comparison
+  /// bench_erasure gates: for F lost homes a heal moves (2k + 2F - 1)
+  /// fragment-sizes, ~(2k + 2F - 1)/k containers at (k,m) and the 1 + 2F
+  /// full copies of an R-way re-store at k = 1.
   u64 heal_moved_bytes = 0;
-  /// Erasure heal: fragments rebuilt onto fresh homes from k survivors
-  /// (the replication counterpart is rereplicated_chunks' full copies).
+  /// Heal: fragments rebuilt onto fresh homes from k survivors (replica
+  /// copies under replication).
   u64 rebuilt_fragments = 0;
-  /// Corrupt fragments the scrubber reconstructed in place from the clean
-  /// survivors — repairs that under replication would have quarantined the
-  /// whole chunk for forward re-store.
+  /// Corrupt fragments (or replica copies) the scrubber reconstructed in
+  /// place from the clean survivors instead of quarantining the chunk.
   u64 scrub_repaired_fragments = 0;
   // Cold-tier demotion daemon: chunks re-striped to the wider cold (k,m)
   // profile, and the logical bytes they carry.
@@ -159,33 +166,28 @@ struct ServiceStats {
 
 class ChunkStoreService {
  public:
-  /// Redundancy-scheme selection (--erasure / --cold-erasure /
-  /// --hot-generations): k = 0 keeps R-way replication; k > 0 stripes
-  /// every stored chunk into k data + m parity fragments and makes
-  /// `replicas` irrelevant. cold_k > 0 additionally arms the demotion
-  /// daemon, re-striping chunks referenced only by generations older than
-  /// `hot_generations` to the wider cold profile.
+  /// The redundancy profile: every stored chunk is striped into k data +
+  /// m parity fragments (--erasure K,M), and --chunk-replicas R is the
+  /// (1, R-1) code, whose fragments are full copies. cold_k > 0
+  /// additionally arms the demotion daemon (--cold-erasure /
+  /// --hot-generations), re-striping chunks referenced only by generations
+  /// older than `hot_generations` to the wider cold profile.
   struct ErasureConfig {
-    int k = 0;
+    int k = 1;
     int m = 0;
     int cold_k = 0;
     int cold_m = 0;
     int hot_generations = 0;
-    bool enabled() const { return k > 0; }
     bool cold_enabled() const { return cold_k > 0; }
   };
 
-  /// `replicas` copies of each chunk across the cluster's node devices;
-  /// `shards` independent service endpoints; `lookup_batch` keys per lookup
-  /// RPC; `erasure` optionally replaces replication with (k,m) striping.
+  /// `erasure` is the profile every chunk is stored under; `shards`
+  /// independent service endpoints; `lookup_batch` keys per lookup RPC.
   /// Until set_endpoints() overrides them, shard s lives on node
   /// (s mod nodes) so directly-constructed services (tests) work.
-  ChunkStoreService(sim::EventLoop& loop, sim::Network& net, int replicas,
-                    int shards, int lookup_batch, ErasureConfig erasure);
-  ChunkStoreService(sim::EventLoop& loop, sim::Network& net, int replicas,
-                    int shards = 1, int lookup_batch = 1)
-      : ChunkStoreService(loop, net, replicas, shards, lookup_batch,
-                          ErasureConfig{}) {}
+  ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
+                    ErasureConfig erasure, int shards = 1,
+                    int lookup_batch = 1);
 
   const ErasureConfig& erasure() const { return erasure_; }
 
@@ -225,7 +227,7 @@ class ChunkStoreService {
   bool fair_queueing() const { return fair_queueing_; }
 
   /// Node-device charging hook (kernel charge_storage_bg, injected by core:
-  /// the daemons must land replica copies and verification reads on node
+  /// the daemons must land rebuilt fragments and verification reads on node
   /// devices, but this layer does not own the kernel). Unset: bytes are
   /// accounted on the shard queues only.
   using DeviceCharger = std::function<void(
@@ -242,10 +244,10 @@ class ChunkStoreService {
     trimmer_ = std::move(trimmer);
   }
   /// Node-CPU charging hook (kernel cpu().submit, injected by core): the
-  /// erasure daemons burn real decode/encode CPU — a fragment rebuild
-  /// decodes at the rebuilding node, a demotion re-encodes at the first
-  /// cold home — and that work must contend with the application through
-  /// the fluid share. Unset: decode/encode completes instantly.
+  /// repair job burns real decode/encode CPU at its coder — a fragment
+  /// rebuild decodes at the rebuilding node, a demotion re-encodes at the
+  /// first cold home — and that work must contend with the application
+  /// through the fluid share. Unset: decode/encode completes instantly.
   using CpuCharger =
       std::function<void(NodeId node, double seconds, std::function<void()>)>;
   void set_cpu_charger(CpuCharger charger) {
@@ -292,7 +294,7 @@ class ChunkStoreService {
 
   /// Reaction to a *detected* node death (membership's kDead event, via the
   /// failover manager — or directly from fail_node() when no router is
-  /// set): kick the heal daemon for the replicas the node held, and re-home
+  /// set): kick the heal daemon for the fragments the node held, and re-home
   /// every shard whose endpoint died to the next live node in the shard's
   /// rendezvous order, replaying parked requests there. Returns the number
   /// of shards re-homed. Idempotent.
@@ -326,16 +328,17 @@ class ChunkStoreService {
   /// Scrub pass: verify up to `max_chunks` resident chunks (round-robin
   /// cursor) against their recorded CRCs, charging each verification read
   /// to the owning shard's queue. `codec` decompresses real containers.
-  /// Corrupt chunks are quarantined for forward re-store; degraded
-  /// survivors kick the heal daemon. Under erasure, per-fragment rot
-  /// (corrupt_fragment()) is *repaired* in place — the fragment is
-  /// reconstructed from the k clean survivors and rewritten — and only a
-  /// chunk with > m bad fragments falls back to quarantine.
+  /// Corrupt containers are quarantined for forward re-store; degraded
+  /// survivors kick the heal daemon. Per-fragment rot (corrupt_fragment())
+  /// is *repaired* in place — the fragment (or replica copy) is rebuilt
+  /// from k clean survivors by the repair job — and only a chunk with
+  /// > m bad fragments falls back to quarantine.
   void scrub(u64 max_chunks, compress::CodecKind codec);
 
-  /// Simulated fragment rot (erasure only): mark fragment `index` of `key`
-  /// corrupt, to be found and repaired by a later scrub pass. Returns
-  /// false when the key is unknown or not erasure-coded.
+  /// Simulated fragment rot: mark fragment `index` of `key` (copy `index`
+  /// under replication) corrupt, to be found and repaired by a later scrub
+  /// pass. Returns false when the key is unknown or the index is out of
+  /// range.
   bool corrupt_fragment(const ChunkKey& key, int index) {
     return placement_.corrupt_fragment(key, index);
   }
@@ -474,15 +477,33 @@ class ChunkStoreService {
   /// The placement homes of a just-recorded store as chargeable writes.
   std::vector<StoreTarget> store_targets(const ChunkKey& key,
                                          const std::vector<NodeId>& homes);
-  /// Any redundancy to heal back to? Replication needs R > 1; erasure
-  /// always has parity (m >= 1).
-  bool redundant() const {
-    return erasure_.enabled() || placement_.replicas() > 1;
-  }
+  /// Any parity to heal back to? m = 0 (R=1) losses are not degraded,
+  /// they are gone.
+  bool redundant() const { return erasure_.m > 0; }
   void schedule_heal_scan();
   void pump_heal();
   void heal_one(const ChunkKey& key);
-  void heal_one_erasure(const ChunkKey& key);
+  /// An index probe on `key`'s shard as system-tenant work through its
+  /// scheduler, then `then` — the metadata step in front of heal and
+  /// demotion jobs and of each scrub verification read.
+  void system_probe(const ChunkKey& key, std::function<void()> then);
+  /// One gather -> code -> scatter repair, shared by heal, scrub repair
+  /// and cold demotion: read each source off its device and move it over
+  /// its NIC to the coder; charge the coder's CPU (skipped at 0) under a
+  /// `store.erasure_decode` span on `lane`; trim `trim`; then write every
+  /// target — locally on the coder, over the coder's NIC elsewhere.
+  /// `done` fires when the last target write lands.
+  struct RepairJob {
+    std::vector<ChunkPlacement::FetchSource> sources;
+    NodeId coder = 0;
+    double cpu_seconds = 0;
+    std::vector<NodeId> trim;
+    u64 trim_bytes = 0;
+    std::vector<NodeId> targets;
+    u64 target_bytes = 0;
+    const char* lane = "heal";
+  };
+  void run_repair(RepairJob job, std::function<void()> done);
 
   sim::EventLoop& loop_;
   sim::Network& net_;
@@ -512,7 +533,7 @@ class ChunkStoreService {
   CpuCharger cpu_charger_;
   std::function<void(NodeId)> death_router_;
   std::function<void(NodeId)> revive_router_;
-  // Re-replication daemon state.
+  // Heal daemon state.
   std::deque<ChunkKey> heal_pending_;
   int heal_in_flight_ = 0;
   bool heal_scan_scheduled_ = false;

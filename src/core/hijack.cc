@@ -211,11 +211,11 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
           dr.keys = {rc.key};
           dr.bytes = rc.bytes;
           svc->submit(std::move(dr));
-          // One fragment per home under erasure, the full container under
-          // replication — read before forget drops the entry.
+          // One fragment per home (the full container under replication)
+          // — read before forget drops the entry.
           const u64 per_home = svc->placement().home_charge(rc.key);
           for (NodeId home : svc->placement().forget(rc.key)) {
-            k->discard_storage(home, path, per_home > 0 ? per_home : rc.bytes);
+            k->discard_storage(home, path, per_home);
           }
         }
       }
@@ -784,8 +784,13 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     ckptstore::ChunkStoreService* svc = shared_->store_service.get();
     if (svc != nullptr) svc->note_raw_bytes(delta.new_logical_bytes());
     // Striping new chunk containers into k+m fragments is checkpoint-path
-    // CPU like compression, priced by the parity rows at kErasureBw.
-    const bool striped = svc != nullptr && svc->erasure().enabled();
+    // CPU like compression, priced by the parity rows at kErasureBw (none
+    // under replication, whose fragments are copies).
+    const auto stripe_seconds = [svc](u64 bytes) {
+      return svc == nullptr ? 0.0
+                            : ckptstore::erasure::encode_seconds(
+                                  bytes, svc->erasure().k, svc->erasure().m);
+    };
     auto drain = std::make_shared<StoreDrain>();
     drain->k = &k;
     drain->shared = shared_.get();
@@ -816,12 +821,9 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
              static_cast<double>(delta.new_logical_zero_bytes) /
                  (pipe->compress_bw() * zero_speedup));
       }
-      if (striped) {
-        // The background drain stripes compressed chunks on the way out,
-        // so the erasure encode rides the pipeline's compress stage.
-        compress_seconds += ckptstore::erasure::encode_seconds(
-            delta.new_chunk_bytes, svc->erasure().k, svc->erasure().m);
-      }
+      // The background drain stripes compressed chunks on the way out, so
+      // the erasure encode rides the pipeline's compress stage.
+      compress_seconds += stripe_seconds(delta.new_chunk_bytes);
       ckptasync::JobSpec spec;
       spec.key = upid_.str();
       spec.node = p_.node();
@@ -842,11 +844,8 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       pipe->start(std::move(spec));
     } else {
       drain->encode = std::move(delta.encode_seconds);
-      if (striped) {
-        for (size_t i = 0; i < drain->fresh; ++i) {
-          drain->encode[i] += ckptstore::erasure::encode_seconds(
-              drain->to_store[i].second, svc->erasure().k, svc->erasure().m);
-        }
+      for (size_t i = 0; i < drain->fresh; ++i) {
+        drain->encode[i] += stripe_seconds(drain->to_store[i].second);
       }
       drain->flush = shared_->opts.sync == SyncMode::kSyncAfter;
       auto drained = std::make_shared<sim::CountLatch>(1);

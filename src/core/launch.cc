@@ -92,17 +92,21 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
     // The cluster-wide store is a *service* reached over the RPC fabric,
     // not a free index: it owns the shared repository (repos[kSharedRepo]
     // aliases it so stats aggregation and migration are unchanged), the
-    // replica placement map, and one FIFO queue per shard. The coordinator
-    // assigns shard endpoints at startup.
+    // fragment placement map, and one FIFO queue per shard. The coordinator
+    // assigns shard endpoints at startup. Every chunk is erasure-coded:
+    // --chunk-replicas R is the (1, R-1) code, whose fragments are copies.
+    ckptstore::ChunkStoreService::ErasureConfig profile{
+        1, opts.chunk_replicas - 1, opts.cold_erasure_k, opts.cold_erasure_m,
+        opts.hot_generations};
+    if (opts.erasure_k > 0) {
+      profile.k = opts.erasure_k;
+      profile.m = opts.erasure_m;
+    }
     shared_->store_service = std::make_shared<ckptstore::ChunkStoreService>(
-        k_.loop(), k_.net(), opts.chunk_replicas, opts.store_shards,
-        opts.lookup_batch,
-        ckptstore::ChunkStoreService::ErasureConfig{
-            opts.erasure_k, opts.erasure_m, opts.cold_erasure_k,
-            opts.cold_erasure_m, opts.hot_generations});
-    // The re-replication daemon lands replica copies (and verification
-    // reads) on node devices; the service names the nodes, the kernel does
-    // the charging.
+        k_.loop(), k_.net(), profile, opts.store_shards, opts.lookup_batch);
+    // The heal daemon lands rebuilt fragments (and verification reads) on
+    // node devices; the service names the nodes, the kernel does the
+    // charging.
     sim::Kernel* kp = &k_;
     const std::string charge_path = opts.ckpt_dir + "/chunkstore";
     shared_->store_service->set_device_charger(

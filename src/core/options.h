@@ -171,6 +171,11 @@ struct StoreConfig {
       return "--chunk-replicas must place at least one copy (got " +
              std::to_string(chunk_replicas) + ")";
     }
+    if (chunk_replicas > 32) {
+      return "--chunk-replicas places at most 32 copies, one per bit of a "
+             "chunk's corrupt mask (got " +
+             std::to_string(chunk_replicas) + ")";
+    }
     if (store_shards < 1) {
       return "--store-shards must keep at least one service shard (got " +
              std::to_string(store_shards) + ")";

@@ -176,16 +176,16 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
           ChunkRead cr{ref.key, c->charged_bytes, {},
                        mtcp::decode_cpu_seconds(ref.len, codec)};
           if (svc != nullptr) {
-            // Replication: one surviving copy, full bytes. Erasure: k
-            // fragment reads — and when a data fragment is dead or
-            // corrupt, a parity fragment substitutes and the degraded
-            // read pays a decode pass on the restarting node's CPU.
+            // k fragment reads — and when a data fragment is dead or
+            // corrupt, a parity fragment substitutes and the degraded read
+            // pays a decode pass on the restarting node's CPU (none under
+            // replication, where any one copy is the whole chunk).
             bool needs_decode = false;
             cr.sources = svc->placement().read_plan(ref.key, &needs_decode,
                                                     member_alive);
             if (needs_decode && !cr.sources.empty()) {
-              cr.decode_seconds +=
-                  ckptstore::erasure::decode_seconds(c->charged_bytes);
+              cr.decode_seconds += ckptstore::erasure::decode_seconds(
+                  c->charged_bytes, svc->placement().erasure_info(ref.key).k);
             }
           }
           // Without the service the chunk sits on this node's device. With

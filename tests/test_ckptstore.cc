@@ -554,6 +554,9 @@ TEST(Options, ChunkingAndDedupScopeFlagsParse) {
   std::vector<std::string> bad_replicas = {"--chunk-replicas", "0"};
   EXPECT_NE(o.apply_flags(bad_replicas).find("at least one copy"),
             std::string::npos);
+  std::vector<std::string> wide_replicas = {"--chunk-replicas", "33"};
+  EXPECT_NE(o.apply_flags(wide_replicas).find("at most 32 copies"),
+            std::string::npos);
   o.chunk_replicas = 2;
   o.dedup_scope = core::DedupScope::kNode;
   EXPECT_NE(o.validate().find("requires a cluster-wide store"),

@@ -189,7 +189,7 @@ TEST(RpcFabric, DeathWhileServingDropsTheResponse) {
 TEST(Failover, DeadEndpointShardRehomesAndReplaysInFlight) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, /*replicas=*/2, /*shards=*/2);
+  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/2);
   svc.set_endpoints({2, 3});
   bool looked_up = false, stored = false;
   submit_lookups(svc, 0, keys_range(0, 40), [&] { looked_up = true; });
@@ -224,7 +224,7 @@ TEST(Failover, TransientDeathRevivedBeforeDeclarationReplaysParked) {
   // the revival itself must replay them or they strand forever.
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, /*replicas=*/1, /*shards=*/1);
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1);
   svc.set_endpoints({2});
   MembershipConfig cfg;
   cfg.heartbeat_interval = 10 * timeconst::kMillisecond;
@@ -585,7 +585,7 @@ TEST(ScrubRepair, CorruptChunkIsQuarantinedAndRestoredNextRound) {
 TEST(ScrubRepair, DegradedStragglersAreRoutedToTheHealDaemon) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, /*replicas=*/2, /*shards=*/1);
+  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/1);
   svc.set_endpoints({0});
   for (u64 i = 0; i < 60; ++i) {
     submit_store(svc, 0, key_of(i), 16 * 1024, [] {});

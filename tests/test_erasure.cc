@@ -43,9 +43,10 @@ ChunkKey key_of(u64 n) {
 
 TEST(ErasureCodec, RoundTripsAcrossProfilesAndLengths) {
   // Identity through encode -> all-fragments reconstruct, including lengths
-  // that do not divide by k (the last data fragment is zero-padded).
-  const std::vector<std::pair<int, int>> profiles{{2, 1}, {4, 2}, {6, 3},
-                                                  {10, 4}};
+  // that do not divide by k (the last data fragment is zero-padded). At
+  // k = 1 the code is replication: every fragment is the input itself.
+  const std::vector<std::pair<int, int>> profiles{{1, 1}, {1, 2}, {2, 1},
+                                                  {4, 2}, {6, 3}, {10, 4}};
   const std::vector<u64> lengths{1, 255, 4096, 64 * 1024 + 13};
   for (const auto& [k, m] : profiles) {
     for (u64 len : lengths) {
@@ -54,6 +55,9 @@ TEST(ErasureCodec, RoundTripsAcrossProfilesAndLengths) {
       ASSERT_EQ(frags.size(), static_cast<size_t>(k + m));
       for (const auto& f : frags) {
         EXPECT_EQ(f.size(), erasure::fragment_bytes(len, k));
+        if (k == 1) {
+          EXPECT_EQ(f, data) << "(1," << m << ") len " << len;
+        }
       }
       std::vector<std::pair<int, std::vector<std::byte>>> all;
       for (int i = 0; i < k + m; ++i) all.emplace_back(i, frags[static_cast<size_t>(i)]);
@@ -104,18 +108,25 @@ TEST(ErasureCodec, MoreThanMLossesAreUnrecoverable) {
 
 TEST(ErasureCodec, CostModelPricesParityAndDecodePasses) {
   // Encode charges the parity output (m/k of the input), decode one full
-  // pass, both at kErasureBw; healthy systematic reads are free.
+  // pass, both at kErasureBw; healthy systematic reads are free. A Store
+  // ships every fragment.
   EXPECT_DOUBLE_EQ(erasure::encode_seconds(4'000'000, 4, 2),
                    4'000'000.0 * 2 / 4 / sim::params::kErasureBw);
-  EXPECT_DOUBLE_EQ(erasure::decode_seconds(4'000'000),
+  EXPECT_DOUBLE_EQ(erasure::decode_seconds(4'000'000, 4),
                    4'000'000.0 / sim::params::kErasureBw);
+  EXPECT_EQ(erasure::store_wire_bytes(4'000'001, 4, 2),
+            6 * erasure::fragment_bytes(4'000'001, 4));
+  // k = 1 is replication: no parity to compute, no decode to read any one
+  // copy, and one container on the wire.
+  EXPECT_EQ(erasure::encode_seconds(4'000'000, 1, 2), 0.0);
+  EXPECT_EQ(erasure::decode_seconds(4'000'000, 1), 0.0);
+  EXPECT_EQ(erasure::store_wire_bytes(4'000'001, 1, 2), 4'000'001u);
 }
 
 // --- placement ---------------------------------------------------------------
 
 TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
-  ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  ChunkPlacement pl(8, 4, 2);
   for (u64 i = 0; i < 100; ++i) {
     const auto homes = pl.record_store(key_of(i), 4096);
     ASSERT_EQ(homes.size(), 6u);
@@ -132,7 +143,7 @@ TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
   u64 erasure_total = 0;
   for (u64 b : per_node) erasure_total += b;
   EXPECT_EQ(erasure_total, 100u * 6 * erasure::fragment_bytes(4096, 4));
-  ChunkPlacement repl(8, 2);
+  ChunkPlacement repl(8, 1, 1);  // R=2
   for (u64 i = 0; i < 100; ++i) repl.record_store(key_of(i), 4096);
   u64 repl_total = 0;
   for (u64 b : repl.bytes_per_node()) repl_total += b;
@@ -141,8 +152,7 @@ TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
 }
 
 TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
-  ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  ChunkPlacement pl(8, 4, 2);
   const ChunkKey key = key_of(42);
   const auto homes = pl.record_store(key, 4096);
   ASSERT_EQ(homes.size(), 6u);
@@ -186,8 +196,7 @@ TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
 }
 
 TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
-  ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  ChunkPlacement pl(8, 4, 2);
   const ChunkKey key = key_of(7);
   const auto before = pl.record_store(key, 8192);
   ASSERT_EQ(before.size(), 6u);
@@ -214,8 +223,7 @@ TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
 }
 
 TEST(ErasurePlacement, CorruptFragmentsRepairInPlace) {
-  ChunkPlacement pl(8, 1);
-  pl.enable_erasure(4, 2);
+  ChunkPlacement pl(8, 4, 2);
   const ChunkKey key = key_of(3);
   const auto homes = pl.record_store(key, 4096);
   ASSERT_EQ(homes.size(), 6u);
@@ -243,6 +251,97 @@ TEST(ErasurePlacement, CorruptFragmentsRepairInPlace) {
   ASSERT_TRUE(pl.corrupt_fragment(key, 5));
   EXPECT_TRUE(pl.repair_fragments(key).empty());
   EXPECT_TRUE(pl.lost(key));
+}
+
+TEST(ErasureScrub, RepairGathersKFragmentsBeforeRewriting) {
+  // A rotten (4,2) fragment is rebuilt by the shared repair job: k clean
+  // fragments cross their NICs into the repairing node, which decodes and
+  // rewrites its fragment in place only after the last one has arrived.
+  sim::EventLoop loop;
+  sim::Network net(loop, 8);
+  ChunkStoreService svc(loop, net, {4, 2});
+  struct Charge {
+    SimTime at;
+    NodeId node;
+    u64 bytes;
+    bool is_read;
+  };
+  std::vector<Charge> charges;
+  svc.set_device_charger(
+      [&](NodeId n, u64 bytes, bool is_read, std::function<void()> done) {
+        charges.push_back({loop.now(), n, bytes, is_read});
+        loop.post_now(std::move(done));
+      });
+  SimTime cpu_at = 0, cpu_done = 0;
+  NodeId cpu_node = -1;
+  svc.set_cpu_charger([&](NodeId n, double seconds,
+                          std::function<void()> done) {
+    cpu_node = n;
+    cpu_at = loop.now();
+    cpu_done = cpu_at + from_seconds(seconds);
+    loop.post_at(cpu_done, std::move(done));
+  });
+
+  constexpr u64 kBytes = 64 * 1024;
+  const u64 frag = erasure::fragment_bytes(kBytes, 4);
+  const ChunkKey key = key_of(5);
+  ckptstore::StoreRequest store;
+  store.op = ckptstore::StoreOp::kStore;
+  store.keys = {key};
+  store.bytes = kBytes;
+  store.done = [] {};
+  svc.submit(std::move(store));
+  // The scrub walk iterates the repository index (a pattern descriptor:
+  // only real containers are CRC-checked, and this test is about rot).
+  ckptstore::Chunk c;
+  c.kind = sim::ExtentKind::kZero;
+  c.len = kBytes;
+  c.charged_bytes = kBytes;
+  svc.repo().put(key, std::move(c));
+  loop.run();
+
+  const auto homes = svc.placement().homes_of(key);
+  ASSERT_EQ(homes.size(), 6u);
+  ASSERT_TRUE(svc.corrupt_fragment(key, 2));
+  const NodeId repairer = homes[2];
+  std::vector<u64> nic_before;
+  for (NodeId n = 0; n < 8; ++n) {
+    nic_before.push_back(net.egress(n).total_submitted_bytes());
+  }
+  charges.clear();
+  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  loop.run();
+
+  EXPECT_EQ(svc.stats().scrub_repaired_fragments, 1u);
+  EXPECT_EQ(svc.stats().scrub_quarantined_chunks, 0u);
+  EXPECT_EQ(svc.placement().corrupt_mask(key), 0u);
+  // k fragments moved over the NIC, each from a clean home into the
+  // repairer; nothing left the repairer (its rewrite is local).
+  u64 nic_moved = 0;
+  SimTime last_arrival = 0;
+  for (NodeId n = 0; n < 8; ++n) {
+    const u64 sent = net.egress(n).total_submitted_bytes() -
+                     nic_before[static_cast<size_t>(n)];
+    nic_moved += sent;
+    if (sent == 0) continue;
+    EXPECT_NE(n, repairer);
+    EXPECT_EQ(sent, frag);
+    last_arrival = std::max(last_arrival, net.egress(n).busy_until() +
+                                              sim::params::kNetLatency);
+  }
+  EXPECT_EQ(nic_moved, 4 * frag);
+  // Decode at the repairer once the last source arrived, then the rewrite.
+  EXPECT_EQ(cpu_node, repairer);
+  EXPECT_GE(cpu_at, last_arrival);
+  std::vector<Charge> writes;
+  for (const auto& ch : charges) {
+    if (!ch.is_read) writes.push_back(ch);
+  }
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_EQ(writes[0].node, repairer);
+  EXPECT_EQ(writes[0].bytes, frag);
+  EXPECT_GE(writes[0].at, cpu_done);
+  EXPECT_GT(writes[0].at, last_arrival);
 }
 
 // --- end to end through the DMTCP stack -------------------------------------

@@ -43,7 +43,7 @@ ChunkKey key_of(u64 n) {
 // --- placement --------------------------------------------------------------
 
 TEST(Placement, ReplicasAreDistinctAliveNodes) {
-  ChunkPlacement pl(8, 3);
+  ChunkPlacement pl(8, 1, 2);  // R=3
   for (u64 i = 0; i < 200; ++i) {
     const auto homes = pl.place(key_of(i));
     ASSERT_EQ(homes.size(), 3u);
@@ -52,12 +52,23 @@ TEST(Placement, ReplicasAreDistinctAliveNodes) {
     for (NodeId n : homes) EXPECT_TRUE(pl.node_alive(n));
   }
   // More replicas than nodes degrades gracefully to one copy per node.
-  ChunkPlacement small(2, 5);
+  ChunkPlacement small(2, 1, 4);  // R=5
   EXPECT_EQ(small.place(key_of(1)).size(), 2u);
+  // A copy set recorded while nodes were down fills up once they return.
+  ChunkPlacement grow(3, 1, 2);  // R=3
+  grow.fail_node(1);
+  grow.fail_node(2);
+  ASSERT_EQ(grow.record_store(key_of(2), 100).size(), 1u);
+  grow.revive_node(1);
+  grow.revive_node(2);
+  EXPECT_TRUE(grow.degraded(key_of(2)));
+  EXPECT_EQ(grow.heal(key_of(2)).size(), 2u);
+  EXPECT_EQ(grow.homes_of(key_of(2)).size(), 3u);
+  EXPECT_FALSE(grow.degraded(key_of(2)));
 }
 
 TEST(Placement, RendezvousSpreadsAndIsStableUnderFailure) {
-  ChunkPlacement pl(4, 1);
+  ChunkPlacement pl(4, 1, 0);  // R=1
   std::vector<int> per_node(4, 0);
   std::vector<std::vector<NodeId>> before;
   for (u64 i = 0; i < 400; ++i) {
@@ -84,7 +95,7 @@ TEST(Placement, RendezvousSpreadsAndIsStableUnderFailure) {
 }
 
 TEST(Placement, FailoverPrefersSurvivingHomesInOrder) {
-  ChunkPlacement pl(6, 2);
+  ChunkPlacement pl(6, 1, 1);  // R=2
   // Record every key with its homes, fail two nodes, and check each
   // holder: the best surviving home when one exists, kNoHolder when both
   // replicas died with their nodes.
@@ -116,7 +127,7 @@ TEST(Placement, FailoverPrefersSurvivingHomesInOrder) {
 }
 
 TEST(Placement, ReplicaOneLosesChunksWithTheirNode) {
-  ChunkPlacement pl(4, 1);
+  ChunkPlacement pl(4, 1, 0);  // R=1
   u64 on_node1 = 0;
   for (u64 i = 0; i < 200; ++i) {
     const auto homes = pl.record_store(key_of(i), 500);
@@ -133,7 +144,7 @@ TEST(Placement, ReplicaOneLosesChunksWithTheirNode) {
 }
 
 TEST(Placement, ReplicaTwoSurvivesOneNodeFailure) {
-  ChunkPlacement pl(4, 2);
+  ChunkPlacement pl(4, 1, 1);  // R=2
   for (u64 i = 0; i < 200; ++i) pl.record_store(key_of(i), 500);
   pl.fail_node(2);
   EXPECT_EQ(pl.lost_chunks(), 0u);
@@ -200,7 +211,7 @@ void submit_drop(ChunkStoreService& svc, NodeId from, const ChunkKey& key,
 TEST(Service, LookupsAreServedFifoAndWaitsGrowWithQueueDepth) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, 1);  // one shard, one queue
+  ChunkStoreService svc(loop, net, replicated(1));  // one shard, one queue
   // Two batches submitted back to back from one node: the NIC preserves
   // their order and the shard queue serves them FIFO, so batch B completes
   // after batch A and per-lookup waits grow with queue depth.
@@ -222,7 +233,7 @@ TEST(Service, LookupsAreServedFifoAndWaitsGrowWithQueueDepth) {
 TEST(Service, LookupsTraverseTheNetwork) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, 1);
+  ChunkStoreService svc(loop, net, replicated(1));
   svc.set_endpoints({2});
   bool done = false;
   submit_lookups(svc, 0, keys_range(0, 10), [&] { done = true; });
@@ -240,7 +251,8 @@ TEST(Service, LookupsTraverseTheNetwork) {
 TEST(Service, BatchedLookupsAmortizeRpcsAndCompleteInSubmitOrder) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService batched(loop, net, 1, /*shards=*/1, /*lookup_batch=*/8);
+  ChunkStoreService batched(loop, net, replicated(1), /*shards=*/1,
+                            /*lookup_batch=*/8);
   std::vector<int> order;
   for (int wave = 0; wave < 5; ++wave) {
     submit_lookups(batched, 0, keys_range(100u * wave, 100u * wave + 24),
@@ -257,7 +269,7 @@ TEST(Service, BatchedLookupsAmortizeRpcsAndCompleteInSubmitOrder) {
 TEST(Service, StoreFetchDropAccountTheShardQueues) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, 2);
+  ChunkStoreService svc(loop, net, replicated(2));
   bool stored = false, fetched = false;
   const auto homes = submit_store(svc, 0, key_of(1), 64 * 1024,
                                       [&] { stored = true; });
@@ -286,8 +298,8 @@ TEST(Sharding, SameKeyAlwaysHitsTheSameShard) {
   sim::Network net_a(loop_a, 4), net_b(loop_b, 8);
   // Same shard count, different loops/clusters: routing is a pure function
   // of (key, shard count), so every key agrees across instances and runs.
-  ChunkStoreService a(loop_a, net_a, 1, /*shards=*/4);
-  ChunkStoreService b(loop_b, net_b, 2, /*shards=*/4);
+  ChunkStoreService a(loop_a, net_a, replicated(1), /*shards=*/4);
+  ChunkStoreService b(loop_b, net_b, replicated(2), /*shards=*/4);
   std::vector<int> population(4, 0);
   for (u64 i = 0; i < 512; ++i) {
     const int s = a.shard_of(key_of(i));
@@ -307,7 +319,7 @@ TEST(Sharding, MoreShardsCutPerLookupWaits) {
   const auto run = [](int shards) {
     sim::EventLoop loop;
     sim::Network net(loop, 4);
-    ChunkStoreService svc(loop, net, 1, shards);
+    ChunkStoreService svc(loop, net, replicated(1), shards);
     submit_lookups(svc, 0, keys_range(0, 200), [] {});
     loop.run();
     return svc.stats().avg_lookup_wait_seconds();
@@ -326,7 +338,8 @@ TEST(Sharding, JitteredRpcCompletionStillPreservesPerShardFifo) {
   sim::Network net(loop, 4);
   Rng rng(0x7177E12);
   net.set_jitter(&rng, 0.25);  // heavy multiplicative transfer noise
-  ChunkStoreService svc(loop, net, 1, /*shards=*/2, /*lookup_batch=*/4);
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2,
+                        /*lookup_batch=*/4);
   // Route every wave at a single shard so the FIFO claim is per-shard, and
   // submit from one caller so the NIC hop is ordered too.
   std::vector<ChunkKey> shard0;
@@ -350,7 +363,7 @@ TEST(Sharding, JitteredRpcCompletionStillPreservesPerShardFifo) {
 TEST(Rereplication, DaemonRestoresReplicaStrengthAfterNodeFailure) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, /*replicas=*/2, /*shards=*/2);
+  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/2);
   for (u64 i = 0; i < 120; ++i) {
     submit_store(svc, 0, key_of(i), 16 * 1024, [] {});
   }
@@ -384,10 +397,37 @@ TEST(Rereplication, DaemonRestoresReplicaStrengthAfterNodeFailure) {
   EXPECT_EQ(svc.placement().lost_chunks(), 0u);
 }
 
+TEST(Rereplication, EveryFreshCopyIsCountedWhenTwoHomesDieTogether) {
+  // R=3 on six nodes with two nodes lost at once: a chunk that had copies
+  // on both gets two fresh copies, and both are counted. Per healed chunk
+  // the heal reads one copy, then ships and writes F, so the moved bytes
+  // are exactly one copy per chunk plus twice the rewritten bytes.
+  constexpr u64 kBytes = 16 * 1024;
+  sim::EventLoop loop;
+  sim::Network net(loop, 6);
+  ChunkStoreService svc(loop, net, replicated(3));
+  for (u64 i = 0; i < 200; ++i) {
+    submit_store(svc, 0, key_of(i), kBytes, [] {});
+  }
+  loop.run();
+  svc.fail_node(1);
+  svc.fail_node(2);
+  loop.run();
+
+  const auto& st = svc.stats();
+  ASSERT_GT(st.rereplicated_chunks, 0u);
+  EXPECT_GT(st.rebuilt_fragments, st.rereplicated_chunks);  // some F = 2
+  EXPECT_EQ(st.rereplicated_bytes, st.rebuilt_fragments * kBytes);
+  EXPECT_EQ(st.heal_moved_bytes,
+            st.rereplicated_chunks * kBytes + 2 * st.rereplicated_bytes);
+  EXPECT_EQ(svc.placement().degraded_count(), 0u);
+  EXPECT_EQ(svc.placement().lost_chunks(), 0u);
+}
+
 TEST(Rereplication, SingleReplicaStoresHaveNothingToHeal) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, /*replicas=*/1);
+  ChunkStoreService svc(loop, net, replicated(1));
   for (u64 i = 0; i < 50; ++i) {
     submit_store(svc, 0, key_of(i), 4 * 1024, [] {});
   }
@@ -673,6 +713,50 @@ TEST(ServiceE2E, ScrubReportsCorruptAndMissingChunks) {
   w.ctl.run_for(200 * timeconst::kMillisecond);  // the pass drains async
   EXPECT_EQ(svc.stats().scrub_corrupt_chunks, corrupt_before + 1);
   EXPECT_GT(svc.stats().scrub_missing_chunks, 0u);
+}
+
+TEST(ServiceE2E, ScrubRepairsARottenReplicaFromItsCleanSibling) {
+  // Rot one copy of an R=2 chunk. Replication is the (1,1) code, so the
+  // scrubber repairs the copy in place from its clean sibling instead of
+  // quarantining the chunk, and a restart restores the same bytes.
+  World w(4, service_opts(/*replicas=*/2));
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 1024 * 1024, 0xDD);
+  w.ctl.checkpoint_now();
+  const auto ballast_crc = [&] {
+    for (const Pid pid : w.k().live_pids()) {
+      const sim::MemSegment* seg =
+          w.k().find_process(pid)->mem().find("ballast");
+      if (seg != nullptr) return seg->data.content_crc();
+    }
+    return u32{0};
+  };
+  const u32 before = ballast_crc();
+
+  auto& svc = *w.ctl.shared().store_service;
+  const ChunkKey victim =
+      svc.repo().chunks_after(ChunkKey{}, 1).front().first;
+  const NodeId rotten_home = svc.placement().homes_of(victim).front();
+  ASSERT_TRUE(svc.corrupt_fragment(victim, 0));
+  EXPECT_TRUE(svc.placement().available(victim));
+  EXPECT_NE(svc.placement().holder(victim), rotten_home);
+
+  const auto st0 = svc.stats();
+  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  w.ctl.run_for(200 * timeconst::kMillisecond);
+  EXPECT_EQ(svc.stats().scrub_repaired_fragments,
+            st0.scrub_repaired_fragments + 1);
+  EXPECT_EQ(svc.stats().scrub_quarantined_chunks,
+            st0.scrub_quarantined_chunks);
+  EXPECT_EQ(svc.placement().corrupt_mask(victim), 0u);
+  EXPECT_EQ(svc.placement().holder(victim), rotten_home);
+
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  EXPECT_FALSE(rr.needs_restore);
+  EXPECT_EQ(rr.procs, 1);
+  EXPECT_EQ(ballast_crc(), before);
 }
 
 // --- cluster-shape option validation ----------------------------------------

@@ -205,7 +205,7 @@ StoreRequest store_req(ckptstore::TenantId tenant, NodeId from,
 TEST(TenantService, IdenticalChunksFromTwoTenantsStoreOnce) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, 1);
+  ChunkStoreService svc(loop, net, replicated(1));
   const ChunkKey lib = key_of(42);
   const auto first = svc.submit(store_req(1, 0, lib, 64 * 1024));
   ASSERT_FALSE(first.targets.empty());  // tenant 1 physically stores it
@@ -222,7 +222,7 @@ TEST(TenantService, IdenticalChunksFromTwoTenantsStoreOnce) {
 TEST(TenantService, AdmissionControlHoldsOverBudgetStoresAtTheEdge) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, 1);
+  ChunkStoreService svc(loop, net, replicated(1));
   svc.tenants().configure(
       1, ckptstore::TenantConfig{1.0, /*budget=*/100 * 1000, 0, 0});
   int done = 0;
@@ -266,7 +266,7 @@ std::pair<double, double> restart_vs_storm(bool fair_queueing) {
   // Batched lookups (16 keys/RPC) make each queue item carry real index
   // occupancy, so the storm builds an actual backlog at the shard instead
   // of trickling in at the RPC dispatch rate.
-  ChunkStoreService svc(loop, net, /*replicas=*/1, /*shards=*/1,
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1,
                         /*lookup_batch=*/16);
   svc.set_fair_queueing(fair_queueing);
   // Tenant 2 stores the chunk it will later fetch; let it settle.

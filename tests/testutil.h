@@ -15,6 +15,7 @@
 #include "ckptstore/cdc.h"
 #include "ckptstore/erasure.h"
 #include "ckptstore/manifest.h"
+#include "ckptstore/service.h"
 #include "compress/compressor.h"
 #include "core/launch.h"
 #include "sim/model_params.h"
@@ -52,14 +53,19 @@ inline ckptstore::ChunkingParams cdc_params(
   return p;
 }
 
+/// The chunk-store profile of --chunk-replicas `r`: the (1, r-1) code.
+inline ckptstore::ChunkStoreService::ErasureConfig replicated(int r) {
+  return {1, r - 1};
+}
+
 /// The encode CPU a synchronous chunk-store round charged as one serial job
 /// per writer — summed over writers — and the new chunks it covered, for
 /// the first round into an empty store (so every key the manifests name is
 /// one new chunk). The codec share is the gzip-class content-class model
-/// over the round's new bytes; `erasure_k` > 0 adds the (k,m) parity
-/// stripe over their stored bytes.
+/// over the round's new bytes, plus the (erasure_k, erasure_m) parity
+/// stripe over their stored bytes (none at the default k = 1).
 inline std::pair<double, u64> first_round_serial_encode(
-    core::DmtcpControl& ctl, compress::CodecKind codec, int erasure_k = 0,
+    core::DmtcpControl& ctl, compress::CodecKind codec, int erasure_k = 1,
     int erasure_m = 0) {
   std::set<ckptstore::ChunkKey> seen;
   u64 zero = 0, other = 0, stored = 0;
@@ -79,13 +85,11 @@ inline std::pair<double, u64> first_round_serial_encode(
       }
     }
   }
-  double seconds =
+  const double seconds =
       compress::codec_cost_factor(codec) *
-      (static_cast<double>(zero) / sim::params::kGzipZeroBw +
-       static_cast<double>(other) / sim::params::kGzipDataBw);
-  if (erasure_k > 0) {
-    seconds += ckptstore::erasure::encode_seconds(stored, erasure_k, erasure_m);
-  }
+          (static_cast<double>(zero) / sim::params::kGzipZeroBw +
+           static_cast<double>(other) / sim::params::kGzipDataBw) +
+      ckptstore::erasure::encode_seconds(stored, erasure_k, erasure_m);
   return {seconds, seen.size()};
 }
 

@@ -429,8 +429,11 @@ def check_erasure(path, data):
             f"rebuild per_chunk_ratio={rb_ratio}: fragment rebuild must "
             "move fewer bytes per healed chunk than an R=2 full re-store",
         )
-    if data["rebuild"].get("erasure_post_heal_lost_chunks", 0) != 0:
-        rc |= fail(path, "chunks were lost during the erasure rebuild")
+    # Both arms run the one heal path (replication is the k=1 code), and
+    # neither may lose a chunk while it heals.
+    for arm in ("erasure", "replication"):
+        if data["rebuild"].get(f"{arm}_post_heal_lost_chunks", 0) != 0:
+            rc |= fail(path, f"chunks were lost during the {arm} rebuild")
     # The cold tier actually demoted something and the wider-striped store
     # still restarts.
     if data["tiering"]["demoted_chunks"] <= 0:
