@@ -65,6 +65,22 @@ std::vector<std::byte> Chunk::materialize(compress::CodecKind codec) const {
   DSIM_UNREACHABLE("bad chunk kind");
 }
 
+std::shared_ptr<const std::vector<std::byte>> Chunk::decoded(
+    compress::CodecKind codec) const {
+  DSIM_CHECK_MSG(kind == sim::ExtentKind::kReal && stored != nullptr,
+                 "only a stored real chunk has a decode");
+  if (decoded_ == nullptr || decoded_from_ != stored ||
+      decoded_codec_ != codec) {
+    // Built as a non-const vector: once the cache lets go, the last
+    // ByteImage holding it may write it in place (byte_image.cc).
+    decoded_ = std::make_shared<std::vector<std::byte>>(
+        compress::codec(codec).decompress(*stored));
+    decoded_from_ = stored;
+    decoded_codec_ = codec;
+  }
+  return decoded_;
+}
+
 std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img,
                                    u64 chunk_bytes) {
   DSIM_CHECK_MSG(chunk_bytes > 0 && (chunk_bytes & (chunk_bytes - 1)) == 0,

@@ -83,6 +83,13 @@ struct ChunkRef {
 /// generation referencing the same key); pattern chunks carry only their
 /// descriptor, with the device cost estimated from measured codec ratios
 /// the same way the full-image encoder charges ballast extents.
+///
+/// A real chunk also keeps the verified decode of its container once a
+/// restart has asked for it (decoded()): every later restart of any
+/// process referencing the key adopts the same bytes instead of
+/// decompressing and copying them again. The chunk owns that cache as a
+/// strong reference, so it is freed with the chunk (GC, or the re-store
+/// after quarantine), not when the last restored process lets go.
 struct Chunk {
   sim::ExtentKind kind = sim::ExtentKind::kReal;
   u64 len = 0;
@@ -97,8 +104,25 @@ struct Chunk {
   std::shared_ptr<const std::vector<std::byte>> stored;
 
   /// Materialize the full virtual content (decompresses real chunks,
-  /// synthesizes pattern chunks).
+  /// synthesizes pattern chunks). Never cached: the scrubber verifies
+  /// through this, and pinning every scrubbed chunk's bytes would buy
+  /// nothing.
   std::vector<std::byte> materialize(compress::CodecKind codec) const;
+
+  /// Real chunks only: the content of `stored`, decompressed and verified
+  /// against the container's CRC-32 on first use and shared after that.
+  /// The cache is keyed on the container it decoded and on `codec`, so
+  /// replacing `stored` (a re-store, or a test rotting the chunk) decodes
+  /// the new container on the next call. The buffer is shared with every
+  /// ByteImage that adopted it; ByteImage never writes a shared buffer in
+  /// place, so it stays the container's content for as long as it lives.
+  std::shared_ptr<const std::vector<std::byte>> decoded(
+      compress::CodecKind codec) const;
+
+ private:
+  mutable std::shared_ptr<const std::vector<std::byte>> decoded_;
+  mutable std::shared_ptr<const std::vector<std::byte>> decoded_from_;
+  mutable compress::CodecKind decoded_codec_ = compress::CodecKind::kNone;
 };
 
 /// One chunk-to-be of a segment scan, before repository lookup. `kind` is a

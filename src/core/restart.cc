@@ -136,10 +136,12 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
     auto container = inode->data.materialize(0, inode->data.size());
     LoadedImage li;
     if (ckptstore::Manifest::is_manifest(container)) {
-      // Delta restart: materialize the image from the generation manifest
-      // plus the chunk repository, verifying every chunk's CRC. The read
-      // cost is the manifest plus every referenced chunk — the full image
-      // worth of stored bytes, not just this generation's delta.
+      // Delta restart: rebuild the image from the generation manifest plus
+      // the chunk repository, checking every chunk against the manifest's
+      // length and CRC. Real chunks adopt the repository's verified decode
+      // (decoded once per container on the host, shared by every restart),
+      // but the read cost is still the manifest plus every referenced
+      // chunk, and each chunk's decode CPU is still charged below.
       const auto mf = ckptstore::Manifest::decode(container);
       // Same helper dmtcp_checkpoint validates its flags with: a manifest
       // recording impossible chunking parameters is corrupt, and failing

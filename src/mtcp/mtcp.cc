@@ -296,16 +296,18 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
       }
       reads += c->charged_bytes;
       if (c->kind == ExtentKind::kReal) {
-        // materialize verified the content against the container's header
-        // CRC, so comparing that CRC with the manifest's checks the content.
-        auto content = c->materialize(codec);
-        if (content.size() != ref.len ||
+        // decoded() verified the content against the container's header CRC
+        // when it decompressed this container, so comparing that CRC with
+        // the manifest's checks the content. The segment adopts the chunk's
+        // shared buffer: no decompress or copy after the first restore.
+        auto content = c->decoded(codec);
+        if (content->size() != ref.len ||
             compress::container_crc(*c->stored) != ref.crc) {
           return fail("restart: corrupted chunk " + ref.key.str() +
                       " in segment '" + sm.name + "' @" +
                       std::to_string(off) + ": content CRC mismatch");
         }
-        si.data.write(off, content);
+        si.data.adopt(off, std::move(content));
       } else {
         // Rand keys bake the origin offset in (rand_key), so a matching
         // chunk always refills at the position its content was generated

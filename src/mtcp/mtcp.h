@@ -114,6 +114,13 @@ EncodedDelta encode_incremental(const ProcessImage& img,
 /// device bytes a restart must fetch for every referenced chunk (the
 /// manifest file itself is charged by the caller); `decode_seconds` the
 /// decompression CPU cost, as with decode().
+///
+/// Real chunks are restored zero-copy: each segment range adopts the
+/// chunk's Chunk::decoded() buffer, so a container is decompressed and
+/// CRC-verified once, before its bytes are first restored, and every later
+/// restart shares the verified bytes. The length and manifest-CRC checks
+/// run on every call, and `decode_seconds` still charges every chunk's
+/// decode: the host cache saves host time only, never simulated time.
 ProcessImage decode_incremental(const ckptstore::Manifest& mf,
                                 const ckptstore::Repository& repo,
                                 double* decode_seconds, u64* read_bytes,

@@ -72,6 +72,11 @@ void ByteImage::write(u64 off, std::span<const std::byte> bytes) {
   notify(off, bytes.size());
 
   // Fast path: the range lies within a single uniquely-owned real extent.
+  // use_count() == 1 is the invariant every shared buffer relies on: a
+  // buffer another image, a snapshot or a chunk's decode cache
+  // (ckptstore::Chunk::decoded, adopted on restart) also holds is never
+  // written here, only replaced below. Buffers are created non-const, so
+  // writing the sole owner's copy through the cast is sound.
   auto it = ext_.upper_bound(off);
   DSIM_CHECK(it != ext_.begin());
   --it;
@@ -89,6 +94,17 @@ void ByteImage::write(u64 off, std::span<const std::byte> bytes) {
                                                        bytes.end());
   replace_range(off, bytes.size(),
                 Extent{bytes.size(), ExtentKind::kReal, 0, std::move(data), 0});
+}
+
+void ByteImage::adopt(u64 off,
+                      std::shared_ptr<const std::vector<std::byte>> buffer) {
+  DSIM_CHECK(buffer != nullptr);
+  const u64 len = buffer->size();
+  if (len == 0) return;
+  DSIM_CHECK_MSG(off + len <= size_, "ByteImage adopt out of range");
+  notify(off, len);
+  replace_range(off, len,
+                Extent{len, ExtentKind::kReal, 0, std::move(buffer), 0});
 }
 
 void ByteImage::fill(u64 off, u64 len, ExtentKind kind, u64 seed) {

@@ -86,6 +86,13 @@ class ByteImage {
 
   /// Overwrite [off, off+bytes.size()) with real bytes.
   void write(u64 off, std::span<const std::byte> bytes);
+  /// Overwrite [off, off+buffer->size()) with `buffer` itself, without
+  /// copying it: the range becomes one real extent sharing the buffer with
+  /// whoever else holds it. A shared buffer is never written in place (a
+  /// later write() copies first), so other holders keep seeing their bytes.
+  /// Once this image is the last holder it may write the buffer in place,
+  /// so `buffer` must have been allocated as a non-const vector.
+  void adopt(u64 off, std::shared_ptr<const std::vector<std::byte>> buffer);
   /// Read [off, off+out.size()) into `out`, materializing patterns.
   void read(u64 off, std::span<std::byte> out) const;
   /// Replace [off, off+len) with a pattern extent.

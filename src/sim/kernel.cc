@@ -127,6 +127,12 @@ void Kernel::process_exit(Process& p) {
   auto entries = p.fds().entries();
   p.fds().clear();
   for (auto& [fd, of] : entries) release_description(std::move(of));
+  // Release the address space: a zombie keeps only its exit status, so a
+  // killed incarnation's memory is freed now rather than when the run
+  // ends. Shared segments live on through their other mappers, and the
+  // async checkpoint pipeline holds its own references to the segments
+  // it is still draining.
+  p.mem().clear();
   p.set_state(ProcState::kZombie);
   Process* parent = find_process(p.ppid());
   if (parent && parent->state() == ProcState::kRunning) {

@@ -77,6 +77,30 @@ TEST(ByteImage, ResizeGrowsWithZeros) {
   EXPECT_EQ(img.materialize(4, 1)[0], std::byte{0xEE});
 }
 
+TEST(ByteImage, AdoptSharesTheBufferAndReportsItsRange) {
+  struct Recorder : ByteImage::WriteObserver {
+    std::vector<std::pair<u64, u64>> seen;
+    void on_mutate(u64 off, u64 len) override { seen.emplace_back(off, len); }
+  } rec;
+  ByteImage img(4096);
+  img.set_write_observer(&rec);
+  auto buf = std::make_shared<std::vector<std::byte>>(100, std::byte{0x5A});
+  img.adopt(1000, buf);
+  // The COW tracker sees the adopted range like any other mutation.
+  ASSERT_EQ(rec.seen.size(), 1u);
+  EXPECT_EQ(rec.seen[0], (std::pair<u64, u64>{1000, 100}));
+  // Zero-copy: the range is one extent holding the buffer itself.
+  int holders = 0;
+  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+    if (e.data.get() != buf.get()) return;
+    ++holders;
+    EXPECT_EQ(off, 1000u);
+    EXPECT_EQ(e.len, 100u);
+  });
+  EXPECT_EQ(holders, 1);
+  EXPECT_EQ(img.materialize(999, 102)[1], std::byte{0x5A});
+}
+
 class ByteImageFuzz : public ::testing::TestWithParam<u64> {};
 
 TEST_P(ByteImageFuzz, MatchesReferenceVector) {
@@ -84,10 +108,15 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
   const u64 size = 1 + rng.next_below(200000);
   ByteImage img(size);
   std::vector<std::byte> ref(size, std::byte{0});
+  // Every adopted buffer, kept alive here with a copy of its bytes: later
+  // writes over its range must copy it, never write it in place.
+  std::vector<std::pair<std::shared_ptr<const std::vector<std::byte>>,
+                        std::vector<std::byte>>>
+      adopted;
   for (int op = 0; op < 120; ++op) {
     const u64 off = rng.next_below(size);
     const u64 len = std::min<u64>(1 + rng.next_below(5000), size - off);
-    switch (rng.next_below(3)) {
+    switch (rng.next_below(4)) {
       case 0: {  // write real bytes
         std::vector<std::byte> data(len);
         for (auto& b : data) b = static_cast<std::byte>(rng.next_u64());
@@ -109,11 +138,22 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
         }
         break;
       }
+      case 3: {  // adopt a shared buffer, zero-copy
+        auto buf = std::make_shared<std::vector<std::byte>>(len);
+        for (auto& b : *buf) b = static_cast<std::byte>(rng.next_u64());
+        std::copy(buf->begin(), buf->end(), ref.begin() + off);
+        adopted.emplace_back(buf, *buf);
+        img.adopt(off, buf);
+        break;
+      }
     }
   }
   auto out = img.materialize(0, size);
   ASSERT_TRUE(std::equal(out.begin(), out.end(), ref.begin()))
       << "divergence from reference model";
+  for (const auto& [buf, bytes] : adopted) {
+    EXPECT_EQ(*buf, bytes) << "an adopted buffer was written in place";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteImageFuzz,

@@ -280,6 +280,28 @@ TEST(CkptStore, DeltaDecodeEqualsFullDecode) {
   EXPECT_GT(reads, 0u);
   expect_images_equal(full, inc);
   expect_images_equal(img, inc);
+
+  // A second restore decodes nothing: every real extent shares the buffer
+  // the first restore adopted from the chunk's decode cache.
+  auto again = mtcp::decode_incremental(mf, repo, nullptr, nullptr, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  expect_images_equal(img, again);
+  const auto real_buffers = [](const ByteImage& data) {
+    std::vector<std::pair<u64, const std::vector<std::byte>*>> out;
+    data.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+      if (e.kind == ExtentKind::kReal) out.emplace_back(off, e.data.get());
+    });
+    return out;
+  };
+  ASSERT_EQ(again.segments.size(), inc.segments.size());
+  size_t shared = 0;
+  for (size_t s = 0; s < inc.segments.size(); ++s) {
+    const auto first = real_buffers(inc.segments[s].data);
+    EXPECT_EQ(real_buffers(again.segments[s].data), first)
+        << "segment " << inc.segments[s].name;
+    shared += first.size();
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 // --- GC ----------------------------------------------------------------------
@@ -422,6 +444,14 @@ TEST(CkptStore, CorruptedChunkIsDetectedOnRestore) {
                                         "7", 0, repo);
   const auto mf = ckptstore::Manifest::decode(delta.manifest_bytes);
 
+  // A clean restore first: it fills every real chunk's decode cache, which
+  // the rot below must invalidate.
+  std::string err;
+  const auto clean =
+      mtcp::decode_incremental(mf, repo, nullptr, nullptr, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  expect_images_equal(img, clean);
+
   // Rot one real chunk: same length, wrong content.
   const ckptstore::ChunkRef* victim = nullptr;
   for (const auto& ref : mf.segments[0].chunks) {
@@ -437,11 +467,12 @@ TEST(CkptStore, CorruptedChunkIsDetectedOnRestore) {
   chunk->stored = std::make_shared<const std::vector<std::byte>>(
       compress::codec(codec).compress(pseudo_bytes(victim->len, 0xBAD)));
 
-  std::string err;
   auto out = mtcp::decode_incremental(mf, repo, nullptr, nullptr, &err);
   ASSERT_FALSE(err.empty());
   EXPECT_NE(err.find("corrupted chunk"), std::string::npos);
   EXPECT_NE(err.find(victim->key.str()), std::string::npos);
+  // The replaced container was decoded afresh, not served from the cache.
+  EXPECT_EQ(*chunk->decoded(codec), pseudo_bytes(victim->len, 0xBAD));
 }
 
 TEST(ImageIntegrity, WholeImageCrcCatchesBitRot) {

@@ -97,9 +97,21 @@ TEST(DmtcpBasic, KillAndRestartCompletesIdentically) {
   w.ctl.launch(1, kPingClient, {"0", "9000", "300", "1024", "9", "cli"});
   w.ctl.run_for(30 * timeconst::kMillisecond);
   w.ctl.checkpoint_now();
+  const std::vector<Pid> before = w.k().live_pids();
   w.ctl.kill_computation();
   // Nothing should finish while dead.
   EXPECT_TRUE(read_result(w.k(), "srv").empty());
+  // A killed incarnation keeps only its exit status: its memory is
+  // released at exit, not held until the run ends.
+  int killed = 0;
+  for (const Pid pid : before) {
+    sim::Process* p = w.k().find_process(pid);
+    ASSERT_NE(p, nullptr);
+    if (p->state() == sim::ProcState::kRunning) continue;
+    ++killed;
+    EXPECT_TRUE(p->mem().segments().empty()) << "pid " << pid;
+  }
+  EXPECT_GE(killed, 2);
   const auto& rr = w.ctl.restart();
   EXPECT_EQ(rr.procs, 2);
   ASSERT_TRUE(w.run_until_results({"srv", "cli"}));

@@ -15,10 +15,12 @@
 #include "ckptstore/placement.h"
 #include "ckptstore/service.h"
 #include "core/launch.h"
+#include "mtcp/image.h"
 #include "sim/cluster.h"
 #include "sim/model_params.h"
 #include "tests/testprogs.h"
 #include "tests/testutil.h"
+#include "util/serialize.h"
 
 namespace dsim::test {
 namespace {
@@ -417,12 +419,23 @@ TEST(ErasureE2E, RestartSurvivesMNodeLossesViaDegradedReads) {
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
 }
 
-/// content_crc() of every live process's ballast, keyed by its result name.
-std::map<std::string, u32> ballast_crcs(World& w) {
+/// The live process whose result name (last argv entry) is `name`.
+sim::Process* live_process(World& w, const std::string& name) {
+  for (const Pid pid : w.k().live_pids()) {
+    sim::Process* p = w.k().find_process(pid);
+    if (!p->argv().empty() && p->argv().back() == name) return p;
+  }
+  return nullptr;
+}
+
+/// content_crc() of segment `seg_name` in every live process that maps it,
+/// keyed by the process's result name.
+std::map<std::string, u32> segment_crcs(World& w,
+                                        const std::string& seg_name) {
   std::map<std::string, u32> out;
   for (const Pid pid : w.k().live_pids()) {
     sim::Process* p = w.k().find_process(pid);
-    const sim::MemSegment* seg = p->mem().find("ballast");
+    const sim::MemSegment* seg = p->mem().find(seg_name);
     if (seg != nullptr) out[p->argv().back()] = seg->data.content_crc();
   }
   return out;
@@ -445,7 +458,7 @@ TEST(ErasureE2E, StreamedRestartOverlapsDecodeAtZeroOneTwoLosses) {
     add_ballast(w, pa, 4 * 1024 * 1024, 0xAA);
     add_ballast(w, pb, 4 * 1024 * 1024, 0xBB);
     w.ctl.checkpoint_now();
-    const auto before = ballast_crcs(w);
+    const auto before = segment_crcs(w, "ballast");
     ASSERT_EQ(before.size(), 2u);
 
     auto& svc = *w.ctl.shared().store_service;
@@ -456,8 +469,82 @@ TEST(ErasureE2E, StreamedRestartOverlapsDecodeAtZeroOneTwoLosses) {
     EXPECT_EQ(rr.procs, kHosts);
     EXPECT_LE(rr.peak_decode_jobs, sim::params::kCoresPerNode);
     EXPECT_LT(rr.total_seconds(), rr.decode_cpu_seconds / kHosts);
-    EXPECT_EQ(ballast_crcs(w), before);
+    EXPECT_EQ(segment_crcs(w, "ballast"), before);
   }
+}
+
+TEST(ErasureE2E, RepeatedRestartsShareEachChunksVerifiedDecode) {
+  // Two kill/restart cycles from one (4,2) gzip checkpoint restore the same
+  // bytes, and the second decodes nothing on the host: every real extent of
+  // a rank's restored heap is its chunk's decode cache, adopted in place of
+  // a decompressed copy.
+  DmtcpOptions o = erasure_opts(4, 2);
+  o.codec = compress::CodecKind::kGzipish;
+  World w(8, o);
+  constexpr u64 kHeap = 512 * 1024;
+  const std::vector<Pid> pids = {
+      w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"}),
+      w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"})};
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    auto& seg = w.k().find_process(pids[i])->mem().add(
+        "private", sim::MemKind::kHeap, kHeap);
+    seg.data.write(0, pseudo_bytes(kHeap, 0xD0 + i));
+  }
+  w.ctl.checkpoint_now();
+  const auto before = segment_crcs(w, "private");
+  ASSERT_EQ(before.size(), 2u);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    w.ctl.kill_computation();
+    const auto& rr = w.ctl.restart();
+    ASSERT_FALSE(rr.needs_restore);
+    ASSERT_EQ(rr.procs, 2);
+    EXPECT_EQ(segment_crcs(w, "private"), before);
+  }
+
+  size_t checked = 0;
+  for (const auto& host : w.ctl.read_restart_plan().hosts) {
+    const ckptstore::Repository& repo = w.ctl.shared().repo_for(host.host);
+    for (const auto& path : host.images) {
+      auto inode = w.k().fs_for(host.host, path).lookup(path);
+      const auto mf = ckptstore::Manifest::decode(
+          inode->data.materialize(0, inode->data.size()));
+      const auto codec = static_cast<compress::CodecKind>(mf.codec);
+      ByteReader r(mf.meta_blob);
+      const auto meta = mtcp::ProcessImage::deserialize_meta(r);
+      sim::Process* p = live_process(w, meta.argv.back());
+      ASSERT_NE(p, nullptr) << meta.argv.back();
+      const sim::MemSegment* seg = p->mem().find("private");
+      ASSERT_NE(seg, nullptr);
+      std::map<u64, const sim::ByteImage::Extent*> real;
+      seg->data.for_each_extent([&](u64 off, const sim::ByteImage::Extent& e) {
+        if (e.kind == ExtentKind::kReal) real.emplace(off, &e);
+      });
+      for (const auto& sm : mf.segments) {
+        if (sm.name != "private") continue;
+        u64 off = 0;
+        size_t real_chunks = 0;
+        for (const auto& ref : sm.chunks) {
+          const ckptstore::Chunk* c = repo.find(ref.key);
+          ASSERT_NE(c, nullptr);
+          if (c->kind == ExtentKind::kReal) {
+            ++real_chunks;
+            auto it = real.find(off);
+            ASSERT_NE(it, real.end()) << "@" << off;
+            EXPECT_EQ(it->second->data.get(), c->decoded(codec).get())
+                << "@" << off;
+            EXPECT_EQ(it->second->data_off, 0u);
+            EXPECT_EQ(it->second->len, ref.len);
+          }
+          off += ref.len;
+        }
+        EXPECT_EQ(real_chunks, real.size());
+        checked += real_chunks;
+      }
+    }
+  }
+  EXPECT_GT(checked, 2u * kHeap / o.cdc_max_bytes);
 }
 
 TEST(ErasureE2E, StreamedWriteStripesEachChunkOnTheWritersPool) {
