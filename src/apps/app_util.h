@@ -7,9 +7,11 @@
 // effects. These helpers make that contract mechanical.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "sim/pctx.h"
+#include "util/rng.h"
 
 namespace dsim::apps {
 
@@ -86,6 +88,21 @@ Task<void> write_result(sim::ProcessCtx& ctx, const std::string& name,
 /// Deterministic fill for message payloads: byte j of message i under seed.
 inline u8 payload_byte(u64 seed, u64 i, u64 j) {
   return static_cast<u8>(mix_seed(seed, i, j) & 0xFF);
+}
+
+/// Message i under seed, whole: out[j] == payload_byte(seed, i, j). The two
+/// rounds of mix_seed that mix seed and i do not depend on j, so they run
+/// once; the seed and index arrive by value, so no store into `out` can
+/// alias them and the loop stays in registers.
+inline void fill_payload(std::span<std::byte> out, u64 seed, u64 i) {
+  u64 s = seed;
+  u64 h = splitmix64(s);
+  s ^= i + 0x632be59bd9b4e019ULL;
+  h ^= splitmix64(s);
+  for (u64 j = 0; j < out.size(); ++j) {
+    u64 sj = s ^ (j + 0x9e3779b97f4a7c15ULL);
+    out[j] = static_cast<std::byte>((h ^ splitmix64(sj)) & 0xFF);
+  }
 }
 
 }  // namespace dsim::apps

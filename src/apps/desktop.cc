@@ -114,9 +114,7 @@ Task<int> desktop_main(sim::ProcessCtx& ctx) {
   std::vector<std::byte> host(4096);
   while (iters == 0 || s.i < iters) {
     co_await ctx.cpu_chunked(300e-6, 0);
-    for (u64 j = 0; j < host.size(); ++j) {
-      host[j] = static_cast<std::byte>(payload_byte(s.acc, s.i, j));
-    }
+    fill_payload(host, s.acc, s.i);
     work.seg->data.write(work.off + (s.i % 16) * 4096, host);
     s.acc = mix_seed(s.acc, s.i);
     s.i++;

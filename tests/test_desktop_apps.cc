@@ -3,6 +3,7 @@
 // the multi-process profiles restore their co-processes and ptys.
 #include <gtest/gtest.h>
 
+#include "apps/app_util.h"
 #include "apps/desktop.h"
 #include "core/launch.h"
 #include "sim/cluster.h"
@@ -60,6 +61,21 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n;
     });
+
+TEST(DesktopApps, FillPayloadMatchesPayloadByte) {
+  // The desktop loop's whole-message fill must be payload_byte, byte for
+  // byte: restored and reference runs compare results built from it.
+  for (u64 seed : {0ull, 1ull, 0xDEADBEEFull, ~0ull}) {
+    for (u64 i : {0ull, 1ull, 31000ull, ~0ull}) {
+      std::vector<std::byte> out(4096 + 3);
+      apps::fill_payload(out, seed, i);
+      for (u64 j = 0; j < out.size(); ++j) {
+        ASSERT_EQ(static_cast<u8>(out[j]), apps::payload_byte(seed, i, j))
+            << "seed " << seed << " i " << i << " j " << j;
+      }
+    }
+  }
+}
 
 TEST(DesktopApps, MultiThreadedProfileRestoresWorkers) {
   DeskWorld w;
