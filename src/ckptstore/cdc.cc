@@ -46,9 +46,8 @@ void check_params(const ChunkingParams& p) {
 /// `h = (h << 1) + gear[byte]` depends only on the last ~64 bytes, so a
 /// byte insertion perturbs cutpoints for at most one window before they
 /// resynchronize with the pre-insertion boundaries. The scan is strictly
-/// sequential, so the run is materialized in bounded windows — peak
-/// memory stays O(max_bytes) however large the run (the fixed scanner's
-/// property, preserved).
+/// sequential, so the run is materialized in small blocks — peak memory
+/// stays O(kScanBlock) however large the run.
 ///
 /// Plain CDC tests one mask (avg - 1). FastCDC mode normalizes the size
 /// distribution with two: below the target a stricter mask (two extra
@@ -56,8 +55,21 @@ void check_params(const ChunkingParams& p) {
 /// (two fewer bits → cuts 4x likelier) pulls the tail in before the hard
 /// max cut. Both masks are functions of window content and distance from
 /// the last cut only, so resynchronization is preserved.
+///
+/// The state (h, and the length since the cut) resets at every cut, so
+/// the span cut from a cut depends on that span's bytes alone. A previous
+/// span that starts at the current cut, covers no dirty byte and was itself
+/// cut by the hash (the next previous span is real, so the run went on) is
+/// therefore the span this scan would cut again, as is a previous run's
+/// final span that ends where this run ends; either is repeated unread.
+/// Everywhere else — from the previous cut before each dirty range until
+/// the scan cuts at a previous cut beyond it — the bytes are read and
+/// hashed. With no prior nothing repeats and the whole run is hashed.
 void cut_real_run(const ByteImage& img, u64 run_off, u64 run_len,
-                  const ChunkingParams& p, std::vector<ChunkSpan>& out) {
+                  const ChunkingParams& p, const PriorScan& prior,
+                  PriorCursor& cursor, std::vector<ChunkSpan>& out,
+                  std::vector<u32>* from) {
+  constexpr u64 kScanBlock = 4096;
   const auto& g = gear();
   const bool normalized = p.mode == ChunkingMode::kFastCdc;
   const u64 mask_pre =
@@ -65,36 +77,56 @@ void cut_real_run(const ByteImage& img, u64 run_off, u64 run_len,
   const u64 mask_post =
       normalized ? (std::max<u64>(p.avg_bytes / 4, 1) - 1)
                  : (p.avg_bytes - 1);
-  const u64 window = std::max<u64>(4 * p.max_bytes, 256 * 1024);
+  const u64 run_end = run_off + run_len;
   std::vector<std::byte> buf;
-  u64 buf_base = 0;  // run-relative offset buf[0] corresponds to
-  u64 start = 0;
-  u64 h = 0;
-  for (u64 i = 0; i < run_len; ++i) {
-    if (i >= buf_base + buf.size()) {
-      buf_base = i;
-      buf = img.materialize(run_off + i, std::min(window, run_len - i));
+  u64 buf_off = 0;  // image offset of buf[0]
+  u64 cut = run_off;
+  while (cut < run_end) {
+    const u32 j = cursor.clean_span_at(cut);
+    if (j != kFreshSpan) {
+      const ChunkSpan& old = prior.spans[j];
+      const u64 old_end = old.off + old.len;
+      const bool hash_cut = j + 1 < prior.spans.size() &&
+                            prior.spans[j + 1].kind == ExtentKind::kReal;
+      if (old.kind == ExtentKind::kReal && old_end <= run_end &&
+          (hash_cut || old_end == run_end)) {
+        out.push_back(old);
+        if (from != nullptr) from->push_back(j);
+        cut = old_end;
+        continue;
+      }
     }
-    h = (h << 1) + g[static_cast<u8>(buf[i - buf_base])];
-    const u64 len = i + 1 - start;
-    const u64 mask = len < p.avg_bytes ? mask_pre : mask_post;
-    if (len >= p.max_bytes || (len >= p.min_bytes && (h & mask) == 0)) {
-      out.push_back(ChunkSpan{run_off + start, len, ExtentKind::kReal, 0});
-      start = i + 1;
-      h = 0;
+    u64 h = 0;
+    u64 i = cut;
+    for (;;) {
+      if (i >= buf_off + buf.size()) {
+        buf_off = i;
+        buf.resize(std::min(kScanBlock, run_end - i));
+        img.read(i, buf);
+      }
+      h = (h << 1) + g[static_cast<u8>(buf[i - buf_off])];
+      const u64 len = ++i - cut;
+      const u64 mask = len < p.avg_bytes ? mask_pre : mask_post;
+      if (i == run_end || len >= p.max_bytes ||
+          (len >= p.min_bytes && (h & mask) == 0)) {
+        break;
+      }
     }
-  }
-  if (start < run_len) {
-    out.push_back(
-        ChunkSpan{run_off + start, run_len - start, ExtentKind::kReal, 0});
+    out.push_back(ChunkSpan{cut, i - cut, ExtentKind::kReal, 0});
+    if (from != nullptr) from->push_back(kFreshSpan);
+    cut = i;
   }
 }
 
 }  // namespace
 
 std::vector<ChunkSpan> scan_chunks_cdc(const ByteImage& img,
-                                       const ChunkingParams& p) {
+                                       const ChunkingParams& p,
+                                       const PriorScan& prior,
+                                       std::vector<u32>* from) {
   check_params(p);
+  if (from != nullptr) from->clear();
+  PriorCursor cursor(prior);
   struct ExtView {
     u64 off, len;
     ExtentKind kind;
@@ -114,16 +146,20 @@ std::vector<ChunkSpan> scan_chunks_cdc(const ByteImage& img,
   u64 run_off = 0;   // start of the pending real/mixed run
   u64 run_len = 0;
   auto flush_run = [&] {
-    if (run_len > 0) cut_real_run(img, run_off, run_len, p, out);
+    if (run_len > 0) {
+      cut_real_run(img, run_off, run_len, p, prior, cursor, out, from);
+    }
     run_len = 0;
   };
   for (const auto& e : exts) {
     if (e.kind != ExtentKind::kReal && e.len >= p.min_bytes) {
       flush_run();
-      // Descriptor spans, cut at max_bytes (tail may be short).
+      // Descriptor spans, cut at max_bytes (tail may be short). Built
+      // from the extent alone, so there is nothing to repeat.
       for (u64 done = 0; done < e.len; done += p.max_bytes) {
         const u64 len = std::min<u64>(p.max_bytes, e.len - done);
         out.push_back(ChunkSpan{e.off + done, len, e.kind, e.seed});
+        if (from != nullptr) from->push_back(kFreshSpan);
       }
       run_off = e.off + e.len;
       continue;
@@ -136,10 +172,13 @@ std::vector<ChunkSpan> scan_chunks_cdc(const ByteImage& img,
 }
 
 std::vector<ChunkSpan> scan_chunks_with(const ByteImage& img,
-                                        const ChunkingParams& p) {
+                                        const ChunkingParams& p,
+                                        const PriorScan& prior,
+                                        std::vector<u32>* from) {
   // kCdc and kFastCdc share the scanner; the mode picks the mask scheme.
-  return p.mode == ChunkingMode::kFixed ? scan_chunks(img, p.fixed_bytes)
-                                        : scan_chunks_cdc(img, p);
+  return p.mode == ChunkingMode::kFixed
+             ? scan_chunks(img, p.fixed_bytes, prior, from)
+             : scan_chunks_cdc(img, p, prior, from);
 }
 
 }  // namespace dsim::ckptstore

@@ -59,12 +59,13 @@ struct ChunkingParams {
     p.max_bytes = r.get_u64();
     return p;
   }
+  bool operator==(const ChunkingParams&) const = default;
 };
 
 /// Split `img` into content-defined chunk spans. Pattern extents of at
 /// least `min_bytes` become descriptor spans cut at `max_bytes` (the last
 /// span of each pattern run may be short); real or mixed runs are
-/// materialized in bounded windows and cut by the rolling hash, with
+/// materialized in small blocks and cut by the rolling hash, with
 /// every span in [min_bytes, max_bytes] except each run's final tail,
 /// which may be shorter than `min_bytes` — including mid-image, wherever
 /// a real run ends at a pattern-extent boundary. Aborts (DSIM_CHECK) on
@@ -78,12 +79,23 @@ struct ChunkingParams {
 /// losing content-determinism — cutpoints still resynchronize after an
 /// insertion because both masks depend only on window content and span
 /// length relative to the last cut.
+///
+/// With a `prior` scan of the same live segment under the same params, a
+/// real run rereads only the dirty windows: from the previous cut before
+/// each dirty range until the scan cuts at a previous cut beyond it. The
+/// hash state resets at every cut, so the spans are exactly those of a
+/// scan without the prior. `from`, if set, receives per span the index of
+/// the prior span it repeats, or kFreshSpan.
 std::vector<ChunkSpan> scan_chunks_cdc(const sim::ByteImage& img,
-                                       const ChunkingParams& p);
+                                       const ChunkingParams& p,
+                                       const PriorScan& prior = {},
+                                       std::vector<u32>* from = nullptr);
 
 /// Dispatch on `p.mode` (fixed → scan_chunks, cdc/fastcdc →
 /// scan_chunks_cdc).
 std::vector<ChunkSpan> scan_chunks_with(const sim::ByteImage& img,
-                                        const ChunkingParams& p);
+                                        const ChunkingParams& p,
+                                        const PriorScan& prior = {},
+                                        std::vector<u32>* from = nullptr);
 
 }  // namespace dsim::ckptstore

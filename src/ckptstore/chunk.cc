@@ -81,8 +81,20 @@ std::shared_ptr<const std::vector<std::byte>> Chunk::decoded(
   return decoded_;
 }
 
+u32 PriorCursor::clean_span_at(u64 off) {
+  const auto& spans = prior_.spans;
+  while (span_ < spans.size() && spans[span_].off < off) ++span_;
+  if (span_ == spans.size() || spans[span_].off != off) return kFreshSpan;
+  const u64 end = off + spans[span_].len;
+  const auto& dirty = prior_.dirty;
+  while (dirty_ < dirty.size() && dirty[dirty_].second <= off) ++dirty_;
+  if (dirty_ < dirty.size() && dirty[dirty_].first < end) return kFreshSpan;
+  return static_cast<u32>(span_);
+}
+
 std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img,
-                                   u64 chunk_bytes) {
+                                   u64 chunk_bytes, const PriorScan& prior,
+                                   std::vector<u32>* from) {
   DSIM_CHECK_MSG(chunk_bytes > 0 && (chunk_bytes & (chunk_bytes - 1)) == 0,
                  "chunk size must be a non-zero power of two");
   struct ExtView {
@@ -97,11 +109,20 @@ std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img,
 
   std::vector<ChunkSpan> out;
   out.reserve((img.size() + chunk_bytes - 1) / chunk_bytes);
+  if (from != nullptr) from->clear();
+  PriorCursor cursor(prior);
   size_t ei = 0;
   for (u64 off = 0; off < img.size(); off += chunk_bytes) {
     ChunkSpan s;
     s.off = off;
     s.len = std::min<u64>(chunk_bytes, img.size() - off);
+    const u32 j = cursor.clean_span_at(off);
+    if (j != kFreshSpan && prior.spans[j].len == s.len) {
+      out.push_back(prior.spans[j]);
+      if (from != nullptr) from->push_back(j);
+      continue;
+    }
+    if (from != nullptr) from->push_back(kFreshSpan);
     while (ei < exts.size() && exts[ei].off + exts[ei].len <= off) ++ei;
     if (ei < exts.size() && exts[ei].kind != sim::ExtentKind::kReal &&
         exts[ei].off <= off &&

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -133,11 +134,47 @@ struct ChunkSpan {
   u64 len = 0;
   sim::ExtentKind kind = sim::ExtentKind::kReal;
   u64 seed = 0;
+  bool operator==(const ChunkSpan&) const = default;
+};
+
+/// The previous scan of the same live segment, and the ranges written
+/// since (a sim::ByteImage soft-dirty log). A scanner repeats a previous
+/// span, without reading its bytes, wherever the span covers no dirty byte
+/// and the new scan provably cuts it again; it scans everything else. With
+/// no previous spans every byte counts as dirty: a scan without a prior is
+/// the same loop with nothing to repeat.
+struct PriorScan {
+  std::span<const ChunkSpan> spans;            // the previous scan, in order
+  std::span<const std::pair<u64, u64>> dirty;  // sorted, disjoint [begin, end)
+};
+
+/// What a scan reports, per span, for a span it cut afresh rather than
+/// repeating `PriorScan::spans[index]`.
+inline constexpr u32 kFreshSpan = ~u32{0};
+
+/// A PriorScan walked in offset order, as both scanners walk the image.
+class PriorCursor {
+ public:
+  explicit PriorCursor(const PriorScan& prior) : prior_(prior) {}
+  /// Index of the previous span that starts at `off` and covers no dirty
+  /// byte, or kFreshSpan. Successive calls must not decrease `off`.
+  u32 clean_span_at(u64 off);
+
+ private:
+  const PriorScan& prior_;
+  size_t span_ = 0;
+  size_t dirty_ = 0;
 };
 
 /// Split `img` into fixed-size chunk spans (the last one may be short).
-/// `chunk_bytes` must be a non-zero power of two.
-std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img, u64 chunk_bytes);
+/// `chunk_bytes` must be a non-zero power of two. A span that `prior`
+/// holds at the same offset and length, clean, is repeated, kind included:
+/// no mutation touched it, so it lies in the same extents as before.
+/// `from`, if set, receives per span the index of the prior span it
+/// repeats, or kFreshSpan.
+std::vector<ChunkSpan> scan_chunks(const sim::ByteImage& img, u64 chunk_bytes,
+                                   const PriorScan& prior = {},
+                                   std::vector<u32>* from = nullptr);
 
 /// Key for a scanned span (cheap for pattern spans; materializes and hashes
 /// real/mixed spans).

@@ -745,6 +745,25 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
   mtcp::ProcessImage img = mtcp::capture(p_);
   img.virt_pid = vpid_;
   img.dmtcp_blob = table.encode();
+  // Incremental mode: at the same instant, take each live private
+  // segment's soft-dirty log and arm a fresh token (SegmentMemo::capture),
+  // so the scan below rereads only what was written since the last
+  // capture. Shared segments are never armed: other processes write them,
+  // so they are always scanned whole.
+  std::vector<mtcp::SegmentMemo*> memos;
+  if (shared_->opts.incremental) {
+    std::erase_if(scan_memo_, [this](const auto& entry) {
+      return p_.mem().find(entry.first) == nullptr;
+    });
+    for (const auto& seg : p_.mem().segments()) {
+      mtcp::SegmentMemo* memo = nullptr;
+      if (!seg->shared) {
+        memo = &scan_memo_[seg->name];
+        memo->capture(seg->data);
+      }
+      memos.push_back(memo);
+    }
+  }
 
   const std::string path = ckpt_path();
   auto inode = k.fs_for(p_.node(), path).create(path);
@@ -752,8 +771,11 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
   if (shared_->opts.incremental) {
     // Incremental mode: chunk the image against the content-addressed
     // repository and write only the chunks no earlier generation stored,
-    // plus the generation manifest. The scan still walks the full image;
-    // the codec only runs over new chunk bytes.
+    // plus the generation manifest. The model charges a scan of the full
+    // image (assemble_seconds); on the host the scan repeats last
+    // generation's spans and keys outside the dirty ranges and rereads
+    // only the windows around them. The codec only runs over new chunk
+    // bytes.
     ckptstore::Repository& repo = shared_->repo_for(p_.node());
     // Manifest/GC ownership is tenant-namespaced ("t<id>/<vpid>") so each
     // tenant's retention runs independently while chunk content — keyed by
@@ -762,7 +784,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         img, shared_->opts.codec, shared_->opts.chunking_params(),
         ckptstore::tenant_owner(shared_->opts.tenant_id,
                                 std::to_string(vpid_)),
-        round, repo);
+        round, repo, memos);
     if (pipe == nullptr) {
       // The manager's serial pass is the scan and hash; each new chunk's
       // encode streams through the drain below.

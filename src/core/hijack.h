@@ -19,6 +19,7 @@
 #include "core/ids.h"
 #include "core/protocol.h"
 #include "core/stats.h"
+#include "mtcp/mtcp.h"
 #include "sim/interposer.h"
 #include "sim/pctx.h"
 
@@ -60,6 +61,10 @@ class Hijack final : public sim::Interposer {
     hook_post_restart_ = std::move(post_restart);
   }
   int completed_generations() const { return generations_; }
+  /// Incremental mode: the scan memo of each live private segment, by name.
+  const std::map<std::string, mtcp::SegmentMemo>& scan_memo() const {
+    return scan_memo_;
+  }
 
   UniquePid upid() const { return upid_; }
   Pid vpid() const { return vpid_; }
@@ -111,6 +116,9 @@ class Hijack final : public sim::Interposer {
   /// Pre-accepted connections flushed from listener backlogs at suspend
   /// time: listener description id -> fds ready to hand to accept().
   std::map<u64, std::deque<Fd>> preaccepted_;
+  /// Incremental mode: each live private segment's last scan, by name, so
+  /// the next generation rescans only what the process wrote since.
+  std::map<std::string, mtcp::SegmentMemo> scan_memo_;
 };
 
 }  // namespace dsim::core

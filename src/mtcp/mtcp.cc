@@ -146,11 +146,22 @@ double encode_cpu_seconds(u64 len, ExtentKind kind,
   return compress::codec_cost_factor(codec) * static_cast<double>(len) / bw;
 }
 
+void SegmentMemo::capture(sim::ByteImage& live) {
+  auto log = live.take_soft_dirty();
+  if (log.token == 0 || log.token != token) {
+    spans.clear();
+    keys.clear();
+  }
+  dirty = std::move(log.ranges);
+  armed = live.arm_soft_dirty();
+}
+
 EncodedDelta encode_incremental(const ProcessImage& img,
                                 compress::CodecKind codec,
                                 const ckptstore::ChunkingParams& chunking,
                                 const std::string& owner, int generation,
-                                ckptstore::Repository& repo) {
+                                ckptstore::Repository& repo,
+                                std::span<SegmentMemo* const> memos) {
   EncodedDelta out;
   ckptstore::Manifest mf;
   mf.owner = owner;
@@ -163,34 +174,52 @@ EncodedDelta encode_incremental(const ProcessImage& img,
     mf.meta_blob = mw.take();
   }
 
-  // Codec CPU is charged for new chunk bytes only; the scan/hash pass still
-  // walks the full image (that is the price of finding the delta). CDC
-  // additionally pays a gear rolling-hash pass over every real byte to
-  // find the cutpoints — the observable CPU cost of preferring CDC.
+  // Codec CPU is charged for new chunk bytes only; the modeled scan/hash
+  // pass still walks the full image (that is the price of finding the
+  // delta). CDC additionally pays a gear rolling-hash pass over every real
+  // byte to find the cutpoints — the observable CPU cost of preferring
+  // CDC. On the host, a memo confines the scan and the keying to the
+  // dirty windows; the model charges the full pass regardless.
   u64 new_zero_bytes = 0;
   u64 new_other_bytes = 0;
-  u64 real_scanned_bytes = 0;
-  for (const auto& seg : img.segments) {
+  std::vector<u32> from;
+  for (size_t si = 0; si < img.segments.size(); ++si) {
+    const SegmentImage& seg = img.segments[si];
+    SegmentMemo* memo =
+        si < memos.size() && !seg.shared ? memos[si] : nullptr;
+    ckptstore::PriorScan prior;
+    if (memo != nullptr && memo->chunking == chunking) {
+      prior = {memo->spans, memo->dirty};
+    }
+    auto spans = ckptstore::scan_chunks_with(seg.data, chunking, prior, &from);
+    std::vector<ckptstore::ChunkKey> keys;
+    keys.reserve(spans.size());
+    u64 rescanned = 0;
+
     ckptstore::SegmentManifest sm;
     sm.name = seg.name;
     sm.kind = static_cast<u8>(seg.kind);
     sm.shared = seg.shared;
     sm.backing_path = seg.backing_path;
     sm.size = seg.data.size();
-    for (const auto& span : ckptstore::scan_chunks_with(seg.data, chunking)) {
-      // Real/mixed spans materialize once here; key, CRC and codec all
-      // reuse the same buffer. (The CDC scanner walks real bytes again in
-      // its own bounded windows to place cutpoints — charged below as the
-      // gear pass.) Pattern spans never materialize for keying.
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const ckptstore::ChunkSpan& span = spans[i];
+      // A repeated span keeps its key unread. A fresh real/mixed span
+      // materializes once here; key, CRC and codec all reuse the buffer.
+      // Pattern spans never materialize for keying.
       std::vector<std::byte> content;
       ckptstore::ChunkKey key;
-      if (span.kind == ExtentKind::kReal) {
+      if (from[i] != ckptstore::kFreshSpan) {
+        key = memo->keys[from[i]];
+      } else if (span.kind == ExtentKind::kReal) {
         content = seg.data.materialize(span.off, span.len);
         key = ckptstore::content_key(content);
-        real_scanned_bytes += span.len;
+        rescanned += span.len;
       } else {
         key = ckptstore::span_key(seg.data, span);
       }
+      if (span.kind == ExtentKind::kReal) out.scan_real_bytes += span.len;
+      keys.push_back(key);
       ckptstore::ChunkRef ref;
       ref.key = key;
       ref.len = span.len;
@@ -207,6 +236,10 @@ EncodedDelta encode_incremental(const ProcessImage& img,
         c.seed = span.seed;
         c.pos = span.off;
         if (span.kind == ExtentKind::kReal) {
+          // A repeated key whose chunk is gone still needs its bytes.
+          if (content.empty()) {
+            content = seg.data.materialize(span.off, span.len);
+          }
           auto container = compress::codec(codec).compress(content);
           c.crc = compress::container_crc(container);  // hashed by compress
           c.charged_bytes = container.size();
@@ -241,6 +274,15 @@ EncodedDelta encode_incremental(const ProcessImage& img,
       sm.chunks.push_back(ref);
     }
     mf.segments.push_back(std::move(sm));
+    out.rescanned_bytes += rescanned;
+    if (memo != nullptr) {
+      memo->token = memo->armed;
+      memo->chunking = chunking;
+      memo->spans = std::move(spans);
+      memo->keys = std::move(keys);
+      memo->dirty.clear();
+      memo->rescanned_bytes = rescanned;
+    }
   }
 
   out.virtual_uncompressed = mf.meta_blob.size() + mf.full_bytes();
@@ -251,7 +293,7 @@ EncodedDelta encode_incremental(const ProcessImage& img,
   if (chunking.mode != ckptstore::ChunkingMode::kFixed) {
     // Both CDC variants pay the gear pass over real bytes; FastCDC's
     // second mask costs one extra compare per byte, lost in the noise.
-    out.assemble_seconds += static_cast<double>(real_scanned_bytes) /
+    out.assemble_seconds += static_cast<double>(out.scan_real_bytes) /
                             sim::params::kGearHashBw;
   }
   out.new_logical_zero_bytes = new_zero_bytes;

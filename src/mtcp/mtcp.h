@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 
 #include "ckptstore/manifest.h"
@@ -79,7 +80,17 @@ struct EncodedDelta {
   u64 new_logical_bytes() const {
     return new_logical_zero_bytes + new_logical_data_bytes;
   }
-  double assemble_seconds = 0;  // scan + hash cost over the full image
+  /// Modeled serial pass: assembly of the full image, plus (CDC) the gear
+  /// pass over every real byte — scan_real_bytes — as a full scan would
+  /// pay it. Simulated time only: the host's rescan of the dirty windows
+  /// (rescanned_bytes) never changes it.
+  double assemble_seconds = 0;
+  /// Real bytes the modeled scan walks: every real span of every segment.
+  u64 scan_real_bytes = 0;
+  /// Real bytes the host actually scanned and keyed this generation; the
+  /// rest repeated the previous generation's spans and keys (SegmentMemo).
+  /// Equals scan_real_bytes without a memo.
+  u64 rescanned_bytes = 0;
   /// The chunks stored this generation (key, device-charged bytes), in
   /// store order. The chunk-store service places each one on its replica
   /// nodes and charges their devices; sums to new_chunk_bytes.
@@ -96,16 +107,46 @@ struct EncodedDelta {
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
 };
 
+/// What encode_incremental remembers of one live private segment between
+/// generations, so the next scan rereads only what the process wrote: the
+/// last scan's spans and keys, valid while the live segment's soft-dirty
+/// log (sim::ByteImage) carries the token armed when that scan's image was
+/// captured. It holds spans and keys only: keeping the previous snapshot
+/// would pin its buffers and turn every in-place write into a copy.
+struct SegmentMemo {
+  /// At capture, on the live segment: take the ranges written since the
+  /// last capture and arm a fresh token. A log under any other token than
+  /// the memo's — a new or replaced segment, or a capture whose encode
+  /// never ran — leaves nothing to repeat, and the next scan reads it all.
+  void capture(sim::ByteImage& live);
+
+  u64 token = 0;  // armed at the capture `spans` describes
+  u64 armed = 0;  // armed at the latest capture; `token` once encoded
+  ckptstore::ChunkingParams chunking;
+  std::vector<ckptstore::ChunkSpan> spans;
+  std::vector<ckptstore::ChunkKey> keys;
+  std::vector<std::pair<u64, u64>> dirty;  // written between the captures
+  u64 rescanned_bytes = 0;  // real bytes the last encode scanned and keyed
+};
+
 /// Split the image's segments into chunks per `chunking` (fixed-size spans
 /// or content-defined cutpoints), store the ones not already resident in
 /// `repo`, and emit the generation manifest. Chunk containers are
 /// compressed once with `codec` and reused by every later generation — of
 /// any process sharing the repository — that references the same content.
+///
+/// `memos`, parallel to img.segments (nullptr or missing: no memo), lets
+/// the scan repeat the previous generation's spans and keys outside the
+/// dirty ranges; each memo then holds this generation's scan. Shared
+/// segments and memos taken under other chunking params scan everything.
+/// The manifest, the stored chunks and every accounting field but
+/// rescanned_bytes are the same with or without memos.
 EncodedDelta encode_incremental(const ProcessImage& img,
                                 compress::CodecKind codec,
                                 const ckptstore::ChunkingParams& chunking,
                                 const std::string& owner, int generation,
-                                ckptstore::Repository& repo);
+                                ckptstore::Repository& repo,
+                                std::span<SegmentMemo* const> memos = {});
 
 /// Materialize a full ProcessImage from a manifest and the chunk
 /// repository, verifying each chunk's CRC-32. On a missing or corrupted

@@ -1,6 +1,7 @@
 #include "sim/byte_image.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "util/assertx.h"
@@ -113,6 +114,36 @@ void ByteImage::fill(u64 off, u64 len, ExtentKind kind, u64 seed) {
   DSIM_CHECK_MSG(kind != ExtentKind::kReal, "use write() for real bytes");
   notify(off, len);
   replace_range(off, len, Extent{len, kind, seed, nullptr, 0});
+}
+
+u64 ByteImage::arm_soft_dirty() {
+  static std::atomic<u64> last_token{0};
+  soft_token_ = ++last_token;
+  soft_dirty_.clear();
+  return soft_token_;
+}
+
+ByteImage::SoftDirtyLog ByteImage::take_soft_dirty() {
+  SoftDirtyLog log{soft_token_, {soft_dirty_.begin(), soft_dirty_.end()}};
+  soft_dirty_.clear();
+  return log;
+}
+
+void ByteImage::mark_soft_dirty(u64 begin, u64 end) {
+  // Overlapping and touching ranges merge, so the log grows with the
+  // distinct regions written, not with the number of writes.
+  auto it = soft_dirty_.upper_bound(begin);
+  if (it != soft_dirty_.begin()) {
+    auto prev = std::prev(it);
+    if (prev->second >= end) return;  // already marked: the common rewrite
+    if (prev->second >= begin) it = prev;
+  }
+  while (it != soft_dirty_.end() && it->first <= end) {
+    begin = std::min(begin, it->first);
+    end = std::max(end, it->second);
+    it = soft_dirty_.erase(it);
+  }
+  soft_dirty_.emplace_hint(it, begin, end);
 }
 
 void ByteImage::read(u64 off, std::span<std::byte> out) const {

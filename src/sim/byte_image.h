@@ -80,6 +80,30 @@ class ByteImage {
   void set_write_observer(WriteObserver* obs) { observer_ = obs; }
   WriteObserver* write_observer() const { return observer_; }
 
+  /// Soft-dirty log: the byte ranges mutated since the log was armed or
+  /// last taken — the analogue of Linux's soft-dirty PTE bit
+  /// (Documentation/admin-guide/mm/soft-dirty.rst in the kernel tree),
+  /// kept as ranges. The incremental checkpointer arms it on each live
+  /// private segment at capture and takes it at the next capture, so its
+  /// scan rereads only what was written in between. Like the write
+  /// observer it belongs to the live image: copies and moved-to images
+  /// start unarmed, and assignment keeps the target's log and marks the
+  /// whole range.
+  struct SoftDirtyLog {
+    u64 token = 0;  // what arm_soft_dirty() returned; 0: never armed
+    /// Sorted, disjoint, non-touching [begin, end) ranges. A shrink marks
+    /// the cut-off tail, so a range may reach past size().
+    std::vector<std::pair<u64, u64>> ranges;
+  };
+  /// The token the log is armed with (0: unarmed), without taking it.
+  u64 soft_dirty_token() const { return soft_token_; }
+  /// Arm the log with a fresh token, unique in this process and never 0,
+  /// and forget the ranges logged so far. Returns the token.
+  u64 arm_soft_dirty();
+  /// The log's token and the ranges mutated since it was armed or last
+  /// taken. Clears the ranges; the log stays armed with the same token.
+  SoftDirtyLog take_soft_dirty();
+
   u64 size() const { return size_; }
   /// Grow (zero-filled) or shrink.
   void resize(u64 new_size);
@@ -131,13 +155,20 @@ class ByteImage {
   // first) and insert the replacement extent.
   void replace_range(u64 off, u64 len, Extent ext);
   void check_invariants() const;
+  // The one choke point every mutator reports through.
   void notify(u64 off, u64 len) {
-    if (observer_ != nullptr && len > 0) observer_->on_mutate(off, len);
+    if (len == 0) return;
+    if (observer_ != nullptr) observer_->on_mutate(off, len);
+    if (soft_token_ != 0) mark_soft_dirty(off, off + len);
   }
+  void mark_soft_dirty(u64 begin, u64 end);
 
   u64 size_ = 0;
   std::map<u64, Extent> ext_;  // key: start offset; contiguous, no holes
   WriteObserver* observer_ = nullptr;  // not owned; never copied/moved
+  // Soft-dirty log (never copied/moved): token, and begin -> end ranges.
+  u64 soft_token_ = 0;
+  std::map<u64, u64> soft_dirty_;
 };
 
 }  // namespace dsim::sim

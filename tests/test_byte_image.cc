@@ -101,6 +101,106 @@ TEST(ByteImage, AdoptSharesTheBufferAndReportsItsRange) {
   EXPECT_EQ(img.materialize(999, 102)[1], std::byte{0x5A});
 }
 
+using Ranges = std::vector<std::pair<u64, u64>>;
+
+TEST(ByteImageSoftDirty, EveryMutatorMarksItsRange) {
+  ByteImage img(64 * 1024);
+  const u64 token = img.arm_soft_dirty();
+  EXPECT_NE(token, 0u);
+  EXPECT_EQ(img.soft_dirty_token(), token);
+  auto take = [&] {
+    auto log = img.take_soft_dirty();
+    EXPECT_EQ(log.token, token);
+    return log.ranges;
+  };
+  img.write(100, std::vector<std::byte>(50, std::byte{1}));
+  EXPECT_EQ(take(), (Ranges{{100, 150}}));
+  img.fill(1000, 300, ExtentKind::kRand, 9);
+  EXPECT_EQ(take(), (Ranges{{1000, 1300}}));
+  img.fill(2000, 10, ExtentKind::kZero);
+  EXPECT_EQ(take(), (Ranges{{2000, 2010}}));
+  img.adopt(4096, std::make_shared<std::vector<std::byte>>(64));
+  EXPECT_EQ(take(), (Ranges{{4096, 4160}}));
+  img.resize(70 * 1024);  // grow: the new zero tail
+  EXPECT_EQ(take(), (Ranges{{64 * 1024, 70 * 1024}}));
+  img.resize(60 * 1024);  // shrink: the cut-off tail, past the new size
+  EXPECT_EQ(take(), (Ranges{{60 * 1024, 70 * 1024}}));
+  img.resize(60 * 1024);  // no change, no mark
+  img.write(0, {});
+  EXPECT_EQ(take(), Ranges{});
+}
+
+TEST(ByteImageSoftDirty, RangesMergeAndStaySorted) {
+  ByteImage img(10000);
+  img.arm_soft_dirty();
+  const std::vector<std::byte> b(100, std::byte{7});
+  img.write(5000, b);
+  img.write(1000, b);
+  img.write(1100, b);  // touches [1000, 1100): merges
+  img.write(1050, b);  // inside: already marked
+  img.write(3000, b);
+  img.write(2990, std::span(b).first(20));  // overlaps [3000, 3100)
+  img.write(5000, b);  // rewrite of a marked range
+  EXPECT_EQ(img.take_soft_dirty().ranges,
+            (Ranges{{1000, 1200}, {2990, 3100}, {5000, 5100}}));
+  img.write(0, std::vector<std::byte>(10000, std::byte{1}));
+  EXPECT_EQ(img.take_soft_dirty().ranges, (Ranges{{0, 10000}}));
+}
+
+TEST(ByteImageSoftDirty, TakingClearsAndArmingGivesAFreshToken) {
+  ByteImage img(4096);
+  img.write(0, std::vector<std::byte>(8, std::byte{1}));  // unarmed: no log
+  EXPECT_EQ(img.soft_dirty_token(), 0u);
+  EXPECT_EQ(img.take_soft_dirty().token, 0u);
+  const u64 t1 = img.arm_soft_dirty();
+  EXPECT_TRUE(img.take_soft_dirty().ranges.empty());
+  img.write(8, std::vector<std::byte>(8, std::byte{1}));
+  EXPECT_EQ(img.take_soft_dirty().ranges, (Ranges{{8, 16}}));
+  const auto again = img.take_soft_dirty();
+  EXPECT_EQ(again.token, t1);  // still armed
+  EXPECT_TRUE(again.ranges.empty());
+  img.write(16, std::vector<std::byte>(8, std::byte{1}));
+  const u64 t2 = img.arm_soft_dirty();  // re-arming forgets the ranges
+  EXPECT_NE(t2, t1);
+  EXPECT_NE(ByteImage(16).arm_soft_dirty(), t2);  // unique per process
+  const auto log = img.take_soft_dirty();
+  EXPECT_EQ(log.token, t2);
+  EXPECT_TRUE(log.ranges.empty());
+}
+
+TEST(ByteImageSoftDirty, CopiesAndMovesStartUnarmed) {
+  ByteImage img(4096);
+  const u64 token = img.arm_soft_dirty();
+  img.write(0, std::vector<std::byte>(8, std::byte{1}));
+  ByteImage copy(img);
+  copy.write(100, std::vector<std::byte>(8, std::byte{2}));
+  EXPECT_EQ(copy.soft_dirty_token(), 0u);
+  EXPECT_TRUE(copy.take_soft_dirty().ranges.empty());
+  ByteImage moved(std::move(copy));
+  moved.write(200, std::vector<std::byte>(8, std::byte{3}));
+  EXPECT_EQ(moved.soft_dirty_token(), 0u);
+  EXPECT_TRUE(moved.take_soft_dirty().ranges.empty());
+  // The snapshot's writes never reach the live image's log.
+  const auto log = img.take_soft_dirty();
+  EXPECT_EQ(log.token, token);
+  EXPECT_EQ(log.ranges, (Ranges{{0, 8}}));
+}
+
+TEST(ByteImageSoftDirty, AssignmentKeepsTheLogAndMarksTheWholeImage) {
+  ByteImage img(4096);
+  const u64 token = img.arm_soft_dirty();
+  ByteImage bigger(10000);
+  img = bigger;
+  auto log = img.take_soft_dirty();
+  EXPECT_EQ(log.token, token);
+  EXPECT_EQ(log.ranges, (Ranges{{0, 10000}}));
+  EXPECT_EQ(bigger.soft_dirty_token(), 0u);  // the source stays unarmed
+  img = ByteImage(2048);  // move-assign: the old extent is marked too
+  log = img.take_soft_dirty();
+  EXPECT_EQ(log.token, token);
+  EXPECT_EQ(log.ranges, (Ranges{{0, 10000}}));
+}
+
 class ByteImageFuzz : public ::testing::TestWithParam<u64> {};
 
 TEST_P(ByteImageFuzz, MatchesReferenceVector) {
@@ -113,9 +213,14 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
   std::vector<std::pair<std::shared_ptr<const std::vector<std::byte>>,
                         std::vector<std::byte>>>
       adopted;
+  // The soft-dirty log, armed throughout, must mark exactly the bytes the
+  // ops touched.
+  img.arm_soft_dirty();
+  std::vector<bool> touched(size, false);
   for (int op = 0; op < 120; ++op) {
     const u64 off = rng.next_below(size);
     const u64 len = std::min<u64>(1 + rng.next_below(5000), size - off);
+    std::fill(touched.begin() + off, touched.begin() + off + len, true);
     switch (rng.next_below(4)) {
       case 0: {  // write real bytes
         std::vector<std::byte> data(len);
@@ -154,6 +259,16 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
   for (const auto& [buf, bytes] : adopted) {
     EXPECT_EQ(*buf, bytes) << "an adopted buffer was written in place";
   }
+  Ranges want;
+  for (u64 i = 0; i < size; ++i) {
+    if (!touched[i]) continue;
+    if (!want.empty() && want.back().second == i) {
+      want.back().second = i + 1;
+    } else {
+      want.emplace_back(i, i + 1);
+    }
+  }
+  EXPECT_EQ(img.take_soft_dirty().ranges, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteImageFuzz,

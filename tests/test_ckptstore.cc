@@ -16,6 +16,7 @@
 #include "tests/testprogs.h"
 #include "tests/testutil.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace dsim::test {
 namespace {
@@ -302,6 +303,346 @@ TEST(CkptStore, DeltaDecodeEqualsFullDecode) {
     shared += first.size();
   }
   EXPECT_GT(shared, 0u);
+}
+
+// --- soft-dirty rescans -----------------------------------------------------
+
+using Ranges = std::vector<std::pair<u64, u64>>;
+
+/// A one-segment process image around a snapshot of the live segment: a
+/// copy, unarmed, as mtcp::capture() takes it.
+mtcp::ProcessImage snapshot_of(const ByteImage& live) {
+  mtcp::ProcessImage img;
+  img.prog_name = "prog";
+  img.virt_pid = 7;
+  mtcp::SegmentImage s;
+  s.name = "heap";
+  s.data = live;
+  img.segments.push_back(std::move(s));
+  return img;
+}
+
+/// Constant bytes: the gear hash settles and never cuts, so every span of
+/// such a run is a forced max_bytes cut.
+std::vector<std::byte> flat_bytes(u64 n) {
+  return std::vector<std::byte>(n, std::byte{0x41});
+}
+
+/// Records mutations the way the async COW tracker observes them.
+struct MutationLog : ByteImage::WriteObserver {
+  Ranges seen;
+  void on_mutate(u64 off, u64 len) override {
+    seen.emplace_back(off, off + len);
+  }
+  /// Sorted, with overlapping and touching ranges merged; clears.
+  Ranges take() {
+    std::sort(seen.begin(), seen.end());
+    Ranges out;
+    for (const auto& [b, e] : seen) {
+      if (!out.empty() && b <= out.back().second) {
+        out.back().second = std::max(out.back().second, e);
+      } else {
+        out.emplace_back(b, e);
+      }
+    }
+    seen.clear();
+    return out;
+  }
+};
+
+/// A live segment with every run shape the scanners distinguish: real
+/// content, long zero and pseudo-random pattern extents that stand alone,
+/// a short pattern extent folded into a real run, and flat bytes.
+ByteImage rescan_live_image(u64 seed) {
+  ByteImage live(256 * 1024);
+  live.write(0, pseudo_bytes(96 * 1024, seed));
+  live.fill(96 * 1024, 40 * 1024, ExtentKind::kZero);
+  live.write(136 * 1024, flat_bytes(40 * 1024));
+  live.fill(176 * 1024, 512, ExtentKind::kRand, 5);
+  live.write(176 * 1024 + 512, pseudo_bytes(24 * 1024 - 512, seed + 1));
+  live.fill(200 * 1024, 56 * 1024, ExtentKind::kRand, 0xBA11A57);
+  return live;
+}
+
+ckptstore::ChunkingParams rescan_params(ckptstore::ChunkingMode mode) {
+  // max = 2 * avg makes forced max_bytes cuts common in real runs too.
+  return mode == ckptstore::ChunkingMode::kFixed
+             ? fixed_params(4096)
+             : cdc_params(1024, 4096, mode == ckptstore::ChunkingMode::kCdc
+                                           ? 8192
+                                           : 16384,
+                          mode);
+}
+
+using RescanCase = std::tuple<ckptstore::ChunkingMode, u64>;
+
+class RescanFuzz : public ::testing::TestWithParam<RescanCase> {};
+
+std::string rescan_case_name(
+    const ::testing::TestParamInfo<RescanCase>& info) {
+  static const char* const kModes[] = {"Fixed", "Cdc", "FastCdc"};
+  return kModes[static_cast<int>(std::get<0>(info.param))] +
+         ("_" + std::to_string(std::get<1>(info.param)));
+}
+
+// Between generations the live segment is written, filled, adopted into,
+// resized and copy-assigned — at extent and run edges, inside pattern
+// extents and across forced max_bytes cuts — while a write observer is
+// armed beside the soft-dirty log. Every generation's spans, keys and
+// manifest must equal a scan without the memo.
+TEST_P(RescanFuzz, EveryGenerationEqualsAScanWithoutTheMemo) {
+  const auto [mode, seed] = GetParam();
+  const auto p = rescan_params(mode);
+  const auto codec = compress::CodecKind::kNone;
+  Rng rng(mix_seed(seed, static_cast<u64>(mode)));
+  ByteImage live = rescan_live_image(seed);
+  MutationLog observed;
+  live.set_write_observer(&observed);
+  mtcp::SegmentMemo memo;
+  mtcp::SegmentMemo* const memos[] = {&memo};
+  ckptstore::Repository with_repo, without_repo;
+  u64 rescanned = 0, scanned = 0;
+
+  // [off, off + len) clipped to the image, len >= 1.
+  auto clip = [&](u64 off, u64 len) {
+    off = std::min(off, live.size() - 1);
+    return std::make_pair(off, std::max<u64>(1, std::min(len,
+                                                         live.size() - off)));
+  };
+  auto write_at = [&](ByteImage& img, u64 off, u64 len) {
+    img.write(off, pseudo_bytes(len, rng.next_u64()));
+  };
+  auto mutate = [&] {
+    const u64 size = live.size();
+    switch (rng.next_below(9)) {
+      case 0: {  // anywhere
+        const auto [off, len] = clip(rng.next_below(size),
+                                     1 + rng.next_below(6000));
+        write_at(live, off, len);
+        break;
+      }
+      case 1: {  // straddling or starting at an extent (run) edge
+        std::vector<u64> edges;
+        live.for_each_extent([&](u64 off, const ByteImage::Extent&) {
+          if (off > 0) edges.push_back(off);
+        });
+        if (edges.empty()) break;
+        const u64 edge = edges[rng.next_below(edges.size())];
+        // Starting at the edge grows a run past its clean final span.
+        const u64 before = rng.next_below(2) == 0
+                               ? 0
+                               : std::min<u64>(edge, rng.next_below(300));
+        const auto [off, len] = clip(edge - before,
+                                     before + rng.next_below(300));
+        write_at(live, off, len);
+        break;
+      }
+      case 2: {  // inside a pattern extent
+        std::vector<std::pair<u64, u64>> patterns;
+        live.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+          if (e.kind != ExtentKind::kReal) patterns.emplace_back(off, e.len);
+        });
+        if (patterns.empty()) break;
+        const auto [at, n] = patterns[rng.next_below(patterns.size())];
+        const auto [off, len] = clip(at + rng.next_below(n),
+                                     1 + rng.next_below(2000));
+        if (rng.next_below(2) == 0) {
+          write_at(live, off, len);
+        } else {
+          live.fill(off, len, ExtentKind::kRand, rng.next_u64());
+        }
+        break;
+      }
+      case 3: {  // across the end of a previous forced max_bytes cut
+        std::vector<u64> cuts;
+        for (const auto& s : memo.spans) {
+          if (s.kind == ExtentKind::kReal && s.len == p.max_bytes) {
+            cuts.push_back(s.off + s.len);
+          }
+        }
+        if (mode == ckptstore::ChunkingMode::kFixed) {
+          for (const auto& s : memo.spans) cuts.push_back(s.off + s.len);
+        }
+        if (cuts.empty()) break;
+        const u64 cut = cuts[rng.next_below(cuts.size())];
+        const u64 before = std::min<u64>(cut, 1 + rng.next_below(200));
+        const auto [off, len] = clip(cut - before,
+                                     before + rng.next_below(200));
+        write_at(live, off, len);
+        break;
+      }
+      case 4: {  // pattern fill, short or long enough to stand alone
+        const auto [off, len] = clip(rng.next_below(size),
+                                     1 + rng.next_below(40000));
+        if (rng.next_below(2) == 0) {
+          live.fill(off, len, ExtentKind::kZero);
+        } else {
+          live.fill(off, len, ExtentKind::kRand, rng.next_u64());
+        }
+        break;
+      }
+      case 5: {  // adopt a shared buffer
+        const auto [off, len] = clip(rng.next_below(size),
+                                     1 + rng.next_below(8000));
+        live.adopt(off, std::make_shared<std::vector<std::byte>>(
+                            pseudo_bytes(len, rng.next_u64())));
+        break;
+      }
+      case 6: {  // grow or shrink
+        const u64 delta = 1 + rng.next_below(20000);
+        live.resize(rng.next_below(2) == 0 || size < 96 * 1024
+                        ? size + delta
+                        : size - delta);
+        break;
+      }
+      case 7: {  // copy-assign a modified copy over the live segment
+        ByteImage other = live;
+        const auto [off, len] = clip(rng.next_below(size),
+                                     1 + rng.next_below(3000));
+        write_at(other, off, len);
+        live = other;
+        break;
+      }
+      case 8: {  // flat bytes: forced max_bytes cuts
+        const auto [off, len] = clip(rng.next_below(size),
+                                     5000 + rng.next_below(25000));
+        live.write(off, flat_bytes(len));
+        break;
+      }
+    }
+  };
+
+  for (int gen = 0; gen < 24; ++gen) {
+    const bool quiet = gen > 0 && rng.next_below(6) == 0;
+    if (gen > 0 && !quiet) {
+      for (u64 m = 1 + rng.next_below(4); m > 0; --m) mutate();
+    }
+    memo.capture(live);
+    // The log saw exactly what the observer saw.
+    ASSERT_EQ(memo.dirty, gen == 0 ? Ranges{} : observed.take())
+        << "generation " << gen;
+    observed.seen.clear();
+
+    const auto img = snapshot_of(live);
+    const auto with = mtcp::encode_incremental(img, codec, p, "7", gen,
+                                               with_repo, memos);
+    const auto without =
+        mtcp::encode_incremental(img, codec, p, "7", gen, without_repo);
+    const ByteImage& data = img.segments[0].data;
+    const auto spans = ckptstore::scan_chunks_with(data, p);
+    ASSERT_EQ(memo.spans, spans) << "generation " << gen;
+    std::vector<ckptstore::ChunkKey> keys;
+    for (const auto& s : spans) keys.push_back(ckptstore::span_key(data, s));
+    ASSERT_EQ(memo.keys, keys) << "generation " << gen;
+    ASSERT_EQ(with.manifest_bytes, without.manifest_bytes)
+        << "generation " << gen;
+    // The model is the full scan either way.
+    EXPECT_EQ(with.assemble_seconds, without.assemble_seconds);
+    EXPECT_EQ(with.scan_real_bytes, without.scan_real_bytes);
+    EXPECT_EQ(without.rescanned_bytes, without.scan_real_bytes);
+    EXPECT_LE(with.rescanned_bytes, with.scan_real_bytes);
+    if (quiet) {
+      EXPECT_EQ(with.rescanned_bytes, 0u) << "generation " << gen;
+    }
+    if (gen > 0) {
+      rescanned += with.rescanned_bytes;
+      scanned += with.scan_real_bytes;
+    }
+  }
+  // The memo saved work: most real bytes repeated their spans and keys.
+  EXPECT_LT(rescanned, scanned / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndSeeds, RescanFuzz,
+    ::testing::Combine(::testing::Values(ckptstore::ChunkingMode::kFixed,
+                                         ckptstore::ChunkingMode::kCdc,
+                                         ckptstore::ChunkingMode::kFastCdc),
+                       ::testing::Values(1, 2, 3, 4)),
+    rescan_case_name);
+
+// A missing memo, a replaced segment, a capture whose encode never ran and
+// new chunking parameters are all the all-dirty case: the scan reads every
+// real byte, and still yields the memo-less manifest.
+TEST(Rescan, EveryInvalidMemoScansEverything) {
+  const auto codec = compress::CodecKind::kNone;
+  const auto p = rescan_params(ckptstore::ChunkingMode::kCdc);
+  ByteImage live = rescan_live_image(9);
+  mtcp::SegmentMemo memo;
+  mtcp::SegmentMemo* const memos[] = {&memo};
+  ckptstore::Repository repo;
+  int gen = 0;
+  auto encode = [&](const ckptstore::ChunkingParams& params) {
+    const auto img = snapshot_of(live);
+    auto with = mtcp::encode_incremental(img, codec, params, "7", gen, repo,
+                                         memos);
+    ckptstore::Repository fresh;
+    const auto without =
+        mtcp::encode_incremental(img, codec, params, "7", gen, fresh);
+    EXPECT_EQ(with.manifest_bytes, without.manifest_bytes);
+    ++gen;
+    return with;
+  };
+  auto full = [](const mtcp::EncodedDelta& d) {
+    return d.rescanned_bytes == d.scan_real_bytes && d.rescanned_bytes > 0;
+  };
+  memo.capture(live);
+  EXPECT_TRUE(full(encode(p)));  // no memo yet
+  memo.capture(live);
+  EXPECT_EQ(encode(p).rescanned_bytes, 0u);  // nothing written
+
+  memo.capture(live);  // a capture whose encode never ran
+  live.write(0, pseudo_bytes(100, 1));
+  memo.capture(live);
+  EXPECT_TRUE(full(encode(p)));
+
+  ByteImage replaced = live;  // a new segment under the old name: unarmed
+  memo.capture(replaced);
+  EXPECT_TRUE(full(encode(p)));
+
+  memo.capture(replaced);
+  auto other = p;
+  other.min_bytes = 2048;  // new chunking parameters
+  EXPECT_TRUE(full(encode(other)));
+  memo.capture(replaced);
+  EXPECT_EQ(encode(other).rescanned_bytes, 0u);
+
+  // A shared segment ignores its memo.
+  auto img = snapshot_of(replaced);
+  img.segments[0].shared = true;
+  memo.capture(replaced);
+  EXPECT_TRUE(full(mtcp::encode_incremental(img, codec, other, "7", gen++,
+                                            repo, memos)));
+}
+
+// A repeated key still goes through the repository: in a store that never
+// saw it, the chunk is materialized and stored exactly as a full scan would.
+TEST(Rescan, RepeatedKeyMissingFromTheRepositoryIsStored) {
+  const auto codec = compress::CodecKind::kGzipish;
+  const auto p = rescan_params(ckptstore::ChunkingMode::kCdc);
+  ByteImage live = rescan_live_image(4);
+  mtcp::SegmentMemo memo;
+  mtcp::SegmentMemo* const memos[] = {&memo};
+  ckptstore::Repository first, second, reference;
+  memo.capture(live);
+  mtcp::encode_incremental(snapshot_of(live), codec, p, "7", 0, first,
+                           memos);
+  memo.capture(live);
+  const auto img = snapshot_of(live);
+  const auto with =
+      mtcp::encode_incremental(img, codec, p, "7", 1, second, memos);
+  const auto without =
+      mtcp::encode_incremental(img, codec, p, "7", 1, reference);
+  EXPECT_EQ(with.rescanned_bytes, 0u);
+  EXPECT_EQ(with.new_chunks, without.new_chunks);
+  EXPECT_EQ(with.new_chunk_bytes, without.new_chunk_bytes);
+  EXPECT_EQ(with.manifest_bytes, without.manifest_bytes);
+  std::string err;
+  const auto back = mtcp::decode_incremental(
+      ckptstore::Manifest::decode(with.manifest_bytes), second, nullptr,
+      nullptr, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_EQ(back.segments[0].data.content_crc(), live.content_crc());
 }
 
 // --- GC ----------------------------------------------------------------------

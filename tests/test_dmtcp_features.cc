@@ -4,10 +4,12 @@
 // checkpointing correctness, multi-generation restarts.
 #include <gtest/gtest.h>
 
+#include "core/hijack.h"
 #include "core/launch.h"
 #include "core/restart_script.h"
 #include "sim/cluster.h"
 #include "tests/testprogs.h"
+#include "tests/testutil.h"
 
 namespace dsim::test {
 namespace {
@@ -182,6 +184,77 @@ TEST(MultiGeneration, CheckpointRestartRepeatedly) {
   EXPECT_EQ(read_result(w.k(), "gsrv").substr(0, 12),
             read_result(w.k(), "gcli").substr(0, 12));
   EXPECT_NE(read_result(w.k(), "gsrv").find("rounds=500"), std::string::npos);
+}
+
+// Incremental rounds rescan only what a process wrote. After a round no
+// snapshot pins the heap, so a write lands in place; a shared segment is
+// never armed and always scanned whole; a restored process starts with no
+// memo, so its first round scans everything.
+TEST(IncrementalRescan, HeapWritesStayInPlaceAndRestartsScanEverything) {
+  DmtcpOptions opts;
+  opts.incremental = true;
+  opts.chunking = ckptstore::ChunkingMode::kCdc;
+  opts.cdc_min_bytes = 4 * 1024;
+  opts.cdc_avg_bytes = 16 * 1024;
+  opts.cdc_max_bytes = 64 * 1024;
+  World w(1, opts);
+  w.ctl.launch(0, kShmPair, {"/shared/shm/rescan", "400", "rescan"});
+  w.ctl.run_for(15 * timeconst::kMillisecond);
+  constexpr u64 kHeap = 1 << 20;
+  const std::string shm = "shm:/shared/shm/rescan";
+  auto parent = [&] {
+    for (Pid pid : w.k().live_pids()) {
+      sim::Process* p = w.k().find_process(pid);
+      if (p != nullptr && p->prog_name() == kShmPair) return p;
+    }
+    return static_cast<sim::Process*>(nullptr);
+  };
+  auto memo_of = [&](sim::Process* p) -> const auto& {
+    return dynamic_cast<core::Hijack&>(*p->interposer()).scan_memo();
+  };
+  sim::Process* p = parent();
+  ASSERT_NE(p, nullptr);
+  p->mem().add("heap", sim::MemKind::kHeap, kHeap).data.write(
+      0, pseudo_bytes(kHeap, 5));
+
+  w.ctl.checkpoint_now();
+  EXPECT_EQ(memo_of(p).at("heap").rescanned_bytes, kHeap);
+  EXPECT_EQ(p->mem().find(shm)->data.soft_dirty_token(), 0u);
+  EXPECT_EQ(memo_of(p).count(shm), 0u);
+
+  // In place: the extent and its buffer survive the write.
+  sim::ByteImage& heap = p->mem().find("heap")->data;
+  auto buffer_at = [&](u64 at) {
+    const std::vector<std::byte>* buf = nullptr;
+    heap.for_each_extent([&](u64 off, const sim::ByteImage::Extent& e) {
+      if (off <= at && at < off + e.len) buf = e.data.get();
+    });
+    return buf;
+  };
+  const size_t extents = heap.extent_count();
+  const auto* buf = buffer_at(300 * 1024);
+  heap.write(300 * 1024, pseudo_bytes(4096, 6));
+  EXPECT_EQ(heap.extent_count(), extents);
+  EXPECT_EQ(buffer_at(300 * 1024), buf);
+
+  w.ctl.checkpoint_now();
+  const u64 rescanned = memo_of(p).at("heap").rescanned_bytes;
+  EXPECT_GT(rescanned, 0u);
+  EXPECT_LT(rescanned, kHeap / 8);
+  EXPECT_EQ(p->mem().find(shm)->data.soft_dirty_token(), 0u);
+
+  w.ctl.kill_computation();
+  w.ctl.restart();
+  p = parent();
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(memo_of(p).empty());
+  EXPECT_EQ(p->mem().find("heap")->data.soft_dirty_token(), 0u);
+  w.ctl.checkpoint_now();
+  EXPECT_EQ(memo_of(p).at("heap").rescanned_bytes, kHeap);
+  EXPECT_EQ(memo_of(p).count(shm), 0u);
+
+  ASSERT_TRUE(w.wait_result("rescan"));
+  EXPECT_EQ(read_result(w.k(), "rescan"), "counter=800");
 }
 
 TEST(SyncModes, SyncAfterCostsMoreThanNone) {

@@ -91,6 +91,8 @@ def check_cdc(path, data):
         "insertion.cdc.dedup_retained",
         "cluster.stored_ratio",
         "cluster.shared_stored_once",
+        "rewrite.rescan_fraction",
+        "rewrite.manifests_identical",
         "summary",
     ):
         try:
@@ -114,6 +116,16 @@ def check_cdc(path, data):
         rc |= fail(path, f"cluster stored_ratio={ratio} not in (0, 1)")
     if data["cluster"]["shared_stored_once"] is not True:
         rc |= fail(path, "shared library chunks were not stored exactly once")
+    # The incremental encoder's host scan: a quarter of the pages take a
+    # 16 KiB write per generation, so the memo must leave most real bytes
+    # unread (about a fifth are rescanned) — and change nothing stored.
+    frac = data["rewrite"]["rescan_fraction"]
+    if not 0.0 < frac < 0.5:
+        rc |= fail(path, f"rewrite rescan_fraction={frac} not in (0, 0.5): "
+                         "the host rescans more than the dirty windows")
+    if data["rewrite"]["manifests_identical"] is not True:
+        rc |= fail(path, "a rewrite generation's manifest differs from the "
+                         "scan without the memo")
     return rc
 
 
@@ -682,6 +694,8 @@ BASELINE_METRICS = {
             lambda d: d["insertion"]["cdc"]["dedup_retained"], "higher"),
         "cluster_stored_ratio": (
             lambda d: d["cluster"]["stored_ratio"], "lower"),
+        "rewrite_rescan_fraction": (
+            lambda d: d["rewrite"]["rescan_fraction"], "lower"),
     },
     "BENCH_service.json": {
         "max_ckpt_seconds": (
