@@ -1,6 +1,7 @@
 // Micro-benchmarks of the substrate (google-benchmark): compressor
-// throughput by content class, each codec stage, sparse ByteImage
-// operations, event-loop dispatch, CRC32 and chunk keys. These are
+// throughput by content class, each codec stage, the codec serially and on
+// the host pool, sparse ByteImage operations, event-loop dispatch, CRC32
+// and chunk keys. These are
 // host-side costs, not virtual-time results. The codec, CRC and key cases
 // run at 16 KiB — the size of a CDC chunk, which is what the store
 // actually feeds them — as well as at 1 MiB, so per-call set-up shows.
@@ -14,6 +15,7 @@
 #include "sim/byte_image.h"
 #include "sim/event_loop.h"
 #include "util/crc32.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
@@ -62,6 +64,35 @@ void BM_GzipishRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<i64>(state.iterations() * n));
 }
 BENCHMARK(BM_GzipishRoundTrip)->Arg(16 << 10)->Arg(256 << 10);
+
+// A generation's new chunks through the codec, one after another and on
+// the host pool the incremental encode uses (util/parallel.h): the same
+// 64 text chunks of 16 KiB each way. Timed on the wall clock, since the
+// pool's work runs on other threads too.
+void BM_GzipishPool(benchmark::State& state, bool pooled) {
+  constexpr size_t kChunks = 64;
+  constexpr size_t kChunkBytes = 16 << 10;
+  const auto data = make_data("text", kChunks * kChunkBytes);
+  const auto& codec = compress::codec(compress::CodecKind::kGzipish);
+  std::vector<std::vector<std::byte>> out(kChunks);
+  const std::function<void(size_t)> one = [&](size_t i) {
+    out[i] = codec.compress(
+        std::span(data).subspan(i * kChunkBytes, kChunkBytes));
+  };
+  for (auto _ : state) {
+    if (pooled) {
+      parallel_for(kChunks, one);
+    } else {
+      for (size_t i = 0; i < kChunks; ++i) one(i);
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(
+      static_cast<i64>(state.iterations() * kChunks * kChunkBytes));
+  state.counters["threads"] = pooled ? pool_width() : 1;
+}
+BENCHMARK_CAPTURE(BM_GzipishPool, serial, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GzipishPool, pool, true)->UseRealTime();
 
 // The gzip-class pipeline stage by stage, on the inputs each stage sees in
 // it. Every rate is per byte of the original text, so the stages' times

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 
 #include "util/assertx.h"
 #include "util/crc32.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace dsim::ckptstore {
@@ -67,18 +69,36 @@ std::vector<std::byte> Chunk::materialize(compress::CodecKind codec) const {
 
 std::shared_ptr<const std::vector<std::byte>> Chunk::decoded(
     compress::CodecKind codec) const {
-  DSIM_CHECK_MSG(kind == sim::ExtentKind::kReal && stored != nullptr,
-                 "only a stored real chunk has a decode");
-  if (decoded_ == nullptr || decoded_from_ != stored ||
-      decoded_codec_ != codec) {
+  const Chunk* self = this;
+  warm_decoded({&self, 1}, codec);
+  return decoded_;
+}
+
+void Chunk::warm_decoded(std::span<const Chunk* const> chunks,
+                         compress::CodecKind codec) {
+  std::vector<const Chunk*> cold;
+  std::unordered_set<const Chunk*> seen;
+  for (const Chunk* c : chunks) {
+    DSIM_CHECK_MSG(c->kind == sim::ExtentKind::kReal && c->stored != nullptr,
+                   "only a stored real chunk has a decode");
+    const bool cached = c->decoded_ != nullptr &&
+                        c->decoded_from_ == c->stored &&
+                        c->decoded_codec_ == codec;
+    if (!cached && seen.insert(c).second) cold.push_back(c);
+  }
+  std::vector<std::vector<std::byte>> content(cold.size());
+  parallel_for(cold.size(), [&](size_t i) {
+    content[i] = compress::codec(codec).decompress(*cold[i]->stored);
+  });
+  for (size_t i = 0; i < cold.size(); ++i) {
+    const Chunk& c = *cold[i];
     // Built as a non-const vector: once the cache lets go, the last
     // ByteImage holding it may write it in place (byte_image.cc).
-    decoded_ = std::make_shared<std::vector<std::byte>>(
-        compress::codec(codec).decompress(*stored));
-    decoded_from_ = stored;
-    decoded_codec_ = codec;
+    c.decoded_ = std::make_shared<std::vector<std::byte>>(content[i].begin(),
+                                                          content[i].end());
+    c.decoded_from_ = c.stored;
+    c.decoded_codec_ = codec;
   }
-  return decoded_;
 }
 
 u32 PriorCursor::clean_span_at(u64 off) {

@@ -120,6 +120,16 @@ struct Chunk {
   std::shared_ptr<const std::vector<std::byte>> decoded(
       compress::CodecKind codec) const;
 
+  /// Fill decoded()'s cache for every stored real chunk in `chunks` whose
+  /// cache is cold, decompressing and verifying the containers on the host
+  /// pool (util/parallel.h); decoded() is this call for one chunk. Each
+  /// chunk is decoded once however often it is listed. The cached buffers
+  /// are allocated on the calling thread: a worker's allocator arena keeps
+  /// what it held, so a long-lived buffer built there would pin host
+  /// memory.
+  static void warm_decoded(std::span<const Chunk* const> chunks,
+                           compress::CodecKind codec);
+
  private:
   mutable std::shared_ptr<const std::vector<std::byte>> decoded_;
   mutable std::shared_ptr<const std::vector<std::byte>> decoded_from_;

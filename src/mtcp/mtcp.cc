@@ -1,9 +1,11 @@
 #include "mtcp/mtcp.h"
 
 #include <algorithm>
+#include <set>
 
 #include "sim/model_params.h"
 #include "util/assertx.h"
+#include "util/parallel.h"
 
 namespace dsim::mtcp {
 namespace {
@@ -180,30 +182,42 @@ EncodedDelta encode_incremental(const ProcessImage& img,
   // byte to find the cutpoints — the observable CPU cost of preferring
   // CDC. On the host, a memo confines the scan and the keying to the
   // dirty windows; the model charges the full pass regardless.
-  u64 new_zero_bytes = 0;
-  u64 new_other_bytes = 0;
+  //
+  // The host runs three passes: scan and key every segment, picking the
+  // real chunks to compress; compress them on the host pool; commit in
+  // scan order. The codec is a pure function of each chunk's bytes and
+  // the commit makes the same repository calls in the same order as a
+  // one-pass encode, so the output does not depend on the pool.
+  struct Scan {
+    SegmentMemo* memo = nullptr;
+    std::vector<ckptstore::ChunkSpan> spans;
+    std::vector<ckptstore::ChunkKey> keys;
+    u64 rescanned = 0;
+  };
+  struct Job {
+    ckptstore::ChunkKey key;
+    std::vector<std::byte> content;
+    std::vector<std::byte> container;  // allocated by a pool thread
+  };
+  std::vector<Scan> scans(img.segments.size());
+  std::vector<Job> jobs;
+  // Keys picked but not yet put: the commit's puts, made early, so a
+  // chunk repeated within the generation compresses once.
+  std::set<ckptstore::ChunkKey> pending;
   std::vector<u32> from;
   for (size_t si = 0; si < img.segments.size(); ++si) {
     const SegmentImage& seg = img.segments[si];
-    SegmentMemo* memo =
+    Scan& scan = scans[si];
+    SegmentMemo* memo = scan.memo =
         si < memos.size() && !seg.shared ? memos[si] : nullptr;
     ckptstore::PriorScan prior;
     if (memo != nullptr && memo->chunking == chunking) {
       prior = {memo->spans, memo->dirty};
     }
-    auto spans = ckptstore::scan_chunks_with(seg.data, chunking, prior, &from);
-    std::vector<ckptstore::ChunkKey> keys;
-    keys.reserve(spans.size());
-    u64 rescanned = 0;
-
-    ckptstore::SegmentManifest sm;
-    sm.name = seg.name;
-    sm.kind = static_cast<u8>(seg.kind);
-    sm.shared = seg.shared;
-    sm.backing_path = seg.backing_path;
-    sm.size = seg.data.size();
-    for (size_t i = 0; i < spans.size(); ++i) {
-      const ckptstore::ChunkSpan& span = spans[i];
+    scan.spans = ckptstore::scan_chunks_with(seg.data, chunking, prior, &from);
+    scan.keys.reserve(scan.spans.size());
+    for (size_t i = 0; i < scan.spans.size(); ++i) {
+      const ckptstore::ChunkSpan& span = scan.spans[i];
       // A repeated span keeps its key unread. A fresh real/mixed span
       // materializes once here; key, CRC and codec all reuse the buffer.
       // Pattern spans never materialize for keying.
@@ -214,12 +228,42 @@ EncodedDelta encode_incremental(const ProcessImage& img,
       } else if (span.kind == ExtentKind::kReal) {
         content = seg.data.materialize(span.off, span.len);
         key = ckptstore::content_key(content);
-        rescanned += span.len;
+        scan.rescanned += span.len;
       } else {
         key = ckptstore::span_key(seg.data, span);
       }
+      scan.keys.push_back(key);
+      if (span.kind == ExtentKind::kReal && repo.find(key) == nullptr &&
+          pending.insert(key).second) {
+        // A repeated key whose chunk is gone still needs its bytes.
+        if (content.empty()) {
+          content = seg.data.materialize(span.off, span.len);
+        }
+        jobs.push_back({key, std::move(content), {}});
+      }
+    }
+  }
+
+  parallel_for(jobs.size(), [&](size_t j) {
+    jobs[j].container = compress::codec(codec).compress(jobs[j].content);
+  });
+
+  u64 new_zero_bytes = 0;
+  u64 new_other_bytes = 0;
+  size_t next_job = 0;
+  for (size_t si = 0; si < img.segments.size(); ++si) {
+    const SegmentImage& seg = img.segments[si];
+    Scan& scan = scans[si];
+    ckptstore::SegmentManifest sm;
+    sm.name = seg.name;
+    sm.kind = static_cast<u8>(seg.kind);
+    sm.shared = seg.shared;
+    sm.backing_path = seg.backing_path;
+    sm.size = seg.data.size();
+    for (size_t i = 0; i < scan.spans.size(); ++i) {
+      const ckptstore::ChunkSpan& span = scan.spans[i];
+      const ckptstore::ChunkKey& key = scan.keys[i];
       if (span.kind == ExtentKind::kReal) out.scan_real_bytes += span.len;
-      keys.push_back(key);
       ckptstore::ChunkRef ref;
       ref.key = key;
       ref.len = span.len;
@@ -236,15 +280,14 @@ EncodedDelta encode_incremental(const ProcessImage& img,
         c.seed = span.seed;
         c.pos = span.off;
         if (span.kind == ExtentKind::kReal) {
-          // A repeated key whose chunk is gone still needs its bytes.
-          if (content.empty()) {
-            content = seg.data.materialize(span.off, span.len);
-          }
-          auto container = compress::codec(codec).compress(content);
-          c.crc = compress::container_crc(container);  // hashed by compress
-          c.charged_bytes = container.size();
+          DSIM_CHECK(next_job < jobs.size() && jobs[next_job].key == key);
+          const auto& container = jobs[next_job++].container;
+          // Copied so the repository's buffer comes from this thread's
+          // arena: a pool thread's arena keeps whatever it held.
           c.stored = std::make_shared<const std::vector<std::byte>>(
-              std::move(container));
+              container.begin(), container.end());
+          c.crc = compress::container_crc(*c.stored);  // hashed by compress
+          c.charged_bytes = c.stored->size();
           new_other_bytes += span.len;
         } else {
           c.crc = ckptstore::span_crc(seg.data, span);
@@ -274,16 +317,17 @@ EncodedDelta encode_incremental(const ProcessImage& img,
       sm.chunks.push_back(ref);
     }
     mf.segments.push_back(std::move(sm));
-    out.rescanned_bytes += rescanned;
-    if (memo != nullptr) {
+    out.rescanned_bytes += scan.rescanned;
+    if (SegmentMemo* memo = scan.memo) {
       memo->token = memo->armed;
       memo->chunking = chunking;
-      memo->spans = std::move(spans);
-      memo->keys = std::move(keys);
+      memo->spans = std::move(scan.spans);
+      memo->keys = std::move(scan.keys);
       memo->dirty.clear();
-      memo->rescanned_bytes = rescanned;
+      memo->rescanned_bytes = scan.rescanned;
     }
   }
+  DSIM_CHECK(next_job == jobs.size());
 
   out.virtual_uncompressed = mf.meta_blob.size() + mf.full_bytes();
   out.manifest_bytes = mf.encode();
@@ -319,6 +363,19 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
     if (error) *error = std::move(msg);
     return ProcessImage{};
   };
+
+  // Decode the cold real chunks on the host pool first; the loop below
+  // adopts each one's cached decode and checks it exactly as before.
+  {
+    std::vector<const ckptstore::Chunk*> real;
+    for (const auto& sm : mf.segments) {
+      for (const auto& ref : sm.chunks) {
+        const ckptstore::Chunk* c = repo.find(ref.key);
+        if (c != nullptr && c->kind == ExtentKind::kReal) real.push_back(c);
+      }
+    }
+    ckptstore::Chunk::warm_decoded(real, codec);
+  }
 
   for (const auto& sm : mf.segments) {
     SegmentImage si;

@@ -141,6 +141,10 @@ struct SegmentMemo {
 /// segments and memos taken under other chunking params scan everything.
 /// The manifest, the stored chunks and every accounting field but
 /// rescanned_bytes are the same with or without memos.
+///
+/// The new real chunks compress on the host pool (util/parallel.h) and
+/// are committed in scan order, so the result is the same at any pool
+/// width.
 EncodedDelta encode_incremental(const ProcessImage& img,
                                 compress::CodecKind codec,
                                 const ckptstore::ChunkingParams& chunking,
@@ -159,9 +163,11 @@ EncodedDelta encode_incremental(const ProcessImage& img,
 /// Real chunks are restored zero-copy: each segment range adopts the
 /// chunk's Chunk::decoded() buffer, so a container is decompressed and
 /// CRC-verified once, before its bytes are first restored, and every later
-/// restart shares the verified bytes. The length and manifest-CRC checks
-/// run on every call, and `decode_seconds` still charges every chunk's
-/// decode: the host cache saves host time only, never simulated time.
+/// restart shares the verified bytes. The cold containers decompress on
+/// the host pool first (Chunk::warm_decoded). The length and manifest-CRC
+/// checks run on every call, and `decode_seconds` still charges every
+/// chunk's decode: the host cache saves host time only, never simulated
+/// time.
 ProcessImage decode_incremental(const ckptstore::Manifest& mf,
                                 const ckptstore::Repository& repo,
                                 double* decode_seconds, u64* read_bytes,

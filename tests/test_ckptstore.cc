@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "ckptstore/cdc.h"
@@ -643,6 +644,186 @@ TEST(Rescan, RepeatedKeyMissingFromTheRepositoryIsStored) {
       nullptr, &err);
   ASSERT_TRUE(err.empty()) << err;
   EXPECT_EQ(back.segments[0].data.content_crc(), live.content_crc());
+}
+
+// --- the host codec pool ----------------------------------------------------
+
+// The pooled encode compresses a generation's new real chunks out of order
+// and commits them in scan order. Its output must equal a one-pass serial
+// encode built here span by span: within-generation duplicates (a 64 KiB
+// region two segments share, repeated zero chunks), dedup hits against an
+// earlier generation, pattern chunks, and a quarantined key that the
+// generation re-stores once and then dedups against.
+TEST(CkptStore, PooledEncodeCommitsInScanOrder) {
+  const auto codec = compress::CodecKind::kGzipish;
+  const auto p = fixed_params(kChunk);
+  ckptstore::Repository repo;
+
+  const auto old_bytes = pseudo_bytes(4 * kChunk, 5);
+  mtcp::ProcessImage old;
+  {
+    mtcp::SegmentImage s;
+    s.name = "old";
+    s.data = ByteImage(old_bytes.size());
+    s.data.write(0, old_bytes);
+    old.segments.push_back(std::move(s));
+  }
+  const auto g0 = mtcp::encode_incremental(old, codec, p, "7", 0, repo);
+  const auto old_keys = ckptstore::Manifest::decode(g0.manifest_bytes)
+                            .all_keys();
+  ASSERT_EQ(old_keys.size(), 4u);
+  const ckptstore::ChunkKey quarantined = old_keys[1];
+  ASSERT_GT(repo.quarantine(quarantined), 0u);
+
+  const auto shared = pseudo_bytes(16 * kChunk, 1);  // 64 KiB
+  mtcp::ProcessImage img;
+  img.prog_name = "prog";
+  img.virt_pid = 7;
+  {
+    mtcp::SegmentImage heap;
+    heap.name = "heap";
+    heap.kind = sim::MemKind::kHeap;
+    heap.data = ByteImage(24 * kChunk);
+    heap.data.write(0, shared);
+    heap.data.fill(16 * kChunk, 4 * kChunk, ExtentKind::kZero);
+    heap.data.write(20 * kChunk, old_bytes);
+    img.segments.push_back(std::move(heap));
+    mtcp::SegmentImage stack;
+    stack.name = "stack";
+    stack.kind = sim::MemKind::kStack;
+    stack.data = ByteImage(28 * kChunk);
+    stack.data.write(0, pseudo_bytes(2 * kChunk, 2));
+    stack.data.write(2 * kChunk, shared);
+    stack.data.fill(18 * kChunk, 4 * kChunk, ExtentKind::kRand, 0xBA11A57);
+    stack.data.write(22 * kChunk, old_bytes);
+    // New chunks after the duplicates: a commit that lost its place among
+    // the compressed chunks would store the wrong containers here.
+    stack.data.write(26 * kChunk, pseudo_bytes(2 * kChunk, 6));
+    img.segments.push_back(std::move(stack));
+  }
+
+  // The serial reference: every key resident before the generation, and
+  // every key this generation stores, with its charged bytes.
+  std::map<ckptstore::ChunkKey, u64> charged;
+  for (const auto& key : old_keys) {
+    if (const auto* c = repo.find(key)) charged[key] = c->charged_bytes;
+  }
+  ASSERT_EQ(charged.count(quarantined), 0u);
+  const auto delta = mtcp::encode_incremental(img, codec, p, "7", 1, repo);
+  ckptstore::Manifest ref_mf;
+  ref_mf.owner = "7";
+  ref_mf.generation = 1;
+  ref_mf.chunking = p;
+  ref_mf.codec = static_cast<u8>(codec);
+  {
+    ByteWriter w;
+    img.serialize_meta(w);
+    ref_mf.meta_blob = w.take();
+  }
+  std::vector<std::pair<ckptstore::ChunkKey, u64>> ref_stored, ref_dups;
+  std::vector<double> ref_seconds;
+  std::map<ckptstore::ChunkKey, std::vector<std::byte>> ref_containers;
+  for (const auto& seg : img.segments) {
+    ckptstore::SegmentManifest sm;
+    sm.name = seg.name;
+    sm.kind = static_cast<u8>(seg.kind);
+    sm.size = seg.data.size();
+    for (const auto& span : ckptstore::scan_chunks_with(seg.data, p)) {
+      const bool real = span.kind == ExtentKind::kReal;
+      const auto content = seg.data.materialize(span.off, span.len);
+      const auto key = real ? ckptstore::content_key(content)
+                            : ckptstore::span_key(seg.data, span);
+      sm.chunks.push_back({key, span.len, crc32(content)});
+      if (auto it = charged.find(key); it != charged.end()) {
+        ref_dups.emplace_back(key, it->second);
+        continue;
+      }
+      u64 bytes = 0;
+      if (real) {
+        auto container = compress::codec(codec).compress(content);
+        bytes = container.size();
+        ref_containers[key] = std::move(container);
+      } else {
+        // Pattern chunks are priced from a measured ratio; the reference
+        // takes the stored descriptor's charge and checks everything else.
+        ASSERT_NE(repo.find(key), nullptr);
+        bytes = repo.find(key)->charged_bytes;
+      }
+      charged[key] = bytes;
+      ref_stored.emplace_back(key, bytes);
+      ref_seconds.push_back(mtcp::encode_cpu_seconds(span.len, span.kind,
+                                                     codec));
+    }
+    ref_mf.segments.push_back(std::move(sm));
+  }
+  // 16 shared chunks, 4 of the stack's own and the quarantined one.
+  ASSERT_EQ(ref_containers.size(), 21u);
+
+  EXPECT_EQ(delta.manifest_bytes, ref_mf.encode());
+  EXPECT_EQ(delta.stored_chunks, ref_stored);
+  EXPECT_EQ(delta.encode_seconds, ref_seconds);
+  EXPECT_EQ(delta.dup_chunks, ref_dups);
+  for (const auto& [key, container] : ref_containers) {
+    const auto* c = repo.find(key);
+    ASSERT_NE(c, nullptr) << key.str();
+    EXPECT_EQ(*c->stored, container) << key.str();
+  }
+  EXPECT_EQ(repo.quarantined_count(), 0u);  // re-stored fresh
+
+  // A key stored twice in one generation is stored at its first
+  // occurrence, and the second is a hit carrying the first one's charge.
+  const auto charges = [](const auto& pairs, const ckptstore::ChunkKey& key) {
+    std::vector<u64> bytes;
+    for (const auto& [k, b] : pairs) {
+      if (k == key) bytes.push_back(b);
+    }
+    return bytes;
+  };
+  const auto first_shared = ckptstore::content_key(
+      std::span(shared).first(kChunk));
+  for (const auto& key : {first_shared, quarantined}) {
+    const auto stored = charges(delta.stored_chunks, key);
+    ASSERT_EQ(stored.size(), 1u) << key.str();
+    EXPECT_EQ(charges(delta.dup_chunks, key), stored) << key.str();
+  }
+}
+
+// A cold restore decodes the manifest's distinct real chunks on the host
+// pool, once each: a chunk the manifest references twice restores both
+// ranges from one shared buffer, the chunk's cached decode.
+TEST(CkptStore, RestoreDecodesEachColdChunkOnce) {
+  ckptstore::Repository repo;
+  const auto codec = compress::CodecKind::kGzipish;
+  const auto twice = pseudo_bytes(kChunk, 3);
+  mtcp::ProcessImage img;
+  {
+    mtcp::SegmentImage s;
+    s.name = "heap";
+    s.data = ByteImage(8 * kChunk);
+    s.data.write(0, pseudo_bytes(8 * kChunk, 4));
+    s.data.write(kChunk, twice);
+    s.data.write(6 * kChunk, twice);
+    img.segments.push_back(std::move(s));
+  }
+  const auto delta =
+      mtcp::encode_incremental(img, codec, fixed_params(kChunk), "7", 0, repo);
+  const auto mf = ckptstore::Manifest::decode(delta.manifest_bytes);
+  const auto key = ckptstore::content_key(twice);
+  const auto keys = mf.all_keys();
+  ASSERT_EQ(std::count(keys.begin(), keys.end(), key), 2);
+
+  std::string err;
+  const auto back = mtcp::decode_incremental(mf, repo, nullptr, nullptr, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  expect_images_equal(img, back);
+  std::vector<const std::vector<std::byte>*> buffers;
+  back.segments[0].data.for_each_extent(
+      [&](u64 off, const ByteImage::Extent& e) {
+        if (off == kChunk || off == 6 * kChunk) buffers.push_back(e.data.get());
+      });
+  ASSERT_EQ(buffers.size(), 2u);
+  EXPECT_EQ(buffers[0], buffers[1]);
+  EXPECT_EQ(buffers[0], repo.find(key)->decoded(codec).get());
 }
 
 // --- GC ----------------------------------------------------------------------

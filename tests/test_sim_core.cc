@@ -2,11 +2,16 @@
 // queueing, network, deterministic RNG, utility types.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <vector>
+
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
 #include "sim/net.h"
 #include "sim/storage.h"
 #include "util/crc32.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/stats.h"
@@ -196,6 +201,38 @@ TEST(Stats, MeanAndStddev) {
   EXPECT_NEAR(s.stddev(), 2.138, 0.001);
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
+}
+
+// Every index runs exactly once, whatever n is against the width, and
+// back-to-back calls never leak a job into the next.
+TEST(ParallelFor, RunsEveryIndexOnce) {
+  EXPECT_GE(pool_width(), 1u);
+  EXPECT_LE(pool_width(), 4u);
+  for (int round = 0; round < 200; ++round) {
+    for (size_t n : {0, 1, 3, 4, 5, 1000}) {
+      std::vector<std::atomic<int>> runs(n);
+      parallel_for(n, [&](size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "round " << round << ", n " << n
+                                     << ", index " << i;
+      }
+    }
+  }
+}
+
+// A throwing job's exception reaches the caller after the join, and the
+// pool runs the next job normally.
+TEST(ParallelFor, RethrowsAJobsException) {
+  EXPECT_THROW(parallel_for(100,
+                            [](size_t i) {
+                              if (i == 17) throw std::runtime_error("job 17");
+                            }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> runs(100);
+  parallel_for(100, [&](size_t i) { runs[i].fetch_add(1); });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 }  // namespace
