@@ -1,7 +1,7 @@
 // Micro-benchmarks of the substrate (google-benchmark): compressor
 // throughput by content class, each codec stage, the codec serially and on
-// the host pool, sparse ByteImage operations, event-loop dispatch, CRC32
-// and chunk keys. These are
+// the host pool, sparse ByteImage operations, event-loop dispatch, record
+// I/O over a simulated socket, CRC32 and chunk keys. These are
 // host-side costs, not virtual-time results. The codec, CRC and key cases
 // run at 16 KiB — the size of a CDC chunk, which is what the store
 // actually feeds them — as well as at 1 MiB, so per-call set-up shows.
@@ -14,6 +14,8 @@
 #include "util/serialize.h"
 #include "sim/byte_image.h"
 #include "sim/event_loop.h"
+#include "sim/kernel.h"
+#include "sim/pctx.h"
 #include "util/crc32.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -180,6 +182,59 @@ void BM_EventLoopPostRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopPostRun);
+
+// Two simulated processes on two nodes bounce a 48 KiB record, the size of
+// an MG halo, through ProcessCtx::write_exact and read_exact: the host cost
+// of moving MPI bytes over a simulated socket. Each iteration runs a fresh
+// kernel through kSocketRoundTrips round trips.
+constexpr u64 kSocketRecordBytes = 48 << 10;
+constexpr int kSocketRoundTrips = 64;
+constexpr u16 kSocketPort = 7000;
+
+sim::Task<int> socket_echo(sim::ProcessCtx& ctx, bool server) {
+  sim::MemSegment& seg =
+      ctx.alloc("record", sim::MemKind::kHeap, kSocketRecordBytes);
+  seg.data.write(0, make_data("text", kSocketRecordBytes));
+  const sim::MemRef record{&seg, 0};
+  Fd fd = co_await ctx.socket();
+  if (server) {
+    const bool bound = co_await ctx.bind(fd, kSocketPort);
+    DSIM_CHECK(bound);
+    co_await ctx.listen(fd);
+    fd = co_await ctx.accept(fd);
+  } else {
+    while (!co_await ctx.connect(fd, sim::SockAddr{0, kSocketPort})) {
+      co_await ctx.sleep(timeconst::kMillisecond);
+    }
+  }
+  for (int i = 0; i < kSocketRoundTrips; ++i) {
+    if (server) co_await ctx.read_exact(fd, record, kSocketRecordBytes, 0);
+    co_await ctx.write_exact(fd, record, kSocketRecordBytes, 1);
+    if (!server) co_await ctx.read_exact(fd, record, kSocketRecordBytes, 0);
+  }
+  co_return 0;
+}
+
+void BM_SocketExactRoundTrip(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::KernelConfig cfg;
+    cfg.num_nodes = 2;
+    sim::Kernel k(cfg);
+    sim::Program server{"echo_server", {}, {}};
+    server.main = [](sim::ProcessCtx& ctx) { return socket_echo(ctx, true); };
+    sim::Program client{"echo_client", {}, {}};
+    client.main = [](sim::ProcessCtx& ctx) { return socket_echo(ctx, false); };
+    k.programs().add(std::move(server));
+    k.programs().add(std::move(client));
+    k.spawn_process(0, "echo_server", {}, {});
+    k.spawn_process(1, "echo_client", {}, {});
+    k.loop().run();
+    benchmark::DoNotOptimize(k.loop().now());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          kSocketRoundTrips * 2 * kSocketRecordBytes);
+}
+BENCHMARK(BM_SocketExactRoundTrip);
 
 void BM_Crc32(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

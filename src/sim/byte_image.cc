@@ -23,6 +23,15 @@ u8 ByteImage::rand_byte(u64 seed, u64 pos) {
   return static_cast<u8>(block >> ((pos & 7) * 8));
 }
 
+namespace {
+// kRand content of [pos, pos + n) into dst.
+void fill_rand(std::byte* dst, u64 seed, u64 pos, u64 n) {
+  for (u64 k = 0; k < n; ++k) {
+    dst[k] = static_cast<std::byte>(ByteImage::rand_byte(seed, pos + k));
+  }
+}
+}  // namespace
+
 void ByteImage::resize(u64 new_size) {
   if (new_size == size_) return;
   notify(std::min(size_, new_size),
@@ -146,43 +155,74 @@ void ByteImage::mark_soft_dirty(u64 begin, u64 end) {
   soft_dirty_.emplace_hint(it, begin, end);
 }
 
-void ByteImage::read(u64 off, std::span<std::byte> out) const {
-  if (out.empty()) return;
-  DSIM_CHECK_MSG(off + out.size() <= size_, "ByteImage read out of range");
+template <typename Fn>
+void ByteImage::for_each_piece(u64 off, u64 len, Fn&& fn) const {
+  if (len == 0) return;
+  DSIM_CHECK_MSG(off + len <= size_, "ByteImage read out of range");
   u64 pos = off;
   u64 done = 0;
   auto it = ext_.upper_bound(off);
   DSIM_CHECK(it != ext_.begin());
   --it;
-  while (done < out.size()) {
+  while (done < len) {
     DSIM_CHECK(it != ext_.end());
-    const u64 start = it->first;
     const Extent& ext = it->second;
-    const u64 in_ext = pos - start;
-    const u64 n = std::min<u64>(ext.len - in_ext, out.size() - done);
-    switch (ext.kind) {
-      case ExtentKind::kReal:
-        std::memcpy(out.data() + done,
-                    ext.data->data() + ext.data_off + in_ext, n);
-        break;
-      case ExtentKind::kZero:
-        std::memset(out.data() + done, 0, n);
-        break;
-      case ExtentKind::kRand:
-        for (u64 k = 0; k < n; ++k) {
-          out[done + k] = static_cast<std::byte>(rand_byte(ext.seed, pos + k));
-        }
-        break;
-    }
+    const u64 in_ext = pos - it->first;
+    const u64 n = std::min<u64>(ext.len - in_ext, len - done);
+    fn(ext, pos, in_ext, n);
     done += n;
     pos += n;
     ++it;
   }
 }
 
+void ByteImage::read(u64 off, std::span<std::byte> out) const {
+  std::byte* dst = out.data();
+  auto copy = [&](const Extent& ext, u64 pos, u64 in_ext, u64 n) {
+    switch (ext.kind) {
+      case ExtentKind::kReal:
+        std::memcpy(dst, ext.data->data() + ext.data_off + in_ext, n);
+        break;
+      case ExtentKind::kZero:
+        std::memset(dst, 0, n);
+        break;
+      case ExtentKind::kRand:
+        fill_rand(dst, ext.seed, pos, n);
+        break;
+    }
+    dst += n;
+  };
+  for_each_piece(off, out.size(), copy);
+}
+
 std::vector<std::byte> ByteImage::materialize(u64 off, u64 len) const {
-  std::vector<std::byte> out(len);
-  read(off, out);
+  // One pass: each piece is appended as it is produced, never zero-filled
+  // first.
+  std::vector<std::byte> out;
+  out.reserve(len);
+  auto append = [&](const Extent& ext, u64 pos, u64 in_ext, u64 n) {
+    switch (ext.kind) {
+      case ExtentKind::kReal: {
+        const std::byte* src = ext.data->data() + ext.data_off + in_ext;
+        out.insert(out.end(), src, src + n);
+        break;
+      }
+      case ExtentKind::kZero:
+        out.resize(out.size() + n);
+        break;
+      case ExtentKind::kRand: {
+        // Staged through a small block: appending byte by byte is slower.
+        std::byte block[4096];
+        for (u64 k = 0; k < n; k += sizeof block) {
+          const u64 m = std::min<u64>(sizeof block, n - k);
+          fill_rand(block, ext.seed, pos + k, m);
+          out.insert(out.end(), block, block + m);
+        }
+        break;
+      }
+    }
+  };
+  for_each_piece(off, len, append);
   return out;
 }
 

@@ -151,6 +151,10 @@ class ByteImage {
   // Split the extent containing `pos` so that `pos` becomes an extent
   // boundary. No-op if already a boundary or past the end.
   void split_at(u64 pos);
+  // Visit [off, off+len) extent by extent, in order:
+  // fn(extent, pos, offset of pos in the extent, bytes of this piece).
+  template <typename Fn>
+  void for_each_piece(u64 off, u64 len, Fn&& fn) const;
   // Erase extents fully inside [off, off+len) (callers split boundaries
   // first) and insert the replacement extent.
   void replace_range(u64 off, u64 len, Extent ext);

@@ -383,6 +383,18 @@ std::shared_ptr<OpenFile> Kernel::try_accept(TcpVNode& s) {
 
 Task<u64> Kernel::sock_send(Thread& t, TcpVNode& s,
                             std::span<const std::byte> bytes, SegKind kind) {
+  return send_data(t, s, bytes, {}, kind);
+}
+
+Task<u64> Kernel::sock_send_owned(Thread& t, TcpVNode& s,
+                                  std::vector<std::byte> bytes) {
+  return send_data(t, s, {}, std::move(bytes), SegKind::kData);
+}
+
+Task<u64> Kernel::send_data(Thread& t, TcpVNode& s,
+                            std::span<const std::byte> bytes,
+                            std::vector<std::byte> owned, SegKind kind) {
+  if (!owned.empty()) bytes = owned;
   DSIM_CHECK(!bytes.empty());
   while (s.send_q_bytes >= params::kSockSendBuf) {
     if (s.state != TcpVNode::State::kEstablished || s.peer.expired()) {
@@ -395,23 +407,28 @@ Task<u64> Kernel::sock_send(Thread& t, TcpVNode& s,
   }
   const u64 room = params::kSockSendBuf - s.send_q_bytes;
   const u64 n = std::min<u64>(room, bytes.size());
-  u64 queued = 0;
-  while (queued < n) {
-    const u64 seg_n = std::min<u64>(params::kTcpSegmentBytes, n - queued);
-    SockSegment seg;
-    seg.kind = kind;
-    seg.bytes.assign(bytes.begin() + static_cast<ptrdiff_t>(queued),
-                     bytes.begin() + static_cast<ptrdiff_t>(queued + seg_n));
-    s.send_q.push_back(std::move(seg));
-    queued += seg_n;
+  if (n == owned.size() && n <= params::kTcpSegmentBytes) {
+    // All of the caller's buffer, in one segment: it is the segment.
+    s.send_q.push_back(SockSegment{kind, std::move(owned)});
+  } else {
+    u64 queued = 0;
+    while (queued < n) {
+      const u64 seg_n = std::min<u64>(params::kTcpSegmentBytes, n - queued);
+      SockSegment seg;
+      seg.kind = kind;
+      seg.bytes.assign(bytes.begin() + static_cast<ptrdiff_t>(queued),
+                       bytes.begin() + static_cast<ptrdiff_t>(queued + seg_n));
+      s.send_q.push_back(std::move(seg));
+      queued += seg_n;
+    }
   }
   s.send_q_bytes += n;
   pump_socket(s.shared_from_this());
   co_return n;
 }
 
-Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
-  DSIM_CHECK(!out.empty());
+template <typename Sink>
+Task<u64> Kernel::recv_data(Thread& t, TcpVNode& s, u64 max, Sink sink) {
   while (s.recv_q.empty()) {
     if (s.peer_closed || s.state != TcpVNode::State::kEstablished) {
       co_return 0;  // EOF
@@ -421,13 +438,38 @@ Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
   SockSegment& front = s.recv_q.front();
   DSIM_CHECK_MSG(front.kind == SegKind::kData,
                  "user recv() reached a protocol segment");
-  const u64 n = std::min<u64>(out.size(), front.remaining());
-  std::memcpy(out.data(), front.bytes.data() + front.consumed, n);
+  const u64 n = std::min<u64>(max, front.remaining());
+  const std::span<const std::byte> bytes(front.bytes.data() + front.consumed,
+                                         n);
   front.consumed += n;
   s.recv_q_bytes -= n;
-  if (front.remaining() == 0) s.recv_q.pop_front();
+  // The sink runs after the pump: an image sink's write observer may post
+  // events (the async checkpoint's copy-on-write charge), and they must
+  // come after the pump's, as when a caller writes the bytes out of a span
+  // once sock_recv returns. A used-up segment's buffer lives here until then.
+  std::vector<std::byte> used_up;
+  if (front.remaining() == 0) {
+    used_up = std::move(front.bytes);
+    s.recv_q.pop_front();
+  }
   if (auto p = s.peer.lock()) pump_socket(p);  // receive window opened
+  sink(bytes);
   co_return n;
+}
+
+Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
+  DSIM_CHECK(!out.empty());
+  return recv_data(t, s, out.size(), [out](std::span<const std::byte> b) {
+    std::memcpy(out.data(), b.data(), b.size());
+  });
+}
+
+Task<u64> Kernel::sock_recv_into(Thread& t, TcpVNode& s, ByteImage& dst,
+                                 u64 off, u64 len) {
+  DSIM_CHECK(len > 0);
+  return recv_data(t, s, len, [&dst, off](std::span<const std::byte> b) {
+    dst.write(off, b);
+  });
 }
 
 Task<SockSegment> Kernel::sock_recv_segment(Thread& t, TcpVNode& s) {

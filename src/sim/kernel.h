@@ -103,8 +103,19 @@ class Kernel {
   /// at least one byte can be queued. Returns bytes queued.
   Task<u64> sock_send(Thread& t, TcpVNode& s, std::span<const std::byte> bytes,
                       SegKind kind = SegKind::kData);
+  /// sock_send of a data buffer the caller hands over. When every byte is
+  /// accepted and fits in one kTcpSegmentBytes segment, the buffer itself
+  /// becomes the segment; otherwise the accepted prefix is copied as
+  /// sock_send copies it. The queued segments are the same either way.
+  Task<u64> sock_send_owned(Thread& t, TcpVNode& s,
+                            std::vector<std::byte> bytes);
   /// Receive data bytes; blocks until data or EOF (returns 0).
   Task<u64> sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out);
+  /// sock_recv straight into simulated memory: up to `len` bytes of the
+  /// front segment go to `dst` at `off` in one ByteImage::write, the call a
+  /// copy out of a span would make. The segment's buffer is never adopted.
+  Task<u64> sock_recv_into(Thread& t, TcpVNode& s, ByteImage& dst, u64 off,
+                           u64 len);
   /// Manager-plane: pop the next whole segment of any kind (drain protocol).
   Task<SockSegment> sock_recv_segment(Thread& t, TcpVNode& s);
   /// Manager-plane: push a whole segment (token / ctrl / refill payload).
@@ -180,6 +191,15 @@ class Kernel {
   }
 
  private:
+  // The one TCP send core: queues the bytes of `owned` when it is not
+  // empty, else of `bytes`.
+  Task<u64> send_data(Thread& t, TcpVNode& s, std::span<const std::byte> bytes,
+                      std::vector<std::byte> owned, SegKind kind);
+  // The one TCP receive core: waits for data or EOF (returns 0), consumes
+  // up to `max` bytes of the front segment, reopens the peer's window and
+  // then hands the bytes to `sink`.
+  template <typename Sink>
+  Task<u64> recv_data(Thread& t, TcpVNode& s, u64 max, Sink sink);
   void pump_socket(std::shared_ptr<TcpVNode> s);
   void linger_poll(std::shared_ptr<TcpVNode> s);
   void process_exit(Process& p);

@@ -1,6 +1,7 @@
 #include "sim/pctx.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "sim/interposer.h"
 #include "util/assertx.h"
@@ -8,6 +9,7 @@
 namespace dsim::sim {
 namespace {
 constexpr double kCpuChunkSeconds = 0.010;  // resumable compute granularity
+constexpr u64 kExactPieceBytes = 64 * 1024;  // one step of the exact helpers
 }
 
 // --- compute ----------------------------------------------------------------
@@ -215,69 +217,79 @@ Task<i64> ProcessCtx::write(Fd fd, std::span<const std::byte> bytes) {
   }
 }
 
-Task<bool> ProcessCtx::read_exact_or_eof(Fd fd, MemRef buf, u64 len,
-                                         RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
-  while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    const i64 n = co_await read(fd, std::span(tmp).first(want));
-    if (n <= 0) {
-      DSIM_CHECK_MSG(reg(r) == 0, "EOF mid-record");
-      co_return false;
-    }
-    buf.seg->data.write(buf.off + reg(r),
-                        std::span<const std::byte>(tmp).first(
-                            static_cast<u64>(n)));
-    reg(r) += static_cast<u64>(n);
-  }
-  reg(r) = 0;
-  co_return true;
-}
+// The exact helpers move a record in pieces of up to kExactPieceBytes and
+// look the descriptor up at every step, as read() and write() do. Over TCP
+// each piece is one host copy each way: the sender materializes it and
+// hands the buffer to the socket as its segment, and the receiver writes
+// from the segment straight into the destination image. Other descriptors
+// go through a scratch buffer that is never zero-filled.
 
-Task<bool> ProcessCtx::write_exact_or_eof(Fd fd, MemRef buf, u64 len,
-                                          RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
+Task<bool> ProcessCtx::read_exact_steps(Fd fd, MemRef buf, u64 len,
+                                        RegSlot r, bool eof_ok) {
+  std::unique_ptr<std::byte[]> scratch;
   while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    buf.seg->data.read(buf.off + reg(r), std::span(tmp).first(want));
-    const i64 n =
-        co_await write(fd, std::span<const std::byte>(tmp).first(want));
-    if (n <= 0) {
-      reg(r) = 0;  // peer gone; record abandoned
-      co_return false;
+    const u64 want = std::min<u64>(kExactPieceBytes, len - reg(r));
+    const u64 at = buf.off + reg(r);
+    auto of = p_.fds().get(fd);
+    DSIM_CHECK_MSG(of != nullptr, "read: bad fd");
+    i64 n = 0;
+    if (of->vnode->kind() == VKind::kTcp) {
+      n = static_cast<i64>(co_await k_.sock_recv_into(
+          t_, static_cast<TcpVNode&>(*of->vnode), buf.seg->data, at, want));
+    } else {
+      if (!scratch) {
+        scratch = std::make_unique_for_overwrite<std::byte[]>(
+            std::min<u64>(len, kExactPieceBytes));
+      }
+      n = co_await read(fd, std::span(scratch.get(), want));
+      if (n > 0) {
+        buf.seg->data.write(
+            at, std::span<const std::byte>(scratch.get(), static_cast<u64>(n)));
+      }
     }
-    reg(r) += static_cast<u64>(n);
-  }
-  reg(r) = 0;
-  co_return true;
-}
-
-Task<void> ProcessCtx::read_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
-  while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    const i64 n = co_await read(fd, std::span(tmp).first(want));
     if (n <= 0) {
+      if (eof_ok) {
+        DSIM_CHECK_MSG(reg(r) == 0, "EOF mid-record");
+        co_return false;
+      }
       std::fprintf(stderr, "read_exact fail: prog=%s pid=%d fd=%d\n",
                    p_.prog_name().c_str(), p_.pid(), fd);
     }
     DSIM_CHECK_MSG(n > 0, "read_exact: EOF mid-record");
-    buf.seg->data.write(buf.off + reg(r),
-                        std::span<const std::byte>(tmp).first(
-                            static_cast<u64>(n)));
     reg(r) += static_cast<u64>(n);
   }
   DSIM_CHECK(reg(r) == len);
   reg(r) = 0;
+  co_return true;
 }
 
-Task<void> ProcessCtx::write_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
-  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
+Task<bool> ProcessCtx::write_exact_steps(Fd fd, MemRef buf, u64 len,
+                                         RegSlot r, bool eof_ok) {
+  std::unique_ptr<std::byte[]> scratch;
   while (reg(r) < len) {
-    const u64 want = std::min<u64>(tmp.size(), len - reg(r));
-    buf.seg->data.read(buf.off + reg(r), std::span(tmp).first(want));
-    const i64 n = co_await write(fd, std::span<const std::byte>(tmp).first(want));
+    const u64 want = std::min<u64>(kExactPieceBytes, len - reg(r));
+    const u64 at = buf.off + reg(r);
+    auto of = p_.fds().get(fd);
+    DSIM_CHECK_MSG(of != nullptr, "write: bad fd");
+    i64 n = 0;
+    if (of->vnode->kind() == VKind::kTcp) {
+      n = static_cast<i64>(co_await k_.sock_send_owned(
+          t_, static_cast<TcpVNode&>(*of->vnode),
+          buf.seg->data.materialize(at, want)));
+    } else {
+      if (!scratch) {
+        scratch = std::make_unique_for_overwrite<std::byte[]>(
+            std::min<u64>(len, kExactPieceBytes));
+      }
+      const std::span<std::byte> piece(scratch.get(), want);
+      buf.seg->data.read(at, piece);
+      n = co_await write(fd, piece);
+    }
     if (n <= 0) {
+      if (eof_ok) {
+        reg(r) = 0;  // peer gone; record abandoned
+        co_return false;
+      }
       std::fprintf(stderr, "write_exact fail: prog=%s pid=%d fd=%d",
                    p_.prog_name().c_str(), p_.pid(), fd);
       if (auto* v = fd_tcp(fd)) {
@@ -293,6 +305,25 @@ Task<void> ProcessCtx::write_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
   }
   DSIM_CHECK(reg(r) == len);
   reg(r) = 0;
+  co_return true;
+}
+
+Task<void> ProcessCtx::read_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
+  co_await read_exact_steps(fd, buf, len, r, /*eof_ok=*/false);
+}
+
+Task<void> ProcessCtx::write_exact(Fd fd, MemRef buf, u64 len, RegSlot r) {
+  co_await write_exact_steps(fd, buf, len, r, /*eof_ok=*/false);
+}
+
+Task<bool> ProcessCtx::read_exact_or_eof(Fd fd, MemRef buf, u64 len,
+                                         RegSlot r) {
+  return read_exact_steps(fd, buf, len, r, /*eof_ok=*/true);
+}
+
+Task<bool> ProcessCtx::write_exact_or_eof(Fd fd, MemRef buf, u64 len,
+                                          RegSlot r) {
+  return write_exact_steps(fd, buf, len, r, /*eof_ok=*/true);
 }
 
 // --- sockets -----------------------------------------------------------------------

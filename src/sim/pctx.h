@@ -176,6 +176,13 @@ class ProcessCtx {
       std::map<std::string, std::string> extra) const;
 
  private:
+  // The loops behind read_exact / write_exact and their _or_eof twins;
+  // `eof_ok` selects the twin's end-of-stream handling.
+  Task<bool> read_exact_steps(Fd fd, MemRef buf, u64 len, RegSlot reg,
+                              bool eof_ok);
+  Task<bool> write_exact_steps(Fd fd, MemRef buf, u64 len, RegSlot reg,
+                               bool eof_ok);
+
   Kernel& k_;
   Process& p_;
   Thread& t_;

@@ -256,6 +256,19 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
   auto out = img.materialize(0, size);
   ASSERT_TRUE(std::equal(out.begin(), out.end(), ref.begin()))
       << "divergence from reference model";
+  // Sub-ranges too, half of them starting on an extent boundary.
+  std::vector<u64> starts;
+  img.for_each_extent(
+      [&](u64 start, const ByteImage::Extent&) { starts.push_back(start); });
+  for (int q = 0; q < 20; ++q) {
+    const u64 off = q % 2 == 0 ? starts[rng.next_below(starts.size())]
+                               : rng.next_below(size);
+    const u64 len = rng.next_below(std::min<u64>(30000, size - off) + 1);
+    const auto part = img.materialize(off, len);
+    ASSERT_EQ(part.size(), len);
+    EXPECT_TRUE(std::equal(part.begin(), part.end(), ref.begin() + off))
+        << "materialize(" << off << ", " << len << ")";
+  }
   for (const auto& [buf, bytes] : adopted) {
     EXPECT_EQ(*buf, bytes) << "an adopted buffer was written in place";
   }

@@ -1,15 +1,20 @@
 // Simulation-core unit tests: event loop, CPU fluid sharing, storage
-// queueing, network, deterministic RNG, utility types.
+// queueing, network, socket record I/O, deterministic RNG, utility types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
+#include "sim/kernel.h"
 #include "sim/net.h"
+#include "sim/pctx.h"
 #include "sim/storage.h"
+#include "tests/testutil.h"
 #include "util/crc32.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -136,6 +141,189 @@ TEST(Network, LoopbackFasterThanRemote) {
   net.transfer(0, 1, 1'000'000, [&] { remote = loop.now() - local; });
   loop.run();
   EXPECT_LT(local, remote);
+}
+
+// --- socket record I/O -------------------------------------------------------
+
+// The reference for the exact helpers: 64 KiB pieces bounced through
+// ProcessCtx::read and write spans, with no path between images and
+// segments. Sockets.ExactIoMatchesSpanReference holds the helpers to it.
+Task<void> span_write_exact(ProcessCtx& ctx, Fd fd, MemRef buf, u64 len,
+                            int* partial_sends) {
+  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
+  u64 done = 0;
+  while (done < len) {
+    const u64 want = std::min<u64>(tmp.size(), len - done);
+    buf.seg->data.read(buf.off + done, std::span(tmp).first(want));
+    const i64 n =
+        co_await ctx.write(fd, std::span<const std::byte>(tmp).first(want));
+    DSIM_CHECK(n > 0);
+    if (static_cast<u64>(n) < want) ++*partial_sends;
+    done += static_cast<u64>(n);
+  }
+}
+
+Task<void> span_read_exact(ProcessCtx& ctx, Fd fd, MemRef buf, u64 len) {
+  std::vector<std::byte> tmp(std::min<u64>(len, 64 * 1024));
+  u64 done = 0;
+  while (done < len) {
+    const u64 want = std::min<u64>(tmp.size(), len - done);
+    const i64 n = co_await ctx.read(fd, std::span(tmp).first(want));
+    DSIM_CHECK(n > 0);
+    const auto got = std::span<const std::byte>(tmp).first(static_cast<u64>(n));
+    buf.seg->data.write(buf.off + done, got);
+    done += static_cast<u64>(n);
+  }
+}
+
+// 1 B, 4 KiB, 48 KiB, 64 KiB, 64 KiB + 1 and 200 KiB.
+constexpr u64 kRecordLens[] = {1, 4096, 49152, 65536, 65537, 204800};
+constexpr u64 kRecordSrcBytes = 400 << 10;
+constexpr u64 kRecordDstBytes = 300 << 10;
+constexpr u64 kRecordGap = 1000;  // keeps the records' dirty ranges apart
+constexpr u16 kRecordPort = 7000;
+
+// What one world saw. Even records land in "own", a segment that is one
+// unshared real extent, so writes go in place; odd records land in
+// "shared", whose extents a ByteImage copy still holds.
+struct RecordWorld {
+  bool exact = false;  // write_exact / read_exact, else the span reference
+  std::vector<SimTime> sent, received;
+  std::vector<std::vector<std::byte>> records;
+  std::vector<std::byte> source;  // the sender's records, back to back
+  std::vector<std::byte> own_image, shared_image;  // serialized at the end
+  ByteImage::SoftDirtyLog own_dirty, shared_dirty;
+  bool copy_intact = false;
+  int partial_sends = 0;  // reference world only
+};
+
+// Where record i lands: (segment "own" = 0 / "shared" = 1, offset).
+std::pair<int, u64> record_dst(size_t i) {
+  u64 off[2] = {kRecordGap, kRecordGap};
+  for (size_t j = 0; j < i; ++j) off[j % 2] += kRecordLens[j] + kRecordGap;
+  return {static_cast<int>(i % 2), off[i % 2]};
+}
+
+Task<int> record_sender(ProcessCtx& ctx, RecordWorld* w) {
+  MemSegment& src = ctx.alloc("src", MemKind::kHeap, kRecordSrcBytes);
+  src.data.write(0, test::pseudo_bytes(60000, 1));
+  src.data.fill(130000, 120000, ExtentKind::kRand, 7);
+  src.data.write(250000, test::pseudo_bytes(80000, 2));
+  src.data.fill(330000, kRecordSrcBytes - 330000, ExtentKind::kRand, 9);
+  const Fd fd = co_await ctx.socket();
+  while (!co_await ctx.connect(fd, SockAddr{0, kRecordPort})) {
+    co_await ctx.sleep(timeconst::kMillisecond);
+  }
+  u64 at = 0;
+  for (const u64 len : kRecordLens) {
+    const MemRef buf{&src, at};
+    if (w->exact) {
+      co_await ctx.write_exact(fd, buf, len, 0);
+    } else {
+      co_await span_write_exact(ctx, fd, buf, len, &w->partial_sends);
+    }
+    w->sent.push_back(ctx.now());
+    at += len;
+  }
+  w->source = src.data.materialize(0, at);
+  co_await ctx.close(fd);
+  co_return 0;
+}
+
+Task<int> record_receiver(ProcessCtx& ctx, RecordWorld* w) {
+  MemSegment* dst[2] = {&ctx.alloc("own", MemKind::kHeap, kRecordDstBytes),
+                        &ctx.alloc("shared", MemKind::kHeap, kRecordDstBytes)};
+  dst[0]->data.write(0, test::pseudo_bytes(kRecordDstBytes, 3));
+  dst[1]->data.write(0, test::pseudo_bytes(kRecordDstBytes, 4));
+  const ByteImage copy = dst[1]->data;
+  const u32 copy_crc = copy.content_crc();
+  dst[0]->data.arm_soft_dirty();
+  dst[1]->data.arm_soft_dirty();
+
+  const Fd lfd = co_await ctx.socket();
+  const bool bound = co_await ctx.bind(lfd, kRecordPort);
+  DSIM_CHECK(bound);
+  co_await ctx.listen(lfd);
+  const Fd fd = co_await ctx.accept(lfd);
+  for (size_t i = 0; i < std::size(kRecordLens); ++i) {
+    // Reading slowly lets the sender's 64 KiB buffer fill, so some of its
+    // sends are accepted only in part.
+    co_await ctx.sleep(2 * timeconst::kMillisecond);
+    const auto [seg, off] = record_dst(i);
+    const MemRef buf{dst[seg], off};
+    if (w->exact) {
+      co_await ctx.read_exact(fd, buf, kRecordLens[i], 0);
+    } else {
+      co_await span_read_exact(ctx, fd, buf, kRecordLens[i]);
+    }
+    w->received.push_back(ctx.now());
+    w->records.push_back(dst[seg]->data.materialize(off, kRecordLens[i]));
+  }
+  std::vector<std::byte>* images[2] = {&w->own_image, &w->shared_image};
+  for (int seg = 0; seg < 2; ++seg) {
+    ByteWriter bw;
+    dst[seg]->data.serialize(bw);
+    *images[seg] = bw.take();
+  }
+  w->own_dirty = dst[0]->data.take_soft_dirty();
+  w->shared_dirty = dst[1]->data.take_soft_dirty();
+  w->copy_intact = copy.content_crc() == copy_crc;
+  co_return 0;
+}
+
+RecordWorld run_record_world(bool exact) {
+  RecordWorld w;
+  w.exact = exact;
+  KernelConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.seed = 11;
+  Kernel k(cfg);
+  Program sender{"record_sender", {}, {}};
+  sender.main = [&w](ProcessCtx& ctx) { return record_sender(ctx, &w); };
+  Program receiver{"record_receiver", {}, {}};
+  receiver.main = [&w](ProcessCtx& ctx) { return record_receiver(ctx, &w); };
+  k.programs().add(std::move(sender));
+  k.programs().add(std::move(receiver));
+  k.spawn_process(0, "record_receiver", {}, {});
+  k.spawn_process(1, "record_sender", {}, {});
+  k.loop().run_until(10 * timeconst::kSecond);
+  return w;
+}
+
+TEST(Sockets, ExactIoMatchesSpanReference) {
+  const RecordWorld ref = run_record_world(/*exact=*/false);
+  const RecordWorld got = run_record_world(/*exact=*/true);
+  constexpr size_t kRecords = std::size(kRecordLens);
+  ASSERT_EQ(ref.received.size(), kRecords);
+  ASSERT_EQ(got.received.size(), kRecords);
+  ASSERT_EQ(got.sent.size(), kRecords);
+  EXPECT_GT(ref.partial_sends, 0) << "the sender's buffer never filled";
+
+  EXPECT_EQ(got.sent, ref.sent);
+  EXPECT_EQ(got.received, ref.received);
+  u64 at = 0;
+  for (size_t i = 0; i < kRecords; ++i) {
+    const auto want = std::span(got.source).subspan(at, kRecordLens[i]);
+    EXPECT_TRUE(std::ranges::equal(got.records[i], want)) << "record " << i;
+    EXPECT_EQ(got.records[i], ref.records[i]) << "record " << i;
+    at += kRecordLens[i];
+  }
+  EXPECT_EQ(got.source, ref.source);
+  // The same ByteImage::write calls: the same extents, byte for byte.
+  EXPECT_EQ(got.own_image, ref.own_image);
+  EXPECT_EQ(got.shared_image, ref.shared_image);
+  EXPECT_TRUE(got.copy_intact);
+  EXPECT_TRUE(ref.copy_intact);
+
+  std::vector<std::pair<u64, u64>> want_dirty[2];
+  for (size_t i = 0; i < kRecords; ++i) {
+    const auto [seg, off] = record_dst(i);
+    want_dirty[seg].emplace_back(off, off + kRecordLens[i]);
+  }
+  EXPECT_EQ(got.own_dirty.ranges, want_dirty[0]);
+  EXPECT_EQ(got.shared_dirty.ranges, want_dirty[1]);
+  EXPECT_EQ(ref.own_dirty.ranges, want_dirty[0]);
+  EXPECT_EQ(ref.shared_dirty.ranges, want_dirty[1]);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
