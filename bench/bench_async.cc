@@ -161,7 +161,8 @@ int main() {
       (async ? async_pause : sync_pause).push_back(pause);
       if (g == 0) (async ? crc_async : crc_sync) = manifest_crc(w);
       if (async) {
-        queued_bytes += w.ctl->stats().rounds.back().async_queued_bytes;
+        queued_bytes +=
+            w.ctl->stats().last_round().delta.counter("async.queued_bytes");
         drain_pipeline(w);
       }
     }

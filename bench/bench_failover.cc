@@ -118,8 +118,8 @@ FailoverResult run_failover(int ranks, u64 lib_bytes, u64 priv_bytes) {
       w.k().loop().now() + 120 * timeconst::kSecond);
   const core::CkptRound& kill_round = w.ctl->stats().rounds[round_idx];
   fr.kill_ckpt_seconds = kill_round.total_seconds();
-  fr.rehomed_shards = kill_round.failover_rehomed_shards;
-  fr.replayed_requests = kill_round.failover_replayed_requests;
+  fr.rehomed_shards = kill_round.delta.counter("store.rehomed_shards");
+  fr.replayed_requests = kill_round.delta.counter("store.replayed_requests");
   fr.parked_requests = svc.stats().parked_requests;
 
   // Recovery: rounds (beyond the kill round) until every chunk is back at

@@ -120,12 +120,15 @@ SweepPoint run_point(int ranks, int replicas, int shards, int lookup_batch,
   pt.replicas = replicas;
   pt.shards = shards;
   pt.lookup_batch = lookup_batch;
-  pt.lookups = round.store_lookups;
-  pt.rpcs = round.store_rpcs;
-  pt.rpc_net_bytes = round.store_rpc_net_bytes;
-  pt.rpc_net_wait_ms = round.store_rpc_net_wait_seconds * 1e3;
-  pt.avg_wait_ms = round.avg_lookup_wait_seconds() * 1e3;
-  pt.max_wait_ms = round.max_lookup_wait_seconds * 1e3;
+  pt.lookups = round.delta.counter("store.lookup_requests");
+  pt.rpcs = round.delta.counter("rpc.calls");
+  pt.rpc_net_bytes = round.delta.counter("rpc.net_bytes");
+  pt.rpc_net_wait_ms = round.delta.sum("rpc.net_wait_seconds") * 1e3;
+  // The world's only round: its delta copies the histogram, so max() is
+  // the exact largest wait.
+  const obs::Histogram& wait = round.delta.histogram("store.lookup_wait");
+  pt.avg_wait_ms = wait.mean() * 1e3;
+  pt.max_wait_ms = wait.max() * 1e3;
   pt.ckpt_seconds = round.total_seconds();
   pt.stored_bytes = round.store_new_bytes;
   pt.device_written_bytes = cluster_written_bytes(w);

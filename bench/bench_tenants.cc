@@ -250,8 +250,8 @@ AdmissionResult run_admission(u64 lib_bytes, u64 priv_bytes) {
   const auto& round = w.host.checkpoint_now();
   AdmissionResult a;
   a.budget_bytes = kBudget;
-  a.held_requests = round.store_admission_held;
-  a.wait_seconds = round.store_admission_wait_seconds;
+  a.held_requests = round.delta.counter("store.admission_held_requests");
+  a.wait_seconds = round.delta.histogram("store.admission_wait").sum();
   return a;
 }
 

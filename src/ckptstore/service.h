@@ -93,9 +93,10 @@
 
 namespace dsim::ckptstore {
 
-/// Request statistics, cumulative over the computation. The coordinator
-/// snapshots deltas into each CkptRound. Per-tenant breakdowns live in the
-/// TenantRegistry (tenants()).
+/// Request statistics, cumulative over the computation. core's
+/// collect_metrics names the fields under store.*, and each CkptRound
+/// carries their delta. Per-tenant breakdowns live in the TenantRegistry
+/// (tenants()).
 struct ServiceStats {
   u64 lookup_requests = 0;
   u64 lookup_batches = 0;  // lookup RPCs issued (K keys amortize one RPC)
@@ -107,8 +108,9 @@ struct ServiceStats {
   u64 fetch_bytes = 0;
   /// Submit -> completion wait of every lookup/fetch key (one histogram
   /// sample per key, including the RPC's network hops and endpoint message
-  /// CPU). mean() is the headline contention metric; the per-round max
-  /// drains through take_window_max() (the coordinator, each round).
+  /// CPU). mean() is the headline contention metric; a round's max is
+  /// its registry delta's max() (exact on a computation's first round,
+  /// bucketed after that).
   obs::Histogram lookup_wait;
   // Admission control: stores held at their tenant edge because the
   // tenant's in-flight byte budget was exhausted, and the per-store hold
@@ -374,10 +376,6 @@ class ChunkStoreService {
     for (const Shard& s : shards_) n += static_cast<u64>(s.parked.size());
     return n;
   }
-  /// Return the max single-lookup wait observed since the last call and
-  /// reset it, so each CkptRound records its own round's max rather than
-  /// the run-global one.
-  double take_max_lookup_wait() { return stats_.lookup_wait.take_window_max(); }
 
  private:
   /// One service request, held by shared_ptr so a failed attempt can park

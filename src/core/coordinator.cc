@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "ckptasync/pipeline.h"
 #include "core/msg_io.h"
 #include "core/protocol.h"
 #include "core/restart_script.h"
@@ -55,20 +54,9 @@ struct CoordState {
   // and can land after restart:refilled.
   size_t stage_epoch = 0;
   std::map<std::string, std::pair<double, int>> stage_sums;
-  // Chunk-store service and RPC-fabric stats at the previous round's close,
-  // so each CkptRound records this round's delta (lookups served, wait
-  // time, network bytes, scrub/heal results).
-  ckptstore::ServiceStats svc_last;
-  rpc::RpcStats rpc_last;
-  // Async-pipeline stats at the previous round's close (same delta idiom).
-  ckptasync::PipelineStats pipe_last;
-  // Tracer per-stage totals at the previous round's close: the delta feeds
-  // the round's "queue.*" stage_breakdown entries (tracing enabled only).
-  std::map<std::string, obs::Tracer::StageStat> stage_last;
-  // Full metrics-registry snapshot at the previous round's close: its
-  // delta_since against the current snapshot is this round's health
-  // time-series sample (--health-out / --slo only).
-  obs::MetricsRegistry reg_last;
+  // collect_metrics at the previous round's close: each round's
+  // CkptRound::delta is the current snapshot's difference to it.
+  obs::MetricsRegistry last_metrics;
 };
 
 void refresh_discovery_epoch(CoordState* st) {
@@ -200,6 +188,7 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
   st->shared->ckpt_generation++;
   // Generate the restart script for this round (§3).
   const int round = st->current_round;
+  auto& r = st->shared->stats.rounds.back();
   if (!st->shared->repos.empty()) {
     // Snapshot the repositories after every manager committed + GC'd: the
     // round's stats carry the store's live size and dedup ratio,
@@ -212,7 +201,6 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
       logical += rs.live_logical_bytes;
       shared_chunks += repo->shared_chunk_count();
     }
-    auto& r = st->shared->stats.rounds.back();
     r.store_live_bytes = live;
     r.store_shared_chunks = shared_chunks;
     r.store_reclaimed_bytes = reclaimed;
@@ -220,61 +208,20 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
                               : static_cast<double>(logical) /
                                     static_cast<double>(live);
   }
+  {
+    // The round's view of every cumulative stat: one registry snapshot,
+    // diffed against the previous close. Taken before the daemon kicks
+    // below, so their synchronous counts land in the next round's delta.
+    obs::MetricsRegistry now = collect_metrics(*st->shared);
+    r.delta = now.delta_since(st->last_metrics);
+    st->last_metrics = std::move(now);
+  }
   if (auto* svc = st->shared->store_service.get();
       svc != nullptr && st->shared->owns_store) {
-    // Request-queue view of the round: the lookups this round's managers
-    // queued and how long they waited in line behind every other rank's —
-    // plus the RPC fabric's view (requests really crossed the network) and
-    // the background daemons' results since the previous round. Only the
-    // computation that owns the service snapshots the deltas and kicks the
-    // daemons; attached tenants would double-consume both.
-    const ckptstore::ServiceStats& ss = svc->stats();
-    const rpc::RpcStats& rs = svc->fabric().stats();
-    auto& r = st->shared->stats.rounds.back();
-    r.store_lookups = ss.lookup_requests - st->svc_last.lookup_requests;
-    // The round's full wait distribution is the histogram's bucket delta;
-    // its sum() is exactly the old running-sum delta (same subtraction),
-    // so the scalar fields the bench JSON emits are unchanged.
-    r.lookup_wait_hist = ss.lookup_wait.delta_since(st->svc_last.lookup_wait);
-    r.lookup_wait_seconds = r.lookup_wait_hist.sum();
-    r.max_lookup_wait_seconds = svc->take_max_lookup_wait();
-    r.store_admission_held =
-        ss.admission_held_requests - st->svc_last.admission_held_requests;
-    r.store_admission_wait_seconds =
-        ss.admission_wait.sum() - st->svc_last.admission_wait.sum();
-    r.store_rpcs = rs.calls - st->rpc_last.calls;
-    r.store_rpc_net_bytes = rs.net_bytes - st->rpc_last.net_bytes;
-    r.store_rpc_net_wait_seconds =
-        rs.net_wait_seconds - st->rpc_last.net_wait_seconds;
-    r.scrubbed_chunks = ss.scrubbed_chunks - st->svc_last.scrubbed_chunks;
-    r.scrub_corrupt_chunks =
-        ss.scrub_corrupt_chunks - st->svc_last.scrub_corrupt_chunks;
-    r.scrub_missing_chunks =
-        ss.scrub_missing_chunks - st->svc_last.scrub_missing_chunks;
-    r.scrub_quarantined_chunks =
-        ss.scrub_quarantined_chunks - st->svc_last.scrub_quarantined_chunks;
-    r.rereplicated_chunks =
-        ss.rereplicated_chunks - st->svc_last.rereplicated_chunks;
-    r.failover_rehomed_shards =
-        ss.rehomed_shards - st->svc_last.rehomed_shards;
-    r.failover_replayed_requests =
-        ss.replayed_requests - st->svc_last.replayed_requests;
-    r.failover_rehomed_back_shards =
-        ss.rehomed_back_shards - st->svc_last.rehomed_back_shards;
-    r.rebalance_moved_keys =
-        ss.rebalance_moved_keys - st->svc_last.rebalance_moved_keys;
-    r.rebalance_moved_bytes =
-        ss.rebalance_moved_bytes - st->svc_last.rebalance_moved_bytes;
-    r.rebuilt_fragments =
-        ss.rebuilt_fragments - st->svc_last.rebuilt_fragments;
-    r.scrub_repaired_fragments =
-        ss.scrub_repaired_fragments - st->svc_last.scrub_repaired_fragments;
-    r.demoted_chunks = ss.demoted_chunks - st->svc_last.demoted_chunks;
-    r.demoted_bytes = ss.demoted_bytes - st->svc_last.demoted_bytes;
-    st->svc_last = ss;
-    st->rpc_last = rs;
-    // Kick this round's scrub pass; its results land in the next round's
-    // delta (the pass drains through the shard queues asynchronously).
+    // Only the computation that owns the service kicks its daemons;
+    // attached tenants would double-kick them. Kick this round's scrub
+    // pass; its results land in the next round's delta (the pass drains
+    // through the shard queues asynchronously).
     if (st->shared->opts.scrub_chunks > 0) {
       svc->scrub(st->shared->opts.scrub_chunks, st->shared->opts.codec);
     }
@@ -289,7 +236,6 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
     // Derived per-round signals from the managers' blob-v2 sums: the
     // store-level compress ratio over this round's new chunks and the
     // workload's dirty-locality fraction (generation 0 reads 1.0).
-    auto& r = st->shared->stats.rounds.back();
     r.compress_ratio =
         r.store_raw_new_bytes == 0
             ? 1.0
@@ -301,26 +247,11 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
             : 1.0 - static_cast<double>(r.store_dup_bytes) /
                         static_cast<double>(r.total_uncompressed);
   }
-  if (auto* pipe = st->shared->async_pipeline.get()) {
-    const ckptasync::PipelineStats& ps = pipe->stats();
-    auto& r = st->shared->stats.rounds.back();
-    r.cow_pages_copied =
-        ps.cow_pages_copied - st->pipe_last.cow_pages_copied;
-    r.cow_copy_seconds = ps.cow_copy_seconds - st->pipe_last.cow_copy_seconds;
-    r.async_queued_bytes = ps.queued_bytes - st->pipe_last.queued_bytes;
-    r.async_blocked_seconds =
-        ps.blocked_seconds - st->pipe_last.blocked_seconds;
-    // Drain latency of the jobs that *completed* in this round's window
-    // (a round's own jobs usually finish after its refill barrier).
-    r.async_drain_seconds = ps.drain_seconds - st->pipe_last.drain_seconds;
-    st->pipe_last = ps;
-  }
   {
     // Critical-path attribution: the barrier stages decompose the round's
     // pause exactly (they are adjacent intervals of one timeline, so their
     // sum IS the total — asserted to catch any future re-stamping bug);
     // with tracing on, the per-stage queue-wait deltas ride along.
-    auto& r = st->shared->stats.rounds.back();
     r.stage_breakdown["barrier.suspend"] = r.suspend_seconds();
     r.stage_breakdown["barrier.elect"] = r.elect_seconds();
     r.stage_breakdown["barrier.drain"] = r.drain_seconds();
@@ -334,14 +265,12 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
         r.stage_breakdown["barrier.refill"];
     DSIM_CHECK_MSG(std::fabs(barrier_sum - r.total_seconds()) <= 1e-9,
                    "round barrier stages must sum to the measured total");
-    if (auto* tr = st->shared->tracer.get()) {
-      for (const auto& [name, stat] : tr->stages()) {
-        const auto it = st->stage_last.find(name);
-        const double prev = it == st->stage_last.end() ? 0.0 : it->second.seconds;
-        const double delta = stat.seconds - prev;
-        if (delta > 0) r.stage_breakdown["queue." + name] = delta;
+    for (const auto& [name, h] : r.delta.histograms()) {
+      if (name.rfind("stage.", 0) == 0 && h.sum() > 0) {
+        r.stage_breakdown["queue." + name.substr(6)] = h.sum();
       }
-      st->stage_last = tr->stages();
+    }
+    if (auto* tr = st->shared->tracer.get()) {
       // Critical-path attribution over the pause window: the backward
       // sweep partitions [requested, refilled) in integer nanoseconds,
       // so its attributed time equals the barrier stage total exactly —
@@ -361,23 +290,19 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
     }
   }
   if (st->shared->health_series) {
-    // Health time-series sample: the registry's delta against the
-    // previous round's snapshot, flattened to named scalars — counter
-    // deltas and backlog gauges under their registry names, selected
-    // histogram deltas as .p99, plus the aliases the SLO rules and docs
-    // use (pause_seconds, degraded_chunks, parked_requests, ...).
-    auto& r = st->shared->stats.rounds.back();
-    obs::MetricsRegistry now_reg = collect_metrics(*st->shared);
-    const obs::MetricsRegistry delta = now_reg.delta_since(st->reg_last);
-    st->reg_last = std::move(now_reg);
+    // Health time-series sample: the round's delta flattened to named
+    // scalars — counter and sum deltas and backlog gauges under their
+    // registry names, histogram deltas as .p99, plus the aliases the SLO
+    // rules and docs use (pause_seconds, degraded_chunks, ...).
     obs::RoundSeries::Sample sample;
     sample.round = st->current_round;
     sample.at = r.refilled;
-    for (const auto& [name, v] : delta.counters()) {
+    for (const auto& [name, v] : r.delta.counters()) {
       sample.values[name] = static_cast<double>(v);
     }
-    for (const auto& [name, v] : delta.gauges()) sample.values[name] = v;
-    for (const auto& [name, h] : delta.histograms()) {
+    for (const auto& [name, v] : r.delta.sums()) sample.values[name] = v;
+    for (const auto& [name, v] : r.delta.gauges()) sample.values[name] = v;
+    for (const auto& [name, h] : r.delta.histograms()) {
       if (h.count() != 0) sample.values[name + ".p99"] = h.quantile(0.99);
     }
     sample.values["pause_seconds"] = r.total_seconds();

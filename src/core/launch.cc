@@ -48,11 +48,19 @@ constexpr const char* kDefaultSloRules =
     "parked: parked_requests == 0; "
     "heal_backlog: drain(degraded_chunks, 2)";
 
-/// Create the health engine (round series + SLO rules) when either
-/// --health-out or --slo asks for it. opts.slo was validated at
-/// option-parse time, so add_rules cannot fail here.
-void arm_health(DmtcpShared* shared) {
+/// Arm observability (both constructors): a tracer on the kernel's event
+/// loop when any export flag asks for one (the health engine's critical
+/// path walks its spans) and no host computation lent one, then the health
+/// engine when --health-out or --slo asks for it. opts.slo was validated
+/// at option-parse time, so add_rules cannot fail here.
+void arm_observability(sim::Kernel& k, DmtcpShared* shared) {
   const DmtcpOptions& opts = shared->opts;
+  if (!shared->tracer &&
+      (!opts.trace_out.empty() || !opts.metrics_out.empty() ||
+       opts.health_enabled())) {
+    shared->tracer = std::make_shared<obs::Tracer>();
+    k.loop().set_tracer(shared->tracer.get());
+  }
   if (!opts.health_enabled()) return;
   shared->health_series = std::make_shared<obs::RoundSeries>();
   shared->slo_engine = std::make_shared<obs::SloEngine>();
@@ -79,15 +87,7 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
   DSIM_CHECK_MSG(cluster_err.empty(),
                  ("dmtcp_checkpoint: " + cluster_err).c_str());
   shared_->opts = opts;
-  if (!opts.trace_out.empty() || !opts.metrics_out.empty() ||
-      opts.health_enabled()) {
-    // Observability is armed by any export flag (the health engine's
-    // critical path walks the tracer's spans); the tracer installs on
-    // the kernel's event loop, where every instrumentation site finds it.
-    shared_->tracer = std::make_shared<obs::Tracer>();
-    k_.loop().set_tracer(shared_->tracer.get());
-  }
-  arm_health(shared_.get());
+  arm_observability(k_, shared_.get());
   if (opts.incremental && shared_->cluster_wide_store()) {
     // The cluster-wide store is a *service* reached over the RPC fabric,
     // not a free index: it owns the shared repository (repos[kSharedRepo]
@@ -153,19 +153,6 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
         [membership](NodeId n) { membership->revive_node(n); });
     shared_->membership->start();
   }
-  if (opts.ckpt_async) {
-    // Async COW checkpoint pipeline: background encode/store jobs charge
-    // their CPU stages on the snapshot node through the fluid share, so the
-    // app slowdown during a drain is emergent, not scripted.
-    sim::Kernel* kp = &k_;
-    shared_->async_pipeline = std::make_shared<ckptasync::CkptAsyncPipeline>(
-        [kp](NodeId node, double seconds, std::function<void()> done) {
-          kp->node(node).cpu().submit(seconds, std::move(done));
-        },
-        [kp] { return kp->loop().now(); },
-        opts.compress_bw > 0 ? opts.compress_bw
-                             : sim::params::kCompressBw);
-  }
   finish_init();
 }
 
@@ -188,33 +175,18 @@ DmtcpControl::DmtcpControl(DmtcpControl& host, DmtcpOptions opts)
                  "tenant attach: coord_port already used by another "
                  "computation on this kernel");
   shared_->opts = opts;
+  // Tenants share the host's tracer (one loop, one tracer): an attached
+  // computation's requests land on the same trace timeline. A tenant's
+  // health engine is its own (rules and series scoped to this
+  // computation's rounds) even though the tracer and service are shared.
+  shared_->tracer = host.shared_->tracer;
+  arm_observability(k_, shared_.get());
   shared_->owns_store = false;
   shared_->store_service = host.shared_->store_service;
   shared_->membership = host.shared_->membership;
   shared_->failover = host.shared_->failover;
-  // Tenants share the host's tracer (one loop, one tracer): an attached
-  // computation's requests land on the same trace timeline.
-  shared_->tracer = host.shared_->tracer;
-  if (!shared_->tracer &&
-      (!opts.trace_out.empty() || !opts.metrics_out.empty() ||
-       opts.health_enabled())) {
-    shared_->tracer = std::make_shared<obs::Tracer>();
-    k_.loop().set_tracer(shared_->tracer.get());
-  }
-  // A tenant's health engine is its own (rules and series scoped to this
-  // computation's rounds) even though the tracer and service are shared.
-  arm_health(shared_.get());
   shared_->repos[DmtcpShared::kSharedRepo] =
       shared_->store_service->repo_ptr();
-  if (opts.ckpt_async) {
-    sim::Kernel* kp = &k_;
-    shared_->async_pipeline = std::make_shared<ckptasync::CkptAsyncPipeline>(
-        [kp](NodeId node, double seconds, std::function<void()> done) {
-          kp->node(node).cpu().submit(seconds, std::move(done));
-        },
-        [kp] { return kp->loop().now(); },
-        opts.compress_bw > 0 ? opts.compress_bw : sim::params::kCompressBw);
-  }
   finish_init();
 }
 
@@ -228,8 +200,20 @@ void DmtcpControl::finish_init() {
   if (!opts.log_level.empty()) {
     set_log_level(parse_log_level(opts.log_level, log_level()));
   }
-  if (shared_->tracer && shared_->async_pipeline) {
-    shared_->async_pipeline->set_tracer(shared_->tracer.get());
+  if (opts.ckpt_async) {
+    // Async COW checkpoint pipeline: background encode/store jobs charge
+    // their CPU stages on the snapshot node through the fluid share, so the
+    // app slowdown during a drain is emergent, not scripted.
+    sim::Kernel* kp = &k_;
+    shared_->async_pipeline = std::make_shared<ckptasync::CkptAsyncPipeline>(
+        [kp](NodeId node, double seconds, std::function<void()> done) {
+          kp->node(node).cpu().submit(seconds, std::move(done));
+        },
+        [kp] { return kp->loop().now(); },
+        opts.compress_bw > 0 ? opts.compress_bw : sim::params::kCompressBw);
+    if (shared_->tracer) {
+      shared_->async_pipeline->set_tracer(shared_->tracer.get());
+    }
   }
   if (auto* svc = shared_->store_service.get()) {
     // Register this computation's tenant policy with the (possibly shared)
@@ -286,6 +270,21 @@ obs::MetricsRegistry collect_metrics(const DmtcpShared& shared) {
     reg.counter("store.admission_held_requests", ss.admission_held_requests);
     reg.counter("store.parked_requests", ss.parked_requests);
     reg.counter("store.replayed_requests", ss.replayed_requests);
+    reg.counter("store.rehomed_shards", ss.rehomed_shards);
+    reg.counter("store.rehomed_back_shards", ss.rehomed_back_shards);
+    reg.counter("store.rebalance_moved_keys", ss.rebalance_moved_keys);
+    reg.counter("store.rebalance_moved_bytes", ss.rebalance_moved_bytes);
+    reg.counter("store.scrubbed_chunks", ss.scrubbed_chunks);
+    reg.counter("store.scrub_corrupt_chunks", ss.scrub_corrupt_chunks);
+    reg.counter("store.scrub_missing_chunks", ss.scrub_missing_chunks);
+    reg.counter("store.scrub_quarantined_chunks",
+                ss.scrub_quarantined_chunks);
+    reg.counter("store.scrub_repaired_fragments",
+                ss.scrub_repaired_fragments);
+    reg.counter("store.rereplicated_chunks", ss.rereplicated_chunks);
+    reg.counter("store.rebuilt_fragments", ss.rebuilt_fragments);
+    reg.counter("store.demoted_chunks", ss.demoted_chunks);
+    reg.counter("store.demoted_bytes", ss.demoted_bytes);
     reg.histogram("store.lookup_wait", ss.lookup_wait);
     reg.histogram("store.admission_wait", ss.admission_wait);
     // Health levels (gauges survive delta_since as current values): the
@@ -308,12 +307,22 @@ obs::MetricsRegistry collect_metrics(const DmtcpShared& shared) {
     reg.counter("rpc.calls", rs.calls);
     reg.counter("rpc.net_bytes", rs.net_bytes);
     reg.counter("rpc.failed_calls", rs.failed_calls);
-    reg.gauge("rpc.net_wait_seconds", rs.net_wait_seconds);
-    reg.gauge("rpc.endpoint_cpu_seconds", rs.endpoint_cpu_seconds);
+    reg.sum("rpc.net_wait_seconds", rs.net_wait_seconds);
+    reg.sum("rpc.endpoint_cpu_seconds", rs.endpoint_cpu_seconds);
+  }
+  if (const auto* pipe = shared.async_pipeline.get()) {
+    const ckptasync::PipelineStats& ps = pipe->stats();
+    reg.counter("async.queued_bytes", ps.queued_bytes);
+    reg.counter("async.cow_pages_copied", ps.cow_pages_copied);
+    reg.sum("async.cow_copy_seconds", ps.cow_copy_seconds);
+    reg.sum("async.blocked_seconds", ps.blocked_seconds);
+    // A round's sum is the drain latency of the jobs that *completed* in
+    // its window (a round's own jobs usually finish after its refill).
+    reg.sum("async.drain_seconds", ps.drain_seconds);
   }
   if (const auto* tr = shared.tracer.get()) {
     reg.counter("trace.spans", static_cast<u64>(tr->spans().size()));
-    reg.counter("trace.open_spans", tr->open_spans());
+    reg.gauge("trace.open_spans", static_cast<double>(tr->open_spans()));
     reg.counter("trace.tiling_violations", tr->tiling_violations());
     for (const auto& [name, hist] : tr->stage_histograms()) {
       reg.histogram("stage." + name, hist);

@@ -63,59 +63,6 @@ struct CkptRound {
   u64 new_chunks = 0;
   double dedup_ratio = 0;  // logical bytes per stored byte
 
-  // Chunk-store service (cluster scope): this round's view of the request
-  // queue. Lookups contend across ranks, so the per-lookup average wait is
-  // the Fig.-5b-style contention metric bench_service sweeps.
-  u64 store_lookups = 0;           // dedup lookups served this round
-  double lookup_wait_seconds = 0;  // cumulative submit -> served wait
-  double max_lookup_wait_seconds = 0;
-  /// Full per-key lookup-wait distribution for the round (bucket delta of
-  /// the service histogram): the scalars above are its count()/sum(), kept
-  /// for the emitted bench JSON; quantiles (p50/p90/p99) come from here.
-  obs::Histogram lookup_wait_hist;
-  /// Admission control (multi-tenant): stores this round that exceeded the
-  /// tenant's in-flight byte budget and were held at the tenant edge, and
-  /// the cumulative held -> dispatched wait they accrued.
-  u64 store_admission_held = 0;
-  double store_admission_wait_seconds = 0;
-
-  // RPC-fabric view of the round: service requests traverse the simulated
-  // network (caller NIC -> endpoint message CPU -> return hop), so the
-  // lookup path has real network bytes and in-flight time.
-  u64 store_rpcs = 0;
-  u64 store_rpc_net_bytes = 0;
-  double store_rpc_net_wait_seconds = 0;
-
-  // Background store daemons, as observed at this round's close. Scrub and
-  // heal passes complete asynchronously, so a pass kicked at round N
-  // surfaces in round N+1's delta.
-  u64 scrubbed_chunks = 0;
-  u64 scrub_corrupt_chunks = 0;
-  u64 scrub_missing_chunks = 0;
-  u64 scrub_quarantined_chunks = 0;
-  u64 rereplicated_chunks = 0;
-  // Erasure-mode daemons (src/ckptstore/erasure.*), same delayed-delta
-  // convention: fragments rebuilt onto fresh homes by the heal daemon,
-  // corrupt fragments the scrubber repaired in place, and chunks the
-  // demotion daemon re-striped to the cold (k,m) profile.
-  u64 rebuilt_fragments = 0;
-  u64 scrub_repaired_fragments = 0;
-  u64 demoted_chunks = 0;
-  u64 demoted_bytes = 0;
-
-  // Cluster membership & shard failover (src/cluster/), this round's view:
-  // shards re-homed off dead endpoints, requests that parked on a dead
-  // endpoint and replayed after the re-home (the caller-visible latency
-  // instead of an error), and consistent-hash rebalance movement when the
-  // shard count changed since the previous round.
-  u64 failover_rehomed_shards = 0;
-  u64 failover_replayed_requests = 0;
-  /// Shards moved *back* to their rendezvous owner at this round's start
-  /// after the owner endpoint was revived (stickiness fix).
-  u64 failover_rehomed_back_shards = 0;
-  u64 rebalance_moved_keys = 0;
-  u64 rebalance_moved_bytes = 0;
-
   // Compressed-chunk accounting over this round's *new* chunks.
   u64 store_new_chunk_bytes = 0;  // container (post-codec) bytes stored
   u64 store_raw_new_bytes = 0;    // logical (pre-codec) bytes chunked
@@ -134,19 +81,24 @@ struct CkptRound {
   u64 encode_jobs = 0;
   int peak_encode_jobs = 0;
 
-  // Async COW pipeline (--ckpt-async), this round's view.
-  u64 cow_pages_copied = 0;       // snapshot pages the app dirtied mid-drain
-  double cow_copy_seconds = 0;    // background CPU those copies charged
-  u64 async_queued_bytes = 0;     // logical bytes handed to the pipeline
-  double async_drain_seconds = 0;      // max job drain latency this round
-  double async_blocked_seconds = 0;    // backpressure=block wait, summed
-  u64 async_skipped_procs = 0;         // backpressure=skip rounds skipped
+  // Async COW pipeline (--ckpt-async): processes backpressure=skip left
+  // out of this round. The pipeline's totals are the delta's async.*.
+  u64 async_skipped_procs = 0;
+
+  /// Every cumulative stat collect_metrics names — chunk-store service,
+  /// tenant, RPC fabric, async pipeline and tracer stage — as this
+  /// round's delta against the computation's previous round close:
+  /// counters and sums subtract, gauges keep their level, histograms take
+  /// their bucket delta (a copy on the computation's first round). Taken
+  /// before the round kicks its scrub and demotion passes, so a pass
+  /// kicked at round N surfaces in round N+1's delta.
+  obs::MetricsRegistry delta;
 
   /// Critical-path attribution for the round: seconds per named component.
   /// The "barrier.*" entries decompose total_seconds() exactly (the
   /// coordinator asserts they sum to it); with tracing enabled, "queue.*"
   /// entries additionally attribute the round's queue-wait to stages
-  /// (per-round deltas of the tracer's stage totals).
+  /// (the delta's positive stage.* histogram sums).
   std::map<std::string, double> stage_breakdown;
 
   /// Critical-path blame report for the pause window [requested,
@@ -155,13 +107,6 @@ struct CkptRound {
   /// equals the stage_breakdown barrier total — the coordinator asserts
   /// both identities every round. Empty when tracing is off.
   obs::CritPathReport critical_path;
-
-  double avg_lookup_wait_seconds() const {
-    return lookup_wait_hist.count() != 0 ? lookup_wait_hist.mean()
-           : store_lookups == 0
-               ? 0.0
-               : lookup_wait_seconds / static_cast<double>(store_lookups);
-  }
 
   double total_seconds() const { return to_seconds(refilled - requested); }
   double suspend_seconds() const { return to_seconds(suspended - requested); }
@@ -248,9 +193,10 @@ struct DmtcpShared {
   std::shared_ptr<ckptstore::ChunkStoreService> store_service;
   /// False when this computation attached to another computation's store
   /// service (multi-tenant serving): the owning computation's coordinator
-  /// assigns endpoints, snapshots service/RPC stat deltas and kicks the
-  /// background daemons; an attached tenant's coordinator must not, or
-  /// deltas would be double-consumed and daemons double-kicked.
+  /// assigns endpoints and kicks the background daemons; an attached
+  /// tenant's coordinator must not, or daemons would be double-kicked.
+  /// (Each computation still takes its own round deltas of the shared
+  /// service's stats.)
   bool owns_store = true;
   /// Cluster membership (heartbeat failure detection from the
   /// coordinator's node) and the shard-failover manager consuming its
@@ -313,11 +259,13 @@ inline std::vector<obs::PhaseMark> restart_phases(const RestartRun& rr) {
           {"restart.refill", b5, rr.refilled}};
 }
 
-/// Snapshot the computation's observable state into one registry:
-/// service/tenant/RPC counters and histograms plus the tracer's stage
-/// histograms — the same document --metrics-out exports at teardown. The
-/// coordinator calls it at every round boundary and diffs consecutive
-/// snapshots (MetricsRegistry::delta_since) into the health time-series.
+/// Snapshot the computation's observable state into one registry — the
+/// one table that names every cumulative stat: service (store.*), tenant
+/// (tenant.<id>.*), RPC fabric (rpc.*), async pipeline (async.*) and
+/// tracer (trace.*, stage.*). --metrics-out exports it at teardown; the
+/// coordinator snapshots it at every round close, and the difference to
+/// the previous close (MetricsRegistry::delta_since) is CkptRound::delta,
+/// which the health time-series, benches and tests read by name.
 /// Defined in launch.cc.
 obs::MetricsRegistry collect_metrics(const DmtcpShared& shared);
 

@@ -45,7 +45,6 @@ void Histogram::record_n(double v, u64 n) {
   count_ += n;
   sum_ += v * static_cast<double>(n);
   if (v > max_) max_ = v;
-  if (v > window_max_) window_max_ = v;
 }
 
 double Histogram::quantile(double q) const {
@@ -66,12 +65,6 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-double Histogram::take_window_max() {
-  const double m = window_max_;
-  window_max_ = 0;
-  return m;
-}
-
 Histogram Histogram::delta_since(const Histogram& prev) const {
   Histogram d;
   d.count_ = count_ - prev.count_;
@@ -81,7 +74,6 @@ Histogram Histogram::delta_since(const Histogram& prev) const {
     d.buckets_[i] = buckets_[i] - prev.buckets_[i];
     if (d.max_ == 0 && d.buckets_[i] != 0) d.max_ = bucket_value(b);
   }
-  d.window_max_ = d.max_;
   return d;
 }
 
@@ -97,14 +89,30 @@ std::string Histogram::json() const {
   return out;
 }
 
+u64 MetricsRegistry::counter(const std::string& name) const {
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second;
+}
+
+double MetricsRegistry::sum(const std::string& name) const {
+  const auto it = sums_.find(name);
+  return it == sums_.end() ? 0.0 : it->second;
+}
+
+const Histogram& MetricsRegistry::histogram(const std::string& name) const {
+  static const Histogram kEmpty;
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() ? kEmpty : it->second;
+}
+
 MetricsRegistry MetricsRegistry::delta_since(
     const MetricsRegistry& prev) const {
   MetricsRegistry d;
   for (const auto& [name, v] : counters_) {
-    const auto it = prev.counters_.find(name);
-    d.counters_[name] = v - (it == prev.counters_.end() ? 0 : it->second);
+    d.counters_[name] = v - prev.counter(name);
   }
-  for (const auto& [name, v] : gauges_) d.gauges_[name] = v;
+  for (const auto& [name, v] : sums_) d.sums_[name] = v - prev.sum(name);
+  d.gauges_ = gauges_;
   for (const auto& [name, h] : histograms_) {
     const auto it = prev.histograms_.find(name);
     d.histograms_[name] =
@@ -114,29 +122,24 @@ MetricsRegistry MetricsRegistry::delta_since(
 }
 
 std::string MetricsRegistry::json() const {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters_) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + std::to_string(v);
-    first = false;
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges_) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + fmt_double(v);
-    first = false;
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + h.json();
-    first = false;
-  }
-  out += "\n  }\n}\n";
-  return out;
+  // One "name": value line per entry, in the map's sorted order.
+  const auto section = [](const char* title, const auto& entries,
+                          const auto& render) {
+    std::string out = std::string("  \"") + title + "\": {";
+    bool first = true;
+    for (const auto& [name, v] : entries) {
+      out += first ? "\n" : ",\n";
+      out += "    \"" + name + "\": " + render(v);
+      first = false;
+    }
+    return out + "\n  }";
+  };
+  const auto u64_str = [](u64 v) { return std::to_string(v); };
+  const auto hist_str = [](const Histogram& h) { return h.json(); };
+  return "{\n" + section("counters", counters_, u64_str) + ",\n" +
+         section("sums", sums_, fmt_double) + ",\n" +
+         section("gauges", gauges_, fmt_double) + ",\n" +
+         section("histograms", histograms_, hist_str) + "\n}\n";
 }
 
 bool MetricsRegistry::write(const std::string& path) const {

@@ -1,5 +1,5 @@
 // Deterministic metrics primitives: a fixed-bucket log-scale histogram and
-// a registry that renders counters/gauges/histograms as stable JSON.
+// a registry that renders counters/sums/gauges/histograms as stable JSON.
 //
 // The histogram replaces the ad-hoc wait accounting that had grown three
 // separate shapes across the tree — `lookup_wait_seconds` running sums with
@@ -17,9 +17,15 @@
 //     relative error of 1/256 (~0.4%) anywhere in [2^-31 s, 2^9 s) — ns
 //     jitter to eight-minute stalls — with zero allocation after
 //     construction and O(1) record.
-//   - `take_window_max()` is the per-round max watermark (read and reset),
-//     `delta_since(prev)` the per-round / per-probe-window delta that
+//   - `delta_since(prev)` is the per-round / per-probe-window delta that
 //     replaces "remember the sample count before the window" bookkeeping.
+//
+// The registry's four kinds differ only in how a delta treats them:
+// counters (u64) and sums (double running totals) subtract, gauges are
+// levels and keep their current value, histograms take their bucket
+// delta. `core::collect_metrics` names every cumulative stat of a
+// computation in one registry, and each checkpoint round carries its
+// delta against the previous round's close (`CkptRound::delta`).
 //
 // Everything here is plain arithmetic on the virtual clock's values: no
 // host time, no allocation ordering, no pointers — identical runs produce
@@ -60,10 +66,6 @@ class Histogram {
   /// (<= 0.4% relative error).
   double quantile(double q) const;
 
-  /// Max since the last call (exact); resets the watermark. Replaces
-  /// ChunkStoreService::take_max_lookup_wait's hand-rolled reset.
-  double take_window_max();
-
   /// Bucket-wise difference `*this - prev` where `prev` is an earlier
   /// snapshot of the same stream. count/sum subtract exactly; max of the
   /// delta is the top nonempty bucket's representative (bucketed).
@@ -86,43 +88,51 @@ class Histogram {
   u64 count_ = 0;
   double sum_ = 0;
   double max_ = 0;
-  double window_max_ = 0;
   std::array<u64, static_cast<size_t>(kBuckets)> buckets_{};
 };
 
-/// Named counters, gauges and histograms rendered as one JSON document.
-/// Backed by std::map so iteration (and therefore the emitted bytes) is
-/// independent of registration order.
+/// Named counters, sums, gauges and histograms rendered as one JSON
+/// document. Backed by std::map so iteration (and therefore the emitted
+/// bytes) is independent of registration order.
 class MetricsRegistry {
  public:
   void counter(const std::string& name, u64 v) { counters_[name] = v; }
+  /// A double running total (seconds, say): subtracts like a counter.
+  void sum(const std::string& name, double v) { sums_[name] = v; }
   void gauge(const std::string& name, double v) { gauges_[name] = v; }
   void histogram(const std::string& name, const Histogram& h) {
     histograms_[name] = h;
   }
 
+  /// Lookups by name: 0 (an empty histogram) when the name is absent.
+  u64 counter(const std::string& name) const;
+  double sum(const std::string& name) const;
+  const Histogram& histogram(const std::string& name) const;
+
   const std::map<std::string, u64>& counters() const { return counters_; }
+  const std::map<std::string, double>& sums() const { return sums_; }
   const std::map<std::string, double>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
 
   /// Registry-wide delta against an earlier snapshot of the same stream:
-  /// counters subtract (a name absent from `prev` counts as 0), gauges
-  /// keep their current value (a gauge is a level, not a rate — the
-  /// per-round "delta" of a level is the level), histograms take
-  /// `Histogram::delta_since`. This is what the coordinator snapshots at
-  /// every round boundary to build the per-round health time-series.
+  /// counters and sums subtract (a name absent from `prev` counts as 0),
+  /// gauges keep their current value (a gauge is a level, not a rate —
+  /// the per-round "delta" of a level is the level), histograms take
+  /// `Histogram::delta_since` (a copy when absent from `prev`). This is
+  /// what the coordinator takes at every round close (CkptRound::delta).
   MetricsRegistry delta_since(const MetricsRegistry& prev) const;
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} with keys
-  /// sorted; byte-stable across identical runs.
+  /// {"counters":{...},"sums":{...},"gauges":{...},"histograms":{...}}
+  /// with keys sorted; byte-stable across identical runs.
   std::string json() const;
   /// Write json() to `path`; returns false on I/O failure.
   bool write(const std::string& path) const;
 
  private:
   std::map<std::string, u64> counters_;
+  std::map<std::string, double> sums_;
   std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
 };

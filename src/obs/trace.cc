@@ -45,9 +45,6 @@ void Tracer::end(u64 span, SimTime now) {
   open_.erase(it);
   rec.end = now;
   const SimTime dur = rec.end - rec.begin;
-  StageStat& st = stages_[rec.name];
-  st.count += rec.n;
-  st.seconds += to_seconds(dur) * static_cast<double>(rec.n);
   stage_hist_[rec.name].record_n(to_seconds(dur), rec.n);
   if (rec.trace_id != 0) {
     const auto t = traces_.find(rec.trace_id);

@@ -71,13 +71,6 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  /// Per-stage totals, snapshotted by the coordinator for per-round
-  /// deltas (CkptRound::stage_breakdown).
-  struct StageStat {
-    u64 count = 0;
-    double seconds = 0;
-  };
-
   /// Allocate a fresh trace id (sequential, deterministic).
   u64 new_trace() { return next_trace_++; }
 
@@ -104,8 +97,9 @@ class Tracer {
   const std::vector<std::pair<i32, std::string>>& lane_names() const {
     return lane_names_;
   }
-  const std::map<std::string, StageStat>& stages() const { return stages_; }
-  /// Per-stage duration histograms (seconds), for the metrics registry.
+  /// Per-stage duration histograms (seconds), weighted by each span's batch
+  /// size: the registry's stage.* entries, whose per-round sums are the
+  /// round's queue.* stage_breakdown (CkptRound).
   const std::map<std::string, Histogram>& stage_histograms() const {
     return stage_hist_;
   }
@@ -134,7 +128,6 @@ class Tracer {
   std::map<u64, TraceInfo> traces_;                 // live traces
   std::map<std::pair<i32, std::string>, u32> lanes_;
   std::vector<std::pair<i32, std::string>> lane_names_;  // tid-1 -> lane
-  std::map<std::string, StageStat> stages_;
   std::map<std::string, Histogram> stage_hist_;
 };
 

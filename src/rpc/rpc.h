@@ -67,9 +67,9 @@ class NodeHealth {
   std::vector<bool> up_;
 };
 
-/// Cumulative fabric statistics. The coordinator snapshots deltas into each
-/// CkptRound so per-round network bytes/waits on the lookup path are
-/// observable.
+/// Cumulative fabric statistics. core's collect_metrics names them under
+/// rpc.*, so each round's delta shows the network bytes and waits on the
+/// lookup path.
 struct RpcStats {
   u64 calls = 0;
   u64 net_bytes = 0;            // request + response bytes over the fabric

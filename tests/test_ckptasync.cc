@@ -143,7 +143,7 @@ TEST(CkptAsync, PauseBeatsSyncEncodeAndManifestsAreByteIdentical) {
   }
 
   const auto& r = async_w.ctl.stats().rounds.back();
-  EXPECT_GT(r.async_queued_bytes, 0u);
+  EXPECT_GT(r.delta.counter("async.queued_bytes"), 0u);
   EXPECT_GT(r.store_raw_new_bytes, 0u);
   EXPECT_GT(r.compress_ratio, 0.0);
   EXPECT_LE(r.compress_ratio, 1.01);  // pattern-rand ballast: ~1:1 + header
@@ -191,7 +191,7 @@ TEST(CkptAsync, BlockPolicyStallsTheNextRoundUntilTheDrainFinishes) {
   ASSERT_FALSE(w.ctl.shared().async_pipeline->idle());
   w.ctl.checkpoint_now();
   const auto& r2 = w.ctl.stats().rounds.back();
-  EXPECT_GT(r2.async_blocked_seconds, 0.0);
+  EXPECT_GT(r2.delta.sum("async.blocked_seconds"), 0.0);
   EXPECT_EQ(r2.async_skipped_procs, 0u);
   EXPECT_GT(w.ctl.shared().async_pipeline->stats().blocked_seconds, 0.0);
 }
@@ -206,7 +206,7 @@ TEST(CkptAsync, SkipPolicyDropsTheRoundAndRestartsOffThePreviousImage) {
   w.ctl.checkpoint_now();
   const auto& r2 = w.ctl.stats().rounds.back();
   EXPECT_GT(r2.async_skipped_procs, 0u);
-  EXPECT_EQ(r2.async_blocked_seconds, 0.0);
+  EXPECT_EQ(r2.delta.sum("async.blocked_seconds"), 0.0);
   EXPECT_GT(w.ctl.shared().async_pipeline->stats().skipped_rounds, 0u);
   // The previous generation's manifests (same path every round) still
   // restart the computation.

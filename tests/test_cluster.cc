@@ -363,8 +363,8 @@ KillRunResult run_kill_scenario(u64 seed, bool kill) {
   EXPECT_TRUE(completed);
   const auto& round = w.ctl.stats().rounds.back();
   res.round_seconds = round.total_seconds();
-  res.replayed = round.failover_replayed_requests;
-  res.rehomed = round.failover_rehomed_shards;
+  res.replayed = round.delta.counter("store.replayed_requests");
+  res.rehomed = round.delta.counter("store.rehomed_shards");
   res.manifests = plan_manifests(w);
   // Let the heal daemon finish restoring replica strength.
   w.ctl.run_for(300 * timeconst::kMillisecond);
@@ -454,7 +454,7 @@ TEST(Failover, RevivedEndpointGetsItsShardBackAtTheRoundBoundary) {
   const auto& round = w.ctl.checkpoint_now();
   EXPECT_EQ(svc.endpoints()[0], 2) << "shard did not stick to its owner";
   EXPECT_GE(svc.stats().rehomed_back_shards, 1u);
-  EXPECT_GE(round.failover_rehomed_back_shards, 1u);
+  EXPECT_GE(round.delta.counter("store.rehomed_back_shards"), 1u);
 
   // The store stayed coherent across the move-away and the move-back.
   w.ctl.run_for(300 * timeconst::kMillisecond);  // heal daemon settles
@@ -508,8 +508,8 @@ TEST(Rebalance, ShardCountChangeMovesOnlyReassignedKeys) {
   // The next round routes with the new shard count and records the move in
   // its stats; a restart over the rebalanced store works end to end.
   const auto& round = w.ctl.checkpoint_now();
-  EXPECT_EQ(round.rebalance_moved_keys, expect_moved);
-  EXPECT_GT(round.rebalance_moved_bytes, 0u);
+  EXPECT_EQ(round.delta.counter("store.rebalance_moved_keys"), expect_moved);
+  EXPECT_GT(round.delta.counter("store.rebalance_moved_bytes"), 0u);
   w.ctl.kill_computation();
   const auto& rr = w.ctl.restart();
   EXPECT_FALSE(rr.needs_restore);

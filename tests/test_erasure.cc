@@ -655,7 +655,7 @@ TEST(ErasureE2E, HealRebuildsDeadFragmentsFromSurvivors) {
   EXPECT_EQ(svc.placement().degraded_count(), 0u);
   EXPECT_GT(svc.stats().rebuilt_fragments, 0u);
   EXPECT_GT(svc.stats().heal_moved_bytes, 0u);
-  EXPECT_GT(round.rebuilt_fragments, 0u);
+  EXPECT_GT(round.delta.counter("store.rebuilt_fragments"), 0u);
   // A single node death costs each degraded chunk exactly one fragment, so
   // the accounting is exact: one rebuilt fragment per healed chunk, and
   // moved bytes = frag x (2k + 2F - 1) = 9 x the rebuilt fragment bytes —
@@ -736,7 +736,7 @@ TEST(ErasureE2E, ColdDemotionRestripesOldGenerationsWider) {
   // The demotion surfaces in the next round's delta, and a cold store
   // still restarts: any 6 of a cold chunk's 8 fragments reconstruct.
   const auto& round = w.ctl.checkpoint_now();
-  EXPECT_GT(round.demoted_chunks, 0u);
+  EXPECT_GT(round.delta.counter("store.demoted_chunks"), 0u);
   svc.fail_node(6);
   svc.fail_node(7);
   EXPECT_EQ(svc.placement().lost_chunks(), 0u);

@@ -197,6 +197,9 @@ TEST(MetricsRegistryTest, DeltaSubtractsCountersAndKeepsGauges) {
   prev.counter("store.lookups", 100);
   now.counter("store.lookups", 140);
   now.counter("store.replays", 3);  // absent from prev -> baseline 0
+  prev.sum("rpc.net_wait_seconds", 1.25);
+  now.sum("rpc.net_wait_seconds", 2.0);
+  now.sum("async.blocked_seconds", 0.5);  // absent from prev -> baseline 0
   prev.gauge("store.degraded_chunks", 7);
   now.gauge("store.degraded_chunks", 2);
   Histogram hp, hn;
@@ -209,6 +212,9 @@ TEST(MetricsRegistryTest, DeltaSubtractsCountersAndKeepsGauges) {
   const MetricsRegistry delta = now.delta_since(prev);
   EXPECT_EQ(delta.counters().at("store.lookups"), 40u);
   EXPECT_EQ(delta.counters().at("store.replays"), 3u);
+  // A sum is a running total too: its delta is what accrued in between.
+  EXPECT_DOUBLE_EQ(delta.sum("rpc.net_wait_seconds"), 0.75);
+  EXPECT_DOUBLE_EQ(delta.sum("async.blocked_seconds"), 0.5);
   // A gauge is a level, not a rate: the per-round value IS the level.
   EXPECT_DOUBLE_EQ(delta.gauges().at("store.degraded_chunks"), 2.0);
   EXPECT_EQ(delta.histograms().at("wait").count(), 1u);
@@ -464,6 +470,22 @@ TEST(HealthWorld, KillFiresExactlyHealBacklogAndClears) {
   EXPECT_TRUE(eng->active().empty());
   EXPECT_LE(extra, 2);
   EXPECT_FALSE(eng->events().back().fired);
+
+  // Every series value is a per-round delta or a level. A u64 counter
+  // that wrapped below zero would land at or above 2^63, and a running
+  // total fed in as a level would sum to more than the total itself.
+  double net_wait = 0;
+  for (const auto& sample : w.ctl.shared().health_series->samples()) {
+    for (const auto& [name, v] : sample.values) {
+      EXPECT_GE(v, 0.0) << name << " in round " << sample.round;
+      EXPECT_LT(v, 0x1p63) << name << " in round " << sample.round;
+    }
+    const auto it = sample.values.find("rpc.net_wait_seconds");
+    if (it != sample.values.end()) net_wait += it->second;
+  }
+  EXPECT_GT(net_wait, 0.0);
+  EXPECT_LE(net_wait,
+            w.ctl.shared().store_service->fabric().stats().net_wait_seconds);
 }
 
 TEST(HealthWorld, HealthJsonIsByteIdenticalAcrossIdenticalRuns) {

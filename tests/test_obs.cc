@@ -75,19 +75,16 @@ TEST(HistogramTest, QuantilesTrackExactSortWithinBucketError) {
   EXPECT_EQ(h.quantile(1.0), vals.back());
 }
 
-TEST(HistogramTest, DeltaSinceAndWindowMax) {
+TEST(HistogramTest, DeltaSinceAndLifetimeMax) {
   Histogram h;
   h.record(0.010);
   h.record(0.020);
   const Histogram before = h;
-  EXPECT_EQ(h.take_window_max(), 0.020);
   h.record(0.005);
   h.record(0.040);
   const Histogram delta = h.delta_since(before);
   EXPECT_EQ(delta.count(), 2u);
   EXPECT_EQ(delta.sum(), h.sum() - before.sum());
-  // The window watermark reset above, so only post-reset samples count.
-  EXPECT_EQ(h.take_window_max(), 0.040);
   EXPECT_EQ(h.max(), 0.040);  // lifetime max is never reset
 }
 
@@ -117,38 +114,33 @@ TEST(HistogramTest, DeltaSinceSingleSampleWindow) {
   EXPECT_NEAR(delta.quantile(0.99), 0.125, 0.125 * 0.005);
 }
 
-TEST(HistogramTest, DeltaSinceSpansAWindowMaxReset) {
-  // take_window_max() resets only the watermark; the bucket state the
-  // delta is computed from is untouched, so a window that straddles the
-  // reset still subtracts exactly.
-  Histogram h;
-  h.record(0.020);
-  const Histogram before = h;
-  EXPECT_EQ(h.take_window_max(), 0.020);  // the reset inside the window
-  h.record(0.040);
-  h.record(0.005);
-  const Histogram delta = h.delta_since(before);
-  EXPECT_EQ(delta.count(), 2u);
-  EXPECT_EQ(delta.sum(), h.sum() - before.sum());
-  // Only the post-reset samples feed the new watermark.
-  EXPECT_EQ(h.take_window_max(), 0.040);
-}
-
 TEST(MetricsRegistryTest, JsonIsSortedAndStable) {
   MetricsRegistry a, b;
   // Registration order differs; the emitted bytes must not.
   a.counter("z.last", 2);
   a.counter("a.first", 1);
+  a.sum("wait.z", 1.5);
+  a.sum("wait.a", 0.75);
   a.gauge("mid", 0.25);
   b.gauge("mid", 0.25);
+  b.sum("wait.a", 0.75);
   b.counter("a.first", 1);
+  b.sum("wait.z", 1.5);
   b.counter("z.last", 2);
   Histogram h;
   h.record(0.125);
   a.histogram("hist", h);
   b.histogram("hist", h);
-  EXPECT_EQ(a.json(), b.json());
-  EXPECT_LT(a.json().find("a.first"), a.json().find("z.last"));
+  const std::string j = a.json();
+  EXPECT_EQ(j, b.json());
+  EXPECT_LT(j.find("a.first"), j.find("z.last"));
+  // Sums render as their own section, after the counters and before the
+  // gauges, sorted by name like every other section.
+  EXPECT_NE(j.find("\"wait.a\": 0.75"), std::string::npos);
+  EXPECT_LT(j.find("\"counters\""), j.find("\"sums\""));
+  EXPECT_LT(j.find("\"sums\""), j.find("\"gauges\""));
+  EXPECT_LT(j.find("z.last"), j.find("wait.a"));
+  EXPECT_LT(j.find("wait.a"), j.find("wait.z"));
 }
 
 // --- Tracer ------------------------------------------------------------------
@@ -193,9 +185,9 @@ TEST(TracerTest, StageTotalsWeightByBatchSize) {
   const u64 s = tr.begin("store.index", obs::kServicePid, "shard0",
                          1000 * timeconst::kMillisecond, {}, /*n=*/16);
   tr.end(s, 1250 * timeconst::kMillisecond);
-  const auto& st = tr.stages().at("store.index");
-  EXPECT_EQ(st.count, 16u);  // one sample per key, not per span
-  EXPECT_NEAR(st.seconds, 16 * 0.25, 1e-12);
+  const Histogram& st = tr.stage_histograms().at("store.index");
+  EXPECT_EQ(st.count(), 16u);  // one sample per key, not per span
+  EXPECT_NEAR(st.sum(), 16 * 0.25, 1e-12);
 }
 
 // --- end-to-end worlds -------------------------------------------------------
@@ -375,11 +367,18 @@ TEST(ObsWorld, RoundStageBreakdownDecomposesTheRound) {
   }
   EXPECT_EQ(barrier_entries, 5);
   EXPECT_NEAR(barrier_sum, round.total_seconds(), 1e-9);
-  // With tracing on, the round also attributes its queue-wait to stages.
+  // With tracing on, the round also attributes its queue-wait to stages:
+  // exactly the positive stage.* sums of the round's registry delta.
   EXPECT_TRUE(queue_entries);
-  // The histogram behind the round's lookup-wait scalars agrees with them.
-  EXPECT_EQ(round.lookup_wait_hist.count(), round.store_lookups);
-  EXPECT_EQ(round.lookup_wait_hist.sum(), round.lookup_wait_seconds);
+  for (const auto& [name, h] : round.delta.histograms()) {
+    if (name.rfind("stage.", 0) != 0 || h.sum() <= 0) continue;
+    const auto it = round.stage_breakdown.find("queue." + name.substr(6));
+    ASSERT_NE(it, round.stage_breakdown.end()) << name;
+    EXPECT_EQ(it->second, h.sum()) << name;
+  }
+  // One lookup-wait sample per dedup lookup the round served.
+  EXPECT_EQ(round.delta.histogram("store.lookup_wait").count(),
+            round.delta.counter("store.lookup_requests"));
 }
 
 TEST(ObsOptions, FlagsParseAndValidate) {

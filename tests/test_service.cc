@@ -581,6 +581,15 @@ core::CkptRound contended_round(World& w, int ranks, u64 ballast) {
   return w.ctl.checkpoint_now();
 }
 
+/// The round's dedup lookups and their mean wait, read from its delta.
+u64 lookups(const core::CkptRound& r) {
+  return r.delta.counter("store.lookup_requests");
+}
+
+double avg_lookup_wait(const core::CkptRound& r) {
+  return r.delta.histogram("store.lookup_wait").mean();
+}
+
 TEST(ServiceE2E, LookupWaitGrowsWithRankCount) {
   constexpr u64 kBallast = 1024 * 1024;
   World w2(2, service_opts());
@@ -588,12 +597,11 @@ TEST(ServiceE2E, LookupWaitGrowsWithRankCount) {
   World w8(8, service_opts());
   const auto r8 = contended_round(w8, 8, kBallast);
 
-  ASSERT_GT(r2.store_lookups, 0u);
-  ASSERT_GT(r8.store_lookups, 3 * r2.store_lookups);
+  ASSERT_GT(lookups(r2), 0u);
+  ASSERT_GT(lookups(r8), 3 * lookups(r2));
   // The contention knee: four times the ranks funneling into one request
   // queue must wait substantially longer per lookup, not equally long.
-  EXPECT_GT(r8.avg_lookup_wait_seconds(),
-            1.5 * r2.avg_lookup_wait_seconds());
+  EXPECT_GT(avg_lookup_wait(r8), 1.5 * avg_lookup_wait(r2));
 }
 
 TEST(ServiceE2E, RoundReportsNetworkTrafficOnTheLookupPath) {
@@ -602,10 +610,10 @@ TEST(ServiceE2E, RoundReportsNetworkTrafficOnTheLookupPath) {
   // Service requests really traverse the NIC: the round saw RPCs, network
   // bytes, and in-flight time — none of which existed when requests
   // teleported to the queue.
-  ASSERT_GT(r.store_lookups, 0u);
-  EXPECT_GE(r.store_rpcs, r.store_lookups);  // lookups + stores + drops
-  EXPECT_GT(r.store_rpc_net_bytes, 0u);
-  EXPECT_GT(r.store_rpc_net_wait_seconds, 0.0);
+  ASSERT_GT(lookups(r), 0u);
+  EXPECT_GE(r.delta.counter("rpc.calls"), lookups(r));  // + stores, drops
+  EXPECT_GT(r.delta.counter("rpc.net_bytes"), 0u);
+  EXPECT_GT(r.delta.sum("rpc.net_wait_seconds"), 0.0);
 }
 
 TEST(ServiceE2E, ShardsMoveTheContentionKneeRight) {
@@ -624,12 +632,11 @@ TEST(ServiceE2E, ShardsMoveTheContentionKneeRight) {
   World w4(12, opts4);
   const auto r4 = contended_round(w4, 8, kBallast);
 
-  ASSERT_GT(r1.store_lookups, 0u);
-  ASSERT_EQ(r4.store_lookups, r1.store_lookups);  // same probe load
+  ASSERT_GT(lookups(r1), 0u);
+  ASSERT_EQ(lookups(r4), lookups(r1));  // same probe load
   // Four shard queues drain eight ranks' probes with strictly less
   // queueing than one: the average lookup wait drops materially.
-  EXPECT_LT(r4.avg_lookup_wait_seconds(),
-            0.7 * r1.avg_lookup_wait_seconds());
+  EXPECT_LT(avg_lookup_wait(r4), 0.7 * avg_lookup_wait(r1));
 }
 
 TEST(ServiceE2E, RereplicationHealsBeforeTheNextRoundCompletes) {
@@ -655,7 +662,7 @@ TEST(ServiceE2E, RereplicationHealsBeforeTheNextRoundCompletes) {
   const auto& round = w.ctl.checkpoint_now();
   EXPECT_EQ(svc.placement().degraded_count(), 0u);
   EXPECT_GT(svc.stats().rereplicated_chunks, 0u);
-  EXPECT_GT(round.rereplicated_chunks, 0u);
+  EXPECT_GT(round.delta.counter("store.rereplicated_chunks"), 0u);
   // Losing a second node after the heal still leaves every chunk readable
   // — exactly what pre-heal homes {1, x} could not survive for x.
   svc.fail_node(2);

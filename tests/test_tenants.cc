@@ -410,6 +410,11 @@ TEST(TenantsE2E, TwoComputationsShareOneServiceAndDedupAcrossTenants) {
   // ids (the daemons' probes ride kSystemTenant, never these rows).
   EXPECT_GT(w.host.shared().store_service->tenants().stats(1).lookups, 0u);
   EXPECT_GT(w.host.shared().store_service->tenants().stats(2).lookups, 0u);
+  // The attached guest takes its own delta of the shared service: its
+  // round carries its lookups, and every lookup served meanwhile.
+  EXPECT_GT(r2.delta.counter("tenant.2.lookups"), 0u);
+  EXPECT_GE(r2.delta.counter("store.lookup_requests"),
+            r2.delta.counter("tenant.2.lookups"));
   // Each computation's coordinator stamped only its own rounds.
   EXPECT_EQ(w.host.stats().rounds.size(), 1u);
   EXPECT_EQ(w.guest.stats().rounds.size(), 1u);

@@ -26,7 +26,10 @@ emits. Two jobs in one pass:
    the per-stage attribution against every round's and restart's report
    embedded in the --health-out document. The sweep partitions each
    window exactly, so the two must agree to well under 1% per stage; any
-   stage diverging more than 1% of its window fails the run.
+   stage diverging more than 1% of its window fails the run. The same
+   pass range-checks the document's health series: every value is a
+   per-round delta or a level, so any value outside [0, 2^63) fails (a
+   u64 counter delta that wrapped below zero lands there).
 
 Usage: trace_report.py TRACE.json [--top N] [--critical-path HEALTH.json]
 Exits nonzero after printing every schema violation.
@@ -37,6 +40,8 @@ import json
 import sys
 
 REQUIRED_ARGS = ("trace", "span", "parent", "tenant", "qos", "op", "n")
+# Health-series values lie in [0, SERIES_LIMIT): a wrapped u64 delta does not.
+SERIES_LIMIT = 2.0 ** 63
 
 
 def fail(path, msg):
@@ -183,6 +188,22 @@ def sweep(spans, lanes, begin, end, phases):
     return agg
 
 
+def check_series(health_path, health):
+    """Fail on any health-series value outside [0, 2^63)."""
+    rc = 0
+    count = 0
+    for sample in health.get("series", {}).get("rounds", []):
+        for name, v in sample.get("values", {}).items():
+            count += 1
+            if not 0 <= v < SERIES_LIMIT:
+                rc |= fail(health_path,
+                           f"round {sample.get('round')}: series value "
+                           f"{name} = {v} is outside [0, 2^63)")
+    if not rc:
+        print(f"OK   {health_path}: {count} series values in [0, 2^63)")
+    return rc
+
+
 def cross_check(trace_path, health_path, spans, lanes):
     """Recompute every round's and restart's critical path from the trace
     and diff it against the reports in the --health-out document."""
@@ -191,13 +212,15 @@ def cross_check(trace_path, health_path, spans, lanes):
             health = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         return fail(health_path, str(e))
+    series_rc = check_series(health_path, health)
     cp = health.get("critical_path")
     if not isinstance(cp, dict):
-        return fail(health_path, "missing 'critical_path' object")
+        return series_rc | fail(health_path, "missing 'critical_path' object")
     windows = [(f"round {w['round']}", w) for w in cp.get("rounds", [])]
     windows += [(f"restart {w['restart']}", w) for w in cp.get("restarts", [])]
     if not windows:
-        return fail(health_path, "no critical-path windows to cross-check")
+        return series_rc | fail(health_path,
+                                "no critical-path windows to cross-check")
     rc = 0
     for label, w in windows:
         rep = w["report"]
@@ -226,7 +249,7 @@ def cross_check(trace_path, health_path, spans, lanes):
         if not rc:
             print(f"OK   {label}: {len(theirs)} stages agree "
                   f"(worst divergence {worst:.4%} of {total} ns)")
-    return rc
+    return rc | series_rc
 
 
 def main(argv):
