@@ -171,17 +171,24 @@ void BM_ByteImageSerializeSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_ByteImageSerializeSparse);
 
+// Post 1000 events and run them. With cancel_half set, every other post
+// cancels the one before it, so half the posts never fire: the mix the
+// suite's kernel replay measures. The rate counts posts.
 void BM_EventLoopPostRun(benchmark::State& state) {
+  const bool cancel_half = state.range(0) != 0;
   for (auto _ : state) {
     sim::EventLoop loop;
+    sim::EventId prev = sim::kNoEvent;
     for (int i = 0; i < 1000; ++i) {
-      loop.post_in(i, [] {});
+      const sim::EventId id = loop.post_in(i, [] {});
+      if (cancel_half && i % 2 == 1) loop.cancel(prev);
+      prev = id;
     }
     loop.run();
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_EventLoopPostRun);
+BENCHMARK(BM_EventLoopPostRun)->ArgName("cancel_half")->Arg(0)->Arg(1);
 
 // Two simulated processes on two nodes bounce a 48 KiB record, the size of
 // an MG halo, through ProcessCtx::write_exact and read_exact: the host cost

@@ -79,6 +79,7 @@ Task<int> nas_main(sim::ProcessCtx& ctx) {
   MemRef a2a_r = buffer(ctx, "a2a_r", a2a_block * static_cast<u64>(ra.size));
 
   std::vector<double> v(256);
+  std::vector<std::byte> noise(v.size());
   while (s.iter < iters) {
     switch (s.stage) {
       case 0: {  // local compute touching real arrays
@@ -87,9 +88,9 @@ Task<int> nas_main(sim::ProcessCtx& ctx) {
         // update; grids: stencil sweep. All reduce to array writes.
         arrays.seg->data.read(arrays.off + (s.iter % 64) * 2048,
                               std::as_writable_bytes(std::span(v)));
+        fill_payload(noise, s.acc, s.iter);
         for (size_t i = 0; i < v.size(); ++i) {
-          v[i] = v[i] * 0.75 +
-                 static_cast<double>(payload_byte(s.acc, s.iter, i)) / 256.0;
+          v[i] = v[i] * 0.75 + static_cast<double>(noise[i]) / 256.0;
         }
         arrays.seg->data.write(arrays.off + (s.iter % 64) * 2048,
                                std::as_bytes(std::span(v)));

@@ -77,7 +77,16 @@ void ByteImage::replace_range(u64 off, u64 len, Extent ext) {
 }
 
 void ByteImage::write(u64 off, std::span<const std::byte> bytes) {
-  if (bytes.empty()) return;
+  store(off, bytes, nullptr);
+}
+
+bool ByteImage::write_owned(u64 off, std::vector<std::byte> bytes) {
+  return store(off, bytes, &bytes);
+}
+
+bool ByteImage::store(u64 off, std::span<const std::byte> bytes,
+                      std::vector<std::byte>* owned) {
+  if (bytes.empty()) return false;
   DSIM_CHECK_MSG(off + bytes.size() <= size_, "ByteImage write out of range");
   notify(off, bytes.size());
 
@@ -94,16 +103,27 @@ void ByteImage::write(u64 off, std::span<const std::byte> bytes) {
   const u64 start = it->first;
   if (cur.kind == ExtentKind::kReal && cur.data &&
       cur.data.use_count() == 1 && off + bytes.size() <= start + cur.len) {
+    if (owned != nullptr && off == start && bytes.size() == cur.len) {
+      // The range is the whole extent: swapping its buffer for the
+      // caller's leaves the extent list as the copy would.
+      cur.data = std::make_shared<std::vector<std::byte>>(std::move(*owned));
+      cur.data_off = 0;
+      return true;
+    }
     auto* vec = const_cast<std::vector<std::byte>*>(cur.data.get());
     std::memcpy(vec->data() + cur.data_off + (off - start), bytes.data(),
                 bytes.size());
-    return;
+    return false;
   }
 
-  auto data = std::make_shared<std::vector<std::byte>>(bytes.begin(),
-                                                       bytes.end());
+  auto data =
+      owned != nullptr
+          ? std::make_shared<std::vector<std::byte>>(std::move(*owned))
+          : std::make_shared<std::vector<std::byte>>(bytes.begin(),
+                                                     bytes.end());
   replace_range(off, bytes.size(),
                 Extent{bytes.size(), ExtentKind::kReal, 0, std::move(data), 0});
+  return owned != nullptr;
 }
 
 void ByteImage::adopt(u64 off,

@@ -110,6 +110,15 @@ class ByteImage {
 
   /// Overwrite [off, off+bytes.size()) with real bytes.
   void write(u64 off, std::span<const std::byte> bytes);
+  /// write(off, bytes) of a buffer the caller hands over, with the same
+  /// content, extents, soft-dirty ranges, observer calls and serialized
+  /// bytes. The buffer itself becomes the range's extent wherever that is
+  /// the extent write() leaves: where write() replaces the range, because
+  /// no uniquely owned real extent covers it, and where the range is
+  /// exactly one such extent. Strictly inside a larger one it is copied in
+  /// place, as write() does: adopting there would split that extent.
+  /// Returns whether the buffer was adopted.
+  bool write_owned(u64 off, std::vector<std::byte> bytes);
   /// Overwrite [off, off+buffer->size()) with `buffer` itself, without
   /// copying it: the range becomes one real extent sharing the buffer with
   /// whoever else holds it. A shared buffer is never written in place (a
@@ -155,6 +164,10 @@ class ByteImage {
   // fn(extent, pos, offset of pos in the extent, bytes of this piece).
   template <typename Fn>
   void for_each_piece(u64 off, u64 len, Fn&& fn) const;
+  // The one real-bytes writer behind write() and write_owned(): `owned`,
+  // when given, holds the bytes `bytes` spans and may be adopted.
+  bool store(u64 off, std::span<const std::byte> bytes,
+             std::vector<std::byte>* owned);
   // Erase extents fully inside [off, off+len) (callers split boundaries
   // first) and insert the replacement extent.
   void replace_range(u64 off, u64 len, Extent ext);

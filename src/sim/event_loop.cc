@@ -1,34 +1,53 @@
 #include "sim/event_loop.h"
 
+#include <utility>
+
 namespace dsim::sim {
 
 EventId EventLoop::post_at(SimTime t, Fn fn) {
   DSIM_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  const EventId id = next_seq_++;
-  queue_.push(Ev{t, id, id});
-  fns_.emplace(id, std::move(fn));
+  u32 slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<u32>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  const EventId id = u64{slots_[slot].gen} << 32 | slot;
+  queue_.push(Ev{t, next_seq_++, id});
+  ++live_;
+  ++work_.posts;
   return id;
 }
 
+EventLoop::Fn EventLoop::release(EventId id) {
+  const u32 slot = static_cast<u32>(id);
+  Slot& s = slots_[slot];
+  if (++s.gen == 0) s.gen = 1;
+  free_slots_.push_back(slot);
+  --live_;
+  return std::exchange(s.fn, nullptr);
+}
+
 void EventLoop::cancel(EventId id) {
-  if (id == kNoEvent) return;
-  auto it = fns_.find(id);
-  if (it == fns_.end()) return;  // already fired
-  fns_.erase(it);
-  cancelled_.insert(id);
+  if (!live(id)) return;  // kNoEvent, fired or already cancelled
+  ++work_.cancels;
+  // The closure dies here, after the slot is free: its destructor may
+  // post or cancel.
+  release(id);
 }
 
 bool EventLoop::pop_one() {
   while (!queue_.empty()) {
-    Ev ev = queue_.top();
+    const Ev ev = queue_.top();
     queue_.pop();
-    if (cancelled_.erase(ev.id)) continue;
-    auto it = fns_.find(ev.id);
-    if (it == fns_.end()) continue;
-    Fn fn = std::move(it->second);
-    fns_.erase(it);
+    if (!live(ev.id)) continue;  // cancelled
+    Fn fn = release(ev.id);
     DSIM_CHECK(ev.t >= now_);
     now_ = ev.t;
+    ++work_.fires;
     fn();
     return true;
   }
@@ -67,10 +86,9 @@ bool EventLoop::run_until(SimTime deadline) {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {
     // Peek: do not advance past the deadline.
-    Ev ev = queue_.top();
-    if (cancelled_.count(ev.id)) {
+    const Ev& ev = queue_.top();
+    if (!live(ev.id)) {  // cancelled
       queue_.pop();
-      cancelled_.erase(ev.id);
       continue;
     }
     if (ev.t > deadline) {

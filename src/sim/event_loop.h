@@ -8,8 +8,6 @@
 
 #include <functional>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/assertx.h"
@@ -21,7 +19,8 @@ class Tracer;
 
 namespace dsim::sim {
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: the index of the slot holding
+/// its closure in the low 32 bits, that slot's generation in the high 32.
 using EventId = u64;
 inline constexpr EventId kNoEvent = 0;
 
@@ -38,8 +37,9 @@ class EventLoop {
   /// Schedule `fn` at the current time (after already-queued same-time events).
   EventId post_now(Fn fn) { return post_at(now_, std::move(fn)); }
 
-  /// Cancel a previously scheduled event. Safe to call with kNoEvent or an
-  /// already-fired id (no-op).
+  /// Cancel a previously scheduled event and release its closure at once.
+  /// Safe to call with kNoEvent or an already-fired or cancelled id
+  /// (no-op).
   void cancel(EventId id);
 
   /// Run until the queue is empty or `stop()` is called.
@@ -48,7 +48,18 @@ class EventLoop {
   bool run_until(SimTime deadline);
   void stop() { stopped_ = true; }
 
-  size_t pending() const { return queue_.size() - cancelled_.size(); }
+  /// Events posted and neither fired nor cancelled.
+  size_t pending() const { return live_; }
+
+  /// The work this loop has done: events posted, fired, and cancelled
+  /// while pending (no-op cancels are not counted). Exact for a seed, so
+  /// a host-time change can name the work it cut.
+  struct WorkCounts {
+    u64 posts = 0;
+    u64 fires = 0;
+    u64 cancels = 0;
+  };
+  const WorkCounts& work() const { return work_; }
 
   /// Observability hook: every subsystem driven by this loop reaches the
   /// (optional) tracer through it, so enabling tracing is one pointer
@@ -69,16 +80,36 @@ class EventLoop {
     }
   };
 
+  // Closures live in slots, not in the heap, so cancel() can release one
+  // eagerly; its heap entry stays behind until it surfaces. Freeing a slot
+  // bumps its generation, so every id naming it goes stale, and one
+  // compare tells a stale id from the slot's next event: no hash-table
+  // node per event. Generations start at 1 and skip 0, so no id is
+  // kNoEvent.
+  struct Slot {
+    Fn fn;
+    u32 gen = 1;
+  };
+
   bool pop_one();
+  // Whether `id` names the event its slot holds now.
+  bool live(EventId id) const {
+    const u32 slot = static_cast<u32>(id);
+    return slot < slots_.size() &&
+           slots_[slot].gen == static_cast<u32>(id >> 32);
+  }
+  // Free the live event's slot and hand back its closure.
+  Fn release(EventId id);
 
   SimTime now_ = 0;
   u64 next_seq_ = 1;
   bool stopped_ = false;
   obs::Tracer* tracer_ = nullptr;
   std::priority_queue<Ev, std::vector<Ev>, std::greater<>> queue_;
-  // Functions stored separately so cancel() can release closures eagerly.
-  std::unordered_map<EventId, Fn> fns_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<u32> free_slots_;  // reused last-freed first
+  size_t live_ = 0;
+  WorkCounts work_;
 };
 
 /// Cancellable repeating timer: fires `fn` every `interval` until stop().

@@ -439,6 +439,7 @@ Task<u64> Kernel::recv_data(Thread& t, TcpVNode& s, u64 max, Sink sink) {
   DSIM_CHECK_MSG(front.kind == SegKind::kData,
                  "user recv() reached a protocol segment");
   const u64 n = std::min<u64>(max, front.remaining());
+  const bool whole = front.consumed == 0 && n == front.bytes.size();
   const std::span<const std::byte> bytes(front.bytes.data() + front.consumed,
                                          n);
   front.consumed += n;
@@ -453,23 +454,35 @@ Task<u64> Kernel::recv_data(Thread& t, TcpVNode& s, u64 max, Sink sink) {
     s.recv_q.pop_front();
   }
   if (auto p = s.peer.lock()) pump_socket(p);  // receive window opened
-  sink(bytes);
+  // A step that took the whole segment offers the sink its buffer too.
+  const bool adopted =
+      sink(bytes, whole ? std::move(used_up) : std::vector<std::byte>{});
+  (adopted ? recv_adopted_bytes_ : recv_copied_bytes_) += n;
   co_return n;
 }
 
 Task<u64> Kernel::sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out) {
   DSIM_CHECK(!out.empty());
-  return recv_data(t, s, out.size(), [out](std::span<const std::byte> b) {
-    std::memcpy(out.data(), b.data(), b.size());
-  });
+  return recv_data(t, s, out.size(),
+                   [out](std::span<const std::byte> b, std::vector<std::byte>) {
+                     std::memcpy(out.data(), b.data(), b.size());
+                     return false;
+                   });
 }
 
 Task<u64> Kernel::sock_recv_into(Thread& t, TcpVNode& s, ByteImage& dst,
                                  u64 off, u64 len) {
   DSIM_CHECK(len > 0);
-  return recv_data(t, s, len, [&dst, off](std::span<const std::byte> b) {
-    dst.write(off, b);
-  });
+  return recv_data(
+      t, s, len,
+      [&dst, off](std::span<const std::byte> b,
+                  std::vector<std::byte> whole) {
+        if (whole.empty()) {
+          dst.write(off, b);
+          return false;
+        }
+        return dst.write_owned(off, std::move(whole));
+      });
 }
 
 Task<SockSegment> Kernel::sock_recv_segment(Thread& t, TcpVNode& s) {

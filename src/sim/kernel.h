@@ -112,8 +112,12 @@ class Kernel {
   /// Receive data bytes; blocks until data or EOF (returns 0).
   Task<u64> sock_recv(Thread& t, TcpVNode& s, std::span<std::byte> out);
   /// sock_recv straight into simulated memory: up to `len` bytes of the
-  /// front segment go to `dst` at `off` in one ByteImage::write, the call a
-  /// copy out of a span would make. The segment's buffer is never adopted.
+  /// front segment go to `dst` at `off`, with the extents, soft-dirty ranges
+  /// and observer calls of the ByteImage::write a copy out of a span would
+  /// make. A step that takes a whole segment hands its buffer to
+  /// ByteImage::write_owned, which keeps it where that leaves write()'s
+  /// extent layout (over a range write() replaces, or over exactly one
+  /// uniquely owned extent) and copies it in place inside a larger one.
   Task<u64> sock_recv_into(Thread& t, TcpVNode& s, ByteImage& dst, u64 off,
                            u64 len);
   /// Manager-plane: pop the next whole segment of any kind (drain protocol).
@@ -132,6 +136,10 @@ class Kernel {
   /// Register an established pair created outside connect/accept (restart
   /// reconnection path uses normal connect; this is for tests).
   void link_established(Process& pa, TcpVNode& a, Process& pb, TcpVNode& b);
+  /// Host work of user-plane receives: data bytes whose segment buffer an
+  /// image kept as is, and data bytes copied out of a segment.
+  u64 recv_adopted_bytes() const { return recv_adopted_bytes_; }
+  u64 recv_copied_bytes() const { return recv_copied_bytes_; }
 
   // --- pipes / ptys -------------------------------------------------------------
   std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>> make_pipe(
@@ -197,7 +205,9 @@ class Kernel {
                       std::vector<std::byte> owned, SegKind kind);
   // The one TCP receive core: waits for data or EOF (returns 0), consumes
   // up to `max` bytes of the front segment, reopens the peer's window and
-  // then hands the bytes to `sink`.
+  // then hands the bytes to `sink(bytes, whole)`. `whole` is the segment's
+  // buffer when the step consumed all of it from its start, else empty;
+  // the sink returns whether it kept that buffer.
   template <typename Sink>
   Task<u64> recv_data(Thread& t, TcpVNode& s, u64 max, Sink sink);
   void pump_socket(std::shared_ptr<TcpVNode> s);
@@ -223,6 +233,8 @@ class Kernel {
   u32 next_conn_seq_ = 1;
   std::map<std::string, std::weak_ptr<MemSegment>> shm_live_;
   AttachFactory attach_factory_;
+  u64 recv_adopted_bytes_ = 0;
+  u64 recv_copied_bytes_ = 0;
 };
 
 }  // namespace dsim::sim

@@ -2,7 +2,10 @@
 // std::vector reference model, plus copy-on-write and serialization.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "sim/byte_image.h"
+#include "tests/testutil.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -282,6 +285,182 @@ TEST_P(ByteImageFuzz, MatchesReferenceVector) {
     }
   }
   EXPECT_EQ(img.take_soft_dirty().ranges, want);
+}
+
+// write_owned() against write() over random layouts. Two twins run the
+// same ops, so their extents, and which buffers are shared, match; each
+// compared write goes to one twin as write() and to the other as
+// write_owned(). The layouts mix kZero and kRand extents, unique real
+// extents (some slices of a larger buffer), and real extents shared with
+// an outside holder or a snapshot copy; the compared ranges lie inside,
+// equal or span extents.
+struct Twin {
+  struct Recorder : ByteImage::WriteObserver {
+    std::vector<std::pair<u64, u64>> seen;
+    void on_mutate(u64 off, u64 len) override { seen.emplace_back(off, len); }
+  } rec;
+  ByteImage img;
+  std::vector<std::shared_ptr<const std::vector<std::byte>>> held;
+  std::vector<ByteImage> snapshots;
+
+  explicit Twin(u64 size) : img(size) {
+    img.set_write_observer(&rec);
+    img.arm_soft_dirty();
+  }
+};
+
+// (offset, length, kind, seed) per extent: the layout, without the buffer
+// offsets, which only say where in a buffer an extent starts.
+using Layout = std::vector<std::tuple<u64, u64, ExtentKind, u64>>;
+Layout layout_of(const ByteImage& img) {
+  Layout out;
+  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+    out.emplace_back(off, e.len, e.kind, e.seed);
+  });
+  return out;
+}
+
+std::vector<std::byte> serialized(const ByteImage& img) {
+  ByteWriter w;
+  img.serialize(w);
+  return w.take();
+}
+
+// The extent holding `pos`, and where it starts.
+std::pair<u64, const ByteImage::Extent*> extent_at(const ByteImage& img,
+                                                   u64 pos) {
+  std::pair<u64, const ByteImage::Extent*> hit{0, nullptr};
+  img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+    if (off <= pos && pos < off + e.len) hit = {off, &e};
+  });
+  return hit;
+}
+
+TEST_P(ByteImageFuzz, WriteOwnedMatchesWrite) {
+  Rng rng(GetParam());
+  const u64 size = 2 + rng.next_below(60000);
+  Twin by_copy(size), by_owned(size);
+  Twin* twins[2] = {&by_copy, &by_owned};
+  auto any_range = [&] {
+    const u64 off = rng.next_below(size);
+    return std::pair<u64, u64>{
+        off, std::min<u64>(1 + rng.next_below(5000), size - off)};
+  };
+  // Compared writes by outcome: replaced and adopted, one whole unique
+  // extent adopted, copied in place.
+  int replaced = 0, swapped = 0, copied = 0;
+  for (int op = 0; op < 200; ++op) {
+    const u64 kind = rng.next_below(10);
+    if (kind < 6) {  // build the layout, the same on both twins
+      const auto [off, len] = any_range();
+      const u64 seed = rng.next_u64();
+      const std::vector<std::byte> data = test::pseudo_bytes(len, seed);
+      const bool snapshot = rng.next_below(2) == 0;
+      for (Twin* t : twins) {
+        switch (kind) {
+          case 0:
+            t->img.fill(off, len, ExtentKind::kZero);
+            break;
+          case 1:
+            t->img.fill(off, len, ExtentKind::kRand, seed);
+            break;
+          case 2:
+          case 3:  // a unique real extent
+            t->img.write(off, data);
+            break;
+          case 4: {  // a real extent shared with an outside holder
+            auto buf = std::make_shared<std::vector<std::byte>>(data);
+            t->held.push_back(buf);
+            t->img.adopt(off, std::move(buf));
+            break;
+          }
+          case 5:  // every extent shared with a snapshot, or none again
+            if (t->snapshots.size() < 2 && snapshot) {
+              t->snapshots.push_back(t->img);
+            } else {
+              t->held.clear();
+              t->snapshots.clear();
+            }
+            break;
+        }
+      }
+      continue;
+    }
+    // A compared write over a range inside, equal to or spanning extents.
+    std::vector<std::pair<u64, u64>> exts;
+    by_owned.img.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+      exts.emplace_back(off, off + e.len);
+    });
+    const auto [first, first_end] = exts[rng.next_below(exts.size())];
+    u64 off = 0, end = 0;
+    switch (rng.next_below(4)) {
+      case 0:  // equal
+        off = first;
+        end = first_end;
+        break;
+      case 1:  // inside, not equal
+        off = first + rng.next_below(first_end - first);
+        end = off + 1 + rng.next_below(first_end - off);
+        if (off == first && end == first_end && end - off > 1) --end;
+        break;
+      case 2: {  // from inside one extent to inside a later one
+        const auto [last, last_end] = exts[rng.next_below(exts.size())];
+        off = first + rng.next_below(first_end - first);
+        end = std::max(off + 1, last + 1 + rng.next_below(last_end - last));
+        break;
+      }
+      default:
+        std::tie(off, end) = any_range();
+        end += off;
+        break;
+    }
+    const u64 len = end - off;
+    const std::vector<std::byte> data = test::pseudo_bytes(len, rng.next_u64());
+
+    // What write() does: copy in place when one unique real extent covers
+    // the range, else replace the range. write_owned() must adopt exactly
+    // where either leaves the extent a new buffer would.
+    const auto [start, cov] = extent_at(by_owned.img, off);
+    const bool in_place = cov->kind == ExtentKind::kReal &&
+                          cov->data.use_count() == 1 &&
+                          end <= start + cov->len;
+    const bool whole = off == start && len == cov->len;
+    const bool want_adopt = !in_place || whole;
+    const void* const prior = cov->data.get();
+
+    std::vector<std::byte> owned = data;
+    const std::byte* const buffer = owned.data();
+    by_copy.img.write(off, data);
+    ASSERT_EQ(by_owned.img.write_owned(off, std::move(owned)), want_adopt)
+        << "op " << op << " [" << off << ", " << end << ")";
+    const auto [at, got] = extent_at(by_owned.img, off);
+    if (want_adopt) {
+      EXPECT_EQ(at, off);
+      EXPECT_EQ(got->len, len);
+      EXPECT_EQ(got->data->data(), buffer) << "the buffer was not kept";
+      EXPECT_EQ(got->data_off, 0u);
+      ++(in_place ? swapped : replaced);
+    } else {
+      EXPECT_EQ(got->data.get(), prior) << "the extent's buffer changed";
+      ++copied;
+    }
+    ASSERT_EQ(layout_of(by_owned.img), layout_of(by_copy.img)) << "op " << op;
+    ASSERT_EQ(serialized(by_owned.img), serialized(by_copy.img))
+        << "op " << op;
+    for (size_t i = 0; i < by_copy.snapshots.size(); ++i) {
+      ASSERT_EQ(serialized(by_owned.snapshots[i]),
+                serialized(by_copy.snapshots[i]))
+          << "a snapshot's shared buffer was written";
+    }
+  }
+  EXPECT_GT(replaced, 0);
+  EXPECT_GT(swapped, 0);
+  EXPECT_GT(copied, 0);
+  EXPECT_EQ(by_owned.rec.seen, by_copy.rec.seen);
+  EXPECT_EQ(by_owned.img.take_soft_dirty().ranges,
+            by_copy.img.take_soft_dirty().ranges);
+  EXPECT_EQ(by_owned.img.materialize(0, size),
+            by_copy.img.materialize(0, size));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteImageFuzz,

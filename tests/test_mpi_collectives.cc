@@ -180,5 +180,29 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, NasKernels,
                          ::testing::Values("ep", "is", "cg", "mg", "lu", "sp",
                                            "bt"));
 
+// The simulator's host work on a small NAS/MG run with one checkpoint,
+// counted exactly for the default seed: events posted, fired and
+// cancelled, and user-plane receive bytes adopted into images as whole
+// segment buffers or copied. A change to the simulator's host cost shows
+// here as the count it moved.
+TEST(NasWork, MgCountsAreExact) {
+  MpiWorld w(4);
+  w.ctl.launch(0, "orte_mpirun",
+               mpi::mpirun_argv(8, 4, "nas", {"mg", "60", "nas_mg_work"}));
+  w.ctl.run_for(80 * timeconst::kMillisecond);
+  w.ctl.checkpoint_now();
+  ASSERT_TRUE(w.wait_result("nas_mg_work"));
+  const sim::EventLoop& loop = w.k().loop();
+  EXPECT_EQ(loop.work().posts,
+            loop.work().fires + loop.work().cancels + loop.pending());
+  EXPECT_EQ(loop.work().posts, 5092u);
+  EXPECT_EQ(loop.work().fires, 4362u);
+  EXPECT_EQ(loop.work().cancels, 728u);
+  // Every 48 KiB halo arrives as one whole segment and is adopted; the
+  // copied bytes are small reads that each take part of a segment.
+  EXPECT_EQ(w.k().recv_adopted_bytes(), 23550568u);
+  EXPECT_EQ(w.k().recv_copied_bytes(), 64954u);
+}
+
 }  // namespace
 }  // namespace dsim::test

@@ -453,7 +453,9 @@ TEST(FastCdc, SpansRespectBoundsAndCoverTheImage) {
     EXPECT_EQ(spans[i].off, off);
     off += spans[i].len;
     EXPECT_LE(spans[i].len, p.max_bytes);
-    if (i + 1 < spans.size()) EXPECT_GE(spans[i].len, p.min_bytes);
+    if (i + 1 < spans.size()) {
+      EXPECT_GE(spans[i].len, p.min_bytes);
+    }
   }
   EXPECT_EQ(off, img.size());
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -42,6 +43,87 @@ TEST(EventLoop, CancelPreventsExecution) {
   loop.cancel(id);
   loop.run();
   EXPECT_FALSE(fired);
+}
+
+// Slot index of an event id (the low 32 bits).
+u32 slot_of(EventId id) { return static_cast<u32>(id); }
+
+TEST(EventLoop, EqualTimesFireInPostingOrderAcrossSlotReuse) {
+  EventLoop loop;
+  std::vector<int> order;
+  auto note = [&](int v) { return [&order, v] { order.push_back(v); }; };
+  std::vector<EventId> ids;
+  for (int v = 0; v < 6; ++v) ids.push_back(loop.post_at(10, note(v)));
+  loop.cancel(ids[1]);
+  loop.cancel(ids[4]);
+  // Later posts take the freed slots, last freed first, so slot order now
+  // disagrees with posting order.
+  const EventId a = loop.post_at(10, note(6));
+  const EventId b = loop.post_at(10, note(7));
+  EXPECT_EQ(slot_of(a), slot_of(ids[4]));
+  EXPECT_EQ(slot_of(b), slot_of(ids[1]));
+  loop.post_at(10, note(8));
+  // Events fired at t = 5 free their slots for posts made while they run.
+  loop.post_at(5, [&] {
+    loop.post_at(10, note(9));
+    loop.post_at(10, note(10));
+  });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(EventLoop, CancelOfAFiredOrStaleIdIsANoOp) {
+  EventLoop loop;
+  int fired = 0;
+  const EventId done = loop.post_at(1, [&] { ++fired; });
+  loop.run();
+  // The fired event's slot is reused, then freed by a cancel and reused
+  // again: three ids for one slot, only the last of them live.
+  const EventId cancelled = loop.post_at(2, [&] { fired += 100; });
+  loop.cancel(cancelled);
+  const EventId next = loop.post_at(3, [&] { fired += 10; });
+  ASSERT_EQ(slot_of(cancelled), slot_of(done));
+  ASSERT_EQ(slot_of(next), slot_of(done));
+  EXPECT_NE(next, done);
+  EXPECT_NE(next, cancelled);
+  loop.cancel(done);
+  loop.cancel(cancelled);
+  loop.cancel(kNoEvent);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run();
+  EXPECT_EQ(fired, 11);
+  EXPECT_EQ(loop.work().posts, 3u);
+  EXPECT_EQ(loop.work().fires, 2u);
+  EXPECT_EQ(loop.work().cancels, 1u);  // no-op cancels are not counted
+}
+
+TEST(EventLoop, PendingCountsOnlyLiveEvents) {
+  EventLoop loop;
+  const EventId a = loop.post_at(10, [] {});
+  loop.post_at(20, [] {});
+  loop.post_at(30, [] {});
+  EXPECT_EQ(loop.pending(), 3u);
+  loop.cancel(a);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.cancel(a);
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_TRUE(loop.run_until(20));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run();
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, CancelReleasesTheClosureAtOnce) {
+  EventLoop loop;
+  auto held = std::make_shared<int>(7);
+  const EventId id = loop.post_at(10, [held] { (void)held; });
+  EXPECT_EQ(held.use_count(), 2);
+  loop.cancel(id);
+  EXPECT_EQ(held.use_count(), 1);
+  // A fired closure is released once it returns.
+  loop.post_at(20, [held] { EXPECT_EQ(held.use_count(), 2); });
+  loop.run();
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 TEST(EventLoop, RunUntilStopsAtDeadline) {

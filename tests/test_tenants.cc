@@ -115,7 +115,9 @@ TEST(FairQueueTest, PerTenantOrderStaysFifo) {
   for (int id : served) {
     const int tenant = id % 3;
     auto it = last.find(tenant);
-    if (it != last.end()) EXPECT_LT(it->second, id);
+    if (it != last.end()) {
+      EXPECT_LT(it->second, id);
+    }
     last[tenant] = id;
   }
 }
@@ -452,7 +454,9 @@ TEST(TenantsE2E, AggressiveTenantGcAndScrubPreserveTheNeighborsChunks) {
     ASSERT_NE(churn, nullptr);
     churn->data.fill(0, kLib, ExtentKind::kRand, 0xC0DE + round);
     const auto& r = w.host.checkpoint_now();
-    if (round > 0) EXPECT_GT(r.store_reclaimed_bytes, 0u);
+    if (round > 0) {
+      EXPECT_GT(r.store_reclaimed_bytes, 0u);
+    }
   }
 
   // Every chunk the guest's manifests reference must still be resident and
