@@ -35,12 +35,6 @@ std::vector<std::pair<ChunkKey, const Chunk*>> Repository::chunks_after(
   return out;
 }
 
-std::vector<ChunkKey> Repository::cold_keys(int hot_generations) const {
-  if (hot_generations <= 0) return {};
-  return cold_keys(
-      [hot_generations](const std::string&) { return hot_generations; });
-}
-
 std::vector<ChunkKey> Repository::cold_keys(
     const std::function<int(const std::string&)>& hot_for) const {
   // Hot set: every key pinned by one of the newest `hot_for(owner)` live

@@ -144,15 +144,12 @@ class Repository {
       const ChunkKey& cursor, size_t n) const;
 
   /// Resident, non-quarantined chunks referenced by *no* hot generation —
-  /// hot meaning one of the newest `hot_generations` live generations of
-  /// any owner. These are the demotion daemon's candidates: content only
-  /// older checkpoints still pin, safe to re-stripe to the cold erasure
-  /// profile in the background.
-  std::vector<ChunkKey> cold_keys(int hot_generations) const;
-  /// Same walk with a per-owner hot depth (multi-tenant stores resolve
-  /// --hot-generations per tenant): `hot_for(owner)` returns how many of
-  /// that owner's newest generations count as hot. A chunk is cold only
-  /// when *every* owner referencing it considers it cold.
+  /// hot meaning one of the newest `hot_for(owner)` live generations of
+  /// the owner referencing it (multi-tenant stores resolve
+  /// --hot-generations per tenant), so a chunk is cold only when *every*
+  /// owner referencing it considers it cold. These are the demotion
+  /// daemon's candidates: content only older checkpoints still pin, safe
+  /// to re-stripe to the cold erasure profile in the background.
   std::vector<ChunkKey> cold_keys(
       const std::function<int(const std::string&)>& hot_for) const;
 

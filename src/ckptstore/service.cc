@@ -64,12 +64,7 @@ int ChunkStoreService::rehome_to_owners() {
     stats_.rehomed_back_shards++;
     ++moved;
     // Anything parked against the interim endpoint replays at the owner.
-    auto parked = std::move(shards_[s].parked);
-    shards_[s].parked.clear();
-    for (auto& req : parked) {
-      stats_.replayed_requests++;
-      shard_call(static_cast<int>(s), std::move(req));
-    }
+    replay_parked(s);
   }
   return moved;
 }
@@ -96,13 +91,15 @@ std::shared_ptr<ChunkStoreService::ShardRequest>
 ChunkStoreService::make_request(NodeId from, u64 request_bytes,
                                 u64 response_bytes,
                                 rpc::RpcFabric::Handler serve,
-                                std::function<void()> done) {
+                                std::function<void()> done,
+                                obs::TraceContext trace) {
   auto req = std::make_shared<ShardRequest>();
   req->from = from;
   req->request_bytes = request_bytes;
   req->response_bytes = response_bytes;
   req->serve = std::move(serve);
   req->done = std::move(done);
+  req->trace = trace;
   return req;
 }
 
@@ -111,6 +108,7 @@ ChunkStoreService::IndexQueue* ChunkStoreService::make_queue(int s) {
   q->dev = std::make_unique<sim::StorageDevice>(
       loop_, "chunkstore" + std::to_string(s), params::kStoreServiceBw,
       params::kStoreServiceLatency);
+  q->fq_lane = q->dev->name() + "/queue";
   queues_.push_back(std::move(q));
   return queues_.back().get();
 }
@@ -121,16 +119,10 @@ void ChunkStoreService::enqueue_index(IndexQueue* q, TenantId tenant,
                                       obs::TraceContext tctx) {
   // The fq_wait span covers push -> dispatch: zero-length when fair
   // queueing is off or the device is free, the DRR hold otherwise.
-  obs::Tracer* tr = loop_.tracer();
   const u64 fq_span =
-      (tr && tctx.trace_id)
-          ? tr->begin("store.fq_wait", obs::kServicePid,
-                      q->dev->name() + "/queue", loop_.now(), tctx)
-          : 0;
+      loop_.begin_stage("store.fq_wait", obs::kServicePid, q->fq_lane, tctx);
   auto wrapped = [this, fq_span, run = std::move(run)]() mutable {
-    if (fq_span) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(fq_span, loop_.now());
-    }
+    loop_.end_span(fq_span);
     run();
   };
   if (!fair_queueing_) {
@@ -165,28 +157,21 @@ void ChunkStoreService::pump_queue(IndexQueue* q) {
   }
 }
 
-rpc::RpcFabric::Handler ChunkStoreService::index_serve(int shard,
-                                                       bool is_read,
-                                                       TenantId tenant,
-                                                       QosClass qos,
-                                                       obs::TraceContext tctx) {
+rpc::RpcFabric::Handler ChunkStoreService::index_serve(
+    int shard, bool is_read, TenantId tenant, QosClass qos,
+    obs::TraceContext tctx, u64 n) {
+  // The n probes occupy the shard queue back to back; the response leaves
+  // when the last one is served.
   return [this, q = shards_[static_cast<size_t>(shard)].q, is_read, tenant,
-          qos, tctx](rpc::RpcFabric::Reply reply) {
+          qos, tctx, n](rpc::RpcFabric::Reply reply) {
     enqueue_index(
-        q, tenant, qos, params::kStoreLookupBytes,
-        [this, q, is_read, tctx, reply = std::move(reply)]() mutable {
-          obs::Tracer* tr = loop_.tracer();
-          const u64 sp = (tr && tctx.trace_id)
-                             ? tr->begin("store.index", obs::kServicePid,
-                                         q->dev->name(), loop_.now(), tctx)
-                             : 0;
-          q->dev->submit(params::kStoreLookupBytes,
+        q, tenant, qos, n * params::kStoreLookupBytes,
+        [this, q, is_read, tctx, n, reply = std::move(reply)]() mutable {
+          const u64 sp = loop_.begin_stage("store.index", obs::kServicePid,
+                                           q->dev->name(), tctx, n);
+          q->dev->submit(n * params::kStoreLookupBytes,
                          [this, sp, reply = std::move(reply)]() mutable {
-                           if (sp) {
-                             if (obs::Tracer* t = loop_.tracer()) {
-                               t->end(sp, loop_.now());
-                             }
-                           }
+                           loop_.end_span(sp);
                            reply();
                          },
                          is_read);
@@ -202,6 +187,15 @@ void ChunkStoreService::shard_call(int shard,
       [req](rpc::RpcFabric::Reply reply) { req->serve(std::move(reply)); },
       [req] { req->done(); },
       [this, shard, req] { park(shard, std::move(req)); }, req->trace);
+}
+
+void ChunkStoreService::replay_parked(size_t s) {
+  auto parked = std::move(shards_[s].parked);
+  shards_[s].parked.clear();
+  for (auto& req : parked) {
+    stats_.replayed_requests++;
+    shard_call(static_cast<int>(s), std::move(req));
+  }
 }
 
 void ChunkStoreService::park(int shard, std::shared_ptr<ShardRequest> req) {
@@ -241,6 +235,20 @@ NodeId ChunkStoreService::pick_endpoint(int shard) const {
   }
   DSIM_CHECK_MSG(best >= 0, "no live node left to host a shard endpoint");
   return best;
+}
+
+obs::TraceContext ChunkStoreService::open_root(const StoreRequest& req,
+                                               const char* name, u64 n) {
+  obs::TraceContext tctx;
+  obs::Tracer* tr = loop_.tracer();
+  if (tr == nullptr) return tctx;
+  tctx.trace_id = tr->new_trace();
+  tctx.tenant = req.tenant;
+  tctx.qos = static_cast<u8>(req.qos);
+  tctx.op = static_cast<u8>(req.op);
+  tctx.parent_span =
+      tr->begin(name, req.from, "requests", loop_.now(), tctx, n);
+  return tctx;
 }
 
 StoreReply ChunkStoreService::submit(StoreRequest req) {
@@ -283,71 +291,31 @@ void ChunkStoreService::do_lookups(StoreRequest req) {
       std::make_shared<std::function<void()>>(std::move(req.done));
   const TenantId tenant = req.tenant;
   const QosClass qos = req.qos;
-  for (size_t s = 0; s < routed.size(); ++s) {
-    const auto& run = routed[s];
+  for (int s = 0; s < num_shards(); ++s) {
+    const auto& run = routed[static_cast<size_t>(s)];
     for (size_t at = 0; at < run.size(); at += static_cast<size_t>(
                                              lookup_batch_)) {
       const u64 n = std::min<u64>(static_cast<u64>(lookup_batch_),
                                   run.size() - at);
       stats_.lookup_batches++;
       const SimTime submitted = loop_.now();
-      auto sreq = std::make_shared<ShardRequest>();
-      sreq->from = req.from;
-      sreq->request_bytes =
-          params::kRpcHeaderBytes + n * params::kRpcLookupKeyBytes;
-      sreq->response_bytes =
-          params::kRpcHeaderBytes + n * params::kRpcLookupVerdictBytes;
-      // One trace per batch, rooted on the caller's "requests" lane and
-      // weighted by the batch's key count so stage stats stay per-key.
-      obs::Tracer* tr = loop_.tracer();
-      u64 root = 0;
-      obs::TraceContext tctx;
-      if (tr) {
-        tctx.trace_id = tr->new_trace();
-        tctx.tenant = tenant;
-        tctx.qos = static_cast<u8>(qos);
-        tctx.op = static_cast<u8>(StoreOp::kLookup);
-        root = tr->begin("store.lookup", req.from, "requests", submitted,
-                         tctx, n);
-        tctx.parent_span = root;
-        sreq->trace = tctx;
-      }
-      sreq->serve = [this, q = shards_[s].q, n, tenant, qos,
-                     tctx](rpc::RpcFabric::Reply reply) {
-        // The batch's probes occupy the shard queue back to back; the
-        // response leaves when the last probe is served.
-        enqueue_index(
-            q, tenant, qos, n * params::kStoreLookupBytes,
-            [this, q, n, tctx, reply = std::move(reply)]() mutable {
-              obs::Tracer* t0 = loop_.tracer();
-              const u64 sp =
-                  (t0 && tctx.trace_id)
-                      ? t0->begin("store.index", obs::kServicePid,
-                                  q->dev->name(), loop_.now(), tctx, n)
-                      : 0;
-              q->dev->submit(n * params::kStoreLookupBytes,
-                             [this, sp, reply = std::move(reply)]() mutable {
-                               if (sp) {
-                                 if (obs::Tracer* t = loop_.tracer()) {
-                                   t->end(sp, loop_.now());
-                                 }
-                               }
-                               reply();
-                             },
-                             /*is_read=*/true);
-            },
-            tctx);
-      };
-      sreq->done = [this, submitted, n, tenant, root, remaining, all_done] {
+      // One trace per batch, weighted by the batch's key count so stage
+      // stats stay per-key.
+      const obs::TraceContext tctx = open_root(req, "store.lookup", n);
+      auto done = [this, submitted, n, tenant, root = tctx.parent_span,
+                   remaining, all_done] {
         const double wait = to_seconds(loop_.now() - submitted);
         stats_.lookup_wait.record_n(wait, n);
         tenants_.stats(tenant).wait.record_n(wait, n);
-        if (root) {
-          if (obs::Tracer* t = loop_.tracer()) t->end(root, loop_.now());
-        }
+        loop_.end_span(root);
         if ((*remaining -= n) == 0 && *all_done) (*all_done)();
       };
-      shard_call(static_cast<int>(s), std::move(sreq));
+      auto sreq = make_request(
+          req.from, params::kRpcHeaderBytes + n * params::kRpcLookupKeyBytes,
+          params::kRpcHeaderBytes + n * params::kRpcLookupVerdictBytes,
+          index_serve(s, /*is_read=*/true, tenant, qos, tctx, n),
+          std::move(done), tctx);
+      shard_call(s, std::move(sreq));
     }
   }
 }
@@ -374,8 +342,7 @@ void ChunkStoreService::queue_store(NodeId from, TenantId tenant,
       make_request(from, params::kRpcHeaderBytes + wire_bytes,
                    params::kRpcHeaderBytes,
                    index_serve(s, /*is_read=*/false, tenant, qos, tctx),
-                   std::move(done));
-  sreq->trace = tctx;
+                   std::move(done), tctx);
   shard_call(s, std::move(sreq));
 }
 
@@ -405,30 +372,16 @@ StoreReply ChunkStoreService::do_store(StoreRequest req) {
   TenantStats& ts = tenants_.stats(tenant);
   ts.stores++;
   ts.store_bytes += bytes;
-  // Root span per store, on the caller's request lane; closes at the shard
-  // ack. The admission hold (if any) becomes the first child stage.
-  obs::Tracer* tr = loop_.tracer();
-  u64 root = 0;
-  obs::TraceContext tctx = req.trace;
-  if (tr && tctx.trace_id == 0) {
-    tctx.trace_id = tr->new_trace();
-    tctx.tenant = tenant;
-    tctx.qos = static_cast<u8>(req.qos);
-    tctx.op = static_cast<u8>(req.op);
-  }
-  if (tr && tctx.parent_span == 0 && tctx.trace_id != 0) {
-    root = tr->begin("store.store", req.from, "requests", loop_.now(), tctx);
-    tctx.parent_span = root;
-  }
+  // The root span closes at the shard ack. The admission hold (if any)
+  // becomes the first child stage.
+  const obs::TraceContext tctx = open_root(req, "store.store");
   // Store completions drain the tenant's edge queue (and budget).
-  auto done = [this, tenant, bytes, root,
+  auto done = [this, tenant, bytes, root = tctx.parent_span,
                inner = std::move(req.done)]() mutable {
     TenantEdge& e = edges_[tenant];
     DSIM_CHECK(e.inflight_bytes >= bytes);
     e.inflight_bytes -= bytes;
-    if (root) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(root, loop_.now());
-    }
+    loop_.end_span(root);
     if (inner) inner();
     drain_edge(tenant);
   };
@@ -443,17 +396,12 @@ StoreReply ChunkStoreService::do_store(StoreRequest req) {
     ts.admission_held++;
     stats_.admission_held_requests++;
     const u64 adm_span =
-        (tr && tctx.trace_id)
-            ? tr->begin("store.admission", req.from, "admission",
-                        loop_.now(), tctx)
-            : 0;
+        loop_.begin_stage("store.admission", req.from, "admission", tctx);
     edge.held.push_back(TenantEdge::Held{
         bytes, loop_.now(),
         [this, from = req.from, tenant, qos = req.qos, key, bytes, adm_span,
          tctx, done = std::move(done)]() mutable {
-          if (adm_span) {
-            if (obs::Tracer* t = loop_.tracer()) t->end(adm_span, loop_.now());
-          }
+          loop_.end_span(adm_span);
           queue_store(from, tenant, qos, key, bytes, std::move(done), tctx);
         }});
     return reply;
@@ -493,40 +441,23 @@ void ChunkStoreService::do_fetch(StoreRequest req) {
   const int s = shard_of(req.keys.front());
   const SimTime submitted = loop_.now();
   const TenantId tenant = req.tenant;
-  obs::Tracer* tr = loop_.tracer();
-  u64 root = 0;
-  obs::TraceContext tctx = req.trace;
-  if (tr) {
-    if (tctx.trace_id == 0) {
-      tctx.trace_id = tr->new_trace();
-      tctx.tenant = tenant;
-      tctx.qos = static_cast<u8>(req.qos);
-      tctx.op = static_cast<u8>(StoreOp::kFetch);
-    }
-    if (tctx.parent_span == 0) {
-      root = tr->begin("store.fetch", req.from, "requests", submitted, tctx);
-      tctx.parent_span = root;
-    }
-  }
+  const obs::TraceContext tctx = open_root(req, "store.fetch");
   // Redirect-style fetch: the RPC carries metadata both ways, the shard
   // queue does an index probe to name the holder, and the bulk bytes
   // stream off the holding node (device + NIC, charged by the caller).
   // Fetch waits land in the tenant's sample stream alongside lookups —
   // together they are the victim-tenant latency bench_tenants gates.
-  auto done = [this, submitted, tenant, root,
+  auto done = [this, submitted, tenant, root = tctx.parent_span,
                inner = std::move(req.done)]() mutable {
     const double wait = to_seconds(loop_.now() - submitted);
     tenants_.stats(tenant).wait.record(wait);
-    if (root) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(root, loop_.now());
-    }
+    loop_.end_span(root);
     if (inner) inner();
   };
   auto sreq = make_request(
       req.from, params::kRpcHeaderBytes, params::kRpcHeaderBytes,
       index_serve(s, /*is_read=*/true, tenant, req.qos, tctx),
-      std::move(done));
-  sreq->trace = tctx;
+      std::move(done), tctx);
   shard_call(s, std::move(sreq));
 }
 
@@ -539,25 +470,10 @@ void ChunkStoreService::do_drop(StoreRequest req) {
   const u64 bytes = req.bytes;
   const TenantId tenant = req.tenant;
   const QosClass qos = req.qos;
-  obs::Tracer* tr = loop_.tracer();
-  u64 root = 0;
-  obs::TraceContext tctx = req.trace;
-  if (tr) {
-    if (tctx.trace_id == 0) {
-      tctx.trace_id = tr->new_trace();
-      tctx.tenant = tenant;
-      tctx.qos = static_cast<u8>(qos);
-      tctx.op = static_cast<u8>(StoreOp::kDrop);
-    }
-    if (tctx.parent_span == 0) {
-      root = tr->begin("store.drop", req.from, "requests", loop_.now(), tctx);
-      tctx.parent_span = root;
-    }
-  }
-  auto done = [this, root, inner = std::move(req.done)]() mutable {
-    if (root) {
-      if (obs::Tracer* t = loop_.tracer()) t->end(root, loop_.now());
-    }
+  const obs::TraceContext tctx = open_root(req, "store.drop");
+  auto done = [this, root = tctx.parent_span,
+               inner = std::move(req.done)]() mutable {
+    loop_.end_span(root);
     if (inner) inner();
   };
   auto sreq = make_request(
@@ -574,9 +490,27 @@ void ChunkStoreService::do_drop(StoreRequest req) {
                       },
                       tctx);
       },
-      std::move(done));
-  sreq->trace = tctx;
+      std::move(done), tctx);
   shard_call(s, std::move(sreq));
+}
+
+std::vector<StoreTarget> ChunkStoreService::reclaim(TenantId tenant,
+                                                    NodeId from,
+                                                    const ChunkKey& key,
+                                                    u64 bytes) {
+  // One fragment per home (the full container under replication), read
+  // before forget drops the entry.
+  const u64 per_home = placement_.home_charge(key);
+  std::vector<StoreTarget> trims;
+  for (NodeId home : placement_.forget(key)) trims.push_back({home, per_home});
+  StoreRequest drop;
+  drop.op = StoreOp::kDrop;
+  drop.tenant = tenant;
+  drop.from = from;
+  drop.keys = {key};
+  drop.bytes = bytes;
+  do_drop(std::move(drop));
+  return trims;
 }
 
 void ChunkStoreService::charge_node(NodeId node, u64 bytes, bool is_read,
@@ -634,13 +568,7 @@ void ChunkStoreService::handle_node_revival(NodeId node) {
   // node never reached kDead (or just came back), so no re-home will ever
   // flush those queues — without this they would strand forever.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (endpoints_[s] != node) continue;
-    auto parked = std::move(shards_[s].parked);
-    shards_[s].parked.clear();
-    for (auto& req : parked) {
-      stats_.replayed_requests++;
-      shard_call(static_cast<int>(s), std::move(req));
-    }
+    if (endpoints_[s] == node) replay_parked(s);
   }
 }
 
@@ -666,12 +594,7 @@ int ChunkStoreService::handle_node_death(NodeId node) {
     LOG_INFO("chunk store: shard %zu re-homed from dead node %d to node %d "
              "(%zu parked request(s) to replay)",
              s, node, endpoints_[s], shards_[s].parked.size());
-    auto parked = std::move(shards_[s].parked);
-    shards_[s].parked.clear();
-    for (auto& req : parked) {
-      stats_.replayed_requests++;
-      shard_call(static_cast<int>(s), std::move(req));
-    }
+    replay_parked(s);
   }
   return rehomed;
 }
@@ -724,17 +647,14 @@ void ChunkStoreService::heal_one(const ChunkKey& key) {
   job.coder = job.targets.front();
   job.cpu_seconds = erasure::decode_seconds(placement_.bytes_of(key), info.k);
   job.target_bytes = info.frag_bytes;
-  obs::Tracer* tr = loop_.tracer();
   const u64 heal_span =
-      tr ? tr->begin("store.heal", obs::kServicePid, "heal", loop_.now()) : 0;
+      loop_.begin_span("store.heal", obs::kServicePid, "heal");
   // Walk the repair through the owning shard's scheduler first: an index
   // probe that contends with foreground lookups, as a real repair stream
   // does.
   system_probe(key, [this, job = std::move(job), heal_span]() mutable {
     run_repair(std::move(job), [this, heal_span] {
-      if (heal_span) {
-        if (obs::Tracer* t = loop_.tracer()) t->end(heal_span, loop_.now());
-      }
+      loop_.end_span(heal_span);
       heal_in_flight_--;
       pump_heal();
     });
@@ -777,14 +697,10 @@ void ChunkStoreService::run_repair(RepairJob job, std::function<void()> done) {
       scatter();
       return;
     }
-    obs::Tracer* tr = loop_.tracer();
-    const u64 span = tr ? tr->begin("store.erasure_decode", obs::kServicePid,
-                                    j->lane, loop_.now())
-                        : 0;
+    const u64 span =
+        loop_.begin_span("store.erasure_decode", obs::kServicePid, j->lane);
     charge_cpu(j->coder, j->cpu_seconds, [this, span, scatter] {
-      if (span) {
-        if (obs::Tracer* t = loop_.tracer()) t->end(span, loop_.now());
-      }
+      loop_.end_span(span);
       scatter();
     });
   };
@@ -807,18 +723,14 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
   // One standalone span per scrub pass, open until the last chunk's
   // verification read lands — the critical path and trace reports see the
   // scrubber's tail exactly as the device queues priced it.
-  obs::Tracer* tr0 = loop_.tracer();
   const u64 scrub_span =
-      (tr0 != nullptr && !batch.empty())
-          ? tr0->begin("store.scrub", obs::kServicePid, "scrub", loop_.now())
-          : 0;
+      batch.empty()
+          ? 0
+          : loop_.begin_span("store.scrub", obs::kServicePid, "scrub");
   auto scrub_left = std::make_shared<u64>(static_cast<u64>(batch.size()));
   auto verified = std::make_shared<std::function<void()>>(
       [this, scrub_span, scrub_left] {
-        if (--*scrub_left != 0) return;
-        if (scrub_span != 0) {
-          if (obs::Tracer* t = loop_.tracer()) t->end(scrub_span, loop_.now());
-        }
+        if (--*scrub_left == 0) loop_.end_span(scrub_span);
       });
   for (const auto& [key, chunk] : batch) {
     scrub_cursor_ = key;
@@ -874,26 +786,15 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
       // from live content — the forward-heal/re-store path) and drop the
       // dead copies from placement so restart pre-flights treat the chunk
       // as unavailable until the re-store lands. Reclaim and trim stay
-      // paired, as everywhere: the rotten copies are trimmed from their
+      // paired, as in GC: the rotten copies are trimmed from their
       // surviving homes' devices and dropped from the owning shard's index
-      // at metadata rate.
+      // at metadata rate. The batch holds no quarantined key, so
+      // quarantine() returns the container's bytes.
       stats_.scrub_quarantined_chunks++;
-      // Per-home trim: a home holds one fragment (read before forget drops
-      // the entry).
-      const u64 per_home = placement_.home_charge(key);
       const u64 rotten = repo_->quarantine(key);
-      const std::vector<NodeId> homes = placement_.forget(key);
-      if (rotten > 0) {
-        for (NodeId home : homes) {
-          if (trimmer_) trimmer_(home, per_home);
-        }
-        StoreRequest drop;
-        drop.op = StoreOp::kDrop;
-        drop.tenant = kSystemTenant;
-        drop.from = endpoint_of(shard_of(key));
-        drop.keys = {key};
-        drop.bytes = rotten;
-        submit(std::move(drop));
+      for (const StoreTarget& trim :
+           reclaim(kSystemTenant, endpoint_of(shard_of(key)), key, rotten)) {
+        if (trimmer_) trimmer_(trim.node, trim.bytes);
       }
     }
     system_probe(key, [this, corrupt, missing, holder, read_bytes, verified] {
@@ -932,12 +833,8 @@ int ChunkStoreService::demote_cold(u64 max_chunks) {
     // One standalone span per demoted chunk, open from scheduling until
     // the last cold fragment lands (the fire-and-forget tail is exactly
     // what the trace should make visible).
-    obs::Tracer* tr0 = loop_.tracer();
     const u64 demote_span =
-        tr0 != nullptr
-            ? tr0->begin("store.demote", obs::kServicePid, "demote",
-                         loop_.now())
-            : 0;
+        loop_.begin_span("store.demote", obs::kServicePid, "demote");
     // Index update on the owning shard (the fragment layout is re-keyed),
     // then the repair job: gather the k hot fragments at the first cold
     // home, decode + re-encode there, trim the hot fragments and land the
@@ -955,11 +852,8 @@ int ChunkStoreService::demote_cold(u64 max_chunks) {
     job.target_bytes = plan.write_bytes;
     job.lane = "demote";
     system_probe(key, [this, job = std::move(job), demote_span]() mutable {
-      run_repair(std::move(job), [this, demote_span] {
-        if (demote_span != 0) {
-          if (obs::Tracer* t = loop_.tracer()) t->end(demote_span, loop_.now());
-        }
-      });
+      run_repair(std::move(job),
+                 [this, demote_span] { loop_.end_span(demote_span); });
     });
   }
   return demoted;
@@ -1047,17 +941,12 @@ void ChunkStoreService::rebalance(int new_shards,
   }
   // One standalone span for the whole migration, open until the last
   // batch lands on its new shard.
-  obs::Tracer* tr0 = loop_.tracer();
   const u64 rb_span =
-      tr0 != nullptr ? tr0->begin("store.rebalance", obs::kServicePid,
-                                  "rebalance", loop_.now())
-                     : 0;
+      loop_.begin_span("store.rebalance", obs::kServicePid, "rebalance");
   auto remaining = std::make_shared<u64>(batches);
   auto all_done = std::make_shared<std::function<void()>>(
       [this, rb_span, inner = std::move(done)] {
-        if (rb_span != 0) {
-          if (obs::Tracer* t = loop_.tracer()) t->end(rb_span, loop_.now());
-        }
+        loop_.end_span(rb_span);
         inner();
       });
   for (const auto& [route, keys] : moves) {

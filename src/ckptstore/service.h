@@ -16,7 +16,14 @@
 //   kFetch    a restart locating a chunk (index probe; the bulk bytes
 //             stream off the holding node's device and NIC, charged by the
 //             caller),
-//   kDrop     GC trim for a reclaimed chunk at metadata rate.
+//   kDrop     the index drop of a chunk let go by GC or by the scrubber's
+//             quarantine, at metadata rate (reclaim()).
+//
+// Every op takes the same request path: open_root() opens the request's
+// trace and root span when tracing is on, the shard request carries that
+// context through the RPC fabric, index_serve() runs its index work through
+// the shard's scheduler, and a request whose endpoint died parks until
+// replay_parked() re-issues it.
 //
 // The shard queue is the *metadata/index* path — chunk payloads physically
 // live on placement-home node devices and travel the network as RPC request
@@ -137,10 +144,6 @@ struct ServiceStats {
   /// Shards moved *back* to their assigned endpoint at a round boundary
   /// after the endpoint was revived (rehome_to_owners()).
   u64 rehomed_back_shards = 0;
-  /// Pre-codec logical bytes behind the accepted store_bytes (the async
-  /// pipeline and the coordinator derive the store-level compress ratio
-  /// from the two).
-  u64 store_raw_bytes = 0;
   // Consistent-hash rebalancing (shard-count changes between rounds).
   u64 rebalances = 0;
   u64 rebalance_moved_keys = 0;
@@ -317,9 +320,14 @@ class ChunkStoreService {
   /// the moved shards. Returns the number of shards moved back.
   int rehome_to_owners();
 
-  /// Record pre-codec logical bytes behind accepted stores (see
-  /// ServiceStats::store_raw_bytes); called by the checkpoint writer.
-  void note_raw_bytes(u64 raw) { stats_.store_raw_bytes += raw; }
+  /// Let go of a chunk the repository no longer holds (GC reclaimed it, or
+  /// scrub quarantined it): forget its placement and drop its `bytes`
+  /// from the owning shard's index at metadata rate, a kDrop from `from`
+  /// under `tenant`. Returns the trims the caller owes each former home,
+  /// one fragment each (the full container under replication), on the
+  /// device path its writes used.
+  std::vector<StoreTarget> reclaim(TenantId tenant, NodeId from,
+                                   const ChunkKey& key, u64 bytes);
 
   /// True when no heal work is pending or in flight.
   bool rereplication_idle() const {
@@ -387,9 +395,9 @@ class ChunkStoreService {
     u64 response_bytes = 0;
     rpc::RpcFabric::Handler serve;
     std::function<void()> done;
-    /// Trace this attempt belongs to (zero trace_id when untraced). Rides
-    /// the envelope so a park/replay re-issues under the same trace — which
-    /// the tracer is told to exempt from span tiling.
+    /// Trace this attempt belongs to (zero trace_id when untraced), so a
+    /// park/replay re-issues under the same trace — which the tracer is
+    /// told to exempt from span tiling.
     obs::TraceContext trace;
   };
   /// One shard's index queue: the device that prices metadata work plus
@@ -402,6 +410,7 @@ class ChunkStoreService {
     std::unique_ptr<sim::StorageDevice> dev;
     FairQueue fq;
     bool pump_scheduled = false;
+    std::string fq_lane;  // "<device>/queue": the store.fq_wait lane
   };
   struct Shard {
     /// Owned by queues_. In-flight serve closures capture the queue they
@@ -431,9 +440,18 @@ class ChunkStoreService {
   /// Issue (or re-issue) a request against the shard's current endpoint;
   /// parks it on fabric failure.
   void shard_call(int shard, std::shared_ptr<ShardRequest> req);
+  /// Re-issue every request parked on shard `s`, in FIFO order.
+  void replay_parked(size_t s);
   static std::shared_ptr<ShardRequest> make_request(
       NodeId from, u64 request_bytes, u64 response_bytes,
-      rpc::RpcFabric::Handler serve, std::function<void()> done);
+      rpc::RpcFabric::Handler serve, std::function<void()> done,
+      obs::TraceContext trace);
+  /// Open the trace of one request (a lookup batch of `n` keys, a store,
+  /// fetch or drop) and its root span `name` on the caller's "requests"
+  /// lane. The returned context's parent_span is the root; zero when
+  /// tracing is off.
+  obs::TraceContext open_root(const StoreRequest& req, const char* name,
+                              u64 n = 1);
   /// Hand one unit of index work to the shard's scheduler: `run` performs
   /// the actual device submission (or discard) when the scheduler
   /// dispatches it. Bypasses the FairQueue entirely when fair queueing is
@@ -447,11 +465,12 @@ class ChunkStoreService {
   void pump_queue(IndexQueue* q);
   /// A new shard queue (device "chunkstore<s>"), owned by queues_.
   IndexQueue* make_queue(int s);
-  /// Serve handler for a single index probe/insert on the shard's queue,
-  /// routed through the fair-queueing scheduler under (tenant, qos).
+  /// Serve handler for `n` back-to-back index probes/inserts on the
+  /// shard's queue (a lookup batch, or one store or fetch), routed through
+  /// the fair-queueing scheduler under (tenant, qos).
   rpc::RpcFabric::Handler index_serve(int shard, bool is_read,
                                       TenantId tenant, QosClass qos,
-                                      obs::TraceContext tctx = {});
+                                      obs::TraceContext tctx, u64 n = 1);
   // The envelope's per-op bodies.
   void do_lookups(StoreRequest req);
   StoreReply do_store(StoreRequest req);
@@ -461,7 +480,7 @@ class ChunkStoreService {
   /// index insert RPC.
   void queue_store(NodeId from, TenantId tenant, QosClass qos,
                    const ChunkKey& key, u64 charged_bytes,
-                   std::function<void()> done, obs::TraceContext tctx = {});
+                   std::function<void()> done, obs::TraceContext tctx);
   /// Dispatch held stores whose tenant budget has room again (called from
   /// every store completion).
   void drain_edge(TenantId tenant);

@@ -7,9 +7,8 @@
 //
 //   StoreRequest/StoreReply   the one typed envelope every service RPC uses
 //                             (Lookup/Store/Restore/Fetch/Drop used to be
-//                             five ad-hoc signatures; context like tenant id,
-//                             generation and QoS class now travels in one
-//                             place),
+//                             five ad-hoc signatures; context like tenant id
+//                             and QoS class now travels in one place),
 //   TenantRegistry            per-tenant config (DRR weight, in-flight store
 //                             byte budget, retention overrides) and
 //                             per-tenant request statistics,
@@ -34,7 +33,6 @@
 
 #include "ckptstore/chunk.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/types.h"
 
 namespace dsim::ckptstore {
@@ -82,16 +80,11 @@ struct StoreTarget {
 struct StoreRequest {
   StoreOp op = StoreOp::kLookup;
   TenantId tenant = kDefaultTenant;
-  int generation = 0;
   QosClass qos = QosClass::kCheckpoint;
   NodeId from = 0;
   std::vector<ChunkKey> keys;
   u64 bytes = 0;
   std::function<void()> done;
-  /// Filled by the service when tracing is enabled: callers may pre-seed
-  /// it to group their requests under an existing trace, but normally the
-  /// service opens one root span per request/batch itself.
-  obs::TraceContext trace;
 };
 
 /// The synchronous half of the answer. `targets` (Store/Restore only) are

@@ -1,6 +1,5 @@
 #include "cluster/membership.h"
 
-#include "obs/trace.h"
 #include "sim/model_params.h"
 #include "util/assertx.h"
 #include "util/logging.h"
@@ -47,21 +46,18 @@ void Membership::tick() {
     stats_.heartbeats_sent++;
     // Standalone probe span (trace_id 0): covers send -> ack/miss, so the
     // trace shows detection-latency gaps as missing heartbeat lanes.
-    u64 span = 0;
-    if (obs::Tracer* tr = loop_.tracer()) {
-      span = tr->begin("cluster.heartbeat", cfg_.monitor_node, "heartbeat",
-                       loop_.now());
-    }
+    const u64 span = loop_.begin_span("cluster.heartbeat", cfg_.monitor_node,
+                                      "heartbeat");
     fabric_.call(
         cfg_.monitor_node, n, params::kHeartbeatBytes,
         params::kHeartbeatBytes,
         [](rpc::RpcFabric::Reply reply) { reply(); },
         [this, n, span] {
-          if (obs::Tracer* tr = loop_.tracer()) tr->end(span, loop_.now());
+          loop_.end_span(span);
           on_ack(n);
         },
         [this, n, span] {
-          if (obs::Tracer* tr = loop_.tracer()) tr->end(span, loop_.now());
+          loop_.end_span(span);
           on_miss(n);
         });
   }

@@ -190,33 +190,20 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   }
 
   /// Retention: drop generations beyond the keep window and trim the
-  /// reclaimed chunk bytes. The service trims each dead chunk from the
-  /// placement homes that actually hold it (one Drop request through its
-  /// queue); without it the trim lands on this node's device. The pass is
-  /// scoped to this tenant's owner namespace, so each tenant keeps its own
-  /// last N.
+  /// reclaimed chunk bytes. The service reclaims each dead chunk (one Drop
+  /// request through its queue) and names the placement homes that held
+  /// it, which are trimmed on the checkpoint path; without the service the
+  /// trim lands on this node's device. The pass is scoped to this tenant's
+  /// owner namespace, so each tenant keeps its own last N.
   void gc_and_done() {
     ckptstore::Repository& repo = shared->repo_for(node);
     if (svc) {
       std::vector<ckptstore::Repository::ReclaimedChunk> dead;
-      const u64 reclaimed =
-          repo.collect_garbage(shared->opts.keep_generations, &dead,
-                               ckptstore::tenant_prefix(tenant));
-      if (reclaimed > 0) {
-        for (const auto& rc : dead) {
-          ckptstore::StoreRequest dr;
-          dr.op = ckptstore::StoreOp::kDrop;
-          dr.tenant = tenant;
-          dr.from = node;
-          dr.keys = {rc.key};
-          dr.bytes = rc.bytes;
-          svc->submit(std::move(dr));
-          // One fragment per home (the full container under replication)
-          // — read before forget drops the entry.
-          const u64 per_home = svc->placement().home_charge(rc.key);
-          for (NodeId home : svc->placement().forget(rc.key)) {
-            k->discard_storage(home, path, per_home);
-          }
+      repo.collect_garbage(shared->opts.keep_generations, &dead,
+                           ckptstore::tenant_prefix(tenant));
+      for (const auto& rc : dead) {
+        for (const auto& trim : svc->reclaim(tenant, node, rc.key, rc.bytes)) {
+          k->discard_storage(trim.node, path, trim.bytes);
         }
       }
     } else {
@@ -804,7 +791,6 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     inode->charged_size = delta.submitted_bytes;
 
     ckptstore::ChunkStoreService* svc = shared_->store_service.get();
-    if (svc != nullptr) svc->note_raw_bytes(delta.new_logical_bytes());
     // Striping new chunk containers into k+m fragments is checkpoint-path
     // CPU like compression, priced by the parity rows at kErasureBw (none
     // under replication, whose fragments are copies).

@@ -110,18 +110,6 @@ Task<void> Engine::recv(int peer, MemRef buf, u64 len) {
   co_await ctx_.read_exact(fd_of(peer), buf, len, kRegB);
 }
 
-Task<void> Engine::sendrecv(int peer, MemRef sbuf, MemRef rbuf, u64 len) {
-  // Rank order breaks send-send deadlocks for transfers larger than the
-  // socket buffering capacity.
-  if (cached_.rank < peer) {
-    co_await send(peer, sbuf, len);
-    co_await recv(peer, rbuf, len);
-  } else {
-    co_await recv(peer, rbuf, len);
-    co_await send(peer, sbuf, len);
-  }
-}
-
 // Collectives use flat deterministic schedules: progress is a single
 // coll_step counter, which makes the restart contract trivial to audit.
 // (Tree algorithms would shave latency but change nothing the experiments

@@ -85,7 +85,6 @@ class Engine {
     cached_ = p;
   }
   Fd fd_of(int peer);
-  Task<void> sendrecv(int peer, sim::MemRef sbuf, sim::MemRef rbuf, u64 len);
 
   sim::ProcessCtx& ctx_;
   sim::MemRef stref_;

@@ -1,19 +1,19 @@
 // Deterministic request tracing over the virtual clock.
 //
 // A `TraceContext` rides inside `rpc::RpcFabric` calls and the store's
-// `StoreRequest`/`ShardRequest` envelopes; the layers it passes through
-// open a span at each queueing stage (caller NIC, endpoint message CPU,
-// tenant admission hold, FairQueue wait, shard index/device service,
-// return NIC hop) and close it when the stage's callback fires. Spans are
-// stamped with `SimTime` only — no host clock, no allocation addresses —
-// so two runs with the same seed and jitter profile emit byte-identical
-// traces.
+// `ShardRequest` envelopes; the layers it passes through open a span at
+// each queueing stage (caller NIC, endpoint message CPU, tenant admission
+// hold, FairQueue wait, shard index/device service, return NIC hop) and
+// close it when the stage's callback fires. Spans are stamped with
+// `SimTime` only — no host clock, no allocation addresses — so two runs
+// with the same seed and jitter profile emit byte-identical traces.
 //
 // Zero cost when disabled: the tracer hangs off `sim::EventLoop` as a
-// plain pointer (null by default), every instrumentation site is a null
-// check around inlined calls, and the tracer itself never posts events or
-// charges simulated time — enabling it cannot move the virtual clock,
-// which is what the bench's trace_overhead_ratio gate asserts.
+// plain pointer (null by default), every instrumentation site goes through
+// the loop's span helpers, which return at once when it is null, and the
+// tracer itself never posts events or charges simulated time — enabling
+// it cannot move the virtual clock, which is what the bench's
+// trace_overhead_ratio gate asserts.
 //
 // Span tiling: for a traced request, the child stage spans partition the
 // root span's [begin, end) exactly, in integer nanoseconds — every unit of

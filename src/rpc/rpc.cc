@@ -28,11 +28,7 @@ void RpcFabric::call(NodeId from, NodeId to, u64 request_bytes,
   stats_.calls++;
   stats_.net_bytes += request_bytes;
   const SimTime sent = loop_.now();
-  obs::Tracer* tr = loop_.tracer();
-  const u64 req_span =
-      (tr && tctx.trace_id)
-          ? tr->begin("rpc.request_net", from, "nic", sent, tctx)
-          : 0;
+  const u64 req_span = loop_.begin_stage("rpc.request_net", from, "nic", tctx);
   // One shared frame per call: the three liveness checkpoints (arrival,
   // dispatch, reply) share the closure set, and whichever outcome fires
   // first consumes it.
@@ -58,8 +54,7 @@ void RpcFabric::call(NodeId from, NodeId to, u64 request_bytes,
       [this, from, to, response_bytes, sent, fr, fail, tctx,
        req_span]() mutable {
         stats_.net_wait_seconds += to_seconds(loop_.now() - sent);
-        obs::Tracer* tr = loop_.tracer();
-        if (req_span && tr) tr->end(req_span, loop_.now());
+        loop_.end_span(req_span);
         if (!health_->up(to)) {
           // Dead on arrival: the request crossed the caller's NIC and fell
           // on the floor. No endpoint charge of any kind.
@@ -76,15 +71,11 @@ void RpcFabric::call(NodeId from, NodeId to, u64 request_bytes,
         // The span covers queueing behind the message processor plus the
         // dispatch CPU itself: [arrival, dispatch-runs).
         const u64 cpu_span =
-            (tr && tctx.trace_id)
-                ? tr->begin("rpc.dispatch_cpu", to, "msgcpu", loop_.now(),
-                            tctx)
-                : 0;
+            loop_.begin_stage("rpc.dispatch_cpu", to, "msgcpu", tctx);
         loop_.post_at(
             busy, [this, from, to, response_bytes, fr, fail, tctx,
                    cpu_span]() mutable {
-              obs::Tracer* tr = loop_.tracer();
-              if (cpu_span && tr) tr->end(cpu_span, loop_.now());
+              loop_.end_span(cpu_span);
               if (!health_->up(to)) {
                 fail();  // died before dispatch: CPU never charged
                 return;
@@ -104,21 +95,13 @@ void RpcFabric::call(NodeId from, NodeId to, u64 request_bytes,
                     "RPC response charged to a dead node's NIC");
                 stats_.net_bytes += response_bytes;
                 const SimTime replied = loop_.now();
-                obs::Tracer* tr = loop_.tracer();
                 const u64 resp_span =
-                    (tr && tctx.trace_id)
-                        ? tr->begin("rpc.response_net", to, "nic", replied,
-                                    tctx)
-                        : 0;
+                    loop_.begin_stage("rpc.response_net", to, "nic", tctx);
                 net_.transfer(to, from, response_bytes,
                               [this, replied, fr, resp_span] {
                                 stats_.net_wait_seconds +=
                                     to_seconds(loop_.now() - replied);
-                                if (resp_span) {
-                                  if (obs::Tracer* t = loop_.tracer()) {
-                                    t->end(resp_span, loop_.now());
-                                  }
-                                }
+                                loop_.end_span(resp_span);
                                 fr->done();
                               });
               });

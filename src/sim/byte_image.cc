@@ -254,14 +254,6 @@ u64 ByteImage::real_bytes() const {
   return acc;
 }
 
-u64 ByteImage::pattern_bytes(ExtentKind kind) const {
-  u64 acc = 0;
-  for (const auto& [off, ext] : ext_) {
-    if (ext.kind == kind) acc += ext.len;
-  }
-  return acc;
-}
-
 u32 ByteImage::content_crc() const {
   u32 crc = 0;
   std::vector<std::byte> chunk(64 * 1024);

@@ -136,8 +136,6 @@ class ByteImage {
 
   /// Bytes held in real extents (host memory cost).
   u64 real_bytes() const;
-  /// Bytes in pattern extents of the given kind.
-  u64 pattern_bytes(ExtentKind kind) const;
 
   /// Streaming CRC-32 of the full (virtual) content. O(size); use in tests
   /// and for modest images only.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
 #include "sim/model_params.h"
 #include "util/assertx.h"
 
@@ -94,13 +93,10 @@ void CpuPool::pump() {
     Job job = std::move(queue_.front());
     queue_.pop_front();
     peak_ = std::max(peak_, ++running_);
-    obs::Tracer* tr = loop_.tracer();
-    const u64 span = tr ? tr->begin(span_, node_, lane_, loop_.now()) : 0;
+    const u64 span = loop_.begin_span(span_, node_, lane_);
     cpu_.submit(job.seconds,
                 [self = shared_from_this(), span, done = std::move(job.done)] {
-                  if (obs::Tracer* t = self->loop_.tracer()) {
-                    t->end(span, self->loop_.now());
-                  }
+                  self->loop_.end_span(span);
                   --self->running_;
                   self->pump();
                   done();

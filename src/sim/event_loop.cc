@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace dsim::sim {
 
 EventId EventLoop::post_at(SimTime t, Fn fn) {
@@ -37,6 +39,20 @@ void EventLoop::cancel(EventId id) {
   // The closure dies here, after the slot is free: its destructor may
   // post or cancel.
   release(id);
+}
+
+u64 EventLoop::begin_span(const char* name, i32 pid, const std::string& lane) {
+  return tracer_ ? tracer_->begin(name, pid, lane, now_) : 0;
+}
+
+u64 EventLoop::begin_stage(const char* name, i32 pid, const std::string& lane,
+                           const obs::TraceContext& ctx, u64 n) {
+  if (!tracer_ || ctx.trace_id == 0) return 0;
+  return tracer_->begin(name, pid, lane, now_, ctx, n);
+}
+
+void EventLoop::end_span(u64 id) {
+  if (tracer_) tracer_->end(id, now_);
 }
 
 bool EventLoop::pop_one() {

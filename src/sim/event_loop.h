@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "util/assertx.h"
@@ -15,6 +16,7 @@
 
 namespace dsim::obs {
 class Tracer;
+struct TraceContext;
 }  // namespace dsim::obs
 
 namespace dsim::sim {
@@ -63,11 +65,22 @@ class EventLoop {
 
   /// Observability hook: every subsystem driven by this loop reaches the
   /// (optional) tracer through it, so enabling tracing is one pointer
-  /// install and disabling it is a null check at each instrumentation
-  /// site. The tracer never posts events or charges time — it cannot
-  /// perturb the virtual clock.
+  /// install and disabling it is a null check in the span helpers below.
+  /// The tracer never posts events or charges time — it cannot perturb
+  /// the virtual clock.
   void set_tracer(obs::Tracer* t) { tracer_ = t; }
   obs::Tracer* tracer() const { return tracer_; }
+
+  /// Spans at now() on the installed tracer. begin_span opens a
+  /// standalone span (a daemon pass, a CPU job, a heartbeat); begin_stage
+  /// opens a stage of the traced request `ctx`, weighted by `n`. Both
+  /// return 0 when tracing is off, and begin_stage also when
+  /// ctx.trace_id == 0. end_span(0) is a no-op, so call sites thread
+  /// maybe-traced ids through their callbacks unguarded.
+  u64 begin_span(const char* name, i32 pid, const std::string& lane);
+  u64 begin_stage(const char* name, i32 pid, const std::string& lane,
+                  const obs::TraceContext& ctx, u64 n = 1);
+  void end_span(u64 id);
 
  private:
   struct Ev {

@@ -15,18 +15,6 @@ std::shared_ptr<Inode> FileSystem::create(const std::string& path) {
   return inode;
 }
 
-bool FileSystem::unlink(const std::string& path) {
-  return files_.erase(path) > 0;
-}
-
-std::vector<std::string> FileSystem::list(const std::string& prefix) const {
-  std::vector<std::string> out;
-  for (const auto& [path, inode] : files_) {
-    if (path.rfind(prefix, 0) == 0) out.push_back(path);
-  }
-  return out;
-}
-
 void FileSystem::set_read_only(const std::string& path, bool ro) {
   read_only_[path] = ro;
 }

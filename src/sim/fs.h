@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/vnode.h"
 #include "util/types.h"
@@ -24,8 +23,6 @@ class FileSystem {
   /// Get-or-create.
   std::shared_ptr<Inode> create(const std::string& path);
   bool exists(const std::string& path) const { return files_.count(path) > 0; }
-  bool unlink(const std::string& path);
-  std::vector<std::string> list(const std::string& prefix) const;
   const std::string& name() const { return name_; }
   /// Permission bit used by the shared-memory restore rules (§4.5).
   void set_read_only(const std::string& path, bool ro);

@@ -538,17 +538,6 @@ Kernel::make_socketpair(Process& p) {
   return {std::move(a), std::move(b)};
 }
 
-void Kernel::link_established(Process& pa, TcpVNode& a, Process& pb,
-                              TcpVNode& b) {
-  a.local = {pa.node(), node(pa.node()).alloc_ephemeral_port()};
-  b.local = {pb.node(), node(pb.node()).alloc_ephemeral_port()};
-  a.remote = b.local;
-  b.remote = a.local;
-  a.peer = b.shared_from_this();
-  b.peer = a.shared_from_this();
-  a.state = b.state = TcpVNode::State::kEstablished;
-}
-
 void Kernel::pump_socket(std::shared_ptr<TcpVNode> s) {
   if (s->state != TcpVNode::State::kEstablished && !s->lingering) return;
   auto peer = s->peer.lock();

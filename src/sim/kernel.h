@@ -133,9 +133,6 @@ class Kernel {
   std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>>
   make_socketpair(Process& p);
   void on_socket_close(TcpVNode& s);
-  /// Register an established pair created outside connect/accept (restart
-  /// reconnection path uses normal connect; this is for tests).
-  void link_established(Process& pa, TcpVNode& a, Process& pb, TcpVNode& b);
   /// Host work of user-plane receives: data bytes whose segment buffer an
   /// image kept as is, and data bytes copied out of a segment.
   u64 recv_adopted_bytes() const { return recv_adopted_bytes_; }

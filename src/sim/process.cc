@@ -36,16 +36,6 @@ const MemSegment* AddressSpace::find(const std::string& name) const {
   return nullptr;
 }
 
-bool AddressSpace::detach(const std::string& name) {
-  for (auto it = segs_.begin(); it != segs_.end(); ++it) {
-    if ((*it)->name == name) {
-      segs_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 u64 AddressSpace::total_bytes() const {
   u64 acc = 0;
   for (const auto& s : segs_) acc += s->data.size();
@@ -81,13 +71,6 @@ Thread& Process::add_thread(ThreadKind kind) {
 Thread* Process::find_thread(Tid tid) {
   for (auto& t : threads_) {
     if (t->tid() == tid) return t.get();
-  }
-  return nullptr;
-}
-
-Thread* Process::main_thread() {
-  for (auto& t : threads_) {
-    if (t->kind() == ThreadKind::kMain) return t.get();
   }
   return nullptr;
 }

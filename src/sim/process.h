@@ -45,7 +45,6 @@ class AddressSpace {
   /// convention (enforced by add()).
   MemSegment* find(const std::string& name);
   const MemSegment* find(const std::string& name) const;
-  bool detach(const std::string& name);
 
   u64 total_bytes() const;
   const std::vector<std::shared_ptr<MemSegment>>& segments() const {
@@ -99,7 +98,6 @@ class Process {
   Thread& add_thread(ThreadKind kind);
   Thread* find_thread(Tid tid);
   std::vector<std::unique_ptr<Thread>>& threads() { return threads_; }
-  Thread* main_thread();
 
   ProcState state() const { return state_; }
   void set_state(ProcState s) { state_ = s; }

@@ -33,14 +33,6 @@ void WaitQueue::wake_all() {
   }
 }
 
-void WaitQueue::wake_one() {
-  if (waiters_.empty()) return;
-  Thread* t = waiters_.front();
-  waiters_.erase(waiters_.begin());
-  if (t->waiting_on_ == this) t->waiting_on_ = nullptr;
-  t->wake();
-}
-
 // --- Thread ------------------------------------------------------------------
 
 Thread::Thread(Kernel& kernel, Process& process, Tid tid, ThreadKind kind)

@@ -47,7 +47,6 @@ class WaitQueue {
  public:
   ~WaitQueue();
   void wake_all();
-  void wake_one();
   bool empty() const { return waiters_.empty(); }
 
   /// Awaitable: parks the thread until a wake.

@@ -47,20 +47,6 @@ std::string Table::to_ascii() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += row[c];
-    }
-    out += '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 void Table::print(const std::string& title) const {
   std::printf("\n=== %s ===\n%s", title.c_str(), to_ascii().c_str());
   std::fflush(stdout);

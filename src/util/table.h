@@ -17,8 +17,6 @@ class Table {
   void add_row(std::vector<std::string> cells);
   /// Render as an aligned ASCII table.
   std::string to_ascii() const;
-  /// Render as CSV (no quoting needed for our content).
-  std::string to_csv() const;
   /// Print ASCII to stdout with a title banner.
   void print(const std::string& title) const;
 

@@ -19,20 +19,4 @@ std::string format_time(SimTime t) {
   return buf;
 }
 
-std::string format_bytes(u64 n) {
-  char buf[64];
-  if (n < 1024) {
-    std::snprintf(buf, sizeof buf, "%llu B", static_cast<unsigned long long>(n));
-  } else if (n < 1024ull * 1024) {
-    std::snprintf(buf, sizeof buf, "%.1f KB", static_cast<double>(n) / 1024.0);
-  } else if (n < 1024ull * 1024 * 1024) {
-    std::snprintf(buf, sizeof buf, "%.1f MB",
-                  static_cast<double>(n) / (1024.0 * 1024.0));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.2f GB",
-                  static_cast<double>(n) / (1024.0 * 1024.0 * 1024.0));
-  }
-  return buf;
-}
-
 }  // namespace dsim

@@ -49,7 +49,5 @@ inline constexpr Fd kNoFd = -1;
 
 /// Format simulation time as a human-readable string (e.g. "2.034s").
 std::string format_time(SimTime t);
-/// Format a byte count as a human-readable string (e.g. "1.5 MB").
-std::string format_bytes(u64 n);
 
 }  // namespace dsim

@@ -61,6 +61,44 @@ TEST(SharedMemory, CountersConsistentAfterRestart) {
   EXPECT_EQ(read_result(w.k(), "shm1"), "counter=80");
 }
 
+TEST(SharedMemory, ReadOnlyBackingFileKeepsItsCurrentBytesOnRestart) {
+  // §4.5: a restored shared segment is rewritten with the checkpoint's
+  // bytes when its backing file is writable, and maps the file's current
+  // bytes when the file is read-only.
+  const std::string path = "/shared/shm/ro";
+  const auto ckpt_bytes = pseudo_bytes(4096, 1);
+  const auto file_bytes = pseudo_bytes(4096, 2);
+  for (const bool read_only : {false, true}) {
+    World w(1);
+    const Pid pid = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "ro"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    {
+      sim::Process* p = w.k().find_process(pid);
+      ASSERT_NE(p, nullptr);
+      auto seg = w.k().mmap_shared(*p, path, ckpt_bytes.size());
+      p->mem().attach(seg);
+      seg->data.write(0, ckpt_bytes);
+    }
+    w.ctl.checkpoint_now();
+    w.ctl.kill_computation();
+    sim::FileSystem& fs = w.k().fs_for(0, path);
+    fs.lookup(path)->data.write(0, file_bytes);
+    fs.set_read_only(path, read_only);
+    w.ctl.restart();
+    sim::Process* restored = nullptr;
+    for (Pid live : w.k().live_pids()) {
+      sim::Process* p = w.k().find_process(live);
+      if (p != nullptr && p->prog_name() == kComputeLoop) restored = p;
+    }
+    ASSERT_NE(restored, nullptr);
+    const sim::MemSegment* seg = restored->mem().find("shm:" + path);
+    ASSERT_NE(seg, nullptr);
+    EXPECT_TRUE(seg->data.materialize(0, seg->data.size()) ==
+                (read_only ? file_bytes : ckpt_bytes))
+        << "read_only=" << read_only;
+  }
+}
+
 TEST(Pty, TermiosAndStreamSurviveRestart) {
   World w(1);
   w.ctl.launch(0, kPtyShell, {"30", "pty1"});

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -333,6 +334,97 @@ TEST(ObsWorld, SpansBalanceAndTileAfterMidRoundKillAndRevive) {
   const TracedRun r = run_traced(0xFA11, /*kill_mid_round=*/true);
   EXPECT_EQ(r.open_spans, 0u);
   EXPECT_EQ(r.tiling_violations, 0u);
+}
+
+// Every request kind and every store daemon closes the spans it opens,
+// and each traced request still tiles its root: restart fetches, GC
+// drops, stores held at the tenant edge, a scrub quarantine, a cold
+// demotion and a shard rebalance, besides a round's lookups and stores.
+TEST(ObsWorld, EveryRequestKindAndDaemonClosesItsSpans) {
+  std::set<std::string> names;
+  const auto traced_world = [](World& w) {
+    auto tracer = std::make_shared<Tracer>();
+    w.k().loop().set_tracer(tracer.get());
+    w.ctl.shared().tracer = tracer;
+    return tracer;
+  };
+  const auto rewrite = [](World& w, Pid pid, u64 bytes, u64 seed) {
+    sim::Process* p = w.k().find_process(pid);
+    ASSERT_NE(p, nullptr);
+    p->mem().find("ballast")->data.fill(0, bytes, sim::ExtentKind::kRand,
+                                        seed);
+  };
+  const auto settle = [&names](World& w, const Tracer& tracer) {
+    w.ctl.shared().membership->stop();
+    w.ctl.run_for(500 * timeconst::kMillisecond);
+    EXPECT_EQ(tracer.open_spans(), 0u);
+    EXPECT_EQ(tracer.tiling_violations(), 0u);
+    for (const auto& span : tracer.spans()) names.insert(span.name);
+  };
+  {
+    // Keep-last-1 over rewritten generations under a 64 KiB tenant budget:
+    // GC drops and stores held at the edge. Then a chunk rots past repair,
+    // the shard count grows, and the computation restarts.
+    DmtcpOptions o = obs_opts();
+    o.keep_generations = 1;
+    o.tenant_budget_bytes = 64 * 1024;
+    World w(4, o, 0x5BA1);
+    const auto tracer = traced_world(w);
+    const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    add_ballast(w, pa, 512 * 1024, 0xA0);
+    for (u64 round = 0; round < 3; ++round) {
+      rewrite(w, pa, 512 * 1024, 0xA1 + round);
+      w.ctl.checkpoint_now();
+    }
+    auto& svc = *w.ctl.shared().store_service;
+    EXPECT_GT(svc.stats().drop_requests, 0u);
+    EXPECT_GT(svc.stats().admission_held_requests, 0u);
+    // Both copies of an R=2 chunk rot: beyond repair, so it is quarantined.
+    const ckptstore::ChunkKey victim =
+        svc.repo().chunks_after(ckptstore::ChunkKey{}, 1).front().first;
+    ASSERT_TRUE(svc.corrupt_fragment(victim, 0));
+    ASSERT_TRUE(svc.corrupt_fragment(victim, 1));
+    svc.scrub(1u << 20, compress::CodecKind::kNone);
+    w.ctl.run_for(100 * timeconst::kMillisecond);
+    EXPECT_EQ(svc.stats().scrub_quarantined_chunks, 1u);
+    w.ctl.set_store_shards(3);
+    EXPECT_GT(svc.stats().rebalance_moved_keys, 0u);
+    w.ctl.checkpoint_now();
+    w.ctl.kill_computation();
+    w.ctl.restart();
+    EXPECT_GT(svc.stats().fetch_requests, 0u);
+    settle(w, *tracer);
+  }
+  {
+    // (4,2) with a (6,2) cold tier and one hot generation: rewriting half
+    // the ballast leaves the first generation's old half cold, and the
+    // demotion decodes and re-encodes it in the background.
+    DmtcpOptions o = obs_opts();
+    o.chunk_replicas = 1;
+    o.erasure_k = 4;
+    o.erasure_m = 2;
+    o.cold_erasure_k = 6;
+    o.cold_erasure_m = 2;
+    o.hot_generations = 1;
+    World w(8, o, 0xC01D);
+    const auto tracer = traced_world(w);
+    const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    add_ballast(w, pa, 1024 * 1024, 0xC0);
+    w.ctl.checkpoint_now();
+    rewrite(w, pa, 512 * 1024, 0xC1);
+    w.ctl.checkpoint_now();
+    w.ctl.run_for(200 * timeconst::kMillisecond);
+    EXPECT_GT(w.ctl.shared().store_service->stats().demoted_chunks, 0u);
+    settle(w, *tracer);
+  }
+  for (const char* name :
+       {"store.lookup", "store.store", "store.fetch", "store.drop",
+        "store.admission", "store.scrub", "store.demote", "store.rebalance",
+        "store.erasure_decode"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
 }
 
 TEST(ObsWorld, TracingOffIsSimulatedTimeIdenticalToTracingOn) {

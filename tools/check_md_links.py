@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Check that markdown links and code pointers reference real files.
 
-Stdlib-only, run by the CI docs job over README.md and docs/. Two classes
-of reference are verified:
+Stdlib-only, run by the CI docs job over README.md, docs/, the baselines
+README and ROADMAP.md. Two classes of reference are verified:
 
 1. Relative markdown links: `[text](path)` and `[text](path#anchor)`.
    External schemes (http, https, mailto) are skipped — CI must not
@@ -17,10 +17,12 @@ of reference are verified:
    `tools/check_bench_json.py:42`, `docs/ckptstore.md`, `src/cluster/`.
    A token is treated as a pointer when it contains a path separator and
    either ends with '/' (a directory) or with a known source extension,
-   optionally suffixed with a :line number. Tokens under build/ are
-   skipped (generated artifacts). This keeps prose like `--erasure 4,2`
-   or `a.k.a.` out of scope while still catching a doc that names a file
-   the tree no longer has.
+   optionally suffixed with line numbers (`:42`, or `:45,49,69`). Each
+   line number must lie within the file, so a pointer into code that a
+   change shortened fails. Tokens under build/ are skipped (generated
+   artifacts). This keeps prose like `--erasure 4,2` or `a.k.a.` out of
+   scope while still catching a doc that names a file the tree no longer
+   has.
 
 Usage: check_md_links.py PATH [PATH ...]   (files or directories)
 Exits nonzero after printing every broken reference.
@@ -36,7 +38,8 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # `token` spans one line; the pointer filter below decides relevance.
 BACKTICK = re.compile(r"`([^`\n]+)`")
 CODE_EXTS = (".h", ".cc", ".py", ".md", ".yml", ".json", ".txt", ".cmake")
-POINTER = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_./-]*(:\d+)?$")
+POINTER = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_./-]*(:\d+(,\d+)*)?$")
+LINE_SUFFIX = re.compile(r":(\d+(?:,\d+)*)$")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
 
@@ -45,11 +48,19 @@ def repo_root():
     return os.path.dirname(here)
 
 
+def split_pointer(token):
+    """(path, line numbers): `a.cc:4,9` -> ("a.cc", [4, 9])."""
+    m = LINE_SUFFIX.search(token)
+    if not m:
+        return token, []
+    return token[:m.start()], [int(n) for n in m.group(1).split(",")]
+
+
 def is_code_pointer(token):
     """A backtick token that names a path in the tree (see module doc)."""
     if "/" not in token or not POINTER.match(token):
         return False
-    path = token.rsplit(":", 1)[0] if re.search(r":\d+$", token) else token
+    path, _ = split_pointer(token)
     if path.startswith("build/"):
         return False  # generated artifacts are not in the tree
     return path.endswith("/") or path.endswith(CODE_EXTS)
@@ -141,10 +152,18 @@ def check_file(md_path, root):
         token = match.group(1).strip()
         if not is_code_pointer(token):
             continue
-        path = re.sub(r":\d+$", "", token)
-        if resolve(path, md_dir, root) is None:
-            line = text.count("\n", 0, text.find(f"`{token}`")) + 1
+        path, lines = split_pointer(token)
+        resolved = resolve(path, md_dir, root)
+        line = text.count("\n", 0, text.find(f"`{token}`")) + 1
+        if resolved is None:
             broken.append((line, f"code pointer '{token}' not found"))
+            continue
+        if lines and os.path.isfile(resolved):
+            with open(resolved, encoding="utf-8", errors="replace") as f:
+                last = sum(1 for _ in f)
+            if max(lines) > last:
+                broken.append((line, f"code pointer '{token}' is past the "
+                               f"end of {path} ({last} lines)"))
     return broken
 
 
