@@ -128,8 +128,9 @@ int main() {
   auto launch_ranks = [&](World& w) {
     std::vector<Pid> pids;
     for (int i = 0; i < ranks; ++i) {
-      pids.push_back(w.ctl->launch(i, "desktop_app",
-                                   {prof, "0", "r" + std::to_string(i)}));
+      std::string tag = "r";
+      tag += std::to_string(i);
+      pids.push_back(w.ctl->launch(i, "desktop_app", {prof, "0", tag}));
     }
     w.ctl->run_for(50 * timeconst::kMillisecond);
     return pids;

@@ -106,8 +106,9 @@ core::CkptRound run_cluster_round(int procs, u64 lib_bytes, u64 priv_bytes,
   const std::string prof = apps::desktop_profiles().front().name;
   std::vector<Pid> pids;
   for (int n = 0; n < procs; ++n) {
-    pids.push_back(w.ctl->launch(n, "desktop_app",
-                                 {prof, "0", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl->launch(n, "desktop_app", {prof, "0", tag}));
   }
   w.ctl->run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < procs; ++n) {

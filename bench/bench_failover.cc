@@ -60,8 +60,9 @@ std::vector<Pid> launch_ranks(World& w, int ranks, u64 lib_bytes,
   const std::string prof = apps::desktop_profiles().front().name;
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl->launch(n, "desktop_app",
-                                 {prof, "0", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl->launch(n, "desktop_app", {prof, "0", tag}));
   }
   w.ctl->run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {
@@ -90,13 +91,16 @@ FailoverResult run_failover(int ranks, u64 lib_bytes, u64 priv_bytes) {
   FailoverResult fr;
   World w(ranks + kStoreNodes, failover_opts(ranks, kShards, kStoreNodes),
           0xFA11);
-  launch_ranks(w, ranks, lib_bytes, priv_bytes);
+  const std::vector<Pid> pids = launch_ranks(w, ranks, lib_bytes, priv_bytes);
 
   // Round 1 populates the store (every chunk is a store); round 2 is the
   // clean *incremental* baseline the kill round is compared against —
   // comparing the kill round to the populate round would hide the failover
-  // cost inside the store-vs-lookup difference.
+  // cost inside the store-vs-lookup difference. Before rounds 2 and 3 every
+  // rank rewrites its pages in place, so their write phases probe every
+  // chunk: a page a process did not write needs no Lookup.
   w.ctl->checkpoint_now();
+  for (const Pid pid : pids) rewrite_in_place(w.k(), pid);
   fr.baseline_ckpt_seconds = w.ctl->checkpoint_now().total_seconds();
 
   auto& svc = *w.ctl->shared().store_service;
@@ -105,6 +109,7 @@ FailoverResult run_failover(int ranks, u64 lib_bytes, u64 priv_bytes) {
   // Round 3: kill the first shard endpoint right after the drain barrier —
   // the write phase is flooding the shard queues as the node goes dark.
   const size_t round_idx = w.ctl->stats().rounds.size();
+  for (const Pid pid : pids) rewrite_in_place(w.k(), pid);
   w.ctl->request_checkpoint();
   w.ctl->run_until(
       [&] {

@@ -81,8 +81,9 @@ std::vector<Pid> launch_ranks(World& w, int ranks, u64 lib_bytes,
   const std::string prof = apps::desktop_profiles().front().name;
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl->launch(n, "desktop_app",
-                                 {prof, "0", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl->launch(n, "desktop_app", {prof, "0", tag}));
   }
   w.ctl->run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {

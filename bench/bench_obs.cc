@@ -99,13 +99,6 @@ void add_ballast(sim::Kernel& k, Pid pid, const std::string& name,
   seg.data.fill(0, bytes, sim::ExtentKind::kRand, seed);
 }
 
-void touch_ballast(sim::Kernel& k, Pid pid, const std::string& name,
-                   u64 bytes, u64 seed) {
-  sim::Process* p = k.find_process(pid);
-  auto* seg = p->mem().find(name);
-  seg->data.fill(0, bytes, sim::ExtentKind::kRand, seed);
-}
-
 struct StormRun {
   double sim_seconds = 0;  // virtual clock at the (fixed) measurement point
   double hist_p99_ms = 0;
@@ -140,7 +133,9 @@ StormRun run_storm(bool traced, int ranks, u64 lib_bytes, u64 priv_bytes,
 
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {
-    noisy.push_back(launch_app(w.host, n, "p" + std::to_string(n)));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    noisy.push_back(launch_app(w.host, n, tag));
   }
   const Pid victim = launch_app(w.guest, ranks, "victim");
   w.host.run_for(50 * timeconst::kMillisecond);
@@ -155,16 +150,11 @@ StormRun run_storm(bool traced, int ranks, u64 lib_bytes, u64 priv_bytes,
   add_ballast(w.k(), victim, "private", sim::MemKind::kHeap, victim_bytes,
               0x71C);
 
+  // Every page rewritten in place: the storm probes every chunk.
   w.host.checkpoint_now();
   w.guest.checkpoint_now();
-  for (int n = 0; n < ranks; ++n) {
-    touch_ballast(w.k(), noisy[static_cast<size_t>(n)], "libshared",
-                  lib_bytes, 0x11B);
-    touch_ballast(w.k(), noisy[static_cast<size_t>(n)], "private",
-                  priv_bytes, 0xB0 + static_cast<u64>(n));
-  }
-  touch_ballast(w.k(), victim, "libshared", lib_bytes, 0x11B);
-  touch_ballast(w.k(), victim, "private", victim_bytes, 0x71C);
+  for (const Pid pid : noisy) rewrite_in_place(w.k(), pid);
+  rewrite_in_place(w.k(), victim);
 
   auto& svc = *w.host.shared().store_service;
   w.host.request_checkpoint();
@@ -262,8 +252,9 @@ CoverageRun run_coverage(int ranks, u64 lib_bytes, u64 priv_bytes) {
   const std::string prof = apps::desktop_profiles().front().name;
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl->launch(n, "desktop_app",
-                                 {prof, "0", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl->launch(n, "desktop_app", {prof, "0", tag}));
   }
   w.ctl->run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {

@@ -21,6 +21,13 @@
 // pre-flight reports the forced re-store (needs_restore) instead of
 // restarting into missing chunks.
 //
+// Part C (rewrite): two worlds of one seed run two generations. Before
+// generation 1 both write fresh bytes into a quarter of each rank's
+// private pages; the control world also rewrites every page in place. A
+// chunk that repeats a page the process did not write needs no Lookup, so
+// the first world probes only what was written and pauses shorter, while
+// the control probes every chunk. Both commit byte-identical manifests.
+//
 // Emits BENCH_service.json (checked by the CI bench-smoke job).
 //
 // Knobs: DSIM_SVC_MAX_RANKS (16), DSIM_SVC_LIB_MB (4), DSIM_SVC_PRIV_MB (1).
@@ -29,6 +36,7 @@
 
 #include "bench/bench_util.h"
 #include "ckptstore/service.h"
+#include "tests/testutil.h"
 
 using namespace dsim;
 using namespace dsim::bench;
@@ -69,8 +77,9 @@ std::vector<Pid> launch_ranks(World& w, int ranks, u64 lib_bytes,
   const std::string prof = apps::desktop_profiles().front().name;
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl->launch(n, "desktop_app",
-                                 {prof, "0", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl->launch(n, "desktop_app", {prof, "0", tag}));
   }
   w.ctl->run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {
@@ -179,6 +188,59 @@ FailoverResult run_failover(u64 lib_bytes, u64 priv_bytes) {
   return fr;
 }
 
+struct RewriteResult {
+  u64 total_chunks = 0;
+  u64 new_chunks = 0;
+  u64 lookups = 0;
+  u64 control_lookups = 0;
+  double ckpt_seconds = 0;
+  double control_ckpt_seconds = 0;
+  bool manifests_identical = false;
+};
+
+constexpr int kRewriteRanks = 4;
+constexpr u64 kRewritePageBytes = 64 * 1024;
+
+/// Generation 1 of a world whose ranks wrote fresh bytes into a quarter of
+/// their private pages — every page rewritten in place as well in the
+/// control world.
+RewriteResult run_rewrite(u64 lib_bytes, u64 priv_bytes) {
+  RewriteResult r;
+  std::vector<std::vector<std::byte>> manifests[2];
+  for (const bool control : {false, true}) {
+    World w(kRewriteRanks + kStoreNodes, service_opts(kRewriteRanks, 1),
+            0x2e7e);
+    const std::vector<Pid> pids =
+        launch_ranks(w, kRewriteRanks, lib_bytes, priv_bytes);
+    w.ctl->checkpoint_now();
+    Rng rng(0x9A6E);
+    const u64 pages = priv_bytes / kRewritePageBytes;
+    for (const Pid pid : pids) {
+      auto* priv = w.k().find_process(pid)->mem().find("private");
+      for (u64 i = 0; i < pages; i += 4) {
+        const u64 page = i + rng.next_below(std::min<u64>(4, pages - i));
+        priv->data.write(page * kRewritePageBytes,
+                         test::pseudo_bytes(kRewritePageBytes, rng.next_u64()));
+      }
+      if (control) rewrite_in_place(w.k(), pid);
+    }
+    const core::CkptRound round = w.ctl->checkpoint_now();
+    const u64 lookups = round.delta.counter("store.lookup_requests");
+    if (control) {
+      r.control_lookups = lookups;
+      r.control_ckpt_seconds = round.total_seconds();
+    } else {
+      r.total_chunks = round.total_chunks;
+      r.new_chunks = round.new_chunks;
+      r.lookups = lookups;
+      r.ckpt_seconds = round.total_seconds();
+    }
+    manifests[control] = test::plan_manifests(w.k(), *w.ctl);
+  }
+  r.manifests_identical = manifests[0] == manifests[1];
+  return r;
+}
+
 }  // namespace
 
 int main() {
@@ -265,6 +327,17 @@ int main() {
               fr.r1_needs_restore ? "true" : "false",
               static_cast<unsigned long long>(fr.r1_lost_chunks));
 
+  const RewriteResult rw = run_rewrite(lib_bytes, priv_bytes);
+  std::printf("rewrite: %llu of %llu chunks new; %llu Lookups (control, "
+              "every page rewritten: %llu); ckpt %.4f s (control %.4f s); "
+              "manifests %s\n",
+              static_cast<unsigned long long>(rw.new_chunks),
+              static_cast<unsigned long long>(rw.total_chunks),
+              static_cast<unsigned long long>(rw.lookups),
+              static_cast<unsigned long long>(rw.control_lookups),
+              rw.ckpt_seconds, rw.control_ckpt_seconds,
+              rw.manifests_identical ? "identical" : "DIFFER");
+
   const double wait_growth =
       wait_min_ranks > 0 ? wait_max_ranks / wait_min_ranks : 0;
   const double shard_speedup =
@@ -308,6 +381,15 @@ int main() {
        << ", \"r1_needs_restore\": "
        << (fr.r1_needs_restore ? "true" : "false")
        << ", \"r1_lost_chunks\": " << fr.r1_lost_chunks
+       << "},\n  \"rewrite\": {\"ranks\": " << kRewriteRanks
+       << ", \"total_chunks\": " << rw.total_chunks
+       << ", \"new_chunks\": " << rw.new_chunks
+       << ", \"lookups\": " << rw.lookups
+       << ", \"control_lookups\": " << rw.control_lookups
+       << ", \"ckpt_seconds\": " << rw.ckpt_seconds
+       << ", \"control_ckpt_seconds\": " << rw.control_ckpt_seconds
+       << ", \"manifests_identical\": "
+       << (rw.manifests_identical ? "true" : "false")
        << "},\n  \"summary\": {\"wait_ms_at_min_ranks\": " << wait_min_ranks
        << ", \"wait_ms_at_max_ranks\": " << wait_max_ranks
        << ", \"wait_ms_shards4_at_max_ranks\": " << wait_shards4

@@ -98,17 +98,6 @@ void add_ballast(sim::Kernel& k, Pid pid, const std::string& name,
   seg.data.fill(0, bytes, sim::ExtentKind::kRand, seed);
 }
 
-/// Re-write a segment with its original seed: the pages are dirtied (the
-/// next incremental round rescans and probes them) but the content — and
-/// so every chunk key — is unchanged, making the round a pure dedup-probe
-/// storm with no stores.
-void touch_ballast(sim::Kernel& k, Pid pid, const std::string& name,
-                   u64 bytes, u64 seed) {
-  sim::Process* p = k.find_process(pid);
-  auto* seg = p->mem().find(name);
-  seg->data.fill(0, bytes, sim::ExtentKind::kRand, seed);
-}
-
 // Probe windows snapshot the tenant's wait histogram before the measured
 // phase and read the delta after; the delta's quantiles are bucketed
 // (<= 0.4% relative error), well inside the baseline tolerance.
@@ -143,7 +132,9 @@ ArmResult run_arm(bool storm, bool fair_queueing, int ranks, u64 lib_bytes,
 
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {
-    noisy.push_back(launch_app(w.host, n, "p" + std::to_string(n)));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    noisy.push_back(launch_app(w.host, n, tag));
   }
   const Pid victim = launch_app(w.guest, ranks, "victim");
   w.host.run_for(50 * timeconst::kMillisecond);
@@ -159,22 +150,17 @@ ArmResult run_arm(bool storm, bool fair_queueing, int ranks, u64 lib_bytes,
   add_ballast(w.k(), victim, "private", sim::MemKind::kHeap, victim_bytes,
               0x71C);
 
-  // Warm generation: both tenants' chunks become resident. Touching every
-  // ballast page (same content) makes the measured rounds pure dedup-probe
-  // traffic — the contention that matters at the shard queue: probe
+  // Warm generation: both tenants' chunks become resident. Rewriting every
+  // page in place (same content) makes the measured rounds pure dedup-probe
+  // traffic — a page the process did not write needs no probe — the
+  // contention that matters at the shard queue: probe
   // requests are light on the wire (a header + key) but each occupies a
   // full index probe of queue service, so the storm's arrival rate far
   // outruns the drain rate and a real backlog forms.
   w.host.checkpoint_now();
   w.guest.checkpoint_now();
-  for (int n = 0; n < ranks; ++n) {
-    touch_ballast(w.k(), noisy[static_cast<size_t>(n)], "libshared",
-                  lib_bytes, 0x11B);
-    touch_ballast(w.k(), noisy[static_cast<size_t>(n)], "private",
-                  priv_bytes, 0xB0 + static_cast<u64>(n));
-  }
-  touch_ballast(w.k(), victim, "libshared", lib_bytes, 0x11B);
-  touch_ballast(w.k(), victim, "private", victim_bytes, 0x71C);
+  for (const Pid pid : noisy) rewrite_in_place(w.k(), pid);
+  rewrite_in_place(w.k(), victim);
 
   auto& svc = *w.host.shared().store_service;
   if (storm) {
@@ -237,7 +223,9 @@ AdmissionResult run_admission(u64 lib_bytes, u64 priv_bytes) {
                 0xad31);
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {
-    noisy.push_back(launch_app(w.host, n, "p" + std::to_string(n)));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    noisy.push_back(launch_app(w.host, n, tag));
   }
   w.host.run_for(50 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {

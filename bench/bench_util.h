@@ -11,6 +11,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "apps/desktop.h"
 #include "apps/distributed.h"
@@ -73,6 +75,28 @@ inline Measured measure(World& w, const std::function<void(World&)>& launch,
     m.restart_seconds = rr.total_seconds();
   }
   return m;
+}
+
+/// Rewrite every extent of every segment of `pid` with its own content:
+/// pattern extents are re-filled with their kind and seed, real extents
+/// rewritten with their bytes. Every page is then dirty and every chunk
+/// key unchanged, so the next incremental round rescans the whole image
+/// and sends a dedup Lookup for every chunk; the rewrite alone stores
+/// nothing new.
+inline void rewrite_in_place(sim::Kernel& k, Pid pid) {
+  for (const auto& seg : k.find_process(pid)->mem().segments()) {
+    std::vector<std::tuple<u64, u64, sim::ExtentKind, u64>> exts;
+    seg->data.for_each_extent([&](u64 off, const sim::ByteImage::Extent& e) {
+      exts.emplace_back(off, e.len, e.kind, e.seed);
+    });
+    for (const auto& [off, len, kind, seed] : exts) {
+      if (kind == sim::ExtentKind::kReal) {
+        seg->data.write_owned(off, seg->data.materialize(off, len));
+      } else {
+        seg->data.fill(off, len, kind, seed);
+      }
+    }
+  }
 }
 
 inline int env_int(const char* name, int dflt) {

@@ -155,11 +155,20 @@ std::vector<ChunkSpan> scan_chunks_cdc(const ByteImage& img,
     if (e.kind != ExtentKind::kReal && e.len >= p.min_bytes) {
       flush_run();
       // Descriptor spans, cut at max_bytes (tail may be short). Built
-      // from the extent alone, so there is nothing to repeat.
+      // from the extent alone, so nothing is read either way; a clean
+      // prior span identical to one (offset, length, kind and seed) is
+      // reported as repeated, as the fixed-size scanner reports it.
       for (u64 done = 0; done < e.len; done += p.max_bytes) {
-        const u64 len = std::min<u64>(p.max_bytes, e.len - done);
-        out.push_back(ChunkSpan{e.off + done, len, e.kind, e.seed});
-        if (from != nullptr) from->push_back(kFreshSpan);
+        const ChunkSpan span{e.off + done,
+                             std::min<u64>(p.max_bytes, e.len - done),
+                             e.kind, e.seed};
+        const u32 j = cursor.clean_span_at(span.off);
+        out.push_back(span);
+        if (from != nullptr) {
+          from->push_back(j != kFreshSpan && prior.spans[j] == span
+                              ? j
+                              : kFreshSpan);
+        }
       }
       run_off = e.off + e.len;
       continue;

@@ -84,8 +84,10 @@ struct ChunkingParams {
 /// real run rereads only the dirty windows: from the previous cut before
 /// each dirty range until the scan cuts at a previous cut beyond it. The
 /// hash state resets at every cut, so the spans are exactly those of a
-/// scan without the prior. `from`, if set, receives per span the index of
-/// the prior span it repeats, or kFreshSpan.
+/// scan without the prior. A descriptor span repeats a clean prior span
+/// identical to it (offset, length, kind and seed). `from`, if set,
+/// receives per span the index of the prior span it repeats, or
+/// kFreshSpan.
 std::vector<ChunkSpan> scan_chunks_cdc(const sim::ByteImage& img,
                                        const ChunkingParams& p,
                                        const PriorScan& prior = {},

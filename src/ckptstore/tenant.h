@@ -197,10 +197,15 @@ class FairQueue {
 /// tenant's generations form an independent namespace while chunk content
 /// stays tenant-blind (identical bytes dedup across tenants).
 inline std::string tenant_prefix(TenantId t) {
-  return "t" + std::to_string(t) + "/";
+  std::string prefix = "t";
+  prefix += std::to_string(t);
+  prefix += '/';
+  return prefix;
 }
 inline std::string tenant_owner(TenantId t, const std::string& base_owner) {
-  return tenant_prefix(t) + base_owner;
+  std::string owner = tenant_prefix(t);
+  owner += base_owner;
+  return owner;
 }
 /// Parse the tenant back out of an owner string; owners without the prefix
 /// (pre-multi-tenant repositories, tests) read as the default tenant.

@@ -54,6 +54,7 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   std::string path;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> to_store;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
+  std::vector<bool> dup_known;  // EncodedDelta::dup_known: no Lookup
   size_t fresh = 0;  // to_store[0..fresh) are new stores; the rest heals
   /// Per new chunk: its codec CPU plus its erasure stripe. Empty when the
   /// caller has charged the encode already.
@@ -79,16 +80,21 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
       });
       return;
     }
-    // Every chunk submission is a Lookup RPC (hit or miss alike) routed to
-    // its key's shard: the probes cross this node's NIC, pay the endpoint's
-    // message CPU and serialize on the shard queues, so N ranks' probes
-    // contend the way the paper's coordinator/peer messages do (§4.3).
+    // Every chunk the writer cannot vouch for is a Lookup RPC (hit or miss
+    // alike) routed to its key's shard: the probes cross this node's NIC,
+    // pay the endpoint's message CPU and serialize on the shard queues, so
+    // N ranks' probes contend the way the paper's coordinator/peer
+    // messages do (§4.3). A known dup repeats a span the process has not
+    // written since its previous generation, whose manifest still pins
+    // the key, so it needs no probe.
     ckptstore::StoreRequest lk;
     lk.op = ckptstore::StoreOp::kLookup;
     lk.tenant = tenant;
     lk.from = node;
     lk.keys.reserve(dup_chunks.size() + to_store.size());
-    for (const auto& [key, bytes] : dup_chunks) lk.keys.push_back(key);
+    for (size_t i = 0; i < dup_chunks.size(); ++i) {
+      if (!dup_known[i]) lk.keys.push_back(dup_chunks[i].first);
+    }
     for (const auto& [key, bytes] : to_store) lk.keys.push_back(key);
     lk.done = [self] { self->stores(); };
     svc->submit(std::move(lk));
@@ -125,8 +131,8 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
     // into this generation's manifest, so those are re-stored over the
     // survivors: the store heals forward as generations land. lost(), not
     // !available(): a hit on a key another rank's Store is still carrying
-    // is merely unrecorded. dup_chunks holds one entry per *reference*, so
-    // each lost key heals once.
+    // is merely unrecorded. dup_chunks holds one entry per *reference*,
+    // known or not, so each lost key heals once.
     if (svc->placement().any_dead()) {
       std::set<ckptstore::ChunkKey> healed;
       for (const auto& [key, bytes] : dup_chunks) {
@@ -810,6 +816,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     drain->fresh = delta.stored_chunks.size();
     drain->to_store = std::move(delta.stored_chunks);
     drain->dup_chunks = std::move(delta.dup_chunks);
+    drain->dup_known = std::move(delta.dup_known);
     drain->manifest_size = delta.manifest_bytes.size();
     drain->submitted_bytes = delta.submitted_bytes;
     if (pipe != nullptr) {

@@ -192,6 +192,7 @@ EncodedDelta encode_incremental(const ProcessImage& img,
     SegmentMemo* memo = nullptr;
     std::vector<ckptstore::ChunkSpan> spans;
     std::vector<ckptstore::ChunkKey> keys;
+    std::vector<u32> from;  // per span: the memo span it repeats
     u64 rescanned = 0;
   };
   struct Job {
@@ -204,7 +205,6 @@ EncodedDelta encode_incremental(const ProcessImage& img,
   // Keys picked but not yet put: the commit's puts, made early, so a
   // chunk repeated within the generation compresses once.
   std::set<ckptstore::ChunkKey> pending;
-  std::vector<u32> from;
   for (size_t si = 0; si < img.segments.size(); ++si) {
     const SegmentImage& seg = img.segments[si];
     Scan& scan = scans[si];
@@ -214,7 +214,8 @@ EncodedDelta encode_incremental(const ProcessImage& img,
     if (memo != nullptr && memo->chunking == chunking) {
       prior = {memo->spans, memo->dirty};
     }
-    scan.spans = ckptstore::scan_chunks_with(seg.data, chunking, prior, &from);
+    scan.spans =
+        ckptstore::scan_chunks_with(seg.data, chunking, prior, &scan.from);
     scan.keys.reserve(scan.spans.size());
     for (size_t i = 0; i < scan.spans.size(); ++i) {
       const ckptstore::ChunkSpan& span = scan.spans[i];
@@ -223,8 +224,8 @@ EncodedDelta encode_incremental(const ProcessImage& img,
       // Pattern spans never materialize for keying.
       std::vector<std::byte> content;
       ckptstore::ChunkKey key;
-      if (from[i] != ckptstore::kFreshSpan) {
-        key = memo->keys[from[i]];
+      if (scan.from[i] != ckptstore::kFreshSpan) {
+        key = memo->keys[scan.from[i]];
       } else if (span.kind == ExtentKind::kReal) {
         content = seg.data.materialize(span.off, span.len);
         key = ckptstore::content_key(content);
@@ -272,6 +273,7 @@ EncodedDelta encode_incremental(const ProcessImage& img,
         ref.crc = resident->crc;
         out.dup_chunk_bytes += span.len;
         out.dup_chunks.emplace_back(key, resident->charged_bytes);
+        out.dup_known.push_back(scan.from[i] != ckptstore::kFreshSpan);
         repo.note_hit();
       } else {
         ckptstore::Chunk c;

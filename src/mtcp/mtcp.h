@@ -100,11 +100,18 @@ struct EncodedDelta {
   /// them one by one rather than as one image-sized job.
   std::vector<double> encode_seconds;
   /// Chunks answered by already-resident content (key, resident
-  /// device-charged bytes). The service checks these against placement:
-  /// a dedup hit whose every replica died with its node must be
-  /// re-stored, or this generation's manifest would pin permanently
-  /// unrestorable data.
+  /// device-charged bytes), one entry per reference, in scan order. The
+  /// writer checks every one against placement: a dedup hit whose every
+  /// replica died with its node must be re-stored, or this generation's
+  /// manifest would pin permanently unrestorable data.
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
+  /// Parallel to dup_chunks: the reference repeats a span of the segment's
+  /// previous generation that the process has not written since
+  /// (SegmentMemo), so its key is in this writer's previous manifest,
+  /// which pins it until this generation is durable. The writer sends no
+  /// dedup Lookup for a known reference; a fresh span, or a written one
+  /// even with the same bytes, is looked up.
+  std::vector<bool> dup_known;
 };
 
 /// What encode_incremental remembers of one live private segment between
@@ -140,7 +147,8 @@ struct SegmentMemo {
 /// dirty ranges; each memo then holds this generation's scan. Shared
 /// segments and memos taken under other chunking params scan everything.
 /// The manifest, the stored chunks and every accounting field but
-/// rescanned_bytes are the same with or without memos.
+/// rescanned_bytes and dup_known are the same with or without memos;
+/// without them no reference is known.
 ///
 /// The new real chunks compress on the host pool (util/parallel.h) and
 /// are committed in scan order, so the result is the same at any pool

@@ -250,30 +250,44 @@ std::vector<std::string> SloEngine::active() const {
 }
 
 std::string SloEngine::json() const {
+  // Appended piece by piece: `"lit" + std::string` chains trip GCC 12's
+  // false -Wrestrict in optimized builds.
   std::string out = "{\"rules\":[";
   for (size_t i = 0; i < states_.size(); ++i) {
     if (i != 0) out += ",";
-    out += "{\"name\":\"" + json_escape(states_[i].rule.name) + "\"";
-    out += ",\"rule\":\"" + json_escape(states_[i].rule.text) + "\"}";
+    out += "{\"name\":\"";
+    out += json_escape(states_[i].rule.name);
+    out += "\",\"rule\":\"";
+    out += json_escape(states_[i].rule.text);
+    out += "\"}";
   }
   out += "],\"active\":[";
   const std::vector<std::string> act = active();
   for (size_t i = 0; i < act.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(act[i]) + "\"";
+    out += "\"";
+    out += json_escape(act[i]);
+    out += "\"";
   }
-  out += "],\"alerts_fired\":" + std::to_string(fired_);
+  out += "],\"alerts_fired\":";
+  out += std::to_string(fired_);
   out += ",\"events\":[";
   for (size_t i = 0; i < events_.size(); ++i) {
     const AlertEvent& ev = events_[i];
     if (i != 0) out += ",";
-    out += "{\"rule\":\"" + json_escape(ev.rule) + "\"";
-    out += ",\"round\":" + std::to_string(ev.round);
-    out += ",\"t_us\":" + fmt_us(ev.at);
-    out += ",\"type\":\"" + std::string(ev.fired ? "fired" : "cleared") +
-           "\"";
-    out += ",\"value\":" + fmt_double(ev.value);
-    out += ",\"message\":\"" + json_escape(ev.message) + "\"}";
+    out += "{\"rule\":\"";
+    out += json_escape(ev.rule);
+    out += "\",\"round\":";
+    out += std::to_string(ev.round);
+    out += ",\"t_us\":";
+    out += fmt_us(ev.at);
+    out += ",\"type\":\"";
+    out += ev.fired ? "fired" : "cleared";
+    out += "\",\"value\":";
+    out += fmt_double(ev.value);
+    out += ",\"message\":\"";
+    out += json_escape(ev.message);
+    out += "\"}";
   }
   out += "]}";
   return out;

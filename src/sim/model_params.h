@@ -114,13 +114,14 @@ inline constexpr u64 kDemoteChunksPerRound = 256;
 
 // --- Chunk-store service (stdchk-style remote store) ------------------------
 // The cluster-scope store is a *service* with one FIFO request queue, not a
-// free in-memory index: every dedup Lookup, chunk Store, restart Fetch and
-// GC Drop occupies the queue, so N ranks' requests serialize the way Fig.-5b
-// storage traffic does. The request-processing rate is GigE-server class
-// (one store node answering the whole computation); each Lookup costs an
-// index probe's worth of queue occupancy, and Store/Fetch cost their chunk
-// bytes. Per-request RPC latency is pipelined (it delays completion, not the
-// queue), so the contention knee comes from queue occupancy alone.
+// free in-memory index: every dedup Lookup (one per chunk a writer cannot
+// vouch for), chunk Store, restart Fetch and GC Drop occupies the queue, so
+// N ranks' requests serialize the way Fig.-5b storage traffic does. The
+// request-processing rate is GigE-server class (one store node answering
+// the whole computation); each Lookup costs an index probe's worth of queue
+// occupancy, and Store/Fetch cost their chunk bytes. Per-request RPC
+// latency is pipelined (it delays completion, not the queue), so the
+// contention knee comes from queue occupancy alone.
 inline constexpr double kStoreServiceBw = 180e6;
 inline constexpr SimTime kStoreServiceLatency = 250 * timeconst::kMicrosecond;
 inline constexpr u64 kStoreLookupBytes = 4 * 1024;

@@ -55,7 +55,7 @@ class ByteWriter {
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
 
   void put_bytes(std::span<const std::byte> data) {
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    append(data.data(), data.size());
   }
   /// Length-prefixed blob.
   void put_blob(std::span<const std::byte> data) {
@@ -64,8 +64,7 @@ class ByteWriter {
   }
   void put_string(std::string_view s) {
     put_u64(s.size());
-    buf_.insert(buf_.end(), reinterpret_cast<const std::byte*>(s.data()),
-                reinterpret_cast<const std::byte*>(s.data() + s.size()));
+    put_bytes(std::as_bytes(std::span(s)));
   }
 
   std::span<const std::byte> bytes() const { return buf_; }
@@ -75,9 +74,16 @@ class ByteWriter {
  private:
   template <typename T>
   void put_le(T v) {
-    const size_t at = buf_.size();
-    buf_.resize(at + sizeof(T));
-    store_le(buf_.data() + at, v);
+    std::byte le[sizeof(T)];
+    store_le(le, v);
+    append(le, sizeof(T));
+  }
+  /// Every put ends here, out of line: inlined into callers that build a
+  /// writer, fill it and take it, GCC 12's -O3 value-range pass reports
+  /// the vector's growth path as out-of-bounds or overlapping memcpy and
+  /// memset (false -Warray-bounds, -Wstringop-overflow and -Wrestrict).
+  [[gnu::noinline]] void append(const std::byte* data, size_t n) {
+    buf_.insert(buf_.end(), data, data + n);
   }
   std::vector<std::byte> buf_;
 };

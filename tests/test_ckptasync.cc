@@ -97,19 +97,6 @@ void add_compressible_ballast(World& w, Pid pid, u64 bytes, u64 seed) {
   seg.data.write(0, data);
 }
 
-std::vector<std::vector<std::byte>> plan_manifests(World& w) {
-  std::vector<std::vector<std::byte>> out;
-  const core::RestartPlan plan = w.ctl.read_restart_plan();
-  for (const auto& host : plan.hosts) {
-    for (const auto& img : host.images) {
-      auto inode = w.k().fs_for(host.host, img).lookup(img);
-      EXPECT_NE(inode, nullptr);
-      if (inode) out.push_back(inode->data.materialize(0, inode->data.size()));
-    }
-  }
-  return out;
-}
-
 /// One seeded round over a 4MB-per-rank world; returns the app-visible
 /// pause and leaves the world usable for manifest/restart inspection.
 double one_round_pause(World& w) {
@@ -124,12 +111,12 @@ double one_round_pause(World& w) {
 TEST(CkptAsync, PauseBeatsSyncEncodeAndManifestsAreByteIdentical) {
   World sync_w(4, async_opts(false));
   const double sync_pause = one_round_pause(sync_w);
-  const auto sync_manifests = plan_manifests(sync_w);
+  const auto sync_manifests = plan_manifests(sync_w.k(), sync_w.ctl);
 
   World async_w(4, async_opts(true));
   const double async_pause = one_round_pause(async_w);
   ASSERT_TRUE(async_w.drain_pipeline());
-  const auto async_manifests = plan_manifests(async_w);
+  const auto async_manifests = plan_manifests(async_w.k(), async_w.ctl);
 
   // The app only pays fork/COW; encode+store CPU moved behind its back.
   EXPECT_LT(async_pause, 0.5 * sync_pause)

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "ckptstore/cdc.h"
 #include "ckptstore/chunk.h"
@@ -644,6 +645,127 @@ TEST(Rescan, RepeatedKeyMissingFromTheRepositoryIsStored) {
       nullptr, &err);
   ASSERT_TRUE(err.empty()) << err;
   EXPECT_EQ(back.segments[0].data.content_crc(), live.content_crc());
+}
+
+// A descriptor span is built from its extent alone, so the scan reads
+// nothing either way; with a clean prior span identical to it (offset,
+// length, kind and seed) it reports the prior index, as a repeated real
+// span does, so the encoder can vouch for its key. A re-filled extent is
+// dirty, and a clean prior span of another seed is not the same span.
+TEST(Rescan, CleanDescriptorSpansReportTheirPriorIndex) {
+  constexpr u64 kRandOff = 200 * 1024;
+  constexpr u64 kRandLen = 56 * 1024;
+  constexpr u64 kRandSeed = 0xBA11A57;  // rescan_live_image's rand extent
+  for (const auto mode :
+       {ckptstore::ChunkingMode::kCdc, ckptstore::ChunkingMode::kFastCdc}) {
+    const auto p = rescan_params(mode);
+    ByteImage live = rescan_live_image(3);
+    const auto prior = ckptstore::scan_chunks_cdc(live, p);
+    std::vector<u32> from;
+    ASSERT_EQ(ckptstore::scan_chunks_cdc(live, p, {prior, {}}, &from), prior);
+    size_t zero = 0, rand = 0;
+    for (size_t i = 0; i < prior.size(); ++i) {
+      if (prior[i].kind == ExtentKind::kReal) continue;
+      (prior[i].kind == ExtentKind::kZero ? zero : rand)++;
+      EXPECT_EQ(from[i], i) << "span @" << prior[i].off;
+    }
+    ASSERT_GE(zero, 2u);
+    ASSERT_GE(rand, 2u);
+
+    // The rand extent re-filled with its own seed: same spans, all dirty.
+    live.arm_soft_dirty();
+    live.fill(kRandOff, kRandLen, ExtentKind::kRand, kRandSeed);
+    const auto log = live.take_soft_dirty();
+    ASSERT_EQ(ckptstore::scan_chunks_cdc(live, p, {prior, log.ranges}, &from),
+              prior);
+    for (size_t i = 0; i < prior.size(); ++i) {
+      if (prior[i].kind == ExtentKind::kReal) continue;
+      EXPECT_EQ(from[i], prior[i].off >= kRandOff ? ckptstore::kFreshSpan
+                                                  : static_cast<u32>(i))
+          << "span @" << prior[i].off;
+    }
+
+    // A clean prior holding other content at the same offsets.
+    ByteImage other = rescan_live_image(3);
+    other.fill(kRandOff, kRandLen, ExtentKind::kRand, kRandSeed + 1);
+    const auto other_prior = ckptstore::scan_chunks_cdc(other, p);
+    ckptstore::scan_chunks_cdc(live, p, {other_prior, {}}, &from);
+    for (size_t i = 0; i < prior.size(); ++i) {
+      if (prior[i].off >= kRandOff) {
+        EXPECT_EQ(from[i], ckptstore::kFreshSpan) << "span @" << prior[i].off;
+      }
+    }
+  }
+}
+
+// The encoder vouches for a dedup hit (EncodedDelta::dup_known) only where
+// the scan repeated a clean span of the segment's previous generation:
+// its key is then in this writer's previous manifest. A span the process
+// wrote is not vouched for, even with the same bytes, and which hits are
+// known never changes the manifest.
+TEST(Rescan, OnlyDupsOnUnwrittenSpansAreKnown) {
+  const auto codec = compress::CodecKind::kNone;
+  const auto p = rescan_params(ckptstore::ChunkingMode::kCdc);
+  ByteImage live = rescan_live_image(6);
+  mtcp::SegmentMemo memo;
+  mtcp::SegmentMemo* const memos[] = {&memo};
+  ckptstore::Repository repo, reference;
+  int gen = 0;
+  auto encode = [&] {
+    memo.capture(live);
+    const auto img = snapshot_of(live);
+    auto with = mtcp::encode_incremental(img, codec, p, "7", gen, repo,
+                                         memos);
+    const auto without =
+        mtcp::encode_incremental(img, codec, p, "7", gen, reference);
+    EXPECT_EQ(with.manifest_bytes, without.manifest_bytes);
+    EXPECT_EQ(with.dup_chunks, without.dup_chunks);
+    EXPECT_EQ(with.dup_known.size(), with.dup_chunks.size());
+    EXPECT_EQ(without.dup_known,
+              std::vector<bool>(without.dup_chunks.size(), false));
+    ++gen;
+    return with;
+  };
+  encode();
+
+  // One real page rewritten with its own bytes: the scan cuts the same
+  // spans, so every reference is a dup, and exactly the ones over the page
+  // are not known.
+  constexpr u64 kPageOff = 40 * 1024;
+  constexpr u64 kPageLen = 4096;
+  live.write(kPageOff, live.materialize(kPageOff, kPageLen));
+  const auto one_page = encode();
+  ASSERT_EQ(one_page.new_chunks, 0u);
+  ASSERT_EQ(one_page.dup_chunks.size(), memo.spans.size());
+  size_t written = 0, known = 0;
+  for (size_t i = 0; i < memo.spans.size(); ++i) {
+    const ckptstore::ChunkSpan& s = memo.spans[i];
+    const bool on_page =
+        s.off < kPageOff + kPageLen && kPageOff < s.off + s.len;
+    EXPECT_EQ(one_page.dup_known[i], !on_page) << "span @" << s.off;
+    written += on_page;
+    known += one_page.dup_known[i];
+  }
+  EXPECT_GE(written, 1u);
+  EXPECT_GT(known, 0u);
+
+  // Every extent rewritten in place with its own content: no reference is
+  // known.
+  std::vector<std::tuple<u64, u64, ExtentKind, u64>> exts;
+  live.for_each_extent([&](u64 off, const ByteImage::Extent& e) {
+    exts.emplace_back(off, e.len, e.kind, e.seed);
+  });
+  for (const auto& [off, len, kind, seed] : exts) {
+    if (kind == ExtentKind::kReal) {
+      live.write(off, live.materialize(off, len));
+    } else {
+      live.fill(off, len, kind, seed);
+    }
+  }
+  const auto every_page = encode();
+  ASSERT_EQ(every_page.new_chunks, 0u);
+  EXPECT_EQ(every_page.dup_known,
+            std::vector<bool>(every_page.dup_chunks.size(), false));
 }
 
 // --- the host codec pool ----------------------------------------------------

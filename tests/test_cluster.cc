@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "ckptstore/manifest.h"
 #include "ckptstore/service.h"
 #include "cluster/failover.h"
 #include "cluster/membership.h"
@@ -301,21 +302,6 @@ void add_ballast(World& w, Pid pid, u64 bytes, u64 seed) {
   seg.data.fill(0, bytes, sim::ExtentKind::kRand, seed);
 }
 
-/// All manifest files of the current restart plan, as raw bytes, in plan
-/// order — the byte-identity witness for the failover determinism claim.
-std::vector<std::vector<std::byte>> plan_manifests(World& w) {
-  std::vector<std::vector<std::byte>> out;
-  const core::RestartPlan plan = w.ctl.read_restart_plan();
-  for (const auto& host : plan.hosts) {
-    for (const auto& img : host.images) {
-      auto inode = w.k().fs_for(host.host, img).lookup(img);
-      EXPECT_NE(inode, nullptr);
-      if (inode) out.push_back(inode->data.materialize(0, inode->data.size()));
-    }
-  }
-  return out;
-}
-
 struct KillRunResult {
   std::vector<std::vector<std::byte>> manifests;
   u64 lost_chunks = 0;
@@ -365,7 +351,7 @@ KillRunResult run_kill_scenario(u64 seed, bool kill) {
   res.round_seconds = round.total_seconds();
   res.replayed = round.delta.counter("store.replayed_requests");
   res.rehomed = round.delta.counter("store.rehomed_shards");
-  res.manifests = plan_manifests(w);
+  res.manifests = plan_manifests(w.k(), w.ctl);
   // Let the heal daemon finish restoring replica strength.
   w.ctl.run_for(300 * timeconst::kMillisecond);
   res.lost_chunks = w.ctl.shared().store_service->placement().lost_chunks();
@@ -463,6 +449,51 @@ TEST(Failover, RevivedEndpointGetsItsShardBackAtTheRoundBoundary) {
   const auto& rr = w.ctl.restart();
   EXPECT_FALSE(rr.needs_restore);
   EXPECT_EQ(rr.procs, 2);
+  ASSERT_TRUE(w.run_until_results({"a", "b"}));
+}
+
+// A dedup hit the writer vouches for skips its Lookup, never the
+// lost-homes check: a clean chunk whose every home died between two rounds
+// is re-stored by the next one, and the store restarts with nothing lost.
+TEST(Failover, CleanChunkWhoseHomesAllDiedIsRestoredNextRound) {
+  World w(8, cluster_opts(/*replicas=*/2, /*shards=*/2, /*store_node=*/6));
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 1024 * 1024, 0xBB);
+  w.ctl.checkpoint_now();
+
+  // A ballast chunk homed only on nodes that neither compute nor serve.
+  auto& svc = *w.ctl.shared().store_service;
+  std::vector<ChunkKey> ballast;
+  for (const auto& bytes : plan_manifests(w.k(), w.ctl)) {
+    for (const auto& sm : ckptstore::Manifest::decode(bytes).segments) {
+      if (sm.name != "ballast") continue;
+      for (const auto& ref : sm.chunks) ballast.push_back(ref.key);
+    }
+  }
+  const auto victim =
+      std::find_if(ballast.begin(), ballast.end(), [&](const ChunkKey& k) {
+        const auto homes = svc.placement().homes_of(k);
+        return std::all_of(homes.begin(), homes.end(),
+                           [](NodeId n) { return n >= 2 && n < 6; });
+      });
+  ASSERT_NE(victim, ballast.end());
+  for (const NodeId n : svc.placement().homes_of(*victim)) svc.fail_node(n);
+  ASSERT_TRUE(svc.placement().lost(*victim));
+
+  // The ballast is unwritten, so its hits are known and skip the Lookup.
+  const core::CkptRound round = w.ctl.checkpoint_now();
+  EXPECT_LT(round.delta.counter("store.lookup_requests"), round.total_chunks);
+  EXPECT_FALSE(svc.placement().lost(*victim));
+  EXPECT_EQ(svc.placement().lost_chunks(), 0u);
+
+  w.ctl.run_for(300 * timeconst::kMillisecond);  // heal daemon settles
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  EXPECT_FALSE(rr.needs_restore);
+  EXPECT_EQ(rr.lost_chunks, 0u);
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
 }
 

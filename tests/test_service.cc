@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "ckptstore/cdc.h"
 #include "ckptstore/manifest.h"
 #include "ckptstore/placement.h"
@@ -568,8 +569,9 @@ void add_ballast(World& w, Pid pid, u64 bytes, u64 seed) {
 core::CkptRound contended_round(World& w, int ranks, u64 ballast) {
   std::vector<Pid> pids;
   for (int n = 0; n < ranks; ++n) {
-    pids.push_back(w.ctl.launch(n, kComputeLoop,
-                                {"1000000", "200", "p" + std::to_string(n)}));
+    std::string tag = "p";
+    tag += std::to_string(n);
+    pids.push_back(w.ctl.launch(n, kComputeLoop, {"1000000", "200", tag}));
   }
   w.ctl.run_for(20 * timeconst::kMillisecond);
   for (int n = 0; n < ranks; ++n) {
@@ -865,6 +867,76 @@ TEST(ServiceE2E, NextGenerationHealsLostChunks) {
   const auto& rr = w.ctl.restart({{1, 2}});
   EXPECT_FALSE(rr.needs_restore);
   EXPECT_EQ(rr.procs, 2);
+  ASSERT_TRUE(w.run_until_results({"a", "b"}));
+}
+
+/// Two compute ranks on nodes 0 and 1, each with `bytes` of real-content
+/// ballast: the CDC scan cuts it by the hash, so a small write changes
+/// only the spans around it.
+std::vector<Pid> launch_real_ballast(World& w, u64 bytes) {
+  std::vector<Pid> pids;
+  for (int n = 0; n < 2; ++n) {
+    pids.push_back(w.ctl.launch(n, kComputeLoop,
+                                {"1000000", "200", n == 0 ? "a" : "b"}));
+  }
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    auto& seg = w.k().find_process(pids[i])->mem().add(
+        "ballast", sim::MemKind::kHeap, bytes);
+    seg.data.write(0, pseudo_bytes(bytes, 0xAA + i));
+  }
+  return pids;
+}
+
+// An incremental round looks up only the chunks a process wrote: after a
+// one-page write, the dedup hits on unwritten pages need no Lookup. The
+// twin world also rewrites every page in place, so every reference is
+// looked up exactly once; both commit the same bytes.
+TEST(ServiceE2E, RoundLooksUpOnlyTheChunksAProcessWrote) {
+  constexpr u64 kBallast = 1024 * 1024;
+  std::vector<core::CkptRound> rounds;
+  std::vector<std::vector<std::byte>> manifests[2];
+  for (const bool twin : {false, true}) {
+    DmtcpOptions opts = service_opts(/*replicas=*/2);
+    opts.store_shards = 2;
+    World w(4, opts);
+    const std::vector<Pid> pids = launch_real_ballast(w, kBallast);
+    w.ctl.checkpoint_now();
+    w.k().find_process(pids[0])->mem().find("ballast")->data.write(
+        64 * 1024, pseudo_bytes(4096, 0x9A6E));
+    if (twin) {
+      for (const Pid pid : pids) bench::rewrite_in_place(w.k(), pid);
+    }
+    rounds.push_back(w.ctl.checkpoint_now());
+    manifests[twin] = plan_manifests(w.k(), w.ctl);
+  }
+  const core::CkptRound& one_page = rounds[0];
+  const core::CkptRound& every_page = rounds[1];
+  ASSERT_GT(one_page.total_chunks, 100u);
+  EXPECT_GT(one_page.new_chunks, 0u);
+  EXPECT_GT(lookups(one_page), 0u);
+  EXPECT_LT(lookups(one_page) * 4, one_page.total_chunks);
+  EXPECT_EQ(every_page.total_chunks, one_page.total_chunks);
+  EXPECT_EQ(lookups(every_page), every_page.total_chunks);
+  EXPECT_EQ(manifests[1], manifests[0]);
+  EXPECT_LT(one_page.total_seconds(), every_page.total_seconds());
+}
+
+// A restarted process has no previous scan to vouch for any chunk: the
+// first round after a restart looks up every reference.
+TEST(ServiceE2E, FirstRoundAfterRestartLooksUpEveryChunk) {
+  World w(4, service_opts(/*replicas=*/2));
+  launch_real_ballast(w, 512 * 1024);
+  w.ctl.checkpoint_now();
+  const core::CkptRound clean = w.ctl.checkpoint_now();
+  EXPECT_LT(lookups(clean), clean.total_chunks);
+
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  ASSERT_FALSE(rr.needs_restore);
+  const core::CkptRound after = w.ctl.checkpoint_now();
+  EXPECT_EQ(after.total_chunks, clean.total_chunks);
+  EXPECT_EQ(lookups(after), after.total_chunks);
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
 }
 

@@ -19,6 +19,7 @@
 #include "compress/compressor.h"
 #include "core/launch.h"
 #include "sim/model_params.h"
+#include "util/assertx.h"
 #include "util/types.h"
 
 namespace dsim::test {
@@ -56,6 +57,21 @@ inline ckptstore::ChunkingParams cdc_params(
 /// The chunk-store profile of --chunk-replicas `r`: the (1, r-1) code.
 inline ckptstore::ChunkStoreService::ErasureConfig replicated(int r) {
   return {1, r - 1};
+}
+
+/// All manifest files of `ctl`'s current restart plan, as raw bytes, in
+/// plan order: the byte-identity witness for two runs of one computation.
+inline std::vector<std::vector<std::byte>> plan_manifests(
+    sim::Kernel& k, const core::DmtcpControl& ctl) {
+  std::vector<std::vector<std::byte>> out;
+  for (const auto& host : ctl.read_restart_plan().hosts) {
+    for (const auto& img : host.images) {
+      auto inode = k.fs_for(host.host, img).lookup(img);
+      DSIM_CHECK_MSG(inode != nullptr, "restart plan names a missing image");
+      out.push_back(inode->data.materialize(0, inode->data.size()));
+    }
+  }
+  return out;
 }
 
 /// The encode CPU a synchronous chunk-store round charged as one serial job

@@ -4,17 +4,17 @@
 Two modes, both stdlib-only:
 
 Absolute checks (always run): after the CI bench-smoke job runs
-bench_incremental, bench_cdc, bench_service, bench_failover, bench_async,
-bench_erasure and bench_tenants with tiny parameters, assert the emitted
-files are
-well-formed and the headline numbers are in the physically sensible range
-(dedup actually happened, CDC actually resynchronized, the cluster store
-actually stored shared chunks once, the chunk-store service actually
-queued lookups and survived a replica failover, the mid-round endpoint
-kill re-homed and replayed with zero lost chunks, the shard rebalance
-moved ~1/new_shards of the bytes, the async pipeline took the pause off
-the critical path, (k,m) erasure striping beat 2x replication on
-stored bytes while surviving m losses, weighted fair queueing kept a
+bench_incremental, bench_cdc, bench_service, bench_failover,
+bench_async, bench_erasure and bench_tenants with tiny parameters,
+assert the emitted files are well-formed and the headline numbers are in
+the physically sensible range (dedup actually happened, CDC actually
+resynchronized, the cluster store actually stored shared chunks once,
+the chunk-store service actually queued lookups, survived a replica
+failover and looked up only the chunks a process wrote, the mid-round
+endpoint kill re-homed and replayed with zero lost chunks, the shard
+rebalance moved ~1/new_shards of the bytes, the async pipeline took the
+pause off the critical path, (k,m) erasure striping beat 2x replication
+on stored bytes while surviving m losses, weighted fair queueing kept a
 victim tenant's p99 within 2x of solo beside a noisy neighbor while the
 FIFO ablation degraded it >= 4x, and request tracing cost zero simulated
 time while its spans reproduced the victim-tenant p99 within 1%).
@@ -149,6 +149,13 @@ def check_service(path, data):
         "summary.shard_knee_shifted",
         "summary.batch_rpc_reduction",
         "summary.replica_write_amplification",
+        "rewrite.total_chunks",
+        "rewrite.new_chunks",
+        "rewrite.lookups",
+        "rewrite.control_lookups",
+        "rewrite.ckpt_seconds",
+        "rewrite.control_ckpt_seconds",
+        "rewrite.manifests_identical",
     ):
         try:
             require(data, path, key)
@@ -225,6 +232,27 @@ def check_service(path, data):
     if data["failover"]["r1_lost_chunks"] <= 0:
         rc |= fail(path, "R=1 node failure lost no chunks (bench "
                          "misconfigured?)")
+    # An incremental round looks up only what the process wrote: with a
+    # quarter of the private pages written, at most half the chunks are
+    # probed, and the round pauses shorter than the control world's, which
+    # rewrote every page in place and so probes every chunk. The stored
+    # data must not change.
+    rw = data["rewrite"]
+    if rw["manifests_identical"] is not True:
+        rc |= fail(path, "rewrite: the control world's manifests differ "
+                         "(skipping a Lookup changed what was stored)")
+    if rw["control_lookups"] != rw["total_chunks"]:
+        rc |= fail(path, f"rewrite control_lookups={rw['control_lookups']} "
+                         f"!= total_chunks={rw['total_chunks']}: a chunk on "
+                         "a rewritten page skipped its Lookup")
+    if rw["lookups"] > rw["total_chunks"] / 2:
+        rc |= fail(path, f"rewrite lookups={rw['lookups']} > half of "
+                         f"total_chunks={rw['total_chunks']}: chunks on "
+                         "unwritten pages are still looked up")
+    if not rw["ckpt_seconds"] < rw["control_ckpt_seconds"]:
+        rc |= fail(path, f"rewrite ckpt_seconds={rw['ckpt_seconds']} is not "
+                         "below the control's "
+                         f"{rw['control_ckpt_seconds']}")
     return rc
 
 
@@ -708,6 +736,8 @@ BASELINE_METRICS = {
             lambda d: d["summary"]["shard_speedup"], "higher"),
         "r2_restart_seconds": (
             lambda d: d["failover"]["r2_restart_seconds"], "lower"),
+        "rewrite_ckpt_seconds": (
+            lambda d: d["rewrite"]["ckpt_seconds"], "lower"),
     },
     "BENCH_failover.json": {
         "kill_ckpt_seconds": (
