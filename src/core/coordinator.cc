@@ -560,10 +560,10 @@ Task<int> coordinator_main(sim::ProcessCtx& ctx,
   auto st = std::make_unique<CoordState>();
   st->shared = shared;
 
-  const Fd lfd = co_await ctx.socket_raw(false);
-  const bool ok = co_await ctx.bind_raw(lfd, shared->opts.coord_port);
+  const Fd lfd = co_await ctx.socket();
+  const bool ok = co_await ctx.bind(lfd, shared->opts.coord_port);
   DSIM_CHECK_MSG(ok, "coordinator: port already in use");
-  co_await ctx.listen_raw(lfd);
+  co_await ctx.listen(lfd);
 
   if (shared->store_service && shared->owns_store) {
     // Endpoint setup: shard 0 runs where --store-node says (default:
@@ -610,9 +610,9 @@ Task<int> command_main(sim::ProcessCtx& ctx,
   // argv: [command] — "checkpoint" (waits for completion) or "status".
   DSIM_CHECK(!ctx.process().argv().empty());
   const std::string cmd = ctx.process().argv()[0];
-  const Fd fd = co_await ctx.socket_raw(false);
+  const Fd fd = co_await ctx.socket();
   const sim::SockAddr coord{shared->opts.coord_node, shared->opts.coord_port};
-  while (!co_await ctx.connect_raw(fd, coord)) {
+  while (!co_await ctx.connect(fd, coord)) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }
   auto* sock = sock_of(ctx.process(), fd);

@@ -20,14 +20,14 @@ sim::Task<bool> dmtcp_request_checkpoint(sim::ProcessCtx& ctx) {
   // Equivalent of dmtcp_command --checkpoint from inside the application:
   // a transient coordinator connection, kept out of the connection table.
   auto& k = ctx.kernel();
-  const Fd fd = co_await ctx.socket_raw(false);
+  const Fd fd = co_await ctx.socket();
   ctx.fd_get(fd)->dmtcp_internal = true;
   const sim::SockAddr coord{
       static_cast<NodeId>(std::stoi(ctx.process().env_or("DMTCP_COORD_NODE",
                                                          "0"))),
       static_cast<u16>(
           std::stoi(ctx.process().env_or("DMTCP_COORD_PORT", "7779")))};
-  while (!co_await ctx.connect_raw(fd, coord)) {
+  while (!co_await ctx.connect(fd, coord)) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }
   auto of = ctx.fd_get(fd);
@@ -38,7 +38,7 @@ sim::Task<bool> dmtcp_request_checkpoint(sim::ProcessCtx& ctx) {
   m.a = 0;  // do not wait inside the app: the manager suspends this thread
   co_await send_msg(k, ctx.thread(), *sock, m);
   auto reply = co_await recv_msg(k, ctx.thread(), *sock);
-  co_await ctx.close_raw(fd);
+  co_await ctx.close(fd);
   co_return reply.has_value();
 }
 

@@ -275,7 +275,7 @@ void Hijack::on_process_exit() { shared_->active_vpids.erase(vpid_); }
 Task<std::pair<Fd, Fd>> Hijack::wrap_pipe(sim::ProcessCtx& ctx) {
   // §4.5: "a wrapper around the pipe system call promotes pipes into
   // sockets" so the drain/refill machinery handles them.
-  auto [a, b] = co_await ctx.socketpair_raw();
+  auto [a, b] = co_await ctx.socketpair();
   if (auto* va = ctx.fd_tcp(a)) va->promoted_pipe = true;
   if (auto* vb = ctx.fd_tcp(b)) vb->promoted_pipe = true;
   co_return std::make_pair(a, b);
@@ -373,12 +373,12 @@ std::shared_ptr<sim::OpenFile> Hijack::desc_by_id(u64 desc_id) {
 Task<void> Hijack::manager_main(sim::ProcessCtx& ctx) {
   auto& k = ctx.kernel();
   // Open the coordinator connection (kept out of checkpoints).
-  coord_fd_ = co_await ctx.socket_raw(false);
+  coord_fd_ = co_await ctx.socket();
   p_.fds().get(coord_fd_)->dmtcp_internal = true;
   const sim::SockAddr coord{
       static_cast<NodeId>(std::stoi(p_.env_or("DMTCP_COORD_NODE", "0"))),
       static_cast<u16>(std::stoi(p_.env_or("DMTCP_COORD_PORT", "7779")))};
-  while (!co_await ctx.connect_raw(coord_fd_, coord)) {
+  while (!co_await ctx.connect(coord_fd_, coord)) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }
   Msg reg;

@@ -3,9 +3,13 @@
 // Injected at process start (the simulator's LD_PRELOAD, §4.2), it:
 //   - spawns the checkpoint manager thread;
 //   - connects to the coordinator and registers the process;
-//   - wraps the syscalls DMTCP cares about (pipe promotion §4.5, remote
-//     spawn interception §3, pid virtualization §4.5, pre-accepted
-//     connection stashing);
+//   - wraps the five calls whose result it changes: pipe (promoted to a
+//     socketpair, §4.5), spawn (the child runs under checkpoint control,
+//     §3, and re-forks on a virtual-pid conflict, §4.5), getpid and
+//     waitpid (virtual pids, §4.5) and accept (connections pre-accepted at
+//     suspend time). The state DMTCP's other §4.2 wrappers record, it reads
+//     from the kernel's descriptor table at checkpoint time
+//     (build_conn_table);
 //   - executes the seven checkpoint stages with six barriers (§4.3) and the
 //     resume-from-restart path (§4.4 steps 5-7).
 #pragma once

@@ -212,15 +212,16 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
   }
 
   // --- Connect to the coordinator (discovery service + barriers).
-  const Fd coord_fd = co_await ctx.socket_raw(false);
+  const Fd coord_fd = co_await ctx.socket();
   self.fds().get(coord_fd)->dmtcp_internal = true;
-  while (!co_await ctx.connect_raw(
+  while (!co_await ctx.connect(
       coord_fd, sim::SockAddr{args.coord_node, args.coord_port})) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }
   TcpVNode* coord = tcp_of(self.fds().get(coord_fd));
 
-  // --- Stage 1 (§4.4): reopen files and recreate ptys.
+  // --- Stage 1 (§4.4): reopen files and recreate ptys, each under its
+  // checkpointed id, so ptsname() and the controlling terminal still name it.
   const SimTime t_files = ctx.now();
   std::map<u64, std::shared_ptr<sim::OpenFile>> descs;
   std::map<i32, std::pair<std::shared_ptr<sim::OpenFile>,
@@ -249,7 +250,7 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
         case ConnType::kPtySlave: {
           auto it = ptys.find(rec.pty_id);
           if (it == ptys.end()) {
-            auto [m, s] = k.make_pty(self);
+            auto [m, s] = k.make_pty(self, rec.pty_id);
             static_cast<sim::PtyVNode&>(*m->vnode).pair().termios =
                 rec.termios;
             it = ptys.emplace(rec.pty_id, std::make_pair(m, s)).first;

@@ -1,12 +1,16 @@
 // Syscall interposition interface — the simulator's LD_PRELOAD.
 //
-// DMTCP injects dmtcphijack.so and overrides a small set of libc symbols
-// (§4.2 lists them: socket, connect, bind, listen, accept, setsockopt,
-// exec*, fork, close, dup2, socketpair, openlog, syslog, closelog, ptsname).
-// Here, a Process may carry an Interposer; ProcessCtx routes exactly those
-// calls through it. The default implementation is a transparent passthrough;
-// core::Hijack overrides to record connection metadata, promote pipes,
-// virtualize pids, and intercept remote spawns.
+// DMTCP injects dmtcphijack.so and overrides a list of libc calls (§4.2:
+// socket, connect, bind, listen, accept, setsockopt, exec*, fork, close,
+// dup2, socketpair, openlog, syslog, closelog, ptsname). Most of those
+// wrappers only keep DMTCP's connection tables current. The simulator reads
+// that state from the kernel's descriptor table at checkpoint time instead
+// (core::Hijack::build_conn_table), so a Process's Interposer carries only
+// the calls whose result core::Hijack changes: accept hands out
+// pre-accepted connections, pipe is promoted to a socketpair, spawn runs the
+// child under checkpoint control and re-forks on a virtual-pid conflict,
+// and waitpid and getpid translate virtual pids (§4.5). Every other
+// ProcessCtx call goes straight to the kernel.
 #pragma once
 
 #include <map>
@@ -14,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/socket.h"
 #include "sim/task.h"
 #include "util/types.h"
 
@@ -33,26 +36,15 @@ class Interposer {
   /// Called as the process exits (before fd teardown).
   virtual void on_process_exit() {}
 
-  // Wrapped syscalls. Defaults forward to the raw kernel implementations.
-  virtual Task<Fd> wrap_socket(ProcessCtx& ctx, bool unix_domain);
-  virtual Task<bool> wrap_connect(ProcessCtx& ctx, Fd fd, SockAddr addr);
-  virtual Task<bool> wrap_bind(ProcessCtx& ctx, Fd fd, u16 port);
-  virtual Task<void> wrap_listen(ProcessCtx& ctx, Fd fd);
-  virtual Task<Fd> wrap_accept(ProcessCtx& ctx, Fd fd);
-  virtual Task<std::pair<Fd, Fd>> wrap_socketpair(ProcessCtx& ctx);
-  virtual Task<std::pair<Fd, Fd>> wrap_pipe(ProcessCtx& ctx);
+  // The wrapped calls. ProcessCtx::accept_raw, spawn_raw and waitpid_raw
+  // are the unwrapped calls an implementation makes underneath itself.
+  virtual Task<Fd> wrap_accept(ProcessCtx& ctx, Fd fd) = 0;
+  virtual Task<std::pair<Fd, Fd>> wrap_pipe(ProcessCtx& ctx) = 0;
   virtual Task<Pid> wrap_spawn(ProcessCtx& ctx, NodeId node, std::string prog,
                                std::vector<std::string> argv,
-                               std::map<std::string, std::string> env);
-  virtual Task<int> wrap_waitpid(ProcessCtx& ctx, Pid child);
-  virtual Task<void> wrap_close(ProcessCtx& ctx, Fd fd);
-  virtual Task<void> wrap_dup2(ProcessCtx& ctx, Fd oldfd, Fd newfd);
-  virtual Pid wrap_getpid(ProcessCtx& ctx);
-  virtual Task<std::pair<Fd, Fd>> wrap_openpty(ProcessCtx& ctx);
-  virtual std::string wrap_ptsname(ProcessCtx& ctx, Fd master);
-  virtual void wrap_openlog(ProcessCtx& ctx, std::string ident);
-  virtual void wrap_syslog(ProcessCtx& ctx, std::string msg);
-  virtual void wrap_closelog(ProcessCtx& ctx);
+                               std::map<std::string, std::string> env) = 0;
+  virtual Task<int> wrap_waitpid(ProcessCtx& ctx, Pid child) = 0;
+  virtual Pid wrap_getpid(ProcessCtx& ctx) = 0;
 };
 
 }  // namespace dsim::sim

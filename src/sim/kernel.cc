@@ -148,9 +148,7 @@ void Kernel::on_thread_done(Pid pid, Tid tid) {
   if (!p || p->state() != ProcState::kRunning) return;
   Thread* t = p->find_thread(tid);
   if (!t) return;
-  if (t->kind() == ThreadKind::kMain || p->exit_requested()) {
-    process_exit(*p);
-  }
+  if (t->kind() == ThreadKind::kMain) process_exit(*p);
 }
 
 Task<int> Kernel::wait_child(Thread& t, Pid child) {
@@ -195,7 +193,6 @@ void Kernel::start_restored(Process& p, const std::string& prog_name,
                             bool start_suspended) {
   p.set_prog_name(prog_name);
   p.set_argv(std::move(argv));
-  p.set_restored(true);
   const Program* prog = programs_.find(prog_name);
   DSIM_CHECK_MSG(prog != nullptr, "restore: unknown program");
   bool main_done = false;
@@ -614,9 +611,15 @@ Kernel::make_pipe(Process& p) {
 }
 
 std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>>
-Kernel::make_pty(Process& p) {
+Kernel::make_pty(Process& p, i32 id) {
+  Node& n = node(p.node());
+  if (id < 0) {
+    id = n.alloc_pty_id();
+  } else {
+    n.reserve_pty_id(id);
+  }
   auto pair = std::make_shared<PtyPair>();
-  pair->id = node(p.node()).alloc_pty_id();
+  pair->id = id;
   pair->slave_name = "/dev/pts/" + std::to_string(pair->id);
   auto master = std::make_shared<OpenFile>();
   master->vnode = std::make_shared<PtyVNode>(VKind::kPtyMaster, pair);
@@ -721,17 +724,7 @@ Task<void> Kernel::charge_storage(Thread& t, NodeId node_id,
                                   const std::string& path, u64 bytes,
                                   bool is_read) {
   auto sp = std::make_shared<SyncPoint>();
-  if (backend_for(path) == StorageBackend::kLocalDisk) {
-    auto& st = node(node_id).storage();
-    if (is_read) {
-      st.read(bytes, [sp] { sp->complete(); });
-    } else {
-      st.write(bytes, [sp] { sp->complete(); });
-    }
-  } else {
-    shared_device_for(node_id).submit(bytes, [sp] { sp->complete(); },
-                                      is_read);
-  }
+  charge_storage_bg(node_id, path, bytes, is_read, [sp] { sp->complete(); });
   while (!sp->done) co_await sp->wq.wait(t);
 }
 

@@ -49,7 +49,6 @@ class Kernel {
   Network& net() { return net_; }
   Node& node(NodeId id);
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  u64 seed() const { return cfg_.seed; }
   Rng& rng() { return rng_; }
   ProgramRegistry& programs() { return programs_; }
   FileSystem& shared_fs() { return shared_fs_; }
@@ -141,8 +140,10 @@ class Kernel {
   // --- pipes / ptys -------------------------------------------------------------
   std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>> make_pipe(
       Process& p);
+  /// A pty pair named /dev/pts/<id> on `p`'s node: the node's next id, or
+  /// `id` when restart recreates a checkpointed pair.
   std::pair<std::shared_ptr<OpenFile>, std::shared_ptr<OpenFile>> make_pty(
-      Process& p);
+      Process& p, i32 id = -1);
   Task<u64> pipe_read(Thread& t, PipeVNode& v, std::span<std::byte> out);
   Task<u64> pipe_write(Thread& t, PipeVNode& v,
                        std::span<const std::byte> bytes);

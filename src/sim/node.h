@@ -1,6 +1,7 @@
 // A cluster node: cores, NIC endpoint, local storage, local filesystem.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -33,6 +34,9 @@ class Node {
 
   u16 alloc_ephemeral_port() { return next_port_++; }
   i32 alloc_pty_id() { return next_pty_++; }
+  /// Restart recreates a pty under its checkpointed id; keep the counter
+  /// ahead of it so later ptys stay unique.
+  void reserve_pty_id(i32 id) { next_pty_ = std::max(next_pty_, id + 1); }
 
  private:
   NodeId id_;

@@ -107,62 +107,17 @@ Task<Fd> ProcessCtx::open(const std::string& path, bool create, bool truncate,
 }
 
 Task<void> ProcessCtx::close(Fd fd) {
-  if (p_.interposer()) return p_.interposer()->wrap_close(*this, fd);
-  return close_raw(fd);
-}
-
-Task<void> ProcessCtx::close_raw(Fd fd) {
   k_.close_fd(p_, fd);
   co_return;
 }
 
-Fd ProcessCtx::dup(Fd fd) {
-  auto of = p_.fds().get(fd);
-  DSIM_CHECK_MSG(of != nullptr, "dup: bad fd");
-  return p_.fds().install(of);
-}
-
 Task<void> ProcessCtx::dup2(Fd oldfd, Fd newfd) {
-  if (p_.interposer()) return p_.interposer()->wrap_dup2(*this, oldfd, newfd);
-  return dup2_raw(oldfd, newfd);
-}
-
-Task<void> ProcessCtx::dup2_raw(Fd oldfd, Fd newfd) {
   auto of = p_.fds().get(oldfd);
   DSIM_CHECK_MSG(of != nullptr, "dup2: bad fd");
   if (oldfd == newfd) co_return;
   if (p_.fds().contains(newfd)) k_.close_fd(p_, newfd);
   p_.fds().install_at(newfd, of);
   co_return;
-}
-
-i64 ProcessCtx::lseek(Fd fd, i64 off, int whence) {
-  auto of = p_.fds().get(fd);
-  DSIM_CHECK_MSG(of && of->vnode->kind() == VKind::kFile, "lseek: bad fd");
-  auto& fv = static_cast<FileVNode&>(*of->vnode);
-  i64 base = 0;
-  switch (whence) {
-    case 0: base = 0; break;
-    case 1: base = static_cast<i64>(of->offset); break;
-    case 2: base = static_cast<i64>(fv.inode().data.size()); break;
-    default: DSIM_UNREACHABLE("lseek whence");
-  }
-  const i64 pos = base + off;
-  DSIM_CHECK(pos >= 0);
-  of->offset = static_cast<u64>(pos);
-  return pos;
-}
-
-void ProcessCtx::fcntl_setown(Fd fd, Pid owner) {
-  auto of = p_.fds().get(fd);
-  DSIM_CHECK_MSG(of != nullptr, "fcntl: bad fd");
-  of->fown_pid = owner;
-}
-
-Pid ProcessCtx::fcntl_getown(Fd fd) {
-  auto of = p_.fds().get(fd);
-  DSIM_CHECK_MSG(of != nullptr, "fcntl: bad fd");
-  return of->fown_pid;
 }
 
 TcpVNode* ProcessCtx::fd_tcp(Fd fd) {
@@ -329,32 +284,17 @@ Task<bool> ProcessCtx::write_exact_or_eof(Fd fd, MemRef buf, u64 len,
 // --- sockets -----------------------------------------------------------------------
 
 Task<Fd> ProcessCtx::socket(bool unix_domain) {
-  if (p_.interposer()) return p_.interposer()->wrap_socket(*this, unix_domain);
-  return socket_raw(unix_domain);
-}
-
-Task<Fd> ProcessCtx::socket_raw(bool unix_domain) {
   auto of = k_.make_socket(p_, unix_domain);
   co_return p_.fds().install(of);
 }
 
 Task<bool> ProcessCtx::bind(Fd fd, u16 port) {
-  if (p_.interposer()) return p_.interposer()->wrap_bind(*this, fd, port);
-  return bind_raw(fd, port);
-}
-
-Task<bool> ProcessCtx::bind_raw(Fd fd, u16 port) {
   TcpVNode* s = fd_tcp(fd);
   DSIM_CHECK_MSG(s != nullptr, "bind: not a socket");
   co_return k_.sock_bind(p_, *s, port);
 }
 
 Task<void> ProcessCtx::listen(Fd fd) {
-  if (p_.interposer()) return p_.interposer()->wrap_listen(*this, fd);
-  return listen_raw(fd);
-}
-
-Task<void> ProcessCtx::listen_raw(Fd fd) {
   TcpVNode* s = fd_tcp(fd);
   DSIM_CHECK_MSG(s != nullptr, "listen: not a socket");
   k_.sock_listen(p_, *s);
@@ -375,22 +315,12 @@ Task<Fd> ProcessCtx::accept_raw(Fd fd) {
 }
 
 Task<bool> ProcessCtx::connect(Fd fd, SockAddr addr) {
-  if (p_.interposer()) return p_.interposer()->wrap_connect(*this, fd, addr);
-  return connect_raw(fd, addr);
-}
-
-Task<bool> ProcessCtx::connect_raw(Fd fd, SockAddr addr) {
   TcpVNode* s = fd_tcp(fd);
   DSIM_CHECK_MSG(s != nullptr, "connect: not a socket");
   co_return co_await k_.sock_connect(t_, *s, addr);
 }
 
 Task<std::pair<Fd, Fd>> ProcessCtx::socketpair() {
-  if (p_.interposer()) return p_.interposer()->wrap_socketpair(*this);
-  return socketpair_raw();
-}
-
-Task<std::pair<Fd, Fd>> ProcessCtx::socketpair_raw() {
   auto [a, b] = k_.make_socketpair(p_);
   const Fd fa = p_.fds().install(a);
   const Fd fb = p_.fds().install(b);
@@ -409,21 +339,9 @@ Task<std::pair<Fd, Fd>> ProcessCtx::pipe_raw() {
   co_return std::make_pair(fr, fw);
 }
 
-void ProcessCtx::setsockopt(Fd fd, int opt, int value) {
-  // Recorded for fidelity; no behavioural knobs modeled yet.
-  (void)fd;
-  (void)opt;
-  (void)value;
-}
-
 // --- terminals ------------------------------------------------------------------------
 
 Task<std::pair<Fd, Fd>> ProcessCtx::openpty() {
-  if (p_.interposer()) return p_.interposer()->wrap_openpty(*this);
-  return openpty_raw();
-}
-
-Task<std::pair<Fd, Fd>> ProcessCtx::openpty_raw() {
   auto [m, s] = k_.make_pty(p_);
   const Fd fm = p_.fds().install(m);
   const Fd fs = p_.fds().install(s);
@@ -431,11 +349,6 @@ Task<std::pair<Fd, Fd>> ProcessCtx::openpty_raw() {
 }
 
 std::string ProcessCtx::ptsname(Fd master) {
-  if (p_.interposer()) return p_.interposer()->wrap_ptsname(*this, master);
-  return ptsname_raw(master);
-}
-
-std::string ProcessCtx::ptsname_raw(Fd master) {
   auto of = p_.fds().get(master);
   DSIM_CHECK_MSG(of && of->vnode->kind() == VKind::kPtyMaster,
                  "ptsname: not a pty master");
@@ -456,32 +369,6 @@ void ProcessCtx::tcsetattr(Fd fd, const Termios& tio) {
                         of->vnode->kind() == VKind::kPtySlave),
                  "tcsetattr: not a tty");
   static_cast<PtyVNode&>(*of->vnode).pair().termios = tio;
-}
-
-// --- syslog --------------------------------------------------------------------------------
-
-void ProcessCtx::openlog(const std::string& ident) {
-  if (p_.interposer()) {
-    p_.interposer()->wrap_openlog(*this, ident);
-    return;
-  }
-  p_.syslog_ident = ident;
-}
-
-void ProcessCtx::syslog(const std::string& msg) {
-  if (p_.interposer()) {
-    p_.interposer()->wrap_syslog(*this, msg);
-    return;
-  }
-  p_.syslog_messages.push_back(p_.syslog_ident + ": " + msg);
-}
-
-void ProcessCtx::closelog() {
-  if (p_.interposer()) {
-    p_.interposer()->wrap_closelog(*this);
-    return;
-  }
-  p_.syslog_ident.clear();
 }
 
 }  // namespace dsim::sim

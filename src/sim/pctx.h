@@ -1,16 +1,23 @@
 // ProcessCtx: the syscall facade simulated programs run against.
 //
-// One ProcessCtx exists per (process, thread). Calls that DMTCP wraps are
-// routed through the process's Interposer when present — this is the
-// simulator's LD_PRELOAD boundary (§4.2). The `*_raw` variants bypass the
-// interposer; they are what the hijack library itself calls.
+// One ProcessCtx exists per (process, thread). Five calls go through the
+// process's Interposer when it has one, which is the simulator's LD_PRELOAD
+// boundary (§4.2): accept, pipe, spawn/ssh, waitpid and getpid, the calls
+// whose result core::Hijack changes. accept_raw, spawn_raw and waitpid_raw
+// bypass it; the hijack calls them to reach the kernel underneath itself.
+// The other calls DMTCP wraps (socket, bind, listen, connect, socketpair,
+// close, dup2, openpty, ptsname) go straight to the kernel: the hijack
+// reads the state those wrappers record from the descriptor table at
+// checkpoint time. The coverage table in docs/architecture.md lists every
+// public call with the test that carries it through checkpoint, kill and
+// restart.
 //
 // Restart-safe primitives: `read_exact` / `write_exact` / `cpu_chunked`
 // persist their progress in a ThreadContext register (`RegSlot`), and
 // buffers live in simulated memory (`MemRef`). After a kill+restart, the
 // program re-invokes the same primitive with the same arguments and it
 // continues from the persisted position — the observable equivalent of
-// MTCP restoring registers mid-syscall (DESIGN.md §3.2).
+// MTCP restoring registers mid-syscall.
 #pragma once
 
 #include <map>
@@ -48,8 +55,6 @@ class ProcessCtx {
   Process& process() { return p_; }
   Thread& thread() { return t_; }
   SimTime now() const { return k_.loop().now(); }
-  bool restored() const { return p_.restored(); }
-  Rng& rng() { return p_.rng(); }
 
   /// Application program counter (persisted across restart).
   u32& phase() { return t_.context().phase; }
@@ -74,9 +79,7 @@ class ProcessCtx {
                 std::vector<std::string> argv = {},
                 std::map<std::string, std::string> extra_env = {});
   Task<int> waitpid(Pid child);  // wrapped: DMTCP translates virtual pids
-  Task<int> waitpid_raw(Pid child) { return k_.wait_child(t_, child); }
-  Pid getpid();        // wrapped: returns the virtual pid under DMTCP
-  Pid getpid_real() const { return p_.pid(); }
+  Pid getpid();                  // wrapped: the virtual pid under DMTCP
 
   /// Spawn an additional user thread running the program's worker entry.
   Tid spawn_thread(u32 role);
@@ -106,12 +109,9 @@ class ProcessCtx {
   // --- descriptors ----------------------------------------------------------------
   Task<Fd> open(const std::string& path, bool create = false,
                 bool truncate = false, bool append = false);
-  Task<void> close(Fd fd);      // wrapped
-  Fd dup(Fd fd);
-  Task<void> dup2(Fd oldfd, Fd newfd);  // wrapped
-  i64 lseek(Fd fd, i64 off, int whence);  // 0=SET 1=CUR 2=END
-  void fcntl_setown(Fd fd, Pid owner);
-  Pid fcntl_getown(Fd fd);
+  Task<void> close(Fd fd);
+  /// newfd shares oldfd's description, offset included.
+  Task<void> dup2(Fd oldfd, Fd newfd);
 
   /// Generic read/write dispatching on descriptor kind. Single attempt
   /// (may transfer fewer bytes than requested).
@@ -128,54 +128,38 @@ class ProcessCtx {
   Task<bool> write_exact_or_eof(Fd fd, MemRef buf, u64 len, RegSlot reg);
 
   // --- sockets -----------------------------------------------------------------------
-  Task<Fd> socket(bool unix_domain = false);           // wrapped
-  Task<bool> bind(Fd fd, u16 port);                    // wrapped
-  Task<void> listen(Fd fd);                            // wrapped
-  Task<Fd> accept(Fd fd);                              // wrapped
-  Task<bool> connect(Fd fd, SockAddr addr);            // wrapped
-  Task<std::pair<Fd, Fd>> socketpair();                // wrapped
-  Task<std::pair<Fd, Fd>> pipe();                      // wrapped (promoted)
-  void setsockopt(Fd fd, int opt, int value);          // recorded by wrappers
+  Task<Fd> socket(bool unix_domain = false);
+  Task<bool> bind(Fd fd, u16 port);
+  Task<void> listen(Fd fd);
+  Task<Fd> accept(Fd fd);  // wrapped: hands out pre-accepted connections
+  Task<bool> connect(Fd fd, SockAddr addr);
+  Task<std::pair<Fd, Fd>> socketpair();
+  Task<std::pair<Fd, Fd>> pipe();  // wrapped: promoted to a socketpair
 
   // --- terminals -----------------------------------------------------------------------
-  Task<std::pair<Fd, Fd>> openpty();                   // wrapped
-  std::string ptsname(Fd master);                      // wrapped
+  Task<std::pair<Fd, Fd>> openpty();
+  std::string ptsname(Fd master);
   Termios tcgetattr(Fd fd);
   void tcsetattr(Fd fd, const Termios& tio);
   void set_ctty(i32 pty_id) { p_.ctty() = pty_id; }
 
-  // --- syslog (wrapped per §4.2) ----------------------------------------------------------
-  void openlog(const std::string& ident);
-  void syslog(const std::string& msg);
-  void closelog();
-
-  void exit(int code) { p_.request_exit(code); }
-
   // --- raw (interposer-bypassing) variants -----------------------------------------------
-  Task<Fd> socket_raw(bool unix_domain);
-  Task<bool> bind_raw(Fd fd, u16 port);
-  Task<void> listen_raw(Fd fd);
   Task<Fd> accept_raw(Fd fd);
-  Task<bool> connect_raw(Fd fd, SockAddr addr);
-  Task<std::pair<Fd, Fd>> socketpair_raw();
-  Task<std::pair<Fd, Fd>> pipe_raw();
   Task<Pid> spawn_raw(NodeId node, const std::string& prog,
                       std::vector<std::string> argv,
                       std::map<std::string, std::string> env);
-  Task<void> close_raw(Fd fd);
-  Task<void> dup2_raw(Fd oldfd, Fd newfd);
-  Task<std::pair<Fd, Fd>> openpty_raw();
-  std::string ptsname_raw(Fd master);
+  Task<int> waitpid_raw(Pid child) { return k_.wait_child(t_, child); }
 
   /// Resolve an fd to its description / vnode (kernel-plane helpers).
   std::shared_ptr<OpenFile> fd_get(Fd fd) { return p_.fds().get(fd); }
   TcpVNode* fd_tcp(Fd fd);
 
-  /// Build the default environment passed to children (DMTCP vars included).
+ private:
+  /// The default environment passed to children (DMTCP vars included).
   std::map<std::string, std::string> child_env(
       std::map<std::string, std::string> extra) const;
-
- private:
+  // pipe() when the process runs without an Interposer.
+  Task<std::pair<Fd, Fd>> pipe_raw();
   // The loops behind read_exact / write_exact and their _or_eof twins;
   // `eof_ok` selects the twin's end-of-stream handling.
   Task<bool> read_exact_steps(Fd fd, MemRef buf, u64 len, RegSlot reg,

@@ -51,8 +51,7 @@ Process::Process(Kernel& kernel, Pid pid, NodeId node, std::string prog_name,
       prog_name_(std::move(prog_name)),
       argv_(std::move(argv)),
       env_(std::move(env)),
-      ppid_(ppid),
-      rng_(mix_seed(kernel.seed(), static_cast<u64>(pid), 0x9c0)) {}
+      ppid_(ppid) {}
 
 Process::~Process() = default;
 

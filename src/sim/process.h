@@ -9,7 +9,6 @@
 #include "sim/byte_image.h"
 #include "sim/thread.h"
 #include "sim/vnode.h"
-#include "util/rng.h"
 #include "util/types.h"
 
 namespace dsim::sim {
@@ -103,11 +102,6 @@ class Process {
   void set_state(ProcState s) { state_ = s; }
   int exit_code() const { return exit_code_; }
   void set_exit_code(int c) { exit_code_ = c; }
-  bool exit_requested() const { return exit_requested_; }
-  void request_exit(int code) {
-    exit_requested_ = true;
-    exit_code_ = code;
-  }
 
   std::vector<Pid>& children() { return children_; }
   WaitQueue& child_exit_wq() { return child_exit_wq_; }
@@ -117,18 +111,8 @@ class Process {
   void set_interposer(std::shared_ptr<Interposer> ip) {
     interposer_ = std::move(ip);
   }
-  std::shared_ptr<Interposer> interposer_ptr() const { return interposer_; }
-
-  /// True if this process was reconstructed from a checkpoint image.
-  bool restored() const { return restored_; }
-  void set_restored(bool r) { restored_ = r; }
 
   Kernel& kernel() { return kernel_; }
-  Rng& rng() { return rng_; }
-
-  /// Per-process syslog state (openlog/syslog/closelog wrappers, §4.2).
-  std::string syslog_ident;
-  std::vector<std::string> syslog_messages;
 
  private:
   Kernel& kernel_;
@@ -146,12 +130,9 @@ class Process {
   Tid next_tid_ = 1;
   ProcState state_ = ProcState::kRunning;
   int exit_code_ = 0;
-  bool exit_requested_ = false;
-  bool restored_ = false;
   std::vector<Pid> children_;
   WaitQueue child_exit_wq_;
   std::shared_ptr<Interposer> interposer_;
-  Rng rng_;
 };
 
 /// Helper used where only the pid is needed without including process.h.

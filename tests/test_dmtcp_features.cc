@@ -106,10 +106,28 @@ TEST(Pty, TermiosAndStreamSurviveRestart) {
   w.ctl.checkpoint_now();
   w.ctl.kill_computation();
   w.ctl.restart();
+  // The pair is recreated under its checkpointed id, so the controlling
+  // terminal restored from the image still names it.
+  sim::Process* restored = nullptr;
+  for (Pid live : w.k().live_pids()) {
+    sim::Process* p = w.k().find_process(live);
+    if (p != nullptr && p->prog_name() == kPtyShell) restored = p;
+  }
+  ASSERT_NE(restored, nullptr);
+  int masters = 0;
+  for (const auto& [fd, of] : restored->fds().entries()) {
+    if (of->vnode->kind() != sim::VKind::kPtyMaster) continue;
+    ++masters;
+    EXPECT_EQ(static_cast<sim::PtyVNode&>(*of->vnode).pair().id,
+              restored->ctty());
+  }
+  EXPECT_EQ(masters, 1);
   ASSERT_TRUE(w.wait_result("pty1"));
   const auto result = read_result(w.k(), "pty1");
-  // Raw mode (echo off, icanon off) set before the checkpoint must survive.
+  // Raw mode (echo off, icanon off) set before the checkpoint must survive,
+  // and so must the pty's name.
   EXPECT_NE(result.find("echo=0 icanon=0"), std::string::npos);
+  EXPECT_NE(result.find("pts=/dev/pts/0"), std::string::npos) << result;
 }
 
 TEST(PidVirtualization, SpawnTreeSurvivesRestartAndReportsVpid) {
@@ -307,15 +325,6 @@ TEST(SyncModes, SyncAfterCostsMoreThanNone) {
     (sync ? sync_s : none_s) = t;
   }
   EXPECT_GT(sync_s, none_s);
-}
-
-TEST(Syslog, WrappersRecordMessages) {
-  World w(1);
-  const Pid pid = w.ctl.launch(0, kComputeLoop, {"50", "100", "sl"});
-  ASSERT_TRUE(w.wait_result("sl"));
-  // The syslog wrappers exist per §4.2; exercise them kernel-side.
-  sim::Process* p = w.k().find_process(pid);
-  ASSERT_NE(p, nullptr);
 }
 
 }  // namespace

@@ -83,6 +83,16 @@ const std::vector<Workload>& workloads() {
          }
        },
        {"cp"}},
+      {"dup2",
+       [](sim::Kernel& k, bool dmtcp, core::DmtcpControl* ctl) {
+         std::vector<std::string> a{"160", "/data/dup2.log", "dl"};
+         if (dmtcp) {
+           ctl->launch(0, kDup2Log, a);
+         } else {
+           k.spawn_process(0, kDup2Log, a, {});
+         }
+       },
+       {"dl"}},
   };
   return w;
 }
@@ -145,7 +155,7 @@ TEST_P(Transparency, KillRestartIsInvisible) {
 
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsTimesCodecs, Transparency,
-    ::testing::Combine(::testing::Range(0, 6),
+    ::testing::Combine(::testing::Range(0, 7),
                        ::testing::Values(5, 11, 23, 47),
                        ::testing::Values(0, 1)),
     [](const auto& info) {
@@ -186,7 +196,7 @@ TEST_P(ResumeTransparency, CheckpointResumeIsInvisible) {
 
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsTimesInstants, ResumeTransparency,
-    ::testing::Combine(::testing::Range(0, 6),
+    ::testing::Combine(::testing::Range(0, 7),
                        ::testing::Values(7, 19, 37)),
     [](const auto& info) {
       return workloads()[static_cast<size_t>(std::get<0>(info.param))].name +

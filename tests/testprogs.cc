@@ -469,6 +469,7 @@ Task<int> shm_pair_child_main(sim::ProcessCtx& ctx) {
 // ---------------------------------------------------------------------------
 // pty_shell <rounds> <result-name> — pty master/slave with termios changes;
 // the child (same process, worker thread) uppercases what the master sends.
+// The result names the pty (ptsname of the master) as well as the stream.
 // ---------------------------------------------------------------------------
 
 struct PtyState {
@@ -540,8 +541,9 @@ Task<int> pty_shell_main(sim::ProcessCtx& ctx) {
       case 2: {
         const sim::Termios tio = ctx.tcgetattr(s.slave);
         char out[96];
-        std::snprintf(out, sizeof out, "crc=%08x echo=%d icanon=%d", s.crc,
-                      tio.echo ? 1 : 0, tio.icanon ? 1 : 0);
+        std::snprintf(out, sizeof out, "crc=%08x echo=%d icanon=%d pts=%s",
+                      s.crc, tio.echo ? 1 : 0, tio.icanon ? 1 : 0,
+                      ctx.ptsname(s.master).c_str());
         co_await apps::write_result(ctx, result, out);
         ctx.phase() = 3;
         break;
@@ -644,6 +646,88 @@ Task<int> spawn_tree_child_main(sim::ProcessCtx& ctx) {
   co_return static_cast<int>((id * 7 + 3) % 64);
 }
 
+// ---------------------------------------------------------------------------
+// dup2_log <records> <path> <result-name> — opens a log file, dup2s its
+// descriptor onto a second fd number and keeps both, then writes records
+// of varying length alternately through each. The two fds share one
+// description, so each record starts where the previous one ended. The
+// result is the CRC and length of the file, read back through a third
+// descriptor.
+// ---------------------------------------------------------------------------
+
+struct Dup2State {
+  u64 i = 0;
+  i32 fd = kNoFd;
+  i32 fd2 = kNoFd;
+};
+
+constexpr Fd kDup2Target = 20;  // the second fd number
+
+Task<int> dup2_log_main(sim::ProcessCtx& ctx) {
+  const u64 records = static_cast<u64>(argi(ctx, 0, 160));
+  const std::string path = args(ctx, 1, "/data/dup2.log");
+  const std::string result = args(ctx, 2, "dup2_log");
+
+  StateView<Dup2State> st(ctx);
+  MemRef rec = buffer(ctx, "rec", 128);
+  std::vector<std::byte> host(128);
+  Dup2State s = st.get();
+
+  while (true) {
+    switch (ctx.phase()) {
+      case 0: {
+        const Fd fd = co_await ctx.open(path, /*create=*/true,
+                                        /*truncate=*/true);
+        DSIM_CHECK(fd != kNoFd);
+        co_await ctx.dup2(fd, kDup2Target);
+        s.fd = fd;
+        s.fd2 = kDup2Target;
+        st.set(s);
+        ctx.phase() = 1;
+        break;
+      }
+      case 1: {
+        while (s.i < records) {
+          const u64 len = 40 + (s.i % 7) * 12;
+          for (u64 j = 0; j < len; ++j) {
+            host[j] = static_cast<std::byte>(apps::payload_byte(11, s.i, j));
+          }
+          rec.seg->data.write(rec.off, std::span(host).first(len));
+          co_await ctx.write_exact(s.i % 2 == 0 ? s.fd : s.fd2, rec, len, 0);
+          s.i++;
+          st.set(s);
+          co_await ctx.sleep(500 * timeconst::kMicrosecond);
+        }
+        ctx.phase() = 2;
+        break;
+      }
+      case 2: {
+        // Read back from the start; redone whole if a restart lands here.
+        const Fd rd = co_await ctx.open(path);
+        DSIM_CHECK(rd != kNoFd);
+        u32 crc = 0;
+        u64 total = 0;
+        while (true) {
+          const i64 n = co_await ctx.read(rd, host);
+          if (n <= 0) break;
+          crc = crc32_update(crc, std::span(host).first(static_cast<u64>(n)));
+          total += static_cast<u64>(n);
+        }
+        co_await ctx.close(rd);
+        char out[96];
+        std::snprintf(out, sizeof out, "crc=%08x bytes=%llu records=%llu", crc,
+                      static_cast<unsigned long long>(total),
+                      static_cast<unsigned long long>(s.i));
+        co_await apps::write_result(ctx, result, out);
+        ctx.phase() = 3;
+        break;
+      }
+      case 3:
+        co_return 0;
+    }
+  }
+}
+
 }  // namespace
 
 void register_test_programs(sim::Kernel& k) {
@@ -662,6 +746,7 @@ void register_test_programs(sim::Kernel& k) {
   add("shm_pair_child", shm_pair_child_main);
   add(kSpawnTree, spawn_tree_main);
   add("spawn_tree_child", spawn_tree_child_main);
+  add(kDup2Log, dup2_log_main);
   {
     sim::Program p;
     p.name = kPtyShell;

@@ -28,5 +28,6 @@ inline constexpr const char* kPipeChain = "pipe_chain";
 inline constexpr const char* kShmPair = "shm_pair";
 inline constexpr const char* kPtyShell = "pty_shell";
 inline constexpr const char* kSpawnTree = "spawn_tree";
+inline constexpr const char* kDup2Log = "dup2_log";
 
 }  // namespace dsim::test

@@ -2,7 +2,7 @@
 """Check that markdown links and code pointers reference real files.
 
 Stdlib-only, run by the CI docs job over README.md, docs/, the baselines
-README and ROADMAP.md. Two classes of reference are verified:
+README and ROADMAP.md. Three classes of reference are verified:
 
 1. Relative markdown links: `[text](path)` and `[text](path#anchor)`.
    External schemes (http, https, mailto) are skipped — CI must not
@@ -24,6 +24,13 @@ README and ROADMAP.md. Two classes of reference are verified:
    scope while still catching a doc that names a file the tree no longer
    has.
 
+3. Coverage tables. A table that follows a marker comment
+   `<!-- coverage: src/sim/pctx.h ProcessCtx -->` has one row per public
+   member function of that class, named in backticks in its first cell.
+   A public member with no row fails, and so does a row naming a member
+   the header no longer declares. Constructors and destructors need no
+   row.
+
 Usage: check_md_links.py PATH [PATH ...]   (files or directories)
 Exits nonzero after printing every broken reference.
 """
@@ -41,6 +48,8 @@ CODE_EXTS = (".h", ".cc", ".py", ".md", ".yml", ".json", ".txt", ".cmake")
 POINTER = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_./-]*(:\d+(,\d+)*)?$")
 LINE_SUFFIX = re.compile(r":(\d+(?:,\d+)*)$")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+COVERAGE = re.compile(r"^<!--\s*coverage:\s*(\S+)\s+(\w+)\s*-->\s*$", re.M)
+ACCESS = re.compile(r"^\s*(public|protected|private)\s*:(?!:)")
 
 
 def repo_root():
@@ -164,6 +173,79 @@ def check_file(md_path, root):
             if max(lines) > last:
                 broken.append((line, f"code pointer '{token}' is past the "
                                f"end of {path} ({last} lines)"))
+    return broken + check_coverage(text, root)
+
+
+def public_members(header, cls):
+    """Names of `cls`'s public member functions in `header`, or None when
+    the header has no such class. Declarations are read at the class
+    body's brace depth; inline bodies are skipped."""
+    with open(header, encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r"//[^\n]*|/\*.*?\*/", "", text, flags=re.S)
+    m = re.search(r"\bclass\s+" + cls + r"\b[^;{]*\{", text)
+    if not m:
+        return None
+    names, access, stmt, depth = set(), "private", "", 1
+
+    def declare(stmt):
+        nonlocal access
+        while True:
+            label = ACCESS.match(stmt)
+            if not label:
+                break
+            access = label.group(1)
+            stmt = stmt[label.end():]
+        fn = re.search(r"(~?\w+)\s*\(", stmt)
+        if access == "public" and fn and fn.group(1).lstrip("~") != cls:
+            names.add(fn.group(1))
+
+    for ch in text[m.end():]:
+        if ch == "{":
+            if depth == 1:
+                declare(stmt)
+                stmt = ""
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                break
+        elif depth == 1:
+            if ch == ";":
+                declare(stmt)
+                stmt = ""
+            else:
+                stmt += ch
+    declare(stmt)  # a trailing access label
+    return names
+
+
+def check_coverage(text, root):
+    """Every coverage table in `text` against its class (see module doc)."""
+    broken = []
+    for m in COVERAGE.finditer(text):
+        header, cls = m.group(1), m.group(2)
+        line = text.count("\n", 0, m.start()) + 1
+        path = os.path.join(root, header)
+        members = public_members(path, cls) if os.path.isfile(path) else None
+        if members is None:
+            broken.append((line, f"coverage marker: no class {cls} in "
+                           f"{header}"))
+            continue
+        rows = set()
+        table = text[m.end():].lstrip("\n").split("\n")
+        for row in table[2:]:  # past the header and the separator row
+            if not row.startswith("|"):
+                break
+            cell = re.match(r"\|\s*`(\w+)", row)
+            if cell:
+                rows.add(cell.group(1))
+        for name in sorted(members - rows):
+            broken.append((line, f"coverage table misses public "
+                           f"{cls}::{name} ({header})"))
+        for name in sorted(rows - members):
+            broken.append((line, f"coverage table names {cls}::{name}, "
+                           f"which {header} does not declare public"))
     return broken
 
 
@@ -196,7 +278,7 @@ def main(argv):
             rc = 1
     if rc == 0:
         print(f"OK   {checked} markdown file(s): all links and code "
-              "pointers resolve")
+              "pointers resolve, and every coverage table is complete")
     return rc
 
 
