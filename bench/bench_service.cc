@@ -28,10 +28,17 @@
 // the first world probes only what was written and pauses shorter, while
 // the control probes every chunk. Both commit byte-identical manifests.
 //
+// The headline point (max ranks, one replica, one shard) also reports who
+// stored its shared library: the chunks every rank maps go to whichever
+// rank's Lookup their shard serves first, each stored once, not all by
+// the rank scanned first.
+//
 // Emits BENCH_service.json (checked by the CI bench-smoke job).
 //
 // Knobs: DSIM_SVC_MAX_RANKS (16), DSIM_SVC_LIB_MB (4), DSIM_SVC_PRIV_MB (1).
+#include <algorithm>
 #include <fstream>
+#include <set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -115,7 +122,31 @@ struct SweepPoint {
   double ckpt_seconds = 0;
   u64 stored_bytes = 0;          // new chunks + manifests (one copy)
   u64 device_written_bytes = 0;  // replica copies included
+  u64 lib_keys = 0;              // distinct shared library chunks
+  std::vector<u64> lib_stores;   // of them, the ones each rank stored
+  u64 claimed_resident = 0;
 };
+
+/// The distinct chunks of every rank's "libshared" segment, and how many
+/// of them each rank's Stores carried in `round`.
+void library_stores(World& w, const core::CkptRound& round, int ranks,
+                    SweepPoint& pt) {
+  std::set<ckptstore::ChunkKey> lib;
+  for (const auto& bytes : test::plan_manifests(w.k(), *w.ctl)) {
+    for (const auto& sm : ckptstore::Manifest::decode(bytes).segments) {
+      if (sm.name != "libshared") continue;
+      for (const auto& ref : sm.chunks) lib.insert(ref.key);
+    }
+  }
+  pt.lib_keys = lib.size();
+  pt.lib_stores.assign(static_cast<size_t>(ranks), 0);
+  for (const auto& [node, keys] : round.stored_keys) {
+    if (node >= ranks) continue;
+    pt.lib_stores[static_cast<size_t>(node)] = static_cast<u64>(
+        std::count_if(keys.begin(), keys.end(),
+                      [&lib](const auto& key) { return lib.count(key); }));
+  }
+}
 
 SweepPoint run_point(int ranks, int replicas, int shards, int lookup_batch,
                      u64 lib_bytes, u64 priv_bytes) {
@@ -141,6 +172,8 @@ SweepPoint run_point(int ranks, int replicas, int shards, int lookup_batch,
   pt.ckpt_seconds = round.total_seconds();
   pt.stored_bytes = round.store_new_bytes;
   pt.device_written_bytes = cluster_written_bytes(w);
+  pt.claimed_resident = round.delta.counter("ckpt.claimed_resident");
+  library_stores(w, round, ranks, pt);
   return pt;
 }
 
@@ -290,6 +323,7 @@ int main() {
   // shards=1). Shard knee shift: one-shard vs four-shard wait at max ranks.
   double wait_min_ranks = 0, wait_max_ranks = 0, wait_shards4 = 0;
   u64 rpcs_batch1 = 0;
+  SweepPoint headline;
   u64 dev_r1 = 0, dev_r2 = 0;
   for (const auto& pt : sweep) {
     if (pt.replicas == 1 && pt.shards == 1) {
@@ -297,6 +331,7 @@ int main() {
       if (pt.ranks == rank_points.back()) {
         wait_max_ranks = pt.avg_wait_ms;
         rpcs_batch1 = pt.rpcs;
+        headline = pt;
       }
     }
     if (pt.ranks == rank_points.back()) {
@@ -326,6 +361,19 @@ int main() {
               static_cast<unsigned long long>(fr.r2_degraded_after_heal),
               fr.r1_needs_restore ? "true" : "false",
               static_cast<unsigned long long>(fr.r1_lost_chunks));
+
+  u64 lib_stored = 0, max_writer = 0;
+  std::string per_writer;
+  for (const u64 n : headline.lib_stores) {
+    lib_stored += n;
+    max_writer = std::max(max_writer, n);
+    per_writer += (per_writer.empty() ? "" : ", ") + std::to_string(n);
+  }
+  std::printf("shared library at %d ranks: %llu chunks, %llu stores, per "
+              "rank [%s], %llu taken on by a rank that found them resident\n",
+              headline.ranks, static_cast<unsigned long long>(headline.lib_keys),
+              static_cast<unsigned long long>(lib_stored), per_writer.c_str(),
+              static_cast<unsigned long long>(headline.claimed_resident));
 
   const RewriteResult rw = run_rewrite(lib_bytes, priv_bytes);
   std::printf("rewrite: %llu of %llu chunks new; %llu Lookups (control, "
@@ -381,6 +429,12 @@ int main() {
        << ", \"r1_needs_restore\": "
        << (fr.r1_needs_restore ? "true" : "false")
        << ", \"r1_lost_chunks\": " << fr.r1_lost_chunks
+       << "},\n  \"shared\": {\"ranks\": " << headline.ranks
+       << ", \"lib_keys\": " << headline.lib_keys
+       << ", \"lib_stores\": " << lib_stored
+       << ", \"stores_per_writer\": [" << per_writer << "]"
+       << ", \"max_writer_stores\": " << max_writer
+       << ", \"claimed_resident\": " << headline.claimed_resident
        << "},\n  \"rewrite\": {\"ranks\": " << kRewriteRanks
        << ", \"total_chunks\": " << rw.total_chunks
        << ", \"new_chunks\": " << rw.new_chunks

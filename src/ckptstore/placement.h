@@ -71,6 +71,9 @@ class ChunkPlacement {
   /// home_charge()). Re-recording an already-placed key is a no-op
   /// returning no homes (dedup hit: the bytes are already on disk).
   std::vector<NodeId> record_store(const ChunkKey& key, u64 charged_bytes);
+  /// True once a Store of `key` is recorded (until forget()), readable or
+  /// not.
+  bool recorded(const ChunkKey& key) const { return entries_.count(key) != 0; }
 
   /// The preferred surviving home holding readable bytes of `key` (the
   /// first alive, non-corrupt fragment home), or kNoHolder when nothing

@@ -159,19 +159,22 @@ void ChunkStoreService::pump_queue(IndexQueue* q) {
 
 rpc::RpcFabric::Handler ChunkStoreService::index_serve(
     int shard, bool is_read, TenantId tenant, QosClass qos,
-    obs::TraceContext tctx, u64 n) {
+    obs::TraceContext tctx, u64 n, std::function<void()> served) {
   // The n probes occupy the shard queue back to back; the response leaves
   // when the last one is served.
   return [this, q = shards_[static_cast<size_t>(shard)].q, is_read, tenant,
-          qos, tctx, n](rpc::RpcFabric::Reply reply) {
+          qos, tctx, n, served](rpc::RpcFabric::Reply reply) {
     enqueue_index(
         q, tenant, qos, n * params::kStoreLookupBytes,
-        [this, q, is_read, tctx, n, reply = std::move(reply)]() mutable {
+        [this, q, is_read, tctx, n, served,
+         reply = std::move(reply)]() mutable {
           const u64 sp = loop_.begin_stage("store.index", obs::kServicePid,
                                            q->dev->name(), tctx, n);
           q->dev->submit(n * params::kStoreLookupBytes,
-                         [this, sp, reply = std::move(reply)]() mutable {
+                         [this, sp, served,
+                          reply = std::move(reply)]() mutable {
                            loop_.end_span(sp);
+                           if (served) served();
                            reply();
                          },
                          is_read);
@@ -282,15 +285,23 @@ void ChunkStoreService::do_lookups(StoreRequest req) {
   // queue probe's occupancy per key. A rank's batches interleave with every
   // other rank's at the shard scheduler, and each batch records the full
   // submit -> response wait for each of its keys.
-  std::vector<std::vector<ChunkKey>> routed(shards_.size());
-  for (const ChunkKey& key : req.keys) {
-    routed[static_cast<size_t>(shard_of(key))].push_back(key);
+  std::vector<std::vector<size_t>> routed(shards_.size());
+  for (size_t i = 0; i < req.keys.size(); ++i) {
+    routed[static_cast<size_t>(shard_of(req.keys[i]))].push_back(i);
   }
   auto remaining = std::make_shared<u64>(req.keys.size());
   auto all_done =
       std::make_shared<std::function<void()>>(std::move(req.done));
+  // A claiming Lookup is one writer: all its batches, replays included,
+  // claim under one id, so a replayed probe finds its own claims.
+  const u64 writer = req.verdict ? ++last_writer_ : 0;
+  auto verdict = std::make_shared<std::function<void(size_t, bool)>>(
+      std::move(req.verdict));
+  auto keys = std::make_shared<const std::vector<ChunkKey>>(
+      std::move(req.keys));
   const TenantId tenant = req.tenant;
   const QosClass qos = req.qos;
+  const NodeId from = req.from;
   for (int s = 0; s < num_shards(); ++s) {
     const auto& run = routed[static_cast<size_t>(s)];
     for (size_t at = 0; at < run.size(); at += static_cast<size_t>(
@@ -302,22 +313,50 @@ void ChunkStoreService::do_lookups(StoreRequest req) {
       // One trace per batch, weighted by the batch's key count so stage
       // stats stay per-key.
       const obs::TraceContext tctx = open_root(req, "store.lookup", n);
+      // A claiming batch's key positions, and their verdicts once served.
+      struct Verdicts {
+        std::vector<size_t> at;
+        std::vector<bool> store;
+      };
+      std::shared_ptr<Verdicts> batch;
+      std::function<void()> served;
+      if (writer != 0) {
+        batch = std::make_shared<Verdicts>();
+        batch->at.assign(run.begin() + static_cast<std::ptrdiff_t>(at),
+                         run.begin() + static_cast<std::ptrdiff_t>(at + n));
+        served = [this, keys, batch, writer, from] {
+          batch->store.clear();
+          for (const size_t i : batch->at) {
+            batch->store.push_back(claim((*keys)[i], writer, from));
+          }
+        };
+      }
       auto done = [this, submitted, n, tenant, root = tctx.parent_span,
-                   remaining, all_done] {
+                   remaining, all_done, verdict, batch] {
         const double wait = to_seconds(loop_.now() - submitted);
         stats_.lookup_wait.record_n(wait, n);
         tenants_.stats(tenant).wait.record_n(wait, n);
         loop_.end_span(root);
+        for (size_t j = 0; batch && j < batch->store.size(); ++j) {
+          (*verdict)(batch->at[j], batch->store[j]);
+        }
         if ((*remaining -= n) == 0 && *all_done) (*all_done)();
       };
       auto sreq = make_request(
-          req.from, params::kRpcHeaderBytes + n * params::kRpcLookupKeyBytes,
+          from, params::kRpcHeaderBytes + n * params::kRpcLookupKeyBytes,
           params::kRpcHeaderBytes + n * params::kRpcLookupVerdictBytes,
-          index_serve(s, /*is_read=*/true, tenant, qos, tctx, n),
+          index_serve(s, /*is_read=*/true, tenant, qos, tctx, n,
+                      std::move(served)),
           std::move(done), tctx);
       shard_call(s, std::move(sreq));
     }
   }
+}
+
+bool ChunkStoreService::claim(const ChunkKey& key, u64 writer, NodeId node) {
+  if (placement_.recorded(key)) return false;
+  return claims_.try_emplace(key, Claim{writer, node}).first->second.writer ==
+         writer;
 }
 
 void ChunkStoreService::queue_store(NodeId from, TenantId tenant,
@@ -369,6 +408,7 @@ StoreReply ChunkStoreService::do_store(StoreRequest req) {
   reply.targets = store_targets(
       key, req.op == StoreOp::kStore ? placement_.record_store(key, bytes)
                                      : placement_.re_place(key));
+  claims_.erase(key);  // recorded: placed from here on
   TenantStats& ts = tenants_.stats(tenant);
   ts.stores++;
   ts.store_bytes += bytes;
@@ -503,6 +543,7 @@ std::vector<StoreTarget> ChunkStoreService::reclaim(TenantId tenant,
   const u64 per_home = placement_.home_charge(key);
   std::vector<StoreTarget> trims;
   for (NodeId home : placement_.forget(key)) trims.push_back({home, per_home});
+  claims_.erase(key);
   StoreRequest drop;
   drop.op = StoreOp::kDrop;
   drop.tenant = tenant;
@@ -577,6 +618,10 @@ int ChunkStoreService::handle_node_death(NodeId node) {
   // (fail_node's ground truth), but a death declared by membership alone
   // must land there too before heal scans run.
   placement_.fail_node(node);
+  // Its writers can no longer store what they claimed: the next writer to
+  // probe such a key claims it.
+  std::erase_if(claims_,
+                [node](const auto& c) { return c.second.node == node; });
   // Degraded (>= k but fewer than k+m clean fragments) chunks are healable
   // — kick the daemon. Fully lost chunks are not: those wait for the encode
   // path's forward-heal (StoreOp::kRestore) at the next generation.

@@ -7,7 +7,11 @@
 // request arrives through one typed envelope (StoreRequest, tenant.h):
 //
 //   kLookup   one dedup probe per submitted chunk key, batched K keys per
-//             RPC (`--lookup-batch`); each probe occupies its shard's queue,
+//             RPC (`--lookup-batch`); each probe occupies its shard's queue.
+//             A claiming Lookup (StoreRequest::verdict) also learns who
+//             stores the key: the first probe the shard serves for a key
+//             that is neither placed nor claimed claims it for its writer,
+//             and every other writer's probe of it is a hit,
 //   kStore    a chunk accepted (payload over the caller's NIC, an index
 //             insert on the shard) and striped onto its k+m placement
 //             homes — R full copies under --chunk-replicas R, the (1, R-1)
@@ -329,6 +333,18 @@ class ChunkStoreService {
   std::vector<StoreTarget> reclaim(TenantId tenant, NodeId from,
                                    const ChunkKey& key, u64 bytes);
 
+  /// The claim table: keys a writer's Lookup was told to store whose
+  /// Store is not yet recorded, with the writer (one id per claiming
+  /// Lookup request) and its node. A claim ends when any Store of the key
+  /// is recorded, when the key is reclaimed, or when its writer's node is
+  /// declared dead (handle_node_death), so a key is never claimed and
+  /// placed at once, and none stays claimed past its writer.
+  struct Claim {
+    u64 writer = 0;
+    NodeId node = 0;
+  };
+  const std::map<ChunkKey, Claim>& claims() const { return claims_; }
+
   /// True when no heal work is pending or in flight.
   bool rereplication_idle() const {
     return heal_in_flight_ == 0 && heal_pending_.empty() &&
@@ -467,10 +483,16 @@ class ChunkStoreService {
   IndexQueue* make_queue(int s);
   /// Serve handler for `n` back-to-back index probes/inserts on the
   /// shard's queue (a lookup batch, or one store or fetch), routed through
-  /// the fair-queueing scheduler under (tenant, qos).
+  /// the fair-queueing scheduler under (tenant, qos). `served`, when set,
+  /// runs once the probes are served, before the response leaves: a
+  /// claiming lookup batch decides its verdicts there.
   rpc::RpcFabric::Handler index_serve(int shard, bool is_read,
                                       TenantId tenant, QosClass qos,
-                                      obs::TraceContext tctx, u64 n = 1);
+                                      obs::TraceContext tctx, u64 n = 1,
+                                      std::function<void()> served = {});
+  /// The verdict for `writer`'s probe of `key`: store it (true) when the
+  /// key is unplaced and unclaimed, claiming it, or already `writer`'s.
+  bool claim(const ChunkKey& key, u64 writer, NodeId node);
   // The envelope's per-op bodies.
   void do_lookups(StoreRequest req);
   StoreReply do_store(StoreRequest req);
@@ -544,6 +566,8 @@ class ChunkStoreService {
   ServiceStats stats_;
   TenantRegistry tenants_;
   std::map<TenantId, TenantEdge> edges_;
+  std::map<ChunkKey, Claim> claims_;
+  u64 last_writer_ = 0;  // the last claiming Lookup's writer id
   bool fair_queueing_ = true;
   DeviceCharger charger_;
   DeviceTrimmer trimmer_;

@@ -85,6 +85,13 @@ struct StoreRequest {
   std::vector<ChunkKey> keys;
   u64 bytes = 0;
   std::function<void()> done;
+  /// Lookup only: set, the Lookup takes claims. The key's shard decides
+  /// at its index probe who stores a key several writers present, and
+  /// `verdict(i, true)` tells this writer to store keys[i]; false means
+  /// the key is placed or another writer's to store. A batch's verdicts
+  /// arrive with its response, before `done`. Unset, the Lookup is a
+  /// plain probe.
+  std::function<void(size_t index, bool store)> verdict;
 };
 
 /// The synchronous half of the answer. `targets` (Store/Restore only) are

@@ -13,6 +13,7 @@
 #include "sim/sync.h"
 #include "util/assertx.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace dsim::core {
 
@@ -30,17 +31,30 @@ std::string sanitize(std::string s) {
   return s;
 }
 
+/// Striping a new chunk container into k+m fragments is checkpoint-path CPU
+/// like compression, priced by the parity rows at kErasureBw (none under
+/// replication, whose fragments are copies, or without the service).
+double stripe_seconds(const ckptstore::ChunkStoreService* svc, u64 bytes) {
+  return svc == nullptr ? 0.0
+                        : ckptstore::erasure::encode_seconds(
+                              bytes, svc->erasure().k, svc->erasure().m);
+}
+
 /// The store sequence of one chunk-store checkpoint, run by both modes as
 /// a callback chain off the event loop:
 ///
-///   batched Lookups -> per new chunk: its encode share on the writer's
-///   core pool, then its Store (heals re-store directly) -> home-device
+///   Lookups in the writer's rendezvous order -> per chunk it is to store:
+///   its encode share on the writer's core pool -> after the last verdict,
+///   each encoded chunk's Store (heals re-store directly) -> home-device
 ///   and manifest writes -> --sync flush -> retention -> done
 ///
-/// The synchronous write co_awaits it inside the write barrier. The async
-/// pipeline runs it after its own chunk and compress stages, so it passes
-/// no encode shares and every Store leaves at once. Without the service
-/// the encodes still run on the pool and one local write follows the last.
+/// The synchronous write co_awaits it inside the write barrier. Its Lookups
+/// take claims: of the writers presenting one chunk, the one whose probe
+/// the key's shard serves first stores it, and each chunk's encode starts
+/// on its own verdict. The async pipeline runs it after its own chunk and
+/// compress stages, so it passes no encode shares, takes no claims, and
+/// stores exactly the chunks its scan found new. Without the service the
+/// encodes still run on the pool and one local write follows the last.
 /// Kept alive by the callbacks it registers; it owns nothing of
 /// DmtcpShared or the service, so a drain still in flight at teardown
 /// cannot pin them in a cycle.
@@ -52,32 +66,55 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   NodeId node = 0;
   int round = 0;
   std::string path;
-  std::vector<std::pair<ckptstore::ChunkKey, u64>> to_store;
+  /// The chunks this writer's scan put in the repository (key, bytes), in
+  /// scan order, and the resident chunks it references, one entry per
+  /// reference (EncodedDelta::stored_chunks and dup_chunks).
+  std::vector<std::pair<ckptstore::ChunkKey, u64>> fresh;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
   std::vector<bool> dup_known;  // EncodedDelta::dup_known: no Lookup
-  size_t fresh = 0;  // to_store[0..fresh) are new stores; the rest heals
-  /// Per new chunk: its codec CPU plus its erasure stripe. Empty when the
+  /// Per fresh chunk: its codec CPU plus its erasure stripe. Empty when the
   /// caller has charged the encode already.
   std::vector<double> encode;
+  bool claims = false;  // the Lookups take claims (synchronous writes)
   bool flush = false;  // --sync: flush the writer's device before retention
   u64 manifest_size = 0;
   u64 submitted_bytes = 0;
   std::function<void()> done;
 
+  /// One Store this drain sends, in the order it took them on.
+  struct Write {
+    ckptstore::ChunkKey key;
+    u64 bytes = 0;
+    size_t p = 0;          // the chunk it stores (see `probes`): scan order
+    bool heal = false;     // a re-store of a lost dedup hit (kRestore)
+    bool encoded = false;  // its encode share has run
+  };
+  std::vector<Write> writes;
+  std::set<ckptstore::ChunkKey> taken;  // the keys in `writes`
+  /// The Lookup's keys: p < fresh.size() names fresh[p], any other p names
+  /// dup_chunks[p - fresh.size()].
+  std::vector<size_t> probes;
+  bool verdicts_in = false;
   int pending = 0;
   std::map<NodeId, u64> home_bytes;
+  /// The writer's encode pool while it has jobs; they hold it, and their
+  /// callbacks hold this drain, so a strong reference here would be a
+  /// cycle.
+  std::weak_ptr<sim::CpuPool> pool;
 
   void run() {
     auto self = shared_from_this();
     if (!svc) {
-      pending = static_cast<int>(fresh);
+      pending = static_cast<int>(fresh.size());
       if (pending == 0) {
         write_local();
         return;
       }
-      encode_each([self](size_t) {
-        if (--self->pending == 0) self->write_local();
-      });
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        encode_then(i < encode.size() ? encode[i] : 0.0, [self] {
+          if (--self->pending == 0) self->write_local();
+        });
+      }
       return;
     }
     // Every chunk the writer cannot vouch for is a Lookup RPC (hit or miss
@@ -86,46 +123,99 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
     // N ranks' probes contend the way the paper's coordinator/peer
     // messages do (§4.3). A known dup repeats a span the process has not
     // written since its previous generation, whose manifest still pins
-    // the key, so it needs no probe.
+    // the key, so it needs no probe. The writer sends its probes in its
+    // own rendezvous order of (key, node), so where several writers
+    // present the same keys, each reaches the shards first with a
+    // different share of them.
+    std::vector<std::pair<u64, size_t>> order;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      order.emplace_back(rendezvous(fresh[i].first), i);
+    }
+    for (size_t i = 0; i < dup_chunks.size(); ++i) {
+      if (!dup_known[i]) {
+        order.emplace_back(rendezvous(dup_chunks[i].first),
+                           fresh.size() + i);
+      }
+    }
+    std::sort(order.begin(), order.end());
     ckptstore::StoreRequest lk;
     lk.op = ckptstore::StoreOp::kLookup;
     lk.tenant = tenant;
     lk.from = node;
-    lk.keys.reserve(dup_chunks.size() + to_store.size());
-    for (size_t i = 0; i < dup_chunks.size(); ++i) {
-      if (!dup_known[i]) lk.keys.push_back(dup_chunks[i].first);
+    lk.keys.reserve(order.size());
+    probes.reserve(order.size());
+    for (const auto& [score, p] : order) {
+      probes.push_back(p);
+      lk.keys.push_back(chunk(p).first);
     }
-    for (const auto& [key, bytes] : to_store) lk.keys.push_back(key);
+    if (claims) {
+      lk.verdict = [self](size_t i, bool store) {
+        if (store) self->take(self->probes[i]);
+      };
+    }
     lk.done = [self] { self->stores(); };
     svc->submit(std::move(lk));
   }
 
-  /// Hand each new chunk to `encoded` once its encode share has run on the
-  /// writer's core pool — at once when it has none (codec none without
-  /// erasure, or an encode already charged): no zero-length jobs.
-  void encode_each(const std::function<void(size_t)>& encoded) {
-    std::shared_ptr<sim::CpuPool> pool;
-    CkptRound* r = nullptr;
-    for (size_t i = 0; i < fresh; ++i) {
-      const double secs = i < encode.size() ? encode[i] : 0.0;
-      if (secs <= 0) {
-        encoded(i);
-        continue;
-      }
-      if (!pool) {
-        pool = std::make_shared<sim::CpuPool>(
-            k->loop(), k->node(node).cpu(), node, "ckpt.encode", "ckpt");
-        r = &shared->stats.rounds[static_cast<size_t>(round)];
-      }
-      r->encode_cpu_seconds += secs;
-      r->encode_jobs++;
-      pool->submit(secs, [encoded, i] { encoded(i); });
-    }
-    // Every job is queued at once, so the pool has reached its peak here.
-    if (pool) r->peak_encode_jobs = std::max(r->peak_encode_jobs, pool->peak());
+  u64 rendezvous(const ckptstore::ChunkKey& key) const {
+    return mix64(key.hi ^ mix64(key.lo ^ mix64(0x7A4Eu + static_cast<u64>(
+                                                             node))));
+  }
+  const std::pair<ckptstore::ChunkKey, u64>& chunk(size_t p) const {
+    return p < fresh.size() ? fresh[p] : dup_chunks[p - fresh.size()];
   }
 
+  /// Take on the Store of the chunk probe `p` names (once, however many
+  /// references name it) and start its encode. A chunk this writer's scan
+  /// found resident is priced as its first scanner paid: from the
+  /// repository chunk's length and kind.
+  void take(size_t p) {
+    const auto& [key, bytes] = chunk(p);
+    if (!taken.insert(key).second) return;
+    double secs = p < encode.size() ? encode[p] : 0.0;
+    if (p >= fresh.size()) {
+      shared->stats.claimed_resident++;
+      const ckptstore::Chunk* c = shared->repo_for(node).find(key);
+      secs = stripe_seconds(svc, bytes) +
+             (c == nullptr ? 0.0
+                           : mtcp::encode_cpu_seconds(c->len, c->kind,
+                                                      shared->opts.codec));
+    }
+    writes.push_back({key, bytes, p});
+    encode_then(secs, [self = shared_from_this(), w = writes.size() - 1] {
+      self->writes[w].encoded = true;
+      if (self->verdicts_in) self->store(w);
+    });
+  }
+
+  /// Run `then` once `secs` of encode has run on the writer's core pool —
+  /// at once when there is none (codec none without erasure, or an encode
+  /// already charged): no zero-length jobs.
+  void encode_then(double secs, std::function<void()> then) {
+    if (secs <= 0) {
+      then();
+      return;
+    }
+    std::shared_ptr<sim::CpuPool> jobs = pool.lock();
+    if (!jobs) {
+      jobs = std::make_shared<sim::CpuPool>(
+          k->loop(), k->node(node).cpu(), node, "ckpt.encode", "ckpt");
+      pool = jobs;
+    }
+    CkptRound& r = shared->stats.rounds[static_cast<size_t>(round)];
+    r.encode_cpu_seconds += secs;
+    r.encode_jobs++;
+    jobs->submit(secs, std::move(then));
+    r.peak_encode_jobs = std::max(r.peak_encode_jobs, jobs->peak());
+  }
+
+  /// The last verdict is in: Stores leave from here on, each as soon as
+  /// its encode has run, so none queues between this writer's probes.
   void stores() {
+    // Without claims the writer stores exactly what its scan found new.
+    if (!claims) {
+      for (size_t i = 0; i < fresh.size(); ++i) take(i);
+    }
     // Dedup hits normally cost nothing — but a hit on a chunk whose every
     // replica died with its node would pin permanently unrestorable data
     // into this generation's manifest, so those are re-stored over the
@@ -134,33 +224,48 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
     // is merely unrecorded. dup_chunks holds one entry per *reference*,
     // known or not, so each lost key heals once.
     if (svc->placement().any_dead()) {
-      std::set<ckptstore::ChunkKey> healed;
-      for (const auto& [key, bytes] : dup_chunks) {
-        if (svc->placement().lost(key) && healed.insert(key).second) {
-          to_store.emplace_back(key, bytes);
+      for (size_t i = 0; i < dup_chunks.size(); ++i) {
+        const auto& [key, bytes] = dup_chunks[i];
+        if (svc->placement().lost(key) && taken.insert(key).second) {
+          writes.push_back({key, bytes, fresh.size() + i, /*heal=*/true,
+                            /*encoded=*/true});
         }
       }
     }
-    if (to_store.empty()) {
+    verdicts_in = true;
+    if (writes.empty()) {
       charges();
       return;
     }
-    pending = static_cast<int>(to_store.size());
-    encode_each([self = shared_from_this()](size_t i) { self->store(i); });
-    for (size_t i = fresh; i < to_store.size(); ++i) store(i);
+    pending = static_cast<int>(writes.size());
+    // The encoded ones leave now, in scan order; the rest as each encode
+    // ends.
+    std::vector<size_t> ready;
+    for (size_t w = 0; w < writes.size(); ++w) {
+      if (writes[w].encoded) ready.push_back(w);
+    }
+    std::sort(ready.begin(), ready.end(), [this](size_t a, size_t b) {
+      return writes[a].p < writes[b].p;
+    });
+    for (const size_t w : ready) store(w);
   }
 
   /// One Store (or heal re-store) through the service queue: it lands on
   /// the key's placement homes, whose device writes follow in charges().
-  void store(size_t i) {
-    const auto& [key, bytes] = to_store[i];
+  void store(size_t w) {
+    const Write& wr = writes[w];
+    if (!wr.heal) {
+      shared->stats.rounds[static_cast<size_t>(round)]
+          .stored_keys[node]
+          .push_back(wr.key);
+    }
     ckptstore::StoreRequest st;
-    st.op = i < fresh ? ckptstore::StoreOp::kStore
-                      : ckptstore::StoreOp::kRestore;
+    st.op = wr.heal ? ckptstore::StoreOp::kRestore
+                    : ckptstore::StoreOp::kStore;
     st.tenant = tenant;
     st.from = node;
-    st.keys = {key};
-    st.bytes = bytes;
+    st.keys = {wr.key};
+    st.bytes = wr.bytes;
     st.done = [self = shared_from_this()] {
       if (--self->pending == 0) self->charges();
     };
@@ -797,14 +902,6 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     inode->charged_size = delta.submitted_bytes;
 
     ckptstore::ChunkStoreService* svc = shared_->store_service.get();
-    // Striping new chunk containers into k+m fragments is checkpoint-path
-    // CPU like compression, priced by the parity rows at kErasureBw (none
-    // under replication, whose fragments are copies).
-    const auto stripe_seconds = [svc](u64 bytes) {
-      return svc == nullptr ? 0.0
-                            : ckptstore::erasure::encode_seconds(
-                                  bytes, svc->erasure().k, svc->erasure().m);
-    };
     auto drain = std::make_shared<StoreDrain>();
     drain->k = &k;
     drain->shared = shared_.get();
@@ -813,8 +910,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     drain->node = p_.node();
     drain->round = round;
     drain->path = path;
-    drain->fresh = delta.stored_chunks.size();
-    drain->to_store = std::move(delta.stored_chunks);
+    drain->fresh = std::move(delta.stored_chunks);
     drain->dup_chunks = std::move(delta.dup_chunks);
     drain->dup_known = std::move(delta.dup_known);
     drain->manifest_size = delta.manifest_bytes.size();
@@ -838,7 +934,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       }
       // The background drain stripes compressed chunks on the way out, so
       // the erasure encode rides the pipeline's compress stage.
-      compress_seconds += stripe_seconds(delta.new_chunk_bytes);
+      compress_seconds += stripe_seconds(svc, delta.new_chunk_bytes);
       ckptasync::JobSpec spec;
       spec.key = upid_.str();
       spec.node = p_.node();
@@ -859,9 +955,10 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       pipe->start(std::move(spec));
     } else {
       drain->encode = std::move(delta.encode_seconds);
-      for (size_t i = 0; i < drain->fresh; ++i) {
-        drain->encode[i] += stripe_seconds(drain->to_store[i].second);
+      for (size_t i = 0; i < drain->fresh.size(); ++i) {
+        drain->encode[i] += stripe_seconds(svc, drain->fresh[i].second);
       }
+      drain->claims = true;
       drain->flush = shared_->opts.sync == SyncMode::kSyncAfter;
       auto drained = std::make_shared<sim::CountLatch>(1);
       drain->done = [drained] { drained->done_one(); };

@@ -285,6 +285,7 @@ obs::MetricsRegistry collect_metrics(const DmtcpShared& shared) {
     reg.counter("store.rebuilt_fragments", ss.rebuilt_fragments);
     reg.counter("store.demoted_chunks", ss.demoted_chunks);
     reg.counter("store.demoted_bytes", ss.demoted_bytes);
+    reg.counter("ckpt.claimed_resident", shared.stats.claimed_resident);
     reg.histogram("store.lookup_wait", ss.lookup_wait);
     reg.histogram("store.admission_wait", ss.admission_wait);
     // Health levels (gauges survive delta_since as current values): the

@@ -80,6 +80,10 @@ struct CkptRound {
   double encode_cpu_seconds = 0;
   u64 encode_jobs = 0;
   int peak_encode_jobs = 0;
+  /// Per writer node, the keys its Stores carried for this round (its own
+  /// new chunks and the ones it claimed; heals excluded), in the order
+  /// they left. An async drain's land here after the round has closed.
+  std::map<NodeId, std::vector<ckptstore::ChunkKey>> stored_keys;
 
   // Async COW pipeline (--ckpt-async): processes backpressure=skip left
   // out of this round. The pipeline's totals are the delta's async.*.
@@ -158,6 +162,11 @@ struct RestartRun {
 struct DmtcpStats {
   std::vector<CkptRound> rounds;
   std::vector<RestartRun> restarts;
+  /// Stores a synchronous writer took on for chunks its own scan found
+  /// resident, because the key's shard served its Lookup first: the
+  /// cluster-shared chunks moved off the writer that scanned them first.
+  /// Cumulative; collect_metrics names it ckpt.claimed_resident.
+  u64 claimed_resident = 0;
   const CkptRound& last_round() const { return rounds.back(); }
   const RestartRun& last_restart() const { return restarts.back(); }
 };

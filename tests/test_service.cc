@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "ckptasync/pipeline.h"
 #include "ckptstore/cdc.h"
 #include "ckptstore/manifest.h"
 #include "ckptstore/placement.h"
@@ -19,6 +22,7 @@
 #include "sim/model_params.h"
 #include "tests/testprogs.h"
 #include "tests/testutil.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace dsim::test {
@@ -1076,6 +1080,302 @@ TEST(ServiceE2E, ReplicaOneNodeLossForcesRestore) {
   EXPECT_GT(rr.lost_chunks, 0u);
   EXPECT_EQ(rr.procs, 0);
   EXPECT_TRUE(read_result(w.k(), "a").empty());
+}
+
+// --- claims: who stores a chunk several writers present -------------------
+
+constexpr int kClaimWriters = 4;
+
+/// Gzip-encoded writes into a 2-shard store on two store-only nodes, so
+/// each writer's encodes and Stores contend the way the cluster's do. The
+/// coordinator runs on the second store node: every writer hears the
+/// write barrier's release over the network, so all start their Lookups
+/// together.
+DmtcpOptions claim_opts() {
+  DmtcpOptions o = service_opts(/*replicas=*/1);
+  o.codec = compress::CodecKind::kGzipish;
+  o.store_node = kClaimWriters;
+  o.store_shards = 2;
+  o.coord_node = kClaimWriters + 1;
+  return o;
+}
+
+std::string claim_tag(int n) { return "w" + std::to_string(n); }
+
+/// One compute rank per node, each mapping the same shared library
+/// segment (identical chunks everywhere) beside a private ballast.
+void launch_shared_library(World& w) {
+  std::vector<Pid> pids;
+  for (int n = 0; n < kClaimWriters; ++n) {
+    pids.push_back(
+        w.ctl.launch(n, kComputeLoop, {"1000000", "200", claim_tag(n)}));
+  }
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  for (int n = 0; n < kClaimWriters; ++n) {
+    sim::Process* p = w.k().find_process(pids[static_cast<size_t>(n)]);
+    auto& lib = p->mem().add("libshared", sim::MemKind::kLib, 1024 * 1024);
+    lib.data.fill(0, lib.data.size(), ExtentKind::kRand, 0x11B);
+    auto& priv = p->mem().add("private", sim::MemKind::kHeap, 256 * 1024);
+    priv.data.fill(0, priv.data.size(), ExtentKind::kRand,
+                   0xB0 + static_cast<u64>(n));
+  }
+}
+
+/// content_crc() of each rank's libshared and private segment, by rank.
+std::vector<u32> shared_library_crcs(World& w) {
+  std::vector<u32> out(2 * kClaimWriters, 0);
+  for (const Pid pid : w.k().live_pids()) {
+    sim::Process* p = w.k().find_process(pid);
+    if (p == nullptr || p->prog_name() != kComputeLoop) continue;
+    for (int n = 0; n < kClaimWriters; ++n) {
+      if (p->argv().back() != claim_tag(n)) continue;
+      out[2 * n] = p->mem().find("libshared")->data.content_crc();
+      out[2 * n + 1] = p->mem().find("private")->data.content_crc();
+    }
+  }
+  return out;
+}
+
+/// The distinct chunk keys the current plan's manifests name for segment
+/// `name`.
+std::set<ChunkKey> segment_keys(World& w, const std::string& name) {
+  std::set<ChunkKey> out;
+  for (const auto& bytes : plan_manifests(w.k(), w.ctl)) {
+    for (const auto& sm : ckptstore::Manifest::decode(bytes).segments) {
+      if (sm.name != name) continue;
+      for (const auto& ref : sm.chunks) out.insert(ref.key);
+    }
+  }
+  return out;
+}
+
+/// Each key's Store count over the round's writers; every key must carry
+/// exactly one.
+std::map<ChunkKey, int> store_counts(const core::CkptRound& r) {
+  std::map<ChunkKey, int> out;
+  for (const auto& [node, keys] : r.stored_keys) {
+    for (const ChunkKey& key : keys) out[key]++;
+  }
+  return out;
+}
+
+/// The shared library chunks each writer node stored.
+std::map<NodeId, size_t> library_stores(const core::CkptRound& r,
+                                        const std::set<ChunkKey>& lib) {
+  std::map<NodeId, size_t> out;
+  for (const auto& [node, keys] : r.stored_keys) {
+    out[node] = static_cast<size_t>(std::count_if(
+        keys.begin(), keys.end(),
+        [&lib](const ChunkKey& key) { return lib.count(key) != 0; }));
+  }
+  return out;
+}
+
+// The writer whose scan runs first finds every shared library chunk new;
+// the key's shard, not that scan order, decides who stores each one, so
+// the shared chunks spread over the writers and each is stored once. What
+// is stored does not change: the manifests are the scan's, byte for byte,
+// and a restart restores every segment.
+TEST(Claims, SharedLibraryChunksAreStoredOnceAndNotAllByOneWriter) {
+  World w(kClaimWriters + 2, claim_opts());
+  launch_shared_library(w);
+  const core::CkptRound r = w.ctl.checkpoint_now();
+
+  const std::map<ChunkKey, int> counts = store_counts(r);
+  EXPECT_EQ(counts.size(), r.new_chunks);
+  EXPECT_EQ(r.delta.counter("store.store_requests"), r.new_chunks);
+  for (const auto& [key, n] : counts) EXPECT_EQ(n, 1);
+
+  const std::set<ChunkKey> lib = segment_keys(w, "libshared");
+  ASSERT_GT(lib.size(), 16u);
+  size_t lib_writers = 0;
+  for (const auto& [node, n] : library_stores(r, lib)) {
+    EXPECT_LT(n, lib.size()) << "node " << node << " stored every chunk";
+    lib_writers += n > 0;
+  }
+  EXPECT_GE(lib_writers, 2u);
+  EXPECT_GT(r.delta.counter("ckpt.claimed_resident"), 0u);
+  EXPECT_TRUE(w.ctl.shared().store_service->claims().empty());
+
+  // The manifests are the ones the scan-order writer stored before
+  // claims existed (their CRC-32 there).
+  u32 crc = 0;
+  for (const auto& bytes : plan_manifests(w.k(), w.ctl)) {
+    crc = crc32_update(crc, bytes);
+  }
+  EXPECT_EQ(crc, 0xB98305F4u);
+
+  const std::vector<u32> crcs = shared_library_crcs(w);
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  ASSERT_FALSE(rr.needs_restore);
+  EXPECT_EQ(rr.procs, kClaimWriters);
+  EXPECT_EQ(shared_library_crcs(w), crcs);
+}
+
+// The async drain stores exactly what its pipeline compressed: no claims,
+// so the first writer scanned stores every shared chunk, still once.
+TEST(Claims, AsyncDrainStoresExactlyItsOwnNewChunks) {
+  DmtcpOptions o = claim_opts();
+  o.ckpt_async = true;
+  World w(kClaimWriters + 2, o);
+  launch_shared_library(w);
+  w.ctl.checkpoint_now();
+  ASSERT_TRUE(w.ctl.run_until(
+      [&] { return w.ctl.shared().async_pipeline->idle(); },
+      w.k().loop().now() + 10 * timeconst::kSecond));
+  const core::CkptRound& r = w.ctl.stats().rounds.front();
+
+  const std::map<ChunkKey, int> counts = store_counts(r);
+  EXPECT_EQ(counts.size(), r.new_chunks);
+  for (const auto& [key, n] : counts) EXPECT_EQ(n, 1);
+  EXPECT_EQ(w.ctl.shared().stats.claimed_resident, 0u);
+  const std::set<ChunkKey> lib = segment_keys(w, "libshared");
+  size_t lib_writers = 0;
+  for (const auto& [node, n] : library_stores(r, lib)) {
+    if (n == 0) continue;
+    EXPECT_EQ(n, lib.size()) << "node " << node;
+    ++lib_writers;
+  }
+  EXPECT_EQ(lib_writers, 1u);
+}
+
+/// A claiming Lookup of `keys` from `from`: each key the shard tells it to
+/// store is passed to `take`.
+void claim_lookups(ChunkStoreService& svc, NodeId from,
+                   const std::vector<ChunkKey>& keys,
+                   std::function<void(const ChunkKey&)> take,
+                   std::function<void()> done = [] {}) {
+  ckptstore::StoreRequest req;
+  req.op = ckptstore::StoreOp::kLookup;
+  req.from = from;
+  req.keys = keys;
+  req.verdict = [keys, take = std::move(take)](size_t i, bool store) {
+    if (store) take(keys[i]);
+  };
+  req.done = std::move(done);
+  svc.submit(std::move(req));
+}
+
+/// No key is both claimed and placed.
+void expect_claims_unplaced(const ChunkStoreService& svc) {
+  for (const auto& [key, claim] : svc.claims()) {
+    EXPECT_FALSE(svc.placement().recorded(key)) << "writer " << claim.writer;
+  }
+}
+
+// Four writers present the same keys, each in its own order: every key is
+// given to exactly one writer, a claim never outlives its Store, and once
+// stored every key is a hit for everyone.
+TEST(Claims, EachKeyGoesToOneWriterAndIsNeverClaimedOncePlaced) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 6);
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2);
+  svc.set_endpoints({4, 5});
+  const std::vector<ChunkKey> keys = keys_range(0, 64);
+  std::map<ChunkKey, int> given;
+  std::vector<int> per_writer(4, 0);
+  for (NodeId n = 0; n < 4; ++n) {
+    std::vector<ChunkKey> order = keys;
+    std::rotate(order.begin(), order.begin() + 16 * n, order.end());
+    auto mine = std::make_shared<std::vector<ChunkKey>>();
+    claim_lookups(
+        svc, n, order,
+        [&, mine](const ChunkKey& key) {
+          expect_claims_unplaced(svc);
+          given[key]++;
+          mine->push_back(key);
+        },
+        [&, n, mine] {
+          per_writer[static_cast<size_t>(n)] = static_cast<int>(mine->size());
+          for (const ChunkKey& key : *mine) {
+            submit_store(svc, n, key, 4096, [&] { expect_claims_unplaced(svc); });
+            expect_claims_unplaced(svc);
+          }
+        });
+  }
+  loop.run();
+  EXPECT_EQ(given.size(), keys.size());
+  for (const auto& [key, n] : given) EXPECT_EQ(n, 1);
+  EXPECT_EQ(std::count(per_writer.begin(), per_writer.end(), 0), 0);
+  EXPECT_TRUE(svc.claims().empty());
+  EXPECT_EQ(svc.placement().placed_chunks(), keys.size());
+
+  int late = 0;
+  claim_lookups(svc, 0, keys, [&](const ChunkKey&) { ++late; });
+  loop.run();
+  EXPECT_EQ(late, 0);
+}
+
+// Retention drops a generation's chunks; when a later generation writes
+// the same bytes again, its keys are new again and must be stored again —
+// a claim taken at the first store must not answer for them.
+TEST(Claims, KeyDroppedByRetentionIsStoredAgain) {
+  DmtcpOptions o = service_opts(/*replicas=*/1);
+  o.keep_generations = 1;
+  World w(3, o);
+  const Pid pid = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  auto& seg = w.k().find_process(pid)->mem().add("ballast",
+                                                 sim::MemKind::kHeap, 1 << 20);
+  auto& svc = *w.ctl.shared().store_service;
+  seg.data.fill(0, seg.data.size(), ExtentKind::kRand, 0xA);
+  w.ctl.checkpoint_now();
+  const std::set<ChunkKey> first = segment_keys(w, "ballast");
+  seg.data.fill(0, seg.data.size(), ExtentKind::kRand, 0xB);
+  w.ctl.checkpoint_now();
+  for (const ChunkKey& key : first) {
+    ASSERT_FALSE(svc.placement().recorded(key)) << "retention kept a chunk";
+  }
+
+  seg.data.fill(0, seg.data.size(), ExtentKind::kRand, 0xA);
+  const core::CkptRound again = w.ctl.checkpoint_now();
+  EXPECT_EQ(segment_keys(w, "ballast"), first);
+  EXPECT_GE(store_counts(again).size(), first.size());
+  for (const ChunkKey& key : first) {
+    EXPECT_TRUE(svc.placement().available(key));
+  }
+  const u32 crc = seg.data.content_crc();
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart();
+  ASSERT_FALSE(rr.needs_restore);
+  ASSERT_EQ(rr.procs, 1);
+  for (const Pid p : w.k().live_pids()) {
+    sim::Process* proc = w.k().find_process(p);
+    if (proc != nullptr && proc->prog_name() == kComputeLoop) {
+      EXPECT_EQ(proc->mem().find("ballast")->data.content_crc(), crc);
+    }
+  }
+}
+
+// A writer whose node is declared dead can no longer store what it
+// claimed: its claims go with it, so the next round's probes claim those
+// keys again instead of finding them taken forever.
+TEST(Claims, DeadWritersClaimsDoNotBlockTheNextRound) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 4);
+  ChunkStoreService svc(loop, net, replicated(1));
+  svc.set_endpoints({3});
+  const std::vector<ChunkKey> keys = keys_range(0, 8);
+  std::vector<ChunkKey> dead, next;
+  claim_lookups(svc, 0, keys, [&](const ChunkKey& k) { dead.push_back(k); });
+  loop.run();
+  ASSERT_EQ(dead.size(), keys.size());
+  claim_lookups(svc, 1, keys, [&](const ChunkKey& k) { next.push_back(k); });
+  loop.run();
+  EXPECT_TRUE(next.empty());  // all of them node 0's to store
+
+  svc.fail_node(0);  // before its Stores leave
+  EXPECT_TRUE(svc.claims().empty());
+  claim_lookups(svc, 1, keys, [&](const ChunkKey& k) { next.push_back(k); });
+  loop.run();
+  ASSERT_EQ(next.size(), keys.size());
+  for (const ChunkKey& key : next) submit_store(svc, 1, key, 4096, [] {});
+  loop.run();
+  for (const ChunkKey& key : keys) {
+    EXPECT_TRUE(svc.placement().recorded(key));
+  }
+  EXPECT_TRUE(svc.claims().empty());
 }
 
 }  // namespace

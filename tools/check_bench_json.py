@@ -10,7 +10,8 @@ assert the emitted files are well-formed and the headline numbers are in
 the physically sensible range (dedup actually happened, CDC actually
 resynchronized, the cluster store actually stored shared chunks once,
 the chunk-store service actually queued lookups, survived a replica
-failover and looked up only the chunks a process wrote, the mid-round
+failover, looked up only the chunks a process wrote and stored each
+shared library chunk once without one rank storing them all, the mid-round
 endpoint kill re-homed and replayed with zero lost chunks, the shard
 rebalance moved ~1/new_shards of the bytes, the async pipeline took the
 pause off the critical path, (k,m) erasure striping beat 2x replication
@@ -156,6 +157,11 @@ def check_service(path, data):
         "rewrite.ckpt_seconds",
         "rewrite.control_ckpt_seconds",
         "rewrite.manifests_identical",
+        "shared.ranks",
+        "shared.lib_keys",
+        "shared.lib_stores",
+        "shared.stores_per_writer",
+        "shared.max_writer_stores",
     ):
         try:
             require(data, path, key)
@@ -253,6 +259,24 @@ def check_service(path, data):
         rc |= fail(path, f"rewrite ckpt_seconds={rw['ckpt_seconds']} is not "
                          "below the control's "
                          f"{rw['control_ckpt_seconds']}")
+    # The headline point's shared library: whichever rank's Lookup the
+    # key's shard serves first stores a chunk, so each is stored exactly
+    # once and the rank scanned first does not store them all.
+    sh = data["shared"]
+    per_writer = sh["stores_per_writer"]
+    if sh["lib_keys"] <= 0 or len(per_writer) != sh["ranks"]:
+        rc |= fail(path, f"shared: {sh['lib_keys']} library chunks over "
+                         f"{len(per_writer)} of {sh['ranks']} ranks")
+    elif sum(per_writer) != sh["lib_stores"] or \
+            sh["lib_stores"] != sh["lib_keys"]:
+        rc |= fail(path, f"shared: {sh['lib_stores']} stores of "
+                         f"{sh['lib_keys']} shared library chunks: each "
+                         "must be stored exactly once")
+    elif max(per_writer) != sh["max_writer_stores"] or \
+            sh["max_writer_stores"] >= sh["lib_keys"]:
+        rc |= fail(path, f"shared: one rank stored {max(per_writer)} of the "
+                         f"{sh['lib_keys']} shared library chunks: the scan "
+                         "order, not the shards, decided who stores them")
     return rc
 
 
