@@ -131,13 +131,8 @@ struct SweepPoint {
 /// of them each rank's Stores carried in `round`.
 void library_stores(World& w, const core::CkptRound& round, int ranks,
                     SweepPoint& pt) {
-  std::set<ckptstore::ChunkKey> lib;
-  for (const auto& bytes : test::plan_manifests(w.k(), *w.ctl)) {
-    for (const auto& sm : ckptstore::Manifest::decode(bytes).segments) {
-      if (sm.name != "libshared") continue;
-      for (const auto& ref : sm.chunks) lib.insert(ref.key);
-    }
-  }
+  const std::set<ckptstore::ChunkKey> lib =
+      test::segment_keys(w.k(), *w.ctl, "libshared");
   pt.lib_keys = lib.size();
   pt.lib_stores.assign(static_cast<size_t>(ranks), 0);
   for (const auto& [node, keys] : round.stored_keys) {

@@ -176,10 +176,11 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
     if (p >= fresh.size()) {
       shared->stats.claimed_resident++;
       const ckptstore::Chunk* c = shared->repo_for(node).find(key);
-      secs = stripe_seconds(svc, bytes) +
-             (c == nullptr ? 0.0
-                           : mtcp::encode_cpu_seconds(c->len, c->kind,
-                                                      shared->opts.codec));
+      DSIM_CHECK_MSG(c != nullptr,
+                     "a claimed chunk left the repository while this "
+                     "writer's generation references it");
+      secs = mtcp::encode_cpu_seconds(c->len, c->kind, shared->opts.codec) +
+             stripe_seconds(svc, bytes);
     }
     writes.push_back({key, bytes, p});
     encode_then(secs, [self = shared_from_this(), w = writes.size() - 1] {

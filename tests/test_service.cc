@@ -1136,19 +1136,6 @@ std::vector<u32> shared_library_crcs(World& w) {
   return out;
 }
 
-/// The distinct chunk keys the current plan's manifests name for segment
-/// `name`.
-std::set<ChunkKey> segment_keys(World& w, const std::string& name) {
-  std::set<ChunkKey> out;
-  for (const auto& bytes : plan_manifests(w.k(), w.ctl)) {
-    for (const auto& sm : ckptstore::Manifest::decode(bytes).segments) {
-      if (sm.name != name) continue;
-      for (const auto& ref : sm.chunks) out.insert(ref.key);
-    }
-  }
-  return out;
-}
-
 /// Each key's Store count over the round's writers; every key must carry
 /// exactly one.
 std::map<ChunkKey, int> store_counts(const core::CkptRound& r) {
@@ -1186,7 +1173,7 @@ TEST(Claims, SharedLibraryChunksAreStoredOnceAndNotAllByOneWriter) {
   EXPECT_EQ(r.delta.counter("store.store_requests"), r.new_chunks);
   for (const auto& [key, n] : counts) EXPECT_EQ(n, 1);
 
-  const std::set<ChunkKey> lib = segment_keys(w, "libshared");
+  const std::set<ChunkKey> lib = segment_keys(w.k(), w.ctl, "libshared");
   ASSERT_GT(lib.size(), 16u);
   size_t lib_writers = 0;
   for (const auto& [node, n] : library_stores(r, lib)) {
@@ -1230,7 +1217,7 @@ TEST(Claims, AsyncDrainStoresExactlyItsOwnNewChunks) {
   EXPECT_EQ(counts.size(), r.new_chunks);
   for (const auto& [key, n] : counts) EXPECT_EQ(n, 1);
   EXPECT_EQ(w.ctl.shared().stats.claimed_resident, 0u);
-  const std::set<ChunkKey> lib = segment_keys(w, "libshared");
+  const std::set<ChunkKey> lib = segment_keys(w.k(), w.ctl, "libshared");
   size_t lib_writers = 0;
   for (const auto& [node, n] : library_stores(r, lib)) {
     if (n == 0) continue;
@@ -1321,7 +1308,7 @@ TEST(Claims, KeyDroppedByRetentionIsStoredAgain) {
   auto& svc = *w.ctl.shared().store_service;
   seg.data.fill(0, seg.data.size(), ExtentKind::kRand, 0xA);
   w.ctl.checkpoint_now();
-  const std::set<ChunkKey> first = segment_keys(w, "ballast");
+  const std::set<ChunkKey> first = segment_keys(w.k(), w.ctl, "ballast");
   seg.data.fill(0, seg.data.size(), ExtentKind::kRand, 0xB);
   w.ctl.checkpoint_now();
   for (const ChunkKey& key : first) {
@@ -1330,7 +1317,7 @@ TEST(Claims, KeyDroppedByRetentionIsStoredAgain) {
 
   seg.data.fill(0, seg.data.size(), ExtentKind::kRand, 0xA);
   const core::CkptRound again = w.ctl.checkpoint_now();
-  EXPECT_EQ(segment_keys(w, "ballast"), first);
+  EXPECT_EQ(segment_keys(w.k(), w.ctl, "ballast"), first);
   EXPECT_GE(store_counts(again).size(), first.size());
   for (const ChunkKey& key : first) {
     EXPECT_TRUE(svc.placement().available(key));

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,6 +70,20 @@ inline std::vector<std::vector<std::byte>> plan_manifests(
       auto inode = k.fs_for(host.host, img).lookup(img);
       DSIM_CHECK_MSG(inode != nullptr, "restart plan names a missing image");
       out.push_back(inode->data.materialize(0, inode->data.size()));
+    }
+  }
+  return out;
+}
+
+/// The distinct chunk keys the current restart plan's manifests name for
+/// segment `name` (a library every rank maps, say).
+inline std::set<ckptstore::ChunkKey> segment_keys(
+    sim::Kernel& k, const core::DmtcpControl& ctl, const std::string& name) {
+  std::set<ckptstore::ChunkKey> out;
+  for (const auto& bytes : plan_manifests(k, ctl)) {
+    for (const auto& sm : ckptstore::Manifest::decode(bytes).segments) {
+      if (sm.name != name) continue;
+      for (const auto& ref : sm.chunks) out.insert(ref.key);
     }
   }
   return out;
