@@ -1129,8 +1129,9 @@ std::vector<u32> shared_library_crcs(World& w) {
     if (p == nullptr || p->prog_name() != kComputeLoop) continue;
     for (int n = 0; n < kClaimWriters; ++n) {
       if (p->argv().back() != claim_tag(n)) continue;
-      out[2 * n] = p->mem().find("libshared")->data.content_crc();
-      out[2 * n + 1] = p->mem().find("private")->data.content_crc();
+      const size_t at = 2 * static_cast<size_t>(n);
+      out[at] = p->mem().find("libshared")->data.content_crc();
+      out[at + 1] = p->mem().find("private")->data.content_crc();
     }
   }
   return out;
@@ -1184,8 +1185,8 @@ TEST(Claims, SharedLibraryChunksAreStoredOnceAndNotAllByOneWriter) {
   EXPECT_GT(r.delta.counter("ckpt.claimed_resident"), 0u);
   EXPECT_TRUE(w.ctl.shared().store_service->claims().empty());
 
-  // The manifests are the ones the scan-order writer stored before
-  // claims existed (their CRC-32 there).
+  // Who stores a chunk does not change what the manifests say: their
+  // CRC-32 is the one this scenario had when scan order decided.
   u32 crc = 0;
   for (const auto& bytes : plan_manifests(w.k(), w.ctl)) {
     crc = crc32_update(crc, bytes);
