@@ -284,73 +284,89 @@ void ChunkStoreService::do_lookups(StoreRequest req) {
   // into batches of at most lookup_batch_ keys — one RPC per batch, one
   // queue probe's occupancy per key. A rank's batches interleave with every
   // other rank's at the shard scheduler, and each batch records the full
-  // submit -> response wait for each of its keys.
+  // send -> response wait for each of its keys.
   std::vector<std::vector<size_t>> routed(shards_.size());
   for (size_t i = 0; i < req.keys.size(); ++i) {
     routed[static_cast<size_t>(shard_of(req.keys[i]))].push_back(i);
   }
-  auto remaining = std::make_shared<u64>(req.keys.size());
-  auto all_done =
-      std::make_shared<std::function<void()>>(std::move(req.done));
-  // A claiming Lookup is one writer: all its batches, replays included,
-  // claim under one id, so a replayed probe finds its own claims.
-  const u64 writer = req.verdict ? ++last_writer_ : 0;
-  auto verdict = std::make_shared<std::function<void(size_t, bool)>>(
-      std::move(req.verdict));
-  auto keys = std::make_shared<const std::vector<ChunkKey>>(
-      std::move(req.keys));
-  const TenantId tenant = req.tenant;
-  const QosClass qos = req.qos;
-  const NodeId from = req.from;
+  auto run = std::make_shared<LookupRun>();
+  const auto k = static_cast<size_t>(lookup_batch_);
   for (int s = 0; s < num_shards(); ++s) {
-    const auto& run = routed[static_cast<size_t>(s)];
-    for (size_t at = 0; at < run.size(); at += static_cast<size_t>(
-                                             lookup_batch_)) {
-      const u64 n = std::min<u64>(static_cast<u64>(lookup_batch_),
-                                  run.size() - at);
-      stats_.lookup_batches++;
-      const SimTime submitted = loop_.now();
-      // One trace per batch, weighted by the batch's key count so stage
-      // stats stay per-key.
-      const obs::TraceContext tctx = open_root(req, "store.lookup", n);
-      // A claiming batch's key positions, and their verdicts once served.
-      struct Verdicts {
-        std::vector<size_t> at;
-        std::vector<bool> store;
-      };
-      std::shared_ptr<Verdicts> batch;
-      std::function<void()> served;
-      if (writer != 0) {
-        batch = std::make_shared<Verdicts>();
-        batch->at.assign(run.begin() + static_cast<std::ptrdiff_t>(at),
-                         run.begin() + static_cast<std::ptrdiff_t>(at + n));
-        served = [this, keys, batch, writer, from] {
-          batch->store.clear();
-          for (const size_t i : batch->at) {
-            batch->store.push_back(claim((*keys)[i], writer, from));
-          }
-        };
-      }
-      auto done = [this, submitted, n, tenant, root = tctx.parent_span,
-                   remaining, all_done, verdict, batch] {
-        const double wait = to_seconds(loop_.now() - submitted);
-        stats_.lookup_wait.record_n(wait, n);
-        tenants_.stats(tenant).wait.record_n(wait, n);
-        loop_.end_span(root);
-        for (size_t j = 0; batch && j < batch->store.size(); ++j) {
-          (*verdict)(batch->at[j], batch->store[j]);
-        }
-        if ((*remaining -= n) == 0 && *all_done) (*all_done)();
-      };
-      auto sreq = make_request(
-          from, params::kRpcHeaderBytes + n * params::kRpcLookupKeyBytes,
-          params::kRpcHeaderBytes + n * params::kRpcLookupVerdictBytes,
-          index_serve(s, /*is_read=*/true, tenant, qos, tctx, n,
-                      std::move(served)),
-          std::move(done), tctx);
-      shard_call(s, std::move(sreq));
+    const auto& keys = routed[static_cast<size_t>(s)];
+    for (size_t at = 0; at < keys.size(); at += k) {
+      LookupBatch batch;
+      batch.shard = s;
+      batch.at.assign(keys.begin() + static_cast<std::ptrdiff_t>(at),
+                      keys.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(at + k, keys.size())));
+      run->batches.push_back(std::move(batch));
     }
   }
+  run->remaining = req.keys.size();
+  // A claiming Lookup is one writer: all its batches, replays included,
+  // claim under one id, so a replayed probe finds its own claims.
+  run->writer = req.verdict ? ++last_writer_ : 0;
+  run->req = std::move(req);
+  // A plain Lookup sends every batch at once. A claiming one sends its
+  // batches in its keys' order, at most kClaimWindow in flight, the next
+  // as one returns. Sent all at once, a writer's probes pass every FIFO on
+  // the way to the shard (endpoint dispatch, shard queue) as one block, and
+  // the writer that heard the write barrier first claims every key it
+  // shares. Windowed, it is at most a window ahead of the others, so a
+  // shared key mostly goes to the writer whose order reaches it first.
+  size_t now = run->batches.size();
+  if (run->writer != 0) {
+    std::stable_sort(run->batches.begin(), run->batches.end(),
+                     [](const LookupBatch& a, const LookupBatch& b) {
+                       return a.at.front() < b.at.front();
+                     });
+    now = std::min(now, kClaimWindow);
+  }
+  for (size_t b = 0; b < now; ++b) send_lookup_batch(run);
+}
+
+void ChunkStoreService::send_lookup_batch(
+    const std::shared_ptr<LookupRun>& run) {
+  const size_t b = run->next++;
+  const int s = run->batches[b].shard;
+  const u64 n = run->batches[b].at.size();
+  stats_.lookup_batches++;
+  const SimTime submitted = loop_.now();
+  // One trace per batch, weighted by the batch's key count so stage stats
+  // stay per-key.
+  const obs::TraceContext tctx = open_root(run->req, "store.lookup", n);
+  std::function<void()> served;
+  if (run->writer != 0) {
+    served = [this, run, b] {
+      LookupBatch& batch = run->batches[b];
+      batch.store.clear();
+      for (const size_t i : batch.at) {
+        batch.store.push_back(
+            claim(run->req.keys[i], run->writer, run->req.from));
+      }
+    };
+  }
+  auto done = [this, run, b, submitted, n, root = tctx.parent_span] {
+    const double wait = to_seconds(loop_.now() - submitted);
+    stats_.lookup_wait.record_n(wait, n);
+    tenants_.stats(run->req.tenant).wait.record_n(wait, n);
+    loop_.end_span(root);
+    if (run->writer != 0) {
+      const LookupBatch& batch = run->batches[b];
+      for (size_t j = 0; j < batch.store.size(); ++j) {
+        run->req.verdict(batch.at[j], batch.store[j]);
+      }
+      if (run->next < run->batches.size()) send_lookup_batch(run);
+    }
+    if ((run->remaining -= n) == 0 && run->req.done) run->req.done();
+  };
+  auto sreq = make_request(
+      run->req.from, params::kRpcHeaderBytes + n * params::kRpcLookupKeyBytes,
+      params::kRpcHeaderBytes + n * params::kRpcLookupVerdictBytes,
+      index_serve(s, /*is_read=*/true, run->req.tenant, run->req.qos, tctx, n,
+                  std::move(served)),
+      std::move(done), tctx);
+  shard_call(s, std::move(sreq));
 }
 
 bool ChunkStoreService::claim(const ChunkKey& key, u64 writer, NodeId node) {

@@ -11,7 +11,8 @@
 //             A claiming Lookup (StoreRequest::verdict) also learns who
 //             stores the key: the first probe the shard serves for a key
 //             that is neither placed nor claimed claims it for its writer,
-//             and every other writer's probe of it is a hit,
+//             and every other writer's probe of it is a hit. Its batches
+//             leave in its keys' order, kClaimWindow in flight,
 //   kStore    a chunk accepted (payload over the caller's NIC, an index
 //             insert on the shard) and striped onto its k+m placement
 //             homes — R full copies under --chunk-replicas R, the (1, R-1)
@@ -344,6 +345,12 @@ class ChunkStoreService {
     NodeId node = 0;
   };
   const std::map<ChunkKey, Claim>& claims() const { return claims_; }
+  /// A claiming Lookup's batches in flight; a plain Lookup sends all of
+  /// its batches at once. A probe's round trip costs about 21 probes of
+  /// shard service, so 64 keeps a lone writer's shards busy, while a writer
+  /// that starts first gets 64 probes ahead of the others rather than all
+  /// of its probes.
+  static constexpr size_t kClaimWindow = 64;
 
   /// True when no heal work is pending or in flight.
   bool rereplication_idle() const {
@@ -493,6 +500,26 @@ class ChunkStoreService {
   /// The verdict for `writer`'s probe of `key`: store it (true) when the
   /// key is unplaced and unclaimed, claiming it, or already `writer`'s.
   bool claim(const ChunkKey& key, u64 writer, NodeId node);
+  /// One RPC's worth of a Lookup: its shard, the positions in the
+  /// request's keys it probes, and (claiming Lookups) their verdicts once
+  /// served.
+  struct LookupBatch {
+    int shard = 0;
+    std::vector<size_t> at;
+    std::vector<bool> store;
+  };
+  /// One Lookup in flight: the request (its keys, callbacks and caller),
+  /// its batches in sending order, and the next one to send.
+  struct LookupRun {
+    StoreRequest req;
+    u64 writer = 0;  // claiming: the id its probes claim under; else 0
+    std::vector<LookupBatch> batches;
+    size_t next = 0;
+    u64 remaining = 0;  // keys whose batch has not returned
+  };
+  /// Send `run`'s next batch; a claiming Lookup's batch sends the one
+  /// after it when it returns.
+  void send_lookup_batch(const std::shared_ptr<LookupRun>& run);
   // The envelope's per-op bodies.
   void do_lookups(StoreRequest req);
   StoreReply do_store(StoreRequest req);

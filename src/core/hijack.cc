@@ -124,9 +124,10 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
     // messages do (§4.3). A known dup repeats a span the process has not
     // written since its previous generation, whose manifest still pins
     // the key, so it needs no probe. The writer sends its probes in its
-    // own rendezvous order of (key, node), so where several writers
-    // present the same keys, each reaches the shards first with a
-    // different share of them.
+    // own rendezvous order of (key, node), a window of them in flight
+    // (ChunkStoreService::kClaimWindow), so where several writers present
+    // the same keys, each reaches the shards first with a different share
+    // of them, whichever writer starts first.
     std::vector<std::pair<u64, size_t>> order;
     for (size_t i = 0; i < fresh.size(); ++i) {
       order.emplace_back(rendezvous(fresh[i].first), i);

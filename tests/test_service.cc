@@ -1295,6 +1295,30 @@ TEST(Claims, EachKeyGoesToOneWriterAndIsNeverClaimedOncePlaced) {
   EXPECT_EQ(late, 0);
 }
 
+// A writer whose Lookups start first claims only the keys its own order
+// reaches first: its probes go out a window at a time, so a peer that
+// starts after the first writer's whole burst could have queued at the
+// shard still reaches the keys early in its own order first. Sent all at
+// once, every one of the first writer's probes sat ahead of the peer's.
+TEST(Claims, AWriterThatStartsFirstClaimsOnlyItsShareOfTheKeys) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 4);
+  ChunkStoreService svc(loop, net, replicated(1));
+  svc.set_endpoints({3});
+  constexpr u64 kKeys = 4 * ChunkStoreService::kClaimWindow;
+  const std::vector<ChunkKey> keys = keys_range(0, kKeys);
+  std::map<NodeId, u64> taken;
+  claim_lookups(svc, 0, keys, [&](const ChunkKey&) { taken[0]++; });
+  loop.post_at(loop.now() + timeconst::kMillisecond, [&] {
+    claim_lookups(svc, 1, {keys.rbegin(), keys.rend()},
+                  [&](const ChunkKey&) { taken[1]++; });
+  });
+  loop.run();
+  EXPECT_EQ(taken[0] + taken[1], kKeys);
+  EXPECT_GE(taken[1], kKeys / 4);
+  EXPECT_GE(taken[0], kKeys / 4);
+}
+
 // Retention drops a generation's chunks; when a later generation writes
 // the same bytes again, its keys are new again and must be stored again —
 // a claim taken at the first store must not answer for them.
