@@ -6,7 +6,6 @@ void ConnRecord::serialize(ByteWriter& w) const {
   w.put_u64(desc_id);
   w.put_u8(static_cast<u8>(type));
   w.put_u64(offset);
-  w.put_i32(fown_saved);
   w.put_string(path);
   conn_id.serialize(w);
   w.put_bool(is_acceptor);
@@ -29,7 +28,6 @@ ConnRecord ConnRecord::deserialize(ByteReader& r) {
   c.desc_id = r.get_u64();
   c.type = static_cast<ConnType>(r.get_u8());
   c.offset = r.get_u64();
-  c.fown_saved = r.get_i32();
   c.path = r.get_string();
   c.conn_id = sim::ConnId::deserialize(r);
   c.is_acceptor = r.get_bool();

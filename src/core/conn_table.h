@@ -31,7 +31,6 @@ struct ConnRecord {
   u64 desc_id = 0;
   ConnType type = ConnType::kFile;
   u64 offset = 0;
-  Pid fown_saved = 0;
 
   // kFile
   std::string path;

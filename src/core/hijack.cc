@@ -470,13 +470,6 @@ sim::TcpVNode* Hijack::vnode_for_desc(u64 desc_id) {
   return nullptr;
 }
 
-std::shared_ptr<sim::OpenFile> Hijack::desc_by_id(u64 desc_id) {
-  for (const auto& [fd, of] : p_.fds().entries()) {
-    if (of->description_id == desc_id) return of;
-  }
-  return nullptr;
-}
-
 Task<void> Hijack::manager_main(sim::ProcessCtx& ctx) {
   auto& k = ctx.kernel();
   // Open the coordinator connection (kept out of checkpoints).
@@ -571,7 +564,6 @@ ConnTable Hijack::build_conn_table() {
     ConnRecord rec;
     rec.desc_id = of->description_id;
     rec.offset = of->offset;
-    rec.fown_saved = of->fown_saved;
     switch (of->vnode->kind()) {
       case sim::VKind::kFile: {
         rec.type = ConnType::kFile;
@@ -1102,9 +1094,9 @@ Task<void> Hijack::restart_resume(sim::ProcessCtx& ctx) {
   co_await barrier(ctx, "restart:checkpointed", restart_expected_);
   co_await refill_all(ctx, restored_table_);
   co_await barrier(ctx, "restart:refilled", restart_expected_);
-  for (const auto& rec : restored_table_.conns) {
-    if (auto of = desc_by_id(rec.desc_id)) of->fown_pid = rec.fown_saved;
-  }
+  // A restored description has no F_SETOWN owner, and the image carries
+  // none: no program can set one, and the §4.3 election's owner lasts only
+  // until the refill.
   // Re-establish the original parent/child link (pid virtualization, §4.5):
   // the vpid map is complete once every restored process has passed the
   // global barrier above. Without this, an exiting restored child would be

@@ -98,7 +98,6 @@ class Hijack final : public sim::Interposer {
   std::string ckpt_path() const;
   sim::TcpVNode* coord_sock();
   sim::TcpVNode* vnode_for_desc(u64 desc_id);
-  std::shared_ptr<sim::OpenFile> desc_by_id(u64 desc_id);
 
   sim::Process& p_;
   std::shared_ptr<DmtcpShared> shared_;
