@@ -263,26 +263,26 @@ int main() {
   const auto cluster_round = run_cluster_round(procs, lib_bytes, priv_bytes,
                                                core::DedupScope::kCluster);
   const double stored_ratio =
-      node_round.store_new_bytes == 0
+      node_round.total_compressed == 0
           ? 1.0
-          : static_cast<double>(cluster_round.store_new_bytes) /
-                static_cast<double>(node_round.store_new_bytes);
+          : static_cast<double>(cluster_round.total_compressed) /
+                static_cast<double>(node_round.total_compressed);
   // Shared chunks stored exactly once <=> the cluster round saved the
   // (N-1) redundant library copies the node-scope round wrote.
-  const u64 saved = node_round.store_new_bytes > cluster_round.store_new_bytes
-                        ? node_round.store_new_bytes -
-                              cluster_round.store_new_bytes
+  const u64 saved = node_round.total_compressed > cluster_round.total_compressed
+                        ? node_round.total_compressed -
+                              cluster_round.total_compressed
                         : 0;
   const u64 redundant_lib =
       static_cast<u64>(procs - 1) * lib_bytes;
   const bool shared_stored_once = saved >= redundant_lib * 9 / 10;
 
   Table tb({"scope", "stored_MB", "dup_MB", "shared_chunks"});
-  tb.add_row({"node", mb(node_round.store_new_bytes),
+  tb.add_row({"node", mb(node_round.total_compressed),
               mb(node_round.store_dup_bytes),
               Table::fmt(static_cast<double>(node_round.store_shared_chunks),
                          0)});
-  tb.add_row({"cluster", mb(cluster_round.store_new_bytes),
+  tb.add_row({"cluster", mb(cluster_round.total_compressed),
               mb(cluster_round.store_dup_bytes),
               Table::fmt(
                   static_cast<double>(cluster_round.store_shared_chunks), 0)});
@@ -321,9 +321,9 @@ int main() {
   emit_insertion("cdc", rc, true);
   json << "  },\n  \"cluster\": {\"procs\": " << procs
        << ", \"lib_bytes\": " << lib_bytes
-       << ", \"node_scope_stored_bytes\": " << node_round.store_new_bytes
+       << ", \"node_scope_stored_bytes\": " << node_round.total_compressed
        << ", \"cluster_scope_stored_bytes\": "
-       << cluster_round.store_new_bytes
+       << cluster_round.total_compressed
        << ", \"cluster_dup_bytes\": " << cluster_round.store_dup_bytes
        << ", \"cluster_shared_chunks\": "
        << cluster_round.store_shared_chunks

@@ -68,7 +68,7 @@ int main() {
     const core::CkptRound rf = wf.ctl->checkpoint_now();
     const core::CkptRound ri = wi.ctl->checkpoint_now();
     const u64 full_b = rf.total_compressed;
-    const u64 incr_b = ri.store_new_bytes;
+    const u64 incr_b = ri.total_compressed;
     full_total_s += rf.total_seconds();
     incr_total_s += ri.total_seconds();
     full_total_b += full_b;

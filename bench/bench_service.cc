@@ -165,7 +165,7 @@ SweepPoint run_point(int ranks, int replicas, int shards, int lookup_batch,
   pt.avg_wait_ms = wait.mean() * 1e3;
   pt.max_wait_ms = wait.max() * 1e3;
   pt.ckpt_seconds = round.total_seconds();
-  pt.stored_bytes = round.store_new_bytes;
+  pt.stored_bytes = round.total_compressed;
   pt.device_written_bytes = cluster_written_bytes(w);
   pt.claimed_resident = round.delta.counter("ckpt.claimed_resident");
   library_stores(w, round, ranks, pt);

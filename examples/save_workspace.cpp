@@ -73,8 +73,10 @@ int main() {
   // The app checkpoints itself; we crash it once and restore the workspace.
   dmtcp.run_until([&] { return dmtcp.stats().rounds.size() >= 2; },
                   cluster.kernel().loop().now() + 60 * timeconst::kSecond);
+  // The kill lands while the second save's round is in flight.
+  const size_t rounds_before_crash = dmtcp.stats().rounds.size();
   std::printf("simulating a desktop crash after %zu workspace saves\n",
-              dmtcp.stats().rounds.size());
+              rounds_before_crash);
   dmtcp.kill_computation();
   const auto& rr = dmtcp.restart();
   std::printf("workspace restored in %.3f s\n", rr.total_seconds());
@@ -86,5 +88,13 @@ int main() {
       },
       cluster.kernel().loop().now() + 120 * timeconst::kSecond);
   std::printf("session completed: %s\n", done ? "yes" : "NO");
-  return done ? 0 : 1;
+  // The saves after the restart start rounds, and each one completes.
+  const auto& rounds = dmtcp.stats().rounds;
+  bool saved = rounds.size() > rounds_before_crash;
+  for (size_t i = rounds_before_crash; i < rounds.size(); ++i) {
+    saved = saved && rounds[i].refilled != 0;
+  }
+  std::printf("saves after the restart completed: %s (%zu rounds)\n",
+              saved ? "yes" : "NO", rounds.size());
+  return done && saved ? 0 : 1;
 }

@@ -52,7 +52,6 @@ struct PipelineStats {
   double drain_seconds = 0;      // cumulative job snapshot -> durable latency
   double max_drain_seconds = 0;  // max single-job drain latency
   double blocked_seconds = 0;    // backpressure=block wait, summed
-  u64 skipped_rounds = 0;        // backpressure=skip process-rounds skipped
 };
 
 /// One background encode/store job, described by the DMTCP layer.
@@ -94,9 +93,9 @@ class CkptAsyncPipeline {
   /// backpressure first (DSIM_CHECKed: one job per key).
   void start(JobSpec spec);
 
-  /// Backpressure accounting, reported by the DMTCP layer.
+  /// Backpressure accounting, reported by the DMTCP layer. A skip is
+  /// counted per round (CkptRound::async_skipped_procs).
   void note_blocked(double seconds) { stats_.blocked_seconds += seconds; }
-  void note_skip() { stats_.skipped_rounds++; }
 
   /// Install the request tracer (--trace-out): each drain job emits
   /// async.drain / async.chunk / async.compress / async.store spans. Null

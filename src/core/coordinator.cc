@@ -68,14 +68,8 @@ void refresh_discovery_epoch(CoordState* st) {
   }
 }
 
-sim::TcpVNode* sock_of(sim::Process& p, Fd fd) {
-  auto of = p.fds().get(fd);
-  if (!of || of->vnode->kind() != sim::VKind::kTcp) return nullptr;
-  return static_cast<sim::TcpVNode*>(of->vnode.get());
-}
-
 Task<void> send_to(sim::ProcessCtx& ctx, Fd fd, Msg m) {
-  if (auto* s = sock_of(ctx.process(), fd)) {
+  if (auto* s = ctx.fd_tcp(fd)) {
     co_await send_msg(ctx.kernel(), ctx.thread(), *s, m);
   }
 }
@@ -233,7 +227,7 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
     }
   }
   {
-    // Derived per-round signals from the managers' blob-v2 sums: the
+    // Derived per-round signals from the managers' image-stats sums: the
     // store-level compress ratio over this round's new chunks and the
     // workload's dirty-locality fraction (generation 0 reads 1.0).
     r.compress_ratio =
@@ -390,7 +384,7 @@ Task<void> maybe_release_barriers(CoordState* st, sim::ProcessCtx& ctx) {
 Task<void> client_handler(CoordState* st, sim::ProcessCtx* pctx, Fd fd) {
   auto& ctx = *pctx;
   auto& k = ctx.kernel();
-  sim::TcpVNode* sock = sock_of(ctx.process(), fd);
+  sim::TcpVNode* sock = ctx.fd_tcp(fd);
   DSIM_CHECK(sock != nullptr);
   while (true) {
     auto m = co_await recv_msg(k, ctx.thread(), *sock);
@@ -478,30 +472,19 @@ Task<void> client_handler(CoordState* st, sim::ProcessCtx* pctx, Fd fd) {
         break;
       }
       case MsgType::kImageStats: {
-        const int round = m->a;
-        auto& r = st->shared->stats.rounds.at(static_cast<size_t>(round));
+        // A full image reports zero for every chunk-store field.
+        const ImageStats img = ImageStats::from_msg(*m);
+        auto& r = st->shared->stats.rounds.at(static_cast<size_t>(img.round));
         r.procs++;
-        r.total_uncompressed += m->ua;
-        ByteReader br(m->blob);
-        const u64 written = br.get_u64();
-        r.total_compressed += written;
-        if (br.remaining() > 0) {
-          // Incremental manifest exchange: managers additionally report
-          // their delta against the chunk repository. The bytes written
-          // are the delta (new chunks + manifest).
-          r.store_new_bytes += written;
-          r.total_chunks += br.get_u64();
-          r.new_chunks += br.get_u64();
-          r.store_dup_bytes += br.get_u64();
-          if (br.remaining() > 0) {
-            // Blob v2 (compressed-chunk + async extension).
-            r.store_new_chunk_bytes += br.get_u64();
-            r.store_raw_new_bytes += br.get_u64();
-            const u64 flags = br.get_u64();
-            if (flags & kImageFlagSkipped) r.async_skipped_procs++;
-          }
-        }
-        st->round_images[round][m->b].push_back(m->s);
+        r.total_uncompressed += img.uncompressed;
+        r.total_compressed += img.written;
+        r.total_chunks += img.total_chunks;
+        r.new_chunks += img.new_chunks;
+        r.store_dup_bytes += img.dup_bytes;
+        r.store_new_chunk_bytes += img.new_chunk_bytes;
+        r.store_raw_new_bytes += img.raw_new_bytes;
+        if (img.skipped) r.async_skipped_procs++;
+        st->round_images[img.round][img.node].push_back(img.path);
         break;
       }
       case MsgType::kStageNote: {
@@ -531,6 +514,14 @@ Task<void> client_handler(CoordState* st, sim::ProcessCtx* pctx, Fd fd) {
   LOG_INFO("coordinator: client fd=%d vpid=%d disconnected", fd,
            st->clients.count(fd) ? st->clients[fd].vpid : -1);
   st->clients.erase(fd);
+  for (auto& [name, b] : st->barriers) std::erase(b.waiters, fd);
+  if (st->shared->ckpt_active && st->clients.empty()) {
+    // Every client of the round in flight is gone (a kill mid-round): the
+    // round is abandoned, its refilled left 0, and the next request starts
+    // a new one.
+    st->barriers.clear();
+    st->shared->ckpt_active = false;
+  }
   // The departure may satisfy a barrier the remaining clients wait in.
   co_await maybe_release_barriers(st, ctx);
   k.close_fd(ctx.process(), fd);
@@ -615,7 +606,7 @@ Task<int> command_main(sim::ProcessCtx& ctx,
   while (!co_await ctx.connect(fd, coord)) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }
-  auto* sock = sock_of(ctx.process(), fd);
+  auto* sock = ctx.fd_tcp(fd);
   Msg m;
   m.type = MsgType::kCommand;
   m.s = cmd;

@@ -30,8 +30,7 @@ sim::Task<bool> dmtcp_request_checkpoint(sim::ProcessCtx& ctx) {
   while (!co_await ctx.connect(fd, coord)) {
     co_await ctx.sleep(1 * timeconst::kMillisecond);
   }
-  auto of = ctx.fd_get(fd);
-  auto* sock = static_cast<sim::TcpVNode*>(of->vnode.get());
+  auto* sock = ctx.fd_tcp(fd);
   Msg m;
   m.type = MsgType::kCommand;
   m.s = "checkpoint";

@@ -506,18 +506,8 @@ Task<void> Hijack::manager_main(sim::ProcessCtx& ctx) {
 
 Task<void> Hijack::barrier(sim::ProcessCtx& ctx, const std::string& name,
                            int expected) {
-  auto& k = ctx.kernel();
-  Msg m;
-  m.type = MsgType::kBarrierWait;
-  m.upid = upid_;
-  m.s = name;
-  m.a = expected;
-  co_await send_msg(k, ctx.thread(), *coord_sock(), m);
-  while (true) {
-    auto r = co_await recv_msg(k, ctx.thread(), *coord_sock());
-    DSIM_CHECK_MSG(r.has_value(), "coordinator died inside a barrier");
-    if (r->type == MsgType::kBarrierRelease && r->s == name) co_return;
-  }
+  co_await barrier_wait(ctx.kernel(), ctx.thread(), *coord_sock(), name,
+                        expected);
 }
 
 void Hijack::suspend_user_threads() {
@@ -797,12 +787,13 @@ std::string Hijack::ckpt_path() const {
          upid_.str() + ".dmtcp";
 }
 
-Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
-                               const ConnTable& table) {
+Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
+                                     const ConnTable& table) {
   auto& k = ctx.kernel();
   if (shared_->opts.sync == SyncMode::kSyncPrevious && generations_ > 0) {
     co_await k.sync_storage(ctx.thread(), p_.node(), ckpt_path());
   }
+  ImageStats stats{.round = round, .node = p_.node(), .path = ckpt_path()};
 
   // Async backpressure: a new round reaching a process whose previous drain
   // is still in flight either waits for it (block) or sits this round out
@@ -812,20 +803,8 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       shared_->opts.ckpt_async ? shared_->async_pipeline.get() : nullptr;
   if (pipe != nullptr && pipe->busy(upid_.str())) {
     if (shared_->opts.async_backpressure == AsyncBackpressure::kSkip) {
-      pipe->note_skip();
-      Msg stats;
-      stats.type = MsgType::kImageStats;
-      stats.upid = upid_;
-      stats.a = round;
-      stats.b = p_.node();
-      stats.ua = 0;
-      stats.s = ckpt_path();
-      ByteWriter bw;
-      for (int i = 0; i < 6; ++i) bw.put_u64(0);
-      bw.put_u64(kImageFlagAsync | kImageFlagSkipped);
-      stats.blob = bw.take();
-      co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
-      co_return;
+      stats.chunked = stats.skipped = true;
+      co_return stats;
     }
     const SimTime blocked_from = k.loop().now();
     while (pipe->busy(upid_.str())) {
@@ -857,8 +836,20 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     }
   }
 
-  const std::string path = ckpt_path();
+  const std::string& path = stats.path;
   auto inode = k.fs_for(p_.node(), path).create(path);
+  // §5.3: copy-on-write makes a fork cheap, so a forked child or the async
+  // pipeline writes while the parent resumes after this pause.
+  const double rss_mb =
+      static_cast<double>(p_.mem().total_bytes()) / (1024.0 * 1024.0);
+  const SimTime fork_pause =
+      params::kForkBase +
+      static_cast<SimTime>(rss_mb * static_cast<double>(params::kForkPerMb));
+  // Those writes land after the round; background_done keeps the last.
+  auto background_done = [kp = &k, sh = shared_.get(), round] {
+    auto& r = sh->stats.rounds[static_cast<size_t>(round)];
+    r.background_done = std::max(r.background_done, kp->loop().now());
+  };
 
   if (shared_->opts.incremental) {
     // Incremental mode: chunk the image against the content-addressed
@@ -877,6 +868,14 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         ckptstore::tenant_owner(shared_->opts.tenant_id,
                                 std::to_string(vpid_)),
         round, repo, memos);
+    stats.uncompressed = delta.virtual_uncompressed;
+    stats.written = delta.submitted_bytes;  // chunks + manifest
+    stats.chunked = true;
+    stats.total_chunks = delta.total_chunks;
+    stats.new_chunks = delta.new_chunks;
+    stats.dup_bytes = delta.dup_chunk_bytes;
+    stats.new_chunk_bytes = delta.new_chunk_bytes;
+    stats.raw_new_bytes = delta.new_logical_bytes();
     if (pipe == nullptr) {
       // The manager's serial pass is the scan and hash; each new chunk's
       // encode streams through the drain below.
@@ -885,11 +884,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       // Async mode: the app pays only the fork/COW snapshot cost here; the
       // scan/chunk and compress CPU are re-priced onto the background
       // pipeline below.
-      const double rss_mb =
-          static_cast<double>(p_.mem().total_bytes()) / (1024.0 * 1024.0);
-      co_await ctx.sleep(params::kForkBase +
-                         static_cast<SimTime>(
-                             rss_mb * static_cast<double>(params::kForkPerMb)));
+      co_await ctx.sleep(fork_pause);
     }
     inode->data = sim::ByteImage(delta.manifest_bytes.size());
     inode->data.write(0, delta.manifest_bytes);
@@ -942,10 +937,7 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
         drain->done = std::move(done);
         drain->run();
       };
-      spec.on_complete = [kp = &k, sh = shared_.get(), round] {
-        auto& r = sh->stats.rounds[static_cast<size_t>(round)];
-        r.background_done = std::max(r.background_done, kp->loop().now());
-      };
+      spec.on_complete = background_done;
       pipe->start(std::move(spec));
     } else {
       drain->encode = std::move(delta.encode_seconds);
@@ -959,80 +951,38 @@ Task<void> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       drain->run();
       while (drained->remaining > 0) co_await drained->wq.wait(ctx.thread());
     }
-
-    Msg stats;
-    stats.type = MsgType::kImageStats;
-    stats.upid = upid_;
-    stats.a = round;
-    stats.b = p_.node();
-    stats.ua = delta.virtual_uncompressed;
-    stats.s = path;
-    ByteWriter bw;
-    bw.put_u64(delta.submitted_bytes);  // chunks + manifest actually written
-    bw.put_u64(delta.total_chunks);
-    bw.put_u64(delta.new_chunks);
-    bw.put_u64(delta.dup_chunk_bytes);  // logical bytes dedup answered
-    bw.put_u64(delta.new_chunk_bytes);      // post-codec stored bytes
-    bw.put_u64(delta.new_logical_bytes());  // pre-codec chunked bytes
-    bw.put_u64(pipe != nullptr ? kImageFlagAsync : 0);
-    stats.blob = bw.take();
-    co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
-    co_return;
+    co_return stats;
   }
 
   mtcp::EncodedImage enc = mtcp::encode(img, shared_->opts.codec);
-
-  if (shared_->opts.forked_checkpointing) {
-    // §5.3: fork a child; the child compresses and writes while the parent
-    // resumes. Copy-on-write makes the fork cheap; the child's compression
-    // occupies a core via the fluid-share CPU model.
-    const double rss_mb =
-        static_cast<double>(p_.mem().total_bytes()) / (1024.0 * 1024.0);
-    co_await ctx.sleep(params::kForkBase +
-                       static_cast<SimTime>(rss_mb *
-                                            static_cast<double>(
-                                                params::kForkPerMb)));
-    inode->data = sim::ByteImage(enc.bytes.size());
-    inode->data.write(0, enc.bytes);
-    auto shared = shared_;
-    auto* kp = &k;
-    const NodeId node = p_.node();
-    const u64 charge = enc.virtual_compressed;
-    k.node(p_.node())
-        .cpu()
-        .submit(enc.assemble_seconds + enc.compress_seconds,
-                [kp, node, path, charge, shared, round] {
-                  kp->charge_storage_bg(
-                      node, path, charge, /*is_read=*/false,
-                      [kp, shared, round] {
-                        auto& r = shared->stats.rounds[static_cast<size_t>(
-                            round)];
-                        r.background_done =
-                            std::max(r.background_done, kp->loop().now());
-                      });
-                });
+  stats.uncompressed = enc.virtual_uncompressed;
+  stats.written = enc.virtual_compressed;
+  const double encode_seconds = enc.assemble_seconds + enc.compress_seconds;
+  // Forked checkpointing (§5.3): the child compresses and writes; its
+  // compression occupies a core via the fluid-share CPU model.
+  const bool forked = shared_->opts.forked_checkpointing;
+  if (forked) {
+    co_await ctx.sleep(fork_pause);
   } else {
-    co_await ctx.cpu(enc.assemble_seconds + enc.compress_seconds);
-    inode->data = sim::ByteImage(enc.bytes.size());
-    inode->data.write(0, enc.bytes);
+    co_await ctx.cpu(encode_seconds);
+  }
+  inode->data = sim::ByteImage(enc.bytes.size());
+  inode->data.write(0, enc.bytes);
+  if (forked) {
+    k.node(p_.node()).cpu().submit(
+        encode_seconds, [kp = &k, node = p_.node(), path,
+                         charge = enc.virtual_compressed, background_done] {
+          kp->charge_storage_bg(node, path, charge, /*is_read=*/false,
+                                background_done);
+        });
+  } else {
     co_await k.charge_storage(ctx.thread(), p_.node(), path,
                               enc.virtual_compressed, /*is_read=*/false);
     if (shared_->opts.sync == SyncMode::kSyncAfter) {
       co_await k.sync_storage(ctx.thread(), p_.node(), path);
     }
   }
-
-  Msg stats;
-  stats.type = MsgType::kImageStats;
-  stats.upid = upid_;
-  stats.a = round;
-  stats.b = p_.node();
-  stats.ua = enc.virtual_uncompressed;
-  stats.s = path;
-  ByteWriter bw;
-  bw.put_u64(enc.virtual_compressed);
-  stats.blob = bw.take();
-  co_await send_msg(k, ctx.thread(), *coord_sock(), stats);
+  co_return stats;
 }
 
 Task<void> Hijack::do_checkpoint(sim::ProcessCtx& ctx, int round) {
@@ -1070,8 +1020,10 @@ Task<void> Hijack::do_checkpoint(sim::ProcessCtx& ctx, int round) {
   co_await drain_all(ctx, table);
   co_await barrier(ctx, barrier::kDrained);
 
-  // Stage 5: write the checkpoint image.
-  co_await write_image(ctx, round, table);
+  // Stage 5: write the checkpoint image and report it.
+  const ImageStats stats = co_await write_image(ctx, round, table);
+  co_await send_msg(ctx.kernel(), ctx.thread(), *coord_sock(),
+                    stats.to_msg(upid_));
   co_await barrier(ctx, barrier::kCheckpointed);
 
   // Stage 6: refill kernel buffers.

@@ -91,8 +91,10 @@ class Hijack final : public sim::Interposer {
   Task<void> drain_all(sim::ProcessCtx& ctx, ConnTable& table);
   /// Concurrent refill: exchange drained blobs and re-send (§4.3 step 6).
   Task<void> refill_all(sim::ProcessCtx& ctx, const ConnTable& table);
-  Task<void> write_image(sim::ProcessCtx& ctx, int round,
-                         const ConnTable& table);
+  /// Stage 5: write this round's image; returns the record the manager
+  /// reports to the coordinator.
+  Task<ImageStats> write_image(sim::ProcessCtx& ctx, int round,
+                               const ConnTable& table);
   Task<void> barrier(sim::ProcessCtx& ctx, const std::string& name,
                      int expected = 0);
   std::string ckpt_path() const;

@@ -40,4 +40,18 @@ Task<std::optional<Msg>> recv_msg(sim::Kernel& k, sim::Thread& t,
   co_return Msg::decode(payload);
 }
 
+Task<void> barrier_wait(sim::Kernel& k, sim::Thread& t, sim::TcpVNode& s,
+                        const std::string& name, int expected) {
+  Msg m;
+  m.type = MsgType::kBarrierWait;
+  m.s = name;
+  m.a = expected;
+  co_await send_msg(k, t, s, m);
+  while (true) {
+    auto r = co_await recv_msg(k, t, s);
+    DSIM_CHECK_MSG(r.has_value(), "coordinator died inside a barrier");
+    if (r->type == MsgType::kBarrierRelease && r->s == name) co_return;
+  }
+}
+
 }  // namespace dsim::core

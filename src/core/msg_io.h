@@ -22,4 +22,10 @@ Task<void> send_msg(sim::Kernel& k, sim::Thread& t, sim::TcpVNode& s,
 Task<std::optional<Msg>> recv_msg(sim::Kernel& k, sim::Thread& t,
                                   sim::TcpVNode& s);
 
+/// Wait at the coordinator's barrier `name` (§4.3): announce it, then read
+/// until its release. `expected` > 0 overrides the count the coordinator
+/// releases at (0: every registered client).
+Task<void> barrier_wait(sim::Kernel& k, sim::Thread& t, sim::TcpVNode& s,
+                        const std::string& name, int expected);
+
 }  // namespace dsim::core

@@ -23,24 +23,14 @@ enum class MsgType : u8 {
   kCkptRequest = 2,     // coord -> manager: begin checkpoint (a=round)
   kBarrierWait = 3,     // manager -> coord: waiting at barrier `s` (a=expected override, 0=all clients)
   kBarrierRelease = 4,  // coord -> manager: barrier `s` released
-  kCommand = 5,         // dmtcp_command -> coord: s in {"checkpoint","status","kill","interval"} (a=arg)
+  kCommand = 5,         // dmtcp_command: s=checkpoint|status|interval, a=arg
   kCommandReply = 6,    // coord -> dmtcp_command: s=reply text, a=numeric
   kAdvertise = 7,       // restart -> coord: conn listener at (a=node, b=port)
   kQueryAddr = 8,       // restart -> coord: where is conn? (blocks until advertised)
   kAddrInfo = 9,        // coord -> restart: conn is at (a=node, b=port)
-  kVpidCheck = 10,      // hijack -> coord: does vpid a collide? reply kVpidReply b=1 collision
-  kVpidReply = 11,
-  kVpidRegister = 12,   // hijack -> coord: vpid a now in use
-  kImageStats = 13,     // manager -> coord: ua=uncompressed, blob=8B compressed (round a)
+  kImageStats = 13,     // manager -> coord: one ImageStats record (below)
   kStageNote = 14,      // restart -> coord: s=stage name, ua=duration ns (restart breakdown)
 };
-
-/// kImageStats incremental-blob flag word (7th u64, appended after
-/// [submitted][total_chunks][new_chunks][dup_bytes][stored_new][raw_new]).
-/// Older 4-u64 blobs simply omit the extension; the coordinator parses
-/// behind remaining() checks.
-inline constexpr u64 kImageFlagAsync = 1;    // drained via --ckpt-async
-inline constexpr u64 kImageFlagSkipped = 2;  // round skipped (backpressure)
 
 struct Msg {
   MsgType type = MsgType::kRegister;
@@ -76,6 +66,64 @@ struct Msg {
     m.conn = sim::ConnId::deserialize(r);
     m.blob = r.get_blob();
     return m;
+  }
+};
+
+/// kImageStats: one manager's report of the image it wrote for a round,
+/// carried in Msg's a (round), b (node), ua (uncompressed), s (path) and
+/// blob. The coordinator link charges a message by its length, so the blob
+/// has two fixed sizes: a full image sends `written` alone (8 bytes); a
+/// chunk-store generation, skipped or not, sends seven words (56 bytes),
+/// the last a flag word.
+struct ImageStats {
+  int round = 0;
+  NodeId node = 0;       // the writer's host in the restart script
+  std::string path;      // the image file (a manifest under the store)
+  u64 uncompressed = 0;  // logical image bytes
+  u64 written = 0;       // the image, or new chunks plus manifest
+  bool chunked = false;  // a chunk-store generation: the fields below
+  u64 total_chunks = 0;
+  u64 new_chunks = 0;
+  u64 dup_bytes = 0;        // logical bytes resident chunks answered
+  u64 new_chunk_bytes = 0;  // post-codec bytes of the new chunks
+  u64 raw_new_bytes = 0;    // pre-codec bytes of the new chunks
+  bool skipped = false;     // --async-backpressure=skip sat the round out
+
+  bool operator==(const ImageStats&) const = default;
+
+  Msg to_msg(const UniquePid& upid) const {
+    Msg m;
+    m.type = MsgType::kImageStats;
+    m.upid = upid;
+    m.a = round;
+    m.b = node;
+    m.ua = uncompressed;
+    m.s = path;
+    ByteWriter w;
+    w.put_u64(written);
+    if (chunked) {
+      for (const u64 v : {total_chunks, new_chunks, dup_bytes, new_chunk_bytes,
+                          raw_new_bytes, u64{skipped}}) {
+        w.put_u64(v);
+      }
+    }
+    m.blob = w.take();
+    return m;
+  }
+  static ImageStats from_msg(const Msg& m) {
+    ImageStats s{.round = m.a, .node = m.b, .path = m.s, .uncompressed = m.ua};
+    ByteReader r(m.blob);
+    s.written = r.get_u64();
+    s.chunked = r.remaining() > 0;
+    if (s.chunked) {
+      s.total_chunks = r.get_u64();
+      s.new_chunks = r.get_u64();
+      s.dup_bytes = r.get_u64();
+      s.new_chunk_bytes = r.get_u64();
+      s.raw_new_bytes = r.get_u64();
+      s.skipped = r.get_u64() != 0;
+    }
+    return s;
   }
 };
 

@@ -110,6 +110,16 @@ Task<sim::ConnId> recv_conn_handshake(sim::ProcessCtx& ctx, TcpVNode& s) {
   co_return sim::ConnId::deserialize(r);
 }
 
+/// Table 1b: report a restart stage's duration, `since` until now.
+Task<void> note_stage(sim::ProcessCtx& ctx, TcpVNode& coord,
+                      const char* stage, SimTime since) {
+  Msg note;
+  note.type = MsgType::kStageNote;
+  note.s = stage;
+  note.ua = static_cast<u64>(ctx.now() - since);
+  co_await send_msg(ctx.kernel(), ctx.thread(), coord, note);
+}
+
 Task<int> restart_main(sim::ProcessCtx& ctx,
                        std::shared_ptr<DmtcpShared> shared) {
   auto& k = ctx.kernel();
@@ -303,13 +313,7 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
       co_await ctx.sleep(25 * timeconst::kMicrosecond);  // per-fd syscalls
     }
   }
-  {
-    Msg note;
-    note.type = MsgType::kStageNote;
-    note.s = "files";
-    note.ua = static_cast<u64>(ctx.now() - t_files);
-    co_await send_msg(k, ctx.thread(), *coord, note);
-  }
+  co_await note_stage(ctx, *coord, "files", t_files);
 
   // --- Stage 2 (§4.4): recreate and reconnect sockets via discovery.
   const SimTime t_conns = ctx.now();
@@ -378,26 +382,9 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
     descs[w.rec->desc_id] = of;
   }
   // All hosts must finish reconnection before user processes run (Fig. 2).
-  {
-    Msg bw;
-    bw.type = MsgType::kBarrierWait;
-    bw.s = barrier::kRestartConns;
-    bw.a = args.hosts;
-    co_await send_msg(k, ctx.thread(), *coord, bw);
-    while (true) {
-      auto m = co_await recv_msg(k, ctx.thread(), *coord);
-      DSIM_CHECK(m.has_value());
-      if (m->type == MsgType::kBarrierRelease &&
-          m->s == barrier::kRestartConns) {
-        break;
-      }
-    }
-    Msg note;
-    note.type = MsgType::kStageNote;
-    note.s = "reconnect";
-    note.ua = static_cast<u64>(ctx.now() - t_conns);
-    co_await send_msg(k, ctx.thread(), *coord, note);
-  }
+  co_await barrier_wait(k, ctx.thread(), *coord, barrier::kRestartConns,
+                        args.hosts);
+  co_await note_stage(ctx, *coord, "reconnect", t_conns);
 
   // --- Stages 3-5 (§4.4): fork into user processes, rearrange fds with
   // dup2 semantics, restore memory and threads.
@@ -502,13 +489,7 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
     hijack->on_attach();  // manager joins at "restart:checkpointed" (B5)
     co_await ctx.sleep(300 * timeconst::kMicrosecond);  // fork cost
   }
-  {
-    Msg note;
-    note.type = MsgType::kStageNote;
-    note.s = "memory";
-    note.ua = static_cast<u64>(ctx.now() - t_mem);
-    co_await send_msg(k, ctx.thread(), *coord, note);
-  }
+  co_await note_stage(ctx, *coord, "memory", t_mem);
   // The restart process's duplicate descriptor references are dropped on
   // exit (children hold their own references), mirroring the real restart
   // program exec'ing into the user processes.

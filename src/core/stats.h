@@ -45,12 +45,11 @@ struct CkptRound {
   SimTime refilled = 0;
   int procs = 0;
   u64 total_uncompressed = 0;  // aggregate cluster-wide image bytes
-  u64 total_compressed = 0;
-  /// Forked mode: when the last background writer finished (image durable).
+  u64 total_compressed = 0;  // written: images, or new chunks + manifests
+  /// Forked or async mode: when the last background write landed.
   SimTime background_done = 0;
 
   // Incremental mode (the ckptstore subsystem): per-round repository view.
-  u64 store_new_bytes = 0;   // chunk+manifest bytes actually written
   u64 store_live_bytes = 0;  // resident chunk bytes after this round's GC
   u64 store_reclaimed_bytes = 0;  // cumulative bytes GC has freed
   /// Logical image bytes this round answered by already-resident chunks

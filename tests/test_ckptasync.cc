@@ -194,7 +194,6 @@ TEST(CkptAsync, SkipPolicyDropsTheRoundAndRestartsOffThePreviousImage) {
   const auto& r2 = w.ctl.stats().rounds.back();
   EXPECT_GT(r2.async_skipped_procs, 0u);
   EXPECT_EQ(r2.delta.sum("async.blocked_seconds"), 0.0);
-  EXPECT_GT(w.ctl.shared().async_pipeline->stats().skipped_rounds, 0u);
   // The previous generation's manifests (same path every round) still
   // restart the computation.
   ASSERT_TRUE(w.drain_pipeline());

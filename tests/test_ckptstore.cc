@@ -1383,14 +1383,14 @@ TEST(CkptStoreE2E, SecondGenerationWritesSmallFractionAndGcTrims) {
   seg.data.fill(0, kBallast, ExtentKind::kRand, 0xA0);
 
   const auto r1 = w.ctl.checkpoint_now();
-  EXPECT_GT(r1.store_new_bytes, kBallast);  // everything is new
+  EXPECT_GT(r1.total_compressed, kBallast);  // everything is new
 
   // Dirty ~10% of the ballast, checkpoint again: the delta must stay well
   // under 25% of the full-image write (the acceptance bound).
   seg.data.fill(0, kBallast / 10, ExtentKind::kRand, 0xA1);
   const auto r2 = w.ctl.checkpoint_now();
-  EXPECT_GT(r2.store_new_bytes, 0u);
-  EXPECT_LT(r2.store_new_bytes, r1.store_new_bytes / 4);
+  EXPECT_GT(r2.total_compressed, 0u);
+  EXPECT_LT(r2.total_compressed, r1.total_compressed / 4);
   EXPECT_GT(r2.dedup_ratio, 1.5);
 
   // Third generation pushes generation 1 out of the retention window; its
@@ -1402,7 +1402,7 @@ TEST(CkptStoreE2E, SecondGenerationWritesSmallFractionAndGcTrims) {
 
   // The live store holds roughly one full image plus two deltas — far less
   // than three full generations.
-  EXPECT_LT(r3.store_live_bytes, 2 * r1.store_new_bytes);
+  EXPECT_LT(r3.store_live_bytes, 2 * r1.total_compressed);
 }
 
 TEST(CkptStoreE2E, DeltaRestartFetchesAreChargedAsReadsNotWrites) {
@@ -1476,8 +1476,8 @@ TEST(CkptStoreE2E, ClusterScopeStoresSharedBallastOnce) {
   const auto& cluster_round = cluster_run.round;
   // Node scope stores the ballast twice, cluster scope once: the saving is
   // at least one full ballast copy.
-  EXPECT_GT(node_round.store_new_bytes,
-            cluster_round.store_new_bytes + kBallast / 2);
+  EXPECT_GT(node_round.total_compressed,
+            cluster_round.total_compressed + kBallast / 2);
   // The second process's ballast was answered by resident chunks...
   EXPECT_GE(cluster_round.store_dup_bytes, kBallast);
   // ...and the shared chunks are visible in the round's stats.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/launch.h"
+#include "core/protocol.h"
 #include "sim/cluster.h"
 #include "tests/testprogs.h"
 
@@ -50,6 +51,34 @@ std::map<std::string, std::string> baseline_results(
   std::map<std::string, std::string> out;
   for (const char* n : names) out[n] = read_result(cluster.kernel(), n);
   return out;
+}
+
+/// kImageStats round-trips through the wire encoding at pinned blob
+/// lengths. The coordinator link charges a message by its length, so a
+/// layout change would move simulated NIC time.
+TEST(DmtcpBasic, ImageStatsRoundTripAtPinnedBlobLengths) {
+  const core::ImageStats full{.round = 3, .node = 1, .path = "/ckpt/a.dmtcp",
+                              .uncompressed = 5000, .written = 1234};
+  core::ImageStats chunked = full;
+  chunked.chunked = true;
+  chunked.total_chunks = 40;
+  chunked.new_chunks = 7;
+  chunked.dup_bytes = 900;
+  chunked.new_chunk_bytes = 300;
+  chunked.raw_new_bytes = 700;
+  core::ImageStats skipped{.round = 3, .node = 1, .path = "/ckpt/a.dmtcp"};
+  skipped.chunked = skipped.skipped = true;
+  const core::UniquePid upid{core::hostid_of(1), 42, 7};
+  const std::pair<core::ImageStats, size_t> cases[] = {
+      {full, 8}, {chunked, 56}, {skipped, 56}};
+  for (const auto& [rec, blob_bytes] : cases) {
+    const core::Msg m = rec.to_msg(upid);
+    EXPECT_EQ(m.blob.size(), blob_bytes);
+    const core::Msg wire = core::Msg::decode(m.encode());
+    EXPECT_EQ(wire.type, core::MsgType::kImageStats);
+    EXPECT_EQ(wire.upid, upid);
+    EXPECT_EQ(core::ImageStats::from_msg(wire), rec);
+  }
 }
 
 TEST(DmtcpBasic, PingPongRunsUnderDmtcpWithoutCheckpoint) {

@@ -108,6 +108,24 @@ std::map<std::string, std::string> baseline(const Workload& wl) {
   return out;
 }
 
+/// Run the computation until every expected result is written, then compare.
+void expect_results(core::DmtcpControl& ctl,
+                    const std::map<std::string, std::string>& expected) {
+  sim::Kernel& k = ctl.kernel();
+  const bool done = ctl.run_until(
+      [&] {
+        for (const auto& [name, value] : expected) {
+          if (read_result(k, name).empty()) return false;
+        }
+        return true;
+      },
+      k.loop().now() + 600 * timeconst::kSecond);
+  ASSERT_TRUE(done) << "computation did not finish";
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(read_result(k, name), value) << "result diverged for " << name;
+  }
+}
+
 using Param = std::tuple<int /*workload*/, int /*ckpt delay ms*/,
                          int /*codec*/>;
 
@@ -138,19 +156,7 @@ TEST_P(Transparency, KillRestartIsInvisible) {
     ctl.kill_computation();
     ctl.restart();
   }  // else: the workload finished before the request — nothing to restore
-  const bool done = ctl.run_until(
-      [&] {
-        for (const auto& [name, value] : expected) {
-          if (read_result(cluster.kernel(), name).empty()) return false;
-        }
-        return true;
-      },
-      cluster.kernel().loop().now() + 600 * timeconst::kSecond);
-  ASSERT_TRUE(done) << "restarted computation did not finish";
-  for (const auto& [name, value] : expected) {
-    EXPECT_EQ(read_result(cluster.kernel(), name), value)
-        << "result diverged for " << name;
-  }
+  expect_results(ctl, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,18 +186,7 @@ TEST_P(ResumeTransparency, CheckpointResumeIsInvisible) {
   wl.launch(cluster.kernel(), true, &ctl);
   ctl.run_for(delay_ms * timeconst::kMillisecond);
   ctl.checkpoint_now();
-  const bool done = ctl.run_until(
-      [&] {
-        for (const auto& [name, value] : expected) {
-          if (read_result(cluster.kernel(), name).empty()) return false;
-        }
-        return true;
-      },
-      cluster.kernel().loop().now() + 600 * timeconst::kSecond);
-  ASSERT_TRUE(done);
-  for (const auto& [name, value] : expected) {
-    EXPECT_EQ(read_result(cluster.kernel(), name), value);
-  }
+  expect_results(ctl, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,6 +196,48 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return workloads()[static_cast<size_t>(std::get<0>(info.param))].name +
              std::string("_t") + std::to_string(std::get<1>(info.param));
+    });
+
+/// A kill while a round is in flight abandons that round, and the
+/// coordinator must still start the next one. The kill lands inside the
+/// write barrier, just after `drained` is stamped; the restart runs off the
+/// previous round's script, a new round completes, and the results are
+/// byte-identical.
+class KillMidRound : public ::testing::TestWithParam<int> {};
+
+TEST_P(KillMidRound, AbandonedRoundDoesNotWedgeTheCoordinator) {
+  const Workload& wl = workloads()[static_cast<size_t>(GetParam())];
+  const auto expected = baseline(wl);
+
+  sim::Cluster cluster(sim::Cluster::lab_cluster(2));
+  core::DmtcpControl ctl(cluster.kernel(), {});
+  register_test_programs(cluster.kernel());
+  wl.launch(cluster.kernel(), true, &ctl);
+  ctl.run_for(5 * timeconst::kMillisecond);
+  ASSERT_GT(ctl.checkpoint_now().procs, 0);
+  ctl.request_checkpoint();
+  // Fine steps: run_until's 1 ms steps would overshoot the write barrier.
+  const auto& rounds = ctl.stats().rounds;
+  const SimTime deadline = cluster.kernel().loop().now() + timeconst::kSecond;
+  while ((rounds.size() < 2 || rounds[1].drained == 0) &&
+         cluster.kernel().loop().now() < deadline) {
+    ctl.run_for(20 * timeconst::kMicrosecond);
+  }
+  ASSERT_EQ(rounds.size(), 2u);
+  ASSERT_NE(rounds[1].drained, 0);
+  ASSERT_EQ(rounds[1].checkpointed, 0) << "the kill must land mid-round";
+  ctl.kill_computation();
+  ctl.restart();
+  EXPECT_GT(ctl.checkpoint_now().procs, 0);
+  EXPECT_EQ(rounds.size(), 3u);
+  EXPECT_EQ(rounds[1].refilled, 0);  // abandoned
+  expect_results(ctl, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneProcessAndTwoNodes, KillMidRound, ::testing::Values(5, 0),
+    [](const auto& info) {
+      return std::string(workloads()[static_cast<size_t>(info.param)].name);
     });
 
 }  // namespace

@@ -396,12 +396,12 @@ TEST(TenantsE2E, TwoComputationsShareOneServiceAndDedupAcrossTenants) {
   const u64 live_after_host = w.host.shared().store_service->repo().stats()
                                   .live_stored_bytes;
   const auto& r2 = w.guest.checkpoint_now();
-  ASSERT_GT(r1.store_new_bytes, 0u);
+  ASSERT_GT(r1.total_compressed, 0u);
   // The guest's image was answered almost entirely by the host's resident
   // chunks: the store grew by far less than a second full image.
   const auto& repo = w.host.shared().store_service->repo();
   EXPECT_LT(repo.stats().live_stored_bytes - live_after_host,
-            r1.store_new_bytes / 4);
+            r1.total_compressed / 4);
   EXPECT_GT(r2.store_dup_bytes, 0u);
   // The dedup is attributed to the tenant pair.
   const auto by_group = repo.shared_bytes_by_group();
