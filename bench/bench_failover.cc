@@ -5,9 +5,9 @@
 // baseline. In the second round, the first shard endpoint's node is killed
 // right after the drain barrier — the moment the write phase floods the
 // shard queues. The membership service detects the silence (heartbeat
-// misses), the failover manager re-homes the shard to the next live node in
-// its rendezvous order, and the parked in-flight requests replay there: the
-// round completes with elevated latency and zero caller-visible errors.
+// misses), the chunk-store service re-homes the shard to the next live node
+// in its rendezvous order, and the parked in-flight requests replay there:
+// the round completes with elevated latency and zero caller-visible errors.
 // Reported: the kill round's time vs baseline, shards re-homed, requests
 // parked/replayed, rounds until the store is back at full replica strength
 // (recovery_rounds), post-failover lost chunks (must be 0), and whether a

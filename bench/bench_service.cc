@@ -190,7 +190,7 @@ FailoverResult run_failover(u64 lib_bytes, u64 priv_bytes) {
     auto& svc = *w.ctl->shared().store_service;
     svc.fail_node(1);
     // Membership detects the death (~misses x interval of silence), the
-    // failover manager kicks the background re-replication daemon, and the
+    // service kicks its background re-replication daemon, and the
     // heal drains while the computation keeps running; the restart then
     // reads only survivors. (bench_failover measures the mid-round kill —
     // here the heal itself is the subject.)

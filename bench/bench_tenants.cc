@@ -128,7 +128,7 @@ ArmResult run_arm(bool storm, bool fair_queueing, int ranks, u64 lib_bytes,
   w.guest.shared().opts.tenant_weight = 4.0;
   w.host.shared().store_service->tenants().configure(
       2, {/*weight=*/4.0, /*inflight_budget_bytes=*/0,
-          /*keep_generations=*/2, /*hot_generations=*/0});
+          /*hot_generations=*/0});
 
   std::vector<Pid> noisy;
   for (int n = 0; n < ranks; ++n) {

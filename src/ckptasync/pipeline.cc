@@ -21,12 +21,10 @@ struct CkptAsyncPipeline::Job {
   std::vector<std::unique_ptr<SegTracker>> trackers;
 };
 
-CkptAsyncPipeline::CkptAsyncPipeline(CpuCharger charge, Clock clock,
+CkptAsyncPipeline::CkptAsyncPipeline(CpuCharger charge, sim::EventLoop& loop,
                                      double compress_bw)
-    : charge_(std::move(charge)),
-      clock_(std::move(clock)),
-      compress_bw_(compress_bw) {
-  DSIM_CHECK(charge_ && clock_);
+    : charge_(std::move(charge)), loop_(loop), compress_bw_(compress_bw) {
+  DSIM_CHECK(charge_);
   DSIM_CHECK_MSG(compress_bw_ > 0, "async compress bandwidth must be > 0");
 }
 
@@ -76,7 +74,7 @@ void CkptAsyncPipeline::start(JobSpec spec) {
   auto job = std::make_shared<Job>();
   job->key = spec.key;
   job->node = spec.node;
-  job->started = clock_();
+  job->started = loop_.now();
   job->on_complete = std::move(spec.on_complete);
 
   stats_.jobs_started++;
@@ -107,45 +105,30 @@ void CkptAsyncPipeline::start(JobSpec spec) {
   // chain emits standalone spans (async.drain covering the whole job, plus
   // one span per stage); the tracer never charges sim time, so traced and
   // untraced runs are event-for-event identical.
-  u64 chunk_span = 0;
-  if (tracer_ != nullptr) {
-    job->drain_span =
-        tracer_->begin("async.drain", obs::kServicePid, "async", job->started);
-    chunk_span =
-        tracer_->begin("async.chunk", obs::kServicePid, "async", job->started);
-  }
+  job->drain_span = loop_.begin_span("async.drain", obs::kServicePid, "async");
+  const u64 chunk_span =
+      loop_.begin_span("async.chunk", obs::kServicePid, "async");
   const std::string key = job->key;
   auto store = std::move(spec.store);
   charge_(spec.node, spec.chunk_seconds,
           [this, key, node = spec.node, cs = spec.compress_seconds,
            store = std::move(store), chunk_span]() mutable {
-            u64 compress_span = 0;
-            if (tracer_ != nullptr) {
-              const SimTime now = clock_();
-              tracer_->end(chunk_span, now);
-              compress_span =
-                  tracer_->begin("async.compress", obs::kServicePid, "async",
-                                 now);
-            }
+            loop_.end_span(chunk_span);
+            const u64 compress_span =
+                loop_.begin_span("async.compress", obs::kServicePid, "async");
             charge_(node, cs, [this, key, store = std::move(store),
                                compress_span]() mutable {
-              u64 store_span = 0;
-              if (tracer_ != nullptr) {
-                const SimTime now = clock_();
-                tracer_->end(compress_span, now);
-                if (store) {
-                  store_span = tracer_->begin("async.store", obs::kServicePid,
-                                              "async", now);
-                }
-              }
-              if (store) {
-                store([this, key, store_span] {
-                  if (tracer_ != nullptr) tracer_->end(store_span, clock_());
-                  finish(key);
-                });
-              } else {
+              loop_.end_span(compress_span);
+              if (!store) {
                 finish(key);
+                return;
               }
+              const u64 store_span =
+                  loop_.begin_span("async.store", obs::kServicePid, "async");
+              store([this, key, store_span] {
+                loop_.end_span(store_span);
+                finish(key);
+              });
             });
           });
 }
@@ -161,8 +144,8 @@ void CkptAsyncPipeline::finish(const std::string& key) {
       }
     }
   }
-  if (tracer_ != nullptr) tracer_->end(job->drain_span, clock_());
-  const double drain = to_seconds(clock_() - job->started);
+  loop_.end_span(job->drain_span);
+  const double drain = to_seconds(loop_.now() - job->started);
   stats_.jobs_completed++;
   stats_.drain_seconds += drain;
   stats_.max_drain_seconds = std::max(stats_.max_drain_seconds, drain);

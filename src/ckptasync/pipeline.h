@@ -15,7 +15,10 @@
 // surfaced in CkptRound.
 //
 // The pipeline is deliberately core-free: the DMTCP layer injects a CPU
-// charger and a clock, so this subsystem depends only on sim/ primitives.
+// charger and the event loop, so this subsystem depends only on sim/
+// primitives. Each drain job emits async.drain / async.chunk /
+// async.compress / async.store spans through the loop's span helpers
+// when a tracer is installed there.
 #pragma once
 
 #include <functional>
@@ -25,19 +28,15 @@
 #include <vector>
 
 #include "sim/byte_image.h"
+#include "sim/event_loop.h"
 #include "sim/process.h"
 #include "util/types.h"
-
-namespace dsim::obs {
-class Tracer;
-}  // namespace dsim::obs
 
 namespace dsim::ckptasync {
 
 /// Charge `core_seconds` of background CPU on `node`, calling `done` when
 /// the fluid-share model completes the job.
 using CpuCharger = std::function<void(NodeId, double, std::function<void()>)>;
-using Clock = std::function<SimTime()>;
 
 /// Cumulative pipeline counters; consumers (the coordinator) snapshot and
 /// delta them per round, like ServiceStats.
@@ -75,7 +74,8 @@ struct JobSpec {
 
 class CkptAsyncPipeline {
  public:
-  CkptAsyncPipeline(CpuCharger charge, Clock clock, double compress_bw);
+  CkptAsyncPipeline(CpuCharger charge, sim::EventLoop& loop,
+                    double compress_bw);
   ~CkptAsyncPipeline();
 
   CkptAsyncPipeline(const CkptAsyncPipeline&) = delete;
@@ -97,11 +97,6 @@ class CkptAsyncPipeline {
   /// counted per round (CkptRound::async_skipped_procs).
   void note_blocked(double seconds) { stats_.blocked_seconds += seconds; }
 
-  /// Install the request tracer (--trace-out): each drain job emits
-  /// async.drain / async.chunk / async.compress / async.store spans. Null
-  /// (the default) disables instrumentation entirely.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   const PipelineStats& stats() const { return stats_; }
 
  private:
@@ -120,9 +115,8 @@ class CkptAsyncPipeline {
   void finish(const std::string& key);
 
   CpuCharger charge_;
-  Clock clock_;
+  sim::EventLoop& loop_;
   double compress_bw_;
-  obs::Tracer* tracer_ = nullptr;
   PipelineStats stats_;
   std::map<std::string, std::shared_ptr<Job>> active_;
 };

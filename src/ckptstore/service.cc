@@ -4,6 +4,7 @@
 #include <map>
 
 #include "ckptstore/erasure.h"
+#include "cluster/membership.h"
 #include "obs/trace.h"
 #include "sim/model_params.h"
 #include "util/assertx.h"
@@ -588,31 +589,42 @@ void ChunkStoreService::charge_cpu(NodeId node, double seconds,
   }
 }
 
+void ChunkStoreService::watch(cluster::Membership& membership) {
+  membership_ = &membership;
+  // Listeners fire only on a change, so a transition to kAlive is a
+  // revival: explicit, or a transient death re-acked before declaration.
+  membership.subscribe(
+      [this](NodeId node, cluster::NodeState, cluster::NodeState to) {
+        if (to == cluster::NodeState::kDead) {
+          handle_node_death(node);
+        } else if (to == cluster::NodeState::kAlive) {
+          handle_node_revival(node);
+        }
+      });
+}
+
 void ChunkStoreService::fail_node(NodeId node) {
+  DSIM_CHECK_MSG(!membership_ || node != membership_->config().monitor_node,
+                 "killing the membership monitor is not modeled (the "
+                 "coordinator is outside the computation, §3)");
   // Ground truth first, unconditionally: the instant the node dies its
   // chunk copies are unreachable and its RPCs stop being chargeable. The
-  // *reaction* — heal kick, shard re-home, replay — is detection's job.
+  // *reaction* — heal kick, shard re-home, replay — is detection's job:
+  // watched, membership's kDead declaration runs it after the heartbeat
+  // misses.
   health_->fail(node);
   placement_.fail_node(node);
-  if (death_router_) {
-    // Wired world: membership detects the silence (heartbeat misses) and
-    // its kDead event drives handle_node_death() through the failover
-    // manager, detection latency and all.
-    death_router_(node);
-  } else {
-    handle_node_death(node);
-  }
+  if (!membership_) handle_node_death(node);
 }
 
 void ChunkStoreService::revive_node(NodeId node) {
-  if (revive_router_) {
-    // Wired world: membership readmits the node; a kSuspect/kDead ->
-    // kAlive transition drives handle_node_revival() through the failover
-    // manager. A revival *before the first miss* changes no membership
-    // state and fires no listener, so the reaction also runs directly —
-    // it is idempotent, and requests parked in that window must not
-    // strand.
-    revive_router_(node);
+  if (membership_) {
+    // Membership readmits the node; its transition back to kAlive runs
+    // handle_node_revival() first. A revival *before the first miss*
+    // changes no membership state and fires no listener, so the reaction
+    // also runs directly: it is idempotent, and requests parked in that
+    // window must not strand.
+    membership_->revive_node(node);
   } else {
     health_->revive(node);
   }
@@ -629,7 +641,7 @@ void ChunkStoreService::handle_node_revival(NodeId node) {
   }
 }
 
-int ChunkStoreService::handle_node_death(NodeId node) {
+void ChunkStoreService::handle_node_death(NodeId node) {
   // Idempotent reaction to a detected death: placement may already know
   // (fail_node's ground truth), but a death declared by membership alone
   // must land there too before heal scans run.
@@ -646,18 +658,15 @@ int ChunkStoreService::handle_node_death(NodeId node) {
   // node in its rendezvous order, then replay its parked requests there in
   // FIFO order — idempotent by chunk key, so callers see latency, never
   // errors.
-  int rehomed = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (endpoints_[s] != node) continue;
     endpoints_[s] = pick_endpoint(static_cast<int>(s));
     stats_.rehomed_shards++;
-    ++rehomed;
     LOG_INFO("chunk store: shard %zu re-homed from dead node %d to node %d "
              "(%zu parked request(s) to replay)",
              s, node, endpoints_[s], shards_[s].parked.size());
     replay_parked(s);
   }
-  return rehomed;
 }
 
 void ChunkStoreService::schedule_heal_scan() {

@@ -54,10 +54,10 @@
 // the "t<id>/<vpid>" owner convention (tenant.h). `--fair-queueing off`
 // reverts every shard to the PR-3 arrival FIFO (the bench_tenants ablation).
 //
-// Failure tolerance (PR 5, src/cluster/): every service RPC carries a
-// failure path. A request whose endpoint node died *parks* on its shard
-// instead of erroring; when the membership service declares the node dead,
-// the failover manager re-homes the shard to the next live node in the
+// Failure tolerance: every service RPC carries a failure path. A request
+// whose endpoint node died *parks* on its shard instead of erroring. The
+// service watches cluster membership (src/cluster/): when it declares the
+// node dead, the service re-homes the shard to the next live node in the
 // shard's rendezvous order and the parked requests replay there in FIFO
 // order. Requests are idempotent by chunk key, so callers observe elevated
 // latency — never an error. Changing the shard count between rounds runs a
@@ -102,6 +102,10 @@
 #include "sim/net.h"
 #include "sim/storage.h"
 #include "util/types.h"
+
+namespace dsim::cluster {
+class Membership;
+}  // namespace dsim::cluster
 
 namespace dsim::ckptstore {
 
@@ -225,8 +229,8 @@ class ChunkStoreService {
   /// the membership service's fabric shares it).
   const std::shared_ptr<rpc::NodeHealth>& health() const { return health_; }
 
-  /// Per-tenant config (DRR weights, admission budgets, retention
-  /// overrides) and per-tenant request statistics. Each computation's
+  /// Per-tenant config (DRR weights, admission budgets, cold-demotion
+  /// ages) and per-tenant request statistics. Each computation's
   /// control handle registers its tenant here at startup.
   TenantRegistry& tenants() { return tenants_; }
   const TenantRegistry& tenants() const { return tenants_; }
@@ -264,18 +268,13 @@ class ChunkStoreService {
     cpu_charger_ = std::move(charger);
   }
 
-  /// Death/revival routing hooks. When set (the wired DMTCP world),
-  /// fail_node()/revive_node() report the ground-truth event here — the
-  /// membership service — and the *reaction* (heal kick, shard re-home,
-  /// replay) waits for its detection, which calls back into
-  /// handle_node_death()/handle_node_revival() through the failover
-  /// manager. Unset (standalone tests), the service reacts immediately.
-  void set_death_router(std::function<void(NodeId)> router) {
-    death_router_ = std::move(router);
-  }
-  void set_revive_router(std::function<void(NodeId)> router) {
-    revive_router_ = std::move(router);
-  }
+  /// Wire the service to the failure detector (the DMTCP world does it
+  /// once, at startup). The service subscribes to `membership`: a
+  /// transition to kDead runs the death reaction, a transition back to
+  /// kAlive the revival reaction. From then on fail_node() leaves the
+  /// reaction to detection. Each keeps a pointer to the other, so both
+  /// must live while either is used (DmtcpShared owns both).
+  void watch(cluster::Membership& membership);
 
   /// THE service entry point: every Lookup/Store/Restore/Fetch/Drop flows
   /// through this one typed envelope (the per-op signatures of PRs 3-7 are
@@ -293,28 +292,16 @@ class ChunkStoreService {
 
   /// Simulated node failure. Ground truth lands immediately — the node's
   /// chunk copies become unreachable (placement) and its RPCs stop being
-  /// chargeable (NodeHealth) — then the death is routed through membership
-  /// (detection latency) or, standalone, handled synchronously.
+  /// chargeable (NodeHealth). A watched service reacts when membership
+  /// declares the death, detection latency and all; an unwatched one
+  /// (standalone tests) reacts at once. The membership monitor cannot be
+  /// killed.
   void fail_node(NodeId node);
-  /// Simulated node revival, the mirror image: health flips up
-  /// immediately; the reaction (placement readmission + replay of any
-  /// requests parked against the node's endpoints) arrives via membership
-  /// or, standalone, synchronously.
+  /// Simulated node revival, the mirror image: health flips up and the
+  /// node is readmitted to placement, and requests parked against its
+  /// endpoints replay. A watched service readmits the node to membership
+  /// first.
   void revive_node(NodeId node);
-
-  /// Reaction to a *detected* node death (membership's kDead event, via the
-  /// failover manager — or directly from fail_node() when no router is
-  /// set): kick the heal daemon for the fragments the node held, and re-home
-  /// every shard whose endpoint died to the next live node in the shard's
-  /// rendezvous order, replaying parked requests there. Returns the number
-  /// of shards re-homed. Idempotent.
-  int handle_node_death(NodeId node);
-  /// Reaction to a detected revival (membership's transition back to
-  /// kAlive — including a transient death the heartbeats re-acked before
-  /// declaring): readmit the node to placement and replay requests parked
-  /// against its endpoints, which would otherwise strand forever (no death
-  /// declaration means no re-home to flush them). Idempotent.
-  void handle_node_revival(NodeId node);
 
   /// Move every shard whose current endpoint differs from its *assigned*
   /// endpoint (set_endpoints()/rebalance()) back, provided the assigned
@@ -338,8 +325,8 @@ class ChunkStoreService {
   /// Store is not yet recorded, with the writer (one id per claiming
   /// Lookup request) and its node. A claim ends when any Store of the key
   /// is recorded, when the key is reclaimed, or when its writer's node is
-  /// declared dead (handle_node_death), so a key is never claimed and
-  /// placed at once, and none stays claimed past its writer.
+  /// declared dead, so a key is never claimed and placed at once, and none
+  /// stays claimed past its writer.
   struct Claim {
     u64 writer = 0;
     NodeId node = 0;
@@ -457,6 +444,17 @@ class ChunkStoreService {
     std::deque<Held> held;
   };
 
+  /// Reaction to a detected node death: kick the heal daemon for the
+  /// fragments the node held, and re-home every shard whose endpoint died
+  /// to the next live node in the shard's rendezvous order, replaying
+  /// parked requests there. Idempotent.
+  void handle_node_death(NodeId node);
+  /// Reaction to a revival (including a transient death the heartbeats
+  /// re-acked before declaring): readmit the node to placement and replay
+  /// requests parked against its endpoints, which would otherwise strand
+  /// forever (no death declaration means no re-home to flush them).
+  /// Idempotent.
+  void handle_node_revival(NodeId node);
   NodeId endpoint_of(int shard) const {
     return endpoints_[static_cast<size_t>(shard)];
   }
@@ -599,8 +597,8 @@ class ChunkStoreService {
   DeviceCharger charger_;
   DeviceTrimmer trimmer_;
   CpuCharger cpu_charger_;
-  std::function<void(NodeId)> death_router_;
-  std::function<void(NodeId)> revive_router_;
+  /// The failure detector watch() wired in; null when unwatched.
+  cluster::Membership* membership_ = nullptr;
   // Heal daemon state.
   std::deque<ChunkKey> heal_pending_;
   int heal_in_flight_ = 0;

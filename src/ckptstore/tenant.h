@@ -10,7 +10,7 @@
 //                             five ad-hoc signatures; context like tenant id
 //                             and QoS class now travels in one place),
 //   TenantRegistry            per-tenant config (DRR weight, in-flight store
-//                             byte budget, retention overrides) and
+//                             byte budget, cold-demotion age) and
 //                             per-tenant request statistics,
 //   FairQueue                 deficit round-robin over per-(QoS band, tenant)
 //                             sub-queues — the scheduler that replaces each
@@ -104,12 +104,10 @@ struct StoreReply {
 };
 
 /// Per-tenant service policy. Zero means "inherit the global default":
-/// unlimited budget, the computation's own --keep-generations /
-/// --hot-generations.
+/// unlimited budget, the computation's own --hot-generations.
 struct TenantConfig {
   double weight = 1.0;            // DRR share within a QoS band
   u64 inflight_budget_bytes = 0;  // admission control; 0 = unlimited
-  int keep_generations = 0;       // per-tenant GC retention; 0 = global
   int hot_generations = 0;        // per-tenant cold-demotion age; 0 = global
 };
 
@@ -139,11 +137,6 @@ class TenantRegistry {
     return it == configs_.end() ? default_ : it->second;
   }
   double weight(TenantId t) const { return config(t).weight; }
-  /// Effective keep-last-N for `t`: its own override, else the global.
-  int keep_for(TenantId t, int global_keep) const {
-    const int k = config(t).keep_generations;
-    return k > 0 ? k : global_keep;
-  }
   /// Effective hot-generation age for `t`: its override, else the global.
   int hot_for(TenantId t, int global_hot) const {
     const int h = config(t).hot_generations;

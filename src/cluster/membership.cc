@@ -99,25 +99,6 @@ void Membership::transition(NodeId n, NodeState to) {
   for (const Listener& l : listeners_) l(n, from, to);
 }
 
-void Membership::kill_node(NodeId n) {
-  DSIM_CHECK_MSG(n >= 0 && n < num_nodes(),
-                 "kill_node names a node outside the cluster");
-  DSIM_CHECK_MSG(n != cfg_.monitor_node,
-                 "killing the membership monitor is not modeled (the "
-                 "coordinator is outside the computation, §3)");
-  if (!health_->up(n)) return;  // already dead
-  health_->fail(n);
-  if (!started()) {
-    // No detector running (standalone service tests): declare immediately
-    // so direct-driven failover still happens.
-    misses_[static_cast<size_t>(n)] = cfg_.heartbeat_misses;
-    transition(n, NodeState::kDead);
-  }
-  // Otherwise the heartbeat loop notices the silence: first miss suspects,
-  // heartbeat_misses-th declares — the detection latency failover's replay
-  // machinery exists to absorb.
-}
-
 void Membership::revive_node(NodeId n) {
   DSIM_CHECK_MSG(n >= 0 && n < num_nodes(),
                  "revive_node names a node outside the cluster");

@@ -16,24 +16,23 @@
 //      ▲                        │   │           │                   │
 //      └────────────────────────┘   │           │ ack (resets)      │ final
 //      └── ack while suspect ◄──────┴───────────┘                   ▼
-//                                                      listeners (failover)
+//                                                  listeners (chunk store)
 //
 // One missed heartbeat moves a node to kSuspect (it may just be slow — the
 // fabric inherits Network::set_jitter); `heartbeat_misses` *consecutive*
-// misses declare it kDead and notify subscribers (the shard failover
-// manager re-homes its shards; the heal daemon restores its replicas).
-// kDead is terminal for a given incarnation: revive_node() readmits the
-// node as a fresh member.
+// misses declare it kDead and notify subscribers (the chunk-store service,
+// wired by ChunkStoreService::watch, re-homes the node's shards and kicks
+// the heal daemon for its fragments). kDead is terminal for a given
+// incarnation: revive_node() readmits the node as a fresh member.
 //
-// Ground truth vs. detection: kill_node() is the *simulation's* kill switch
-// — it marks the node down in the shared rpc::NodeHealth map immediately
-// (bytes and RPCs stop being chargeable the instant the node dies), while
-// the membership *state machine* only learns of the death through missed
-// heartbeats, `heartbeat_misses x heartbeat_interval` later. That gap is
-// the detection latency real systems live with, and the failover replay
-// machinery is what makes it survivable. Without a running heartbeat loop
-// (standalone construction in unit tests) kill_node() declares the death
-// immediately so direct-driven services still fail over.
+// Ground truth vs. detection: the chunk store's fail_node() is the
+// *simulation's* kill switch — it marks the node down in the shared
+// rpc::NodeHealth map immediately (bytes and RPCs stop being chargeable the
+// instant the node dies), while the membership *state machine* only learns
+// of the death through missed heartbeats, `heartbeat_misses x
+// heartbeat_interval` later. That gap is the detection latency real
+// systems live with, and the store's park/replay machinery is what makes
+// it survivable.
 #pragma once
 
 #include <functional>
@@ -78,7 +77,6 @@ class Membership {
   /// monitor's NIC like any other traffic.
   void start();
   void stop();
-  bool started() const { return timer_.running(); }
 
   NodeState state(NodeId n) const {
     return states_.at(static_cast<size_t>(n));
@@ -87,16 +85,11 @@ class Membership {
   int num_nodes() const { return static_cast<int>(states_.size()); }
 
   /// Transition listener, called as (node, from, to). Subscribed by the
-  /// shard failover manager; fires on every state change including
-  /// suspicion, so subscribers can pre-stage recovery.
+  /// chunk-store service (ChunkStoreService::watch); fires on every state
+  /// change including suspicion, so subscribers can pre-stage recovery.
   using Listener = std::function<void(NodeId, NodeState, NodeState)>;
   void subscribe(Listener l) { listeners_.push_back(std::move(l)); }
 
-  /// Simulation ground truth: the node dies *now* (its NodeHealth entry
-  /// flips immediately). With the heartbeat loop running the state machine
-  /// detects the death after ~misses x interval; without it the death is
-  /// declared synchronously.
-  void kill_node(NodeId n);
   /// Readmit a node: health up, state kAlive, miss counter cleared.
   void revive_node(NodeId n);
 

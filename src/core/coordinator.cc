@@ -179,7 +179,6 @@ void stamp_barrier(CoordState* st, const std::string& name, SimTime now) {
 
 Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
   st->shared->ckpt_active = false;
-  st->shared->ckpt_generation++;
   // Generate the restart script for this round (§3).
   const int round = st->current_round;
   auto& r = st->shared->stats.rounds.back();
@@ -241,46 +240,23 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
             : 1.0 - static_cast<double>(r.store_dup_bytes) /
                         static_cast<double>(r.total_uncompressed);
   }
-  {
-    // Critical-path attribution: the barrier stages decompose the round's
-    // pause exactly (they are adjacent intervals of one timeline, so their
-    // sum IS the total — asserted to catch any future re-stamping bug);
-    // with tracing on, the per-stage queue-wait deltas ride along.
-    r.stage_breakdown["barrier.suspend"] = r.suspend_seconds();
-    r.stage_breakdown["barrier.elect"] = r.elect_seconds();
-    r.stage_breakdown["barrier.drain"] = r.drain_seconds();
-    r.stage_breakdown["barrier.write"] = r.write_seconds();
-    r.stage_breakdown["barrier.refill"] = r.refill_seconds();
-    const double barrier_sum =
-        r.stage_breakdown["barrier.suspend"] +
-        r.stage_breakdown["barrier.elect"] +
-        r.stage_breakdown["barrier.drain"] +
-        r.stage_breakdown["barrier.write"] +
-        r.stage_breakdown["barrier.refill"];
-    DSIM_CHECK_MSG(std::fabs(barrier_sum - r.total_seconds()) <= 1e-9,
-                   "round barrier stages must sum to the measured total");
-    for (const auto& [name, h] : r.delta.histograms()) {
-      if (name.rfind("stage.", 0) == 0 && h.sum() > 0) {
-        r.stage_breakdown["queue." + name.substr(6)] = h.sum();
-      }
-    }
-    if (auto* tr = st->shared->tracer.get()) {
-      // Critical-path attribution over the pause window: the backward
-      // sweep partitions [requested, refilled) in integer nanoseconds,
-      // so its attributed time equals the barrier stage total exactly —
-      // both identities asserted, every round.
-      r.critical_path =
-          obs::critical_path(*tr, r.requested, r.refilled, round_phases(r));
-      DSIM_CHECK_MSG(
-          r.critical_path.attributed_ns() == r.refilled - r.requested,
-          "round critical path must partition the pause window");
-      DSIM_CHECK_MSG(
-          std::fabs(r.critical_path.total_seconds() - barrier_sum) <= 1e-9,
-          "round critical path must sum to the stage_breakdown total");
-      if (!r.critical_path.entries.empty()) {
-        LOG_DEBUG("coordinator: round %d critical path: %s",
-                  st->current_round, r.critical_path.top_blame().c_str());
-      }
+  if (auto* tr = st->shared->tracer.get()) {
+    // Critical-path attribution over the pause window: the backward sweep
+    // partitions [requested, refilled) in integer nanoseconds, so its
+    // attributed time equals the round's total exactly — both identities
+    // asserted, every round.
+    r.critical_path =
+        obs::critical_path(*tr, r.requested, r.refilled, round_phases(r));
+    DSIM_CHECK_MSG(
+        r.critical_path.attributed_ns() == r.refilled - r.requested,
+        "round critical path must partition the pause window");
+    DSIM_CHECK_MSG(
+        std::fabs(r.critical_path.total_seconds() - r.total_seconds()) <=
+            1e-9,
+        "round critical path must sum to the round's total");
+    if (!r.critical_path.entries.empty()) {
+      LOG_DEBUG("coordinator: round %d critical path: %s", st->current_round,
+                r.critical_path.top_blame().c_str());
     }
   }
   if (st->shared->health_series) {
@@ -500,10 +476,7 @@ Task<void> client_handler(CoordState* st, sim::ProcessCtx* pctx, Fd fd) {
           RestartRun& rr = restarts.back();
           if (m->s == "files") rr.files_ptys_seconds = avg;
           else if (m->s == "reconnect") rr.reconnect_seconds = avg;
-          else if (m->s == "memory") {
-            rr.memory_threads_seconds = avg;
-            rr.hosts_reported = hosts;
-          }
+          else if (m->s == "memory") rr.memory_threads_seconds = avg;
         }
         break;
       }

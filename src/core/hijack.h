@@ -57,7 +57,6 @@ class Hijack final : public sim::Interposer {
   // --- dmtcpaware surface (see core/dmtcpaware.h) ---
   void delay_lock() { ++delay_count_; }
   void delay_unlock() { --delay_count_; }
-  int delay_count() const { return delay_count_; }
   void set_hooks(std::function<void()> pre, std::function<void()> post,
                  std::function<void()> post_restart) {
     hook_pre_ = std::move(pre);

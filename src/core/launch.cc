@@ -7,7 +7,6 @@
 #include "ckptasync/pipeline.h"
 #include "ckptstore/manifest.h"
 #include "ckptstore/tenant.h"
-#include "cluster/failover.h"
 #include "cluster/membership.h"
 #include "core/coordinator.h"
 #include "core/hijack.h"
@@ -130,11 +129,10 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
         });
     shared_->repos[DmtcpShared::kSharedRepo] =
         shared_->store_service->repo_ptr();
-    // Cluster membership + shard failover (src/cluster/): the coordinator's
-    // node heartbeats every other node over the RPC fabric, and the
-    // failover manager consumes its death events — heal kick plus shard
-    // re-home with in-flight replay. The service routes ground-truth kills
-    // (fail_node) through membership, so the reaction arrives only after
+    // Cluster membership (src/cluster/): the coordinator's node heartbeats
+    // every other node over the RPC fabric, and the service watches it. A
+    // kill (fail_node) lands as ground truth at once; the reaction — heal
+    // kick plus shard re-home with in-flight replay — arrives only after
     // the detection latency a real deployment would pay.
     cluster::MembershipConfig mcfg;
     mcfg.heartbeat_interval =
@@ -144,13 +142,7 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
     mcfg.monitor_node = opts.coord_node;
     shared_->membership = std::make_shared<cluster::Membership>(
         k_.loop(), k_.net(), shared_->store_service->health(), mcfg);
-    shared_->failover = std::make_shared<cluster::FailoverManager>(
-        *shared_->membership, *shared_->store_service);
-    auto membership = shared_->membership;
-    shared_->store_service->set_death_router(
-        [membership](NodeId n) { membership->kill_node(n); });
-    shared_->store_service->set_revive_router(
-        [membership](NodeId n) { membership->revive_node(n); });
+    shared_->store_service->watch(*shared_->membership);
     shared_->membership->start();
   }
   finish_init();
@@ -184,7 +176,6 @@ DmtcpControl::DmtcpControl(DmtcpControl& host, DmtcpOptions opts)
   shared_->owns_store = false;
   shared_->store_service = host.shared_->store_service;
   shared_->membership = host.shared_->membership;
-  shared_->failover = host.shared_->failover;
   shared_->repos[DmtcpShared::kSharedRepo] =
       shared_->store_service->repo_ptr();
   finish_init();
@@ -209,21 +200,17 @@ void DmtcpControl::finish_init() {
         [kp](NodeId node, double seconds, std::function<void()> done) {
           kp->node(node).cpu().submit(seconds, std::move(done));
         },
-        [kp] { return kp->loop().now(); },
+        k_.loop(),
         opts.compress_bw > 0 ? opts.compress_bw : sim::params::kCompressBw);
-    if (shared_->tracer) {
-      shared_->async_pipeline->set_tracer(shared_->tracer.get());
-    }
   }
   if (auto* svc = shared_->store_service.get()) {
     // Register this computation's tenant policy with the (possibly shared)
-    // service: DRR weight, admission budget and retention overrides all key
+    // service: DRR weight, admission budget and cold-demotion age all key
     // on the tenant id the managers stamp into their requests. The fair-
     // queueing switch is service topology, so only the owner sets it.
     ckptstore::TenantConfig tc;
     tc.weight = opts.tenant_weight;
     tc.inflight_budget_bytes = opts.tenant_budget_bytes;
-    tc.keep_generations = opts.keep_generations;
     tc.hot_generations = opts.hot_generations;
     svc->tenants().configure(opts.tenant_id, tc);
     if (shared_->owns_store) svc->set_fair_queueing(opts.fair_queueing);

@@ -15,7 +15,6 @@
 
 #include "ckptstore/repository.h"
 #include "ckptstore/service.h"
-#include "cluster/failover.h"
 #include "cluster/membership.h"
 #include "core/options.h"
 #include "obs/critpath.h"
@@ -97,18 +96,11 @@ struct CkptRound {
   /// kicked at round N surfaces in round N+1's delta.
   obs::MetricsRegistry delta;
 
-  /// Critical-path attribution for the round: seconds per named component.
-  /// The "barrier.*" entries decompose total_seconds() exactly (the
-  /// coordinator asserts they sum to it); with tracing enabled, "queue.*"
-  /// entries additionally attribute the round's queue-wait to stages
-  /// (the delta's positive stage.* histogram sums).
-  std::map<std::string, double> stage_breakdown;
-
   /// Critical-path blame report for the pause window [requested,
   /// refilled): the backward sweep over the tracer's spans (obs/critpath)
   /// partitions the window exactly, so the report's attributed time
-  /// equals the stage_breakdown barrier total — the coordinator asserts
-  /// both identities every round. Empty when tracing is off.
+  /// equals total_seconds() — the coordinator asserts both identities
+  /// every round. Empty when tracing is off.
   obs::CritPathReport critical_path;
 
   double total_seconds() const { return to_seconds(refilled - requested); }
@@ -126,11 +118,10 @@ struct RestartRun {
   SimTime refilled = 0;      // == resume point (§4.4 steps 6-7)
   int procs = 0;
   // Per-host stage durations, averaged across the hosts' stage notes
-  // (Table 1b methodology); hosts_reported counts the memory notes.
+  // (Table 1b methodology).
   double files_ptys_seconds = 0;
   double reconnect_seconds = 0;
   double memory_threads_seconds = 0;
-  int hosts_reported = 0;
 
   // Memory-stage decode, summed over hosts: CPU-seconds charged to the
   // restarting nodes' cores (gunzip/assembly plus degraded-read erasure
@@ -207,13 +198,12 @@ struct DmtcpShared {
   /// service's stats.)
   bool owns_store = true;
   /// Cluster membership (heartbeat failure detection from the
-  /// coordinator's node) and the shard-failover manager consuming its
-  /// death events. Created alongside the store service; the membership's
+  /// coordinator's node), which the store service watches for death
+  /// events. Created alongside the store service; the membership's
   /// fabric shares the service's NodeHealth map, so a killed node fails
   /// heartbeats and store RPCs identically. Restart consults membership
   /// before choosing a chunk's holder.
   std::shared_ptr<cluster::Membership> membership;
-  std::shared_ptr<cluster::FailoverManager> failover;
   /// Async COW checkpoint pipeline (--ckpt-async): snapshot trackers +
   /// background encode/store jobs. Created by DmtcpControl.
   std::shared_ptr<ckptasync::CkptAsyncPipeline> async_pipeline;
@@ -232,7 +222,6 @@ struct DmtcpShared {
   /// previous snapshot, so sharing the host's service is safe).
   std::shared_ptr<obs::RoundSeries> health_series;
   std::shared_ptr<obs::SloEngine> slo_engine;
-  int ckpt_generation = 0;  // bumped per completed checkpoint
   /// Virtual pids in use across the computation (conflict detection, §4.5).
   std::set<Pid> active_vpids;
   /// Virtual pid -> current real pid (pid virtualization, §4.5). Entries

@@ -15,8 +15,8 @@
 // Because the sweep *partitions* the window in integer nanoseconds —
 // every instant lands in exactly one segment, segments never overlap —
 // the attributed nanoseconds sum to (end - begin) by construction. The
-// coordinator asserts this against `CkptRound::stage_breakdown`'s barrier
-// total every round, and `tools/trace_report.py --critical-path` re-runs
+// coordinator asserts this against `CkptRound::total_seconds()` every
+// round, and `tools/trace_report.py --critical-path` re-runs
 // the identical sweep over the exported Chrome trace as an independent
 // cross-check.
 //

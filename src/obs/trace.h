@@ -98,8 +98,8 @@ class Tracer {
     return lane_names_;
   }
   /// Per-stage duration histograms (seconds), weighted by each span's batch
-  /// size: the registry's stage.* entries, whose per-round sums are the
-  /// round's queue.* stage_breakdown (CkptRound).
+  /// size: the registry's stage.* entries, whose per-round sums say where
+  /// inside a round its requests waited (CkptRound::delta).
   const std::map<std::string, Histogram>& stage_histograms() const {
     return stage_hist_;
   }

@@ -141,7 +141,6 @@ class PeriodicTimer {
   /// interval from now.
   void start(SimTime interval, EventLoop::Fn fn);
   void stop();
-  bool running() const { return pending_ != kNoEvent; }
 
  private:
   void arm();

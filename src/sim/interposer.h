@@ -32,9 +32,9 @@ class Interposer {
   /// Called once when the library is "injected" at process start, before the
   /// program's main thread runs. The hijack spawns its checkpoint manager
   /// thread here (§4.2).
-  virtual void on_attach() {}
+  virtual void on_attach() = 0;
   /// Called as the process exits (before fd teardown).
-  virtual void on_process_exit() {}
+  virtual void on_process_exit() = 0;
 
   // The wrapped calls. ProcessCtx::accept_raw, spawn_raw and waitpid_raw
   // are the unwrapped calls an implementation makes underneath itself.

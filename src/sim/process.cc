@@ -29,13 +29,6 @@ MemSegment* AddressSpace::find(const std::string& name) {
   return nullptr;
 }
 
-const MemSegment* AddressSpace::find(const std::string& name) const {
-  for (const auto& s : segs_) {
-    if (s->name == name) return s.get();
-  }
-  return nullptr;
-}
-
 u64 AddressSpace::total_bytes() const {
   u64 acc = 0;
   for (const auto& s : segs_) acc += s->data.size();

@@ -43,7 +43,6 @@ class AddressSpace {
   /// Find by name (null if absent). Names are unique per process by
   /// convention (enforced by add()).
   MemSegment* find(const std::string& name);
-  const MemSegment* find(const std::string& name) const;
 
   u64 total_bytes() const;
   const std::vector<std::shared_ptr<MemSegment>>& segments() const {

@@ -1,4 +1,4 @@
-// The cluster membership & shard-failover subsystem (src/cluster/):
+// Cluster membership (src/cluster/) and the chunk store's shard failover:
 // heartbeat failure detection, dead-endpoint re-homing with in-flight
 // replay, consistent-hash rebalancing, scrub repair wiring, and automatic
 // store-node placement.
@@ -10,7 +10,6 @@
 
 #include "ckptstore/manifest.h"
 #include "ckptstore/service.h"
-#include "cluster/failover.h"
 #include "cluster/membership.h"
 #include "core/launch.h"
 #include "sim/cluster.h"
@@ -91,7 +90,7 @@ TEST(Membership, HeartbeatsDetectDeathThroughSuspicion) {
   for (NodeId n = 0; n < 4; ++n) EXPECT_EQ(m.state(n), NodeState::kAlive);
 
   const SimTime killed_at = loop.now();
-  m.kill_node(2);
+  health->fail(2);
   EXPECT_EQ(m.state(2), NodeState::kAlive);  // not *detected* yet
   // First missed heartbeat suspects; the third declares.
   loop.run_until(killed_at + 15 * timeconst::kMillisecond);
@@ -118,22 +117,6 @@ TEST(Membership, HeartbeatsDetectDeathThroughSuspicion) {
   loop.run_until(loop.now() + 30 * timeconst::kMillisecond);
   EXPECT_GT(m.stats().heartbeat_acks, acks_before);
   m.stop();
-}
-
-TEST(Membership, KillWithoutDetectorDeclaresImmediately) {
-  sim::EventLoop loop;
-  sim::Network net(loop, 3);
-  Membership m(loop, net, nullptr, MembershipConfig{});
-  bool dead_seen = false;
-  m.subscribe([&](NodeId n, NodeState, NodeState to) {
-    if (n == 1 && to == NodeState::kDead) dead_seen = true;
-  });
-  // No heartbeat loop running: the standalone kill switch must still drive
-  // failover synchronously (direct-constructed services in unit tests).
-  m.kill_node(1);
-  EXPECT_EQ(m.state(1), NodeState::kDead);
-  EXPECT_TRUE(dead_seen);
-  EXPECT_FALSE(m.fabric().health()->up(1));
 }
 
 // --- RPC fabric under node death --------------------------------------------
@@ -200,8 +183,8 @@ TEST(Failover, DeadEndpointShardRehomesAndReplaysInFlight) {
                      i + 1 == 40 ? std::function<void()>(done)
                                  : std::function<void()>([] {}));
   }
-  // Kill shard 0's endpoint while every request is still in flight. No
-  // death router is set, so the service reacts synchronously: the shard
+  // Kill shard 0's endpoint while every request is still in flight. The
+  // service watches no membership, so it reacts synchronously: the shard
   // re-homes to the next live node in its rendezvous order and the failing
   // requests replay there.
   svc.fail_node(2);
@@ -231,9 +214,7 @@ TEST(Failover, TransientDeathRevivedBeforeDeclarationReplaysParked) {
   cfg.heartbeat_interval = 10 * timeconst::kMillisecond;
   cfg.heartbeat_misses = 3;
   Membership m(loop, net, svc.health(), cfg);
-  cluster::FailoverManager fo(m, svc);
-  svc.set_death_router([&m](NodeId n) { m.kill_node(n); });
-  svc.set_revive_router([&m](NodeId n) { m.revive_node(n); });
+  svc.watch(m);
   m.start();
 
   bool done = false;
@@ -338,7 +319,7 @@ KillRunResult run_kill_scenario(u64 seed, bool kill) {
   if (kill) {
     // The write phase is starting: lookups and stores are heading for the
     // endpoint on node 2. Kill it mid-flight — membership must detect the
-    // silence, the failover manager re-homes the shard, and the parked
+    // silence, the service re-homes the shard, and the parked
     // requests replay. The content being checkpointed was frozen at
     // suspend time, so the failover must not change a single stored byte.
     w.ctl.shared().store_service->fail_node(2);
@@ -450,6 +431,38 @@ TEST(Failover, RevivedEndpointGetsItsShardBackAtTheRoundBoundary) {
   EXPECT_FALSE(rr.needs_restore);
   EXPECT_EQ(rr.procs, 2);
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
+}
+
+TEST(Failover, WiredDeathIsReactedToOnlyAtItsDetection) {
+  // The DMTCP world wires the service to membership: a kill is ground
+  // truth at once, but nothing reacts until the heartbeats declare it.
+  World w(4, cluster_opts(/*replicas=*/2, /*shards=*/2, /*store_node=*/2));
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 256 * 1024, 0xAA);
+  w.ctl.checkpoint_now();
+
+  auto& svc = *w.ctl.shared().store_service;
+  const Membership& m = *w.ctl.shared().membership;
+  ASSERT_EQ(svc.endpoints()[0], 2);
+  svc.fail_node(2);
+  EXPECT_FALSE(svc.health()->up(2));
+  EXPECT_EQ(svc.endpoints()[0], 2);
+  EXPECT_EQ(m.state(2), NodeState::kAlive);
+
+  // One missed heartbeat suspects; nothing moves on a suspicion.
+  w.ctl.run_for(15 * timeconst::kMillisecond);
+  EXPECT_EQ(m.state(2), NodeState::kSuspect);
+  EXPECT_EQ(svc.endpoints()[0], 2);
+  EXPECT_EQ(svc.stats().rehomed_shards, 0u);
+
+  // The third declares, and the declaration re-homes shard 0.
+  w.ctl.run_for(30 * timeconst::kMillisecond);
+  EXPECT_EQ(m.state(2), NodeState::kDead);
+  EXPECT_NE(svc.endpoints()[0], 2);
+  EXPECT_EQ(svc.stats().rehomed_shards, 1u);
+
+  EXPECT_DEATH(svc.fail_node(0), "membership monitor");
 }
 
 // A dedup hit the writer vouches for skips its Lookup, never the

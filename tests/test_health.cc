@@ -409,7 +409,7 @@ TEST(HealthWorld, HealthySweepSamplesEveryRoundAndFiresNothing) {
   EXPECT_DOUBLE_EQ(sh.health_series->value("parked_requests"), 0.0);
 
   // Each round's critical path partitions its window exactly and sums to
-  // the stage_breakdown barrier total.
+  // the round's total.
   for (const core::CkptRound& r : w.ctl.stats().rounds) {
     EXPECT_EQ(r.critical_path.attributed_ns(), r.refilled - r.requested);
     EXPECT_NEAR(r.critical_path.total_seconds(), r.total_seconds(), 1e-9);

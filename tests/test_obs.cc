@@ -436,7 +436,7 @@ TEST(ObsWorld, TracingOffIsSimulatedTimeIdenticalToTracingOn) {
   EXPECT_EQ(off.round_seconds, on.round_seconds);
 }
 
-TEST(ObsWorld, RoundStageBreakdownDecomposesTheRound) {
+TEST(ObsWorld, RoundDeltaHoldsOneLookupWaitSamplePerLookup) {
   World w(4, obs_opts(), 0x0B57);
   auto tracer = std::make_shared<Tracer>();
   w.k().loop().set_tracer(tracer.get());
@@ -445,29 +445,6 @@ TEST(ObsWorld, RoundStageBreakdownDecomposesTheRound) {
   w.ctl.run_for(20 * timeconst::kMillisecond);
   add_ballast(w, pa, 512 * 1024, 0xAB);
   const auto& round = w.ctl.checkpoint_now();
-  // The barrier.* components partition the measured pause exactly (the
-  // coordinator DSIM_CHECKs this; re-assert the arithmetic here).
-  double barrier_sum = 0;
-  int barrier_entries = 0;
-  bool queue_entries = false;
-  for (const auto& [name, seconds] : round.stage_breakdown) {
-    if (name.rfind("barrier.", 0) == 0) {
-      barrier_sum += seconds;
-      barrier_entries++;
-    }
-    if (name.rfind("queue.", 0) == 0 && seconds > 0) queue_entries = true;
-  }
-  EXPECT_EQ(barrier_entries, 5);
-  EXPECT_NEAR(barrier_sum, round.total_seconds(), 1e-9);
-  // With tracing on, the round also attributes its queue-wait to stages:
-  // exactly the positive stage.* sums of the round's registry delta.
-  EXPECT_TRUE(queue_entries);
-  for (const auto& [name, h] : round.delta.histograms()) {
-    if (name.rfind("stage.", 0) != 0 || h.sum() <= 0) continue;
-    const auto it = round.stage_breakdown.find("queue." + name.substr(6));
-    ASSERT_NE(it, round.stage_breakdown.end()) << name;
-    EXPECT_EQ(it->second, h.sum()) << name;
-  }
   // One lookup-wait sample per dedup lookup the round served.
   EXPECT_EQ(round.delta.histogram("store.lookup_wait").count(),
             round.delta.counter("store.lookup_requests"));

@@ -662,8 +662,8 @@ TEST(ServiceE2E, RereplicationHealsBeforeTheNextRoundCompletes) {
   ASSERT_GT(svc.placement().degraded_count(), 0u);
 
   // Death is now *detected*, not announced: the membership service needs
-  // ~heartbeat_misses x heartbeat_interval of silence before the failover
-  // manager kicks the heal daemon, which then drains in the background
+  // ~heartbeat_misses x heartbeat_interval of silence before the service
+  // kicks its heal daemon, which then drains in the background
   // while the computation keeps running. Give detection + heal their
   // window, then close another round over the healed store.
   w.ctl.run_for(150 * timeconst::kMillisecond);

@@ -226,7 +226,7 @@ TEST(TenantService, AdmissionControlHoldsOverBudgetStoresAtTheEdge) {
   sim::Network net(loop, 4);
   ChunkStoreService svc(loop, net, replicated(1));
   svc.tenants().configure(
-      1, ckptstore::TenantConfig{1.0, /*budget=*/100 * 1000, 0, 0});
+      1, ckptstore::TenantConfig{1.0, /*budget=*/100 * 1000, 0});
   int done = 0;
   const auto r1 =
       svc.submit(store_req(1, 0, key_of(1), 80 * 1000, [&] { ++done; }));

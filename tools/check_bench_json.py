@@ -704,7 +704,7 @@ def check_health(path, data):
     # Every round's blame report must partition its window exactly.
     if s["critpath_sum_matches"] is not True:
         rc |= fail(path, "a critical-path report did not sum to its "
-                         "round's stage_breakdown total")
+                         "round's total")
     frac = s["critpath_top_fraction"]
     if not 0.0 < frac <= 1.0:
         rc |= fail(path, f"critpath_top_fraction={frac} not in (0, 1]")
