@@ -175,6 +175,8 @@ SweepPoint run_point(int ranks, int replicas, int shards, int lookup_batch,
 struct FailoverResult {
   bool r2_restart_ok = false;
   double r2_restart_seconds = 0;
+  u64 r2_restart_chunk_refs = 0;
+  u64 r2_restart_decode_jobs = 0;
   u64 r2_rereplicated_chunks = 0;
   u64 r2_degraded_after_heal = 0;
   bool r1_needs_restore = false;
@@ -202,6 +204,8 @@ FailoverResult run_failover(u64 lib_bytes, u64 priv_bytes) {
     const auto& rr = w.ctl->restart({{1, 2}});
     fr.r2_restart_ok = !rr.needs_restore && rr.procs == 4;
     fr.r2_restart_seconds = rr.total_seconds();
+    fr.r2_restart_chunk_refs = rr.chunk_refs;
+    fr.r2_restart_decode_jobs = rr.decode_jobs;
   }
   {
     World w(4 + kStoreNodes, service_opts(4, /*replicas=*/1), 0xfa11);
@@ -348,10 +352,12 @@ int main() {
               batch.avg_wait_ms);
 
   const FailoverResult fr = run_failover(lib_bytes, priv_bytes);
-  std::printf("failover: R=2 restart %s (%.3f s, %llu chunks re-replicated, "
-              "%llu still degraded); R=1 needs_restore=%s (%llu chunks "
-              "lost)\n",
+  std::printf("failover: R=2 restart %s (%.3f s, %llu decode jobs for %llu "
+              "chunk references, %llu chunks re-replicated, %llu still "
+              "degraded); R=1 needs_restore=%s (%llu chunks lost)\n",
               fr.r2_restart_ok ? "ok" : "FAILED", fr.r2_restart_seconds,
+              static_cast<unsigned long long>(fr.r2_restart_decode_jobs),
+              static_cast<unsigned long long>(fr.r2_restart_chunk_refs),
               static_cast<unsigned long long>(fr.r2_rereplicated_chunks),
               static_cast<unsigned long long>(fr.r2_degraded_after_heal),
               fr.r1_needs_restore ? "true" : "false",
@@ -419,6 +425,8 @@ int main() {
        << "},\n  \"failover\": {\"r2_restart_ok\": "
        << (fr.r2_restart_ok ? "true" : "false")
        << ", \"r2_restart_seconds\": " << fr.r2_restart_seconds
+       << ", \"r2_restart_chunk_refs\": " << fr.r2_restart_chunk_refs
+       << ", \"r2_restart_decode_jobs\": " << fr.r2_restart_decode_jobs
        << ", \"r2_rereplicated_chunks\": " << fr.r2_rereplicated_chunks
        << ", \"r2_degraded_after_heal\": " << fr.r2_degraded_after_heal
        << ", \"r1_needs_restore\": "

@@ -104,7 +104,7 @@ std::vector<NodeId> ChunkPlacement::homes_of(const ChunkKey& key) const {
 
 std::vector<ChunkPlacement::FetchSource> ChunkPlacement::read_plan(
     const ChunkKey& key, bool* needs_decode,
-    const std::function<bool(NodeId)>& also_alive) const {
+    const std::function<bool(NodeId)>& also_alive, NodeId reader) const {
   *needs_decode = false;
   auto it = entries_.find(key);
   if (it == entries_.end()) return {};
@@ -114,20 +114,30 @@ std::vector<ChunkPlacement::FetchSource> ChunkPlacement::read_plan(
     return !also_alive || also_alive(e.homes[i]);
   };
   // The k data fragments when healthy (systematic — no decode), else the
-  // first k usable fragments of any kind plus a decode pass.
+  // first k usable fragments of any kind plus a decode pass. A replica
+  // reader starts at its own copy, or else at a slot drawn from (key,
+  // reader) — the rendezvous score, an independent uniform draw per pair —
+  // so whatever set of nodes reads a chunk spreads evenly over its copies
+  // in expectation.
   const size_t k = e.k;
+  const size_t slots = e.homes.size();
+  size_t first = 0;
+  if (k == 1 && reader != kAnyReader) {
+    const auto own = std::find(e.homes.begin(), e.homes.end(), reader);
+    const auto own_slot = static_cast<size_t>(own - e.homes.begin());
+    first = own_slot < slots && usable(own_slot) ? own_slot
+                                                 : score(key, reader) % slots;
+  }
   std::vector<size_t> picks;
   picks.reserve(k);
-  for (size_t i = 0; i < e.homes.size() && picks.size() < k; ++i) {
+  for (size_t j = 0; j < slots && picks.size() < k; ++j) {
+    const size_t i = (first + j) % slots;
     if (usable(i)) picks.push_back(i);
   }
   if (picks.size() < k) return {};  // unreadable through this view
-  for (size_t i = 0; i < k; ++i) {
-    if (picks[i] != i) {
-      *needs_decode = true;  // a parity fragment substitutes for data
-      break;
-    }
-  }
+  // Slot order picks ascending, so the plan is the data fragments exactly
+  // when its last pick is slot k-1. Any copy is the whole chunk at k = 1.
+  *needs_decode = k > 1 && picks.back() != k - 1;
   std::vector<FetchSource> out;
   out.reserve(k);
   for (size_t i : picks) out.push_back({e.homes[i], e.frag_bytes});

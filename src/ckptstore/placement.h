@@ -91,7 +91,13 @@ class ChunkPlacement {
   /// frag_bytes each — the k data fragments when all are healthy
   /// (`*needs_decode` = false: systematic concatenation), otherwise any k
   /// survivors with `*needs_decode` = true (the caller charges
-  /// erasure::decode_seconds, which is 0 at k = 1).
+  /// erasure::decode_seconds).
+  /// At k = 1 every copy is the whole chunk, so no read needs a decode. A
+  /// `reader` node reads its own copy when it holds a usable one; otherwise
+  /// it takes the first usable copy in rotation from slot score(key,
+  /// reader) mod R, so the nodes that read a chunk spread over its copies.
+  /// Without a reader (kAnyReader: heal, scrub, demotion) copies go in slot
+  /// order.
   /// `also_alive`, when set, additionally filters sources (restart passes
   /// the membership view — belt and braces over placement's ground truth).
   /// Empty when the chunk is not readable (lost, or never recorded).
@@ -99,9 +105,11 @@ class ChunkPlacement {
     NodeId node = 0;
     u64 bytes = 0;
   };
+  static constexpr NodeId kAnyReader = -1;
   std::vector<FetchSource> read_plan(
       const ChunkKey& key, bool* needs_decode,
-      const std::function<bool(NodeId)>& also_alive = nullptr) const;
+      const std::function<bool(NodeId)>& also_alive = nullptr,
+      NodeId reader = kAnyReader) const;
 
   /// True when `key` is recorded, readable, and below full redundancy
   /// (alive, clean homes < min(k+m, alive nodes)) — the per-key form of

@@ -14,6 +14,7 @@
 #include "core/msg_io.h"
 #include "core/protocol.h"
 #include "mtcp/mtcp.h"
+#include "sim/model_params.h"
 #include "sim/pctx.h"
 #include "sim/sync.h"
 #include "util/assertx.h"
@@ -31,17 +32,19 @@ struct LoadedImage {
   ConnTable table;
 };
 
-/// One chunk of a manifest image on its way back into memory: read off
-/// its sources, then decoded. Chunks are compressed independently, so each
+/// One distinct chunk of this node's manifest images on its way back into
+/// memory: read off its sources once, then decoded once, however many
+/// references share it. Chunks are compressed independently, so each
 /// streams on its own.
 struct ChunkRead {
   ckptstore::ChunkKey key;
+  u64 len = 0;    // the logical length every reference to the key shares
   u64 bytes = 0;  // the chunk's stored bytes (the fetch RPC's accounting)
   /// The devices the bytes come off: the read plan's holders under the
   /// chunk-store service, this node's own device otherwise.
   std::vector<ckptstore::ChunkPlacement::FetchSource> sources;
-  /// This chunk's share of the image's decode CPU, plus the erasure decode
-  /// of a degraded read.
+  /// The chunk's decode CPU, plus the erasure decode of a degraded read,
+  /// plus one copy out of the decoded buffer per further reference.
   double decode_seconds = 0;
 };
 
@@ -137,8 +140,11 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
   u64 local_read_bytes = 0;
   // Full images: one decode job each (a gzip stream cannot be split).
   std::vector<double> image_decodes;
-  // Manifest images: every referenced chunk, streamed on its own.
+  // Manifest images: every distinct chunk, streamed on its own (the index
+  // maps a key to its entry), and the references they restore.
   std::vector<ChunkRead> chunks;
+  std::map<ckptstore::ChunkKey, size_t> chunk_index;
+  u64 chunk_refs = 0;
   auto* svc = shared->store_service.get();
   for (const auto& path : args.images) {
     auto inode = k.fs_for(self.node(), path).lookup(path);
@@ -149,9 +155,9 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
       // Delta restart: rebuild the image from the generation manifest plus
       // the chunk repository, checking every chunk against the manifest's
       // length and CRC. Real chunks adopt the repository's verified decode
-      // (decoded once per container on the host, shared by every restart),
-      // but the read cost is still the manifest plus every referenced
-      // chunk, and each chunk's decode CPU is still charged below.
+      // (decoded once per container on the host, shared by every restart);
+      // the simulated cost is the manifest plus one read and one decode of
+      // each distinct chunk on this node, charged below.
       const auto mf = ckptstore::Manifest::decode(container);
       // Same helper dmtcp_checkpoint validates its flags with: a manifest
       // recording impossible chunking parameters is corrupt, and failing
@@ -183,18 +189,33 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
       const auto codec = static_cast<compress::CodecKind>(mf.codec);
       for (const auto& sm : mf.segments) {
         for (const auto& ref : sm.chunks) {
+          ++chunk_refs;
+          const auto [at, fresh] =
+              chunk_index.try_emplace(ref.key, chunks.size());
+          if (!fresh) {
+            // A repeated key (most often a zero chunk) is fetched and
+            // decoded once; each further reference copies its bytes out of
+            // the decoded buffer.
+            ChunkRead& seen = chunks[at->second];
+            DSIM_CHECK_MSG(seen.len == ref.len,
+                           "dmtcp_restart: one chunk key, two lengths");
+            seen.decode_seconds +=
+                static_cast<double>(ref.len) / sim::params::kMemcpyBw;
+            continue;
+          }
           const ckptstore::Chunk* c = repo.find(ref.key);
           DSIM_CHECK(c != nullptr);
-          ChunkRead cr{ref.key, c->charged_bytes, {},
+          ChunkRead cr{ref.key, ref.len, c->charged_bytes, {},
                        mtcp::decode_cpu_seconds(ref.len, codec)};
           if (svc != nullptr) {
             // k fragment reads — and when a data fragment is dead or
             // corrupt, a parity fragment substitutes and the degraded read
-            // pays a decode pass on the restarting node's CPU (none under
-            // replication, where any one copy is the whole chunk).
+            // pays a decode pass on the restarting node's CPU. Under
+            // replication one copy is the whole chunk: this node's own if
+            // it holds one, else the copy read_plan draws for this node.
             bool needs_decode = false;
             cr.sources = svc->placement().read_plan(ref.key, &needs_decode,
-                                                    member_alive);
+                                                    member_alive, self.node());
             if (needs_decode && !cr.sources.empty()) {
               cr.decode_seconds += ckptstore::erasure::decode_seconds(
                   c->charged_bytes, svc->placement().erasure_info(ref.key).k);
@@ -439,6 +460,7 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
     for (const double secs : image_decodes) rr.decode_cpu_seconds += secs;
     for (const ChunkRead& c : chunks) rr.decode_cpu_seconds += c.decode_seconds;
     rr.decode_jobs += image_decodes.size() + chunks.size();
+    rr.chunk_refs += chunk_refs;
     rr.peak_decode_jobs = std::max(rr.peak_decode_jobs, pool->peak());
   }
   for (auto& li : loaded) {

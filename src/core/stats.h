@@ -124,12 +124,15 @@ struct RestartRun {
   double memory_threads_seconds = 0;
 
   // Memory-stage decode, summed over hosts: CPU-seconds charged to the
-  // restarting nodes' cores (gunzip/assembly plus degraded-read erasure
-  // decode), the CPU jobs that carried them — one per full image, one per
-  // manifest chunk — and the most chunk jobs one host's decoder pool ran
-  // at once (0 when every image is a full image).
+  // restarting nodes' cores (gunzip/assembly, degraded-read erasure decode,
+  // and a copy per repeated chunk reference), the CPU jobs that carried
+  // them — one per full image, one per distinct chunk in a host's
+  // manifests — the manifest chunk references restored, and the most chunk
+  // jobs one host's decoder pool ran at once (0 when every image is a full
+  // image).
   double decode_cpu_seconds = 0;
   u64 decode_jobs = 0;
+  u64 chunk_refs = 0;
   int peak_decode_jobs = 0;
 
   double total_seconds() const { return to_seconds(refilled - script_started); }

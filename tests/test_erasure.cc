@@ -197,6 +197,80 @@ TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
   EXPECT_EQ(pl.lost_chunks(), 1u);
 }
 
+// A restart names its node as the reader. Under replication a reader that
+// holds a copy reads it locally, and the readers without one spread over
+// the copies instead of all loading slot 0's holder; no copy is a degraded
+// read. A (4,2) read stays the four data fragments whoever reads.
+TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
+  constexpr int kNodes = 10;
+  constexpr u64 kKeys = 300;
+  ChunkPlacement repl(kNodes, 1, 1);  // R=2
+  ChunkPlacement striped(kNodes, 4, 2);
+  u64 served[2] = {0, 0};  // (key, reader) pairs per slot, non-holders
+  for (u64 i = 0; i < kKeys; ++i) {
+    const ChunkKey key = key_of(i);
+    const auto homes = repl.record_store(key, 4096);
+    const auto frags = striped.record_store(key, 4096);
+    ASSERT_EQ(homes.size(), 2u);
+    for (NodeId reader = 0; reader < kNodes; ++reader) {
+      bool needs_decode = true;
+      const auto plan = repl.read_plan(key, &needs_decode, nullptr, reader);
+      ASSERT_EQ(plan.size(), 1u);
+      EXPECT_FALSE(needs_decode);
+      EXPECT_EQ(plan[0].bytes, 4096u);
+      const bool holds = homes[0] == reader || homes[1] == reader;
+      if (holds) {
+        EXPECT_EQ(plan[0].node, reader);
+      } else {
+        ASSERT_TRUE(plan[0].node == homes[0] || plan[0].node == homes[1]);
+        served[plan[0].node == homes[0] ? 0 : 1]++;
+      }
+      needs_decode = true;
+      const auto data = striped.read_plan(key, &needs_decode, nullptr, reader);
+      EXPECT_FALSE(needs_decode);
+      ASSERT_EQ(data.size(), 4u);
+      for (size_t f = 0; f < data.size(); ++f) {
+        EXPECT_EQ(data[f].node, frags[f]);
+      }
+    }
+  }
+  const u64 pairs = served[0] + served[1];
+  EXPECT_EQ(pairs, kKeys * (kNodes - 2));
+  for (const u64 n : served) {
+    EXPECT_GT(n * 10, pairs * 3);
+    EXPECT_LT(n * 10, pairs * 7);
+  }
+
+  // Node 3 dies and every other key's slot-0 copy rots: each reader,
+  // holders included, gets the one usable copy, or nothing when neither
+  // is, and still never a decode.
+  repl.fail_node(3);
+  for (u64 i = 0; i < kKeys; i += 2) {
+    ASSERT_TRUE(repl.corrupt_fragment(key_of(i), 0));
+  }
+  for (u64 i = 0; i < kKeys; ++i) {
+    const ChunkKey key = key_of(i);
+    const auto homes = repl.homes_of(key);
+    const u32 rotten = repl.corrupt_mask(key);
+    auto usable = [&](size_t slot) {
+      return homes[slot] != 3 && !((rotten >> slot) & 1u);
+    };
+    for (NodeId reader = 0; reader < kNodes; ++reader) {
+      bool needs_decode = true;
+      const auto plan = repl.read_plan(key, &needs_decode, nullptr, reader);
+      EXPECT_FALSE(needs_decode);
+      if (!usable(0) && !usable(1)) {
+        EXPECT_TRUE(plan.empty());
+        continue;
+      }
+      ASSERT_EQ(plan.size(), 1u);
+      const size_t slot = plan[0].node == homes[0] ? 0 : 1;
+      EXPECT_EQ(plan[0].node, homes[slot]);
+      EXPECT_TRUE(usable(slot)) << "key " << i << " reader " << reader;
+    }
+  }
+}
+
 TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
   ChunkPlacement pl(8, 4, 2);
   const ChunkKey key = key_of(7);

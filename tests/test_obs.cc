@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,6 +23,7 @@
 #include "sim/cluster.h"
 #include "tests/testprogs.h"
 #include "tests/testutil.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace dsim::test {
@@ -462,6 +466,38 @@ TEST(ObsOptions, FlagsParseAndValidate) {
   EXPECT_TRUE(o.validate().empty());
   o.log_level = "shouting";
   EXPECT_FALSE(o.validate().empty());
+}
+
+// --metrics-out writes the registry's JSON when the computation flushes,
+// and --log-level sets the process-wide threshold, restored afterwards.
+TEST(ObsOptions, MetricsOutAndLogLevelTakeEffect) {
+  struct RestoreLogLevel {
+    LogLevel saved = log_level();
+    ~RestoreLogLevel() { set_log_level(saved); }
+  } restore;
+  ASSERT_NE(restore.saved, LogLevel::kError);
+  const std::string path = ::testing::TempDir() + "dsim_test_metrics_out.json";
+  std::remove(path.c_str());
+  DmtcpOptions o = obs_opts();
+  std::vector<std::string> argv{"--metrics-out", path, "--log-level",
+                                "error"};
+  ASSERT_EQ(o.apply_flags(argv), "");
+  {
+    World w(4, o, 0x3E7B);
+    EXPECT_EQ(log_level(), LogLevel::kError);
+    const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+    w.ctl.run_for(20 * timeconst::kMillisecond);
+    add_ballast(w, pa, 256 * 1024, 0xAC);
+    w.ctl.checkpoint_now();
+    w.ctl.flush_observability();
+    std::ifstream f(path);
+    ASSERT_TRUE(f.good());
+    const std::string written((std::istreambuf_iterator<char>(f)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_GT(written.size(), 200u);
+    EXPECT_EQ(written, core::collect_metrics(w.ctl.shared()).json());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

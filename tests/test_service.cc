@@ -980,11 +980,91 @@ TEST(ServiceE2E, StreamedRestartConservesDecodeCpuOnABoundedPool) {
   w.ctl.kill_computation();
   const auto& rr = w.ctl.restart();
   EXPECT_EQ(rr.procs, 2);
-  // Per-chunk shares sum to the whole-image decode: only the overlap moves.
+  // Random ballast repeats no key on a host, so the per-chunk decodes sum
+  // to the whole-image decode: only the overlap moves.
   EXPECT_NEAR(rr.decode_cpu_seconds, decode_seconds, 1e-9 * decode_seconds);
   EXPECT_EQ(rr.decode_jobs, chunks);
+  EXPECT_EQ(rr.chunk_refs, chunks);
   // The pool fills every core and never more.
   EXPECT_EQ(rr.peak_decode_jobs, sim::params::kCoresPerNode);
+}
+
+/// content_crc() of the "libshared" and "ballast" segments of every live
+/// compute process, keyed by tag and segment name.
+std::map<std::string, u32> lib_and_ballast_crcs(World& w) {
+  std::map<std::string, u32> out;
+  for (const Pid pid : w.k().live_pids()) {
+    sim::Process* p = w.k().find_process(pid);
+    if (p == nullptr || p->prog_name() != kComputeLoop) continue;
+    for (const char* name : {"libshared", "ballast"}) {
+      if (const sim::MemSegment* seg = p->mem().find(name)) {
+        out[p->argv().back() + "/" + name] = seg->data.content_crc();
+      }
+    }
+  }
+  return out;
+}
+
+// Two processes on one node map the same library, and each carries a
+// zero-page ballast, so the node's manifests repeat keys within and across
+// images. Restarted together onto another node, they fetch and decode each
+// distinct key once; every further reference pays one copy out of the
+// decoded buffer.
+TEST(ServiceE2E, RestartFetchesAndDecodesEachDistinctChunkOncePerNode) {
+  World w(4, service_opts(/*replicas=*/2));
+  std::vector<Pid> pids;
+  for (const char* tag : {"a", "b"}) {
+    pids.push_back(w.ctl.launch(1, kComputeLoop, {"1000000", "200", tag}));
+  }
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  for (const Pid pid : pids) {
+    sim::Process* p = w.k().find_process(pid);
+    ASSERT_NE(p, nullptr);
+    auto& lib = p->mem().add("libshared", sim::MemKind::kLib, 512 * 1024);
+    lib.data.fill(0, lib.data.size(), ExtentKind::kRand, 0x11B);
+    p->mem().add("ballast", sim::MemKind::kHeap, 512 * 1024);  // zeros
+  }
+  w.ctl.checkpoint_now();
+  const auto crcs = lib_and_ballast_crcs(w);
+  ASSERT_EQ(crcs.size(), 4u);
+
+  // Per host: the first reference to a key decodes it, a repeat copies.
+  u64 distinct = 0;
+  u64 refs = 0;
+  double decode_seconds = 0;
+  for (const auto& host : w.ctl.read_restart_plan().hosts) {
+    std::set<ChunkKey> seen;
+    for (const auto& img : host.images) {
+      auto inode = w.k().fs_for(host.host, img).lookup(img);
+      const auto mf = ckptstore::Manifest::decode(
+          inode->data.materialize(0, inode->data.size()));
+      const auto codec = static_cast<compress::CodecKind>(mf.codec);
+      for (const auto& sm : mf.segments) {
+        for (const auto& ref : sm.chunks) {
+          ++refs;
+          decode_seconds +=
+              seen.insert(ref.key).second
+                  ? mtcp::decode_cpu_seconds(ref.len, codec)
+                  : static_cast<double>(ref.len) / sim::params::kMemcpyBw;
+        }
+      }
+    }
+    distinct += seen.size();
+  }
+  ASSERT_GT(refs, distinct + 16);  // the library and the zero pages repeat
+
+  auto& svc = *w.ctl.shared().store_service;
+  const u64 fetches_before = svc.stats().fetch_requests;
+  w.ctl.kill_computation();
+  const auto& rr = w.ctl.restart({{1, 2}});
+  ASSERT_FALSE(rr.needs_restore);
+  EXPECT_EQ(rr.procs, 2);
+  EXPECT_EQ(rr.decode_jobs, distinct);
+  EXPECT_EQ(rr.chunk_refs, refs);
+  EXPECT_NEAR(rr.decode_cpu_seconds, decode_seconds, 1e-9);
+  EXPECT_EQ(svc.stats().fetch_requests - fetches_before, rr.decode_jobs);
+  EXPECT_EQ(lib_and_ballast_crcs(w), crcs);
+  ASSERT_TRUE(w.run_until_results({"a", "b"}));
 }
 
 TEST(ServiceE2E, FullImageRestartDecodesEachImageAsOneJob) {

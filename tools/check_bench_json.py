@@ -10,11 +10,12 @@ assert the emitted files are well-formed and the headline numbers are in
 the physically sensible range (dedup actually happened, CDC actually
 resynchronized, the cluster store actually stored shared chunks once,
 the chunk-store service actually queued lookups, survived a replica
-failover, looked up only the chunks a process wrote and stored each
-shared library chunk once without one rank storing them all, the mid-round
-endpoint kill re-homed and replayed with zero lost chunks, the shard
-rebalance moved ~1/new_shards of the bytes, the async pipeline took the
-pause off the critical path, (k,m) erasure striping beat 2x replication
+failover with a restart that decoded each distinct chunk once per node,
+looked up only the chunks a process wrote and stored each shared library
+chunk once without one rank storing them all, the mid-round endpoint
+kill re-homed and replayed with zero lost chunks, the shard rebalance
+moved ~1/new_shards of the bytes, the async pipeline took the pause off
+the critical path, (k,m) erasure striping beat 2x replication
 on stored bytes while surviving m losses, weighted fair queueing kept a
 victim tenant's p99 within 2x of solo beside a noisy neighbor while the
 FIFO ablation degraded it >= 4x, and request tracing cost zero simulated
@@ -138,6 +139,8 @@ def check_service(path, data):
         "batch.rpcs",
         "batch.rpcs_batch1",
         "failover.r2_restart_ok",
+        "failover.r2_restart_chunk_refs",
+        "failover.r2_restart_decode_jobs",
         "failover.r2_rereplicated_chunks",
         "failover.r2_degraded_after_heal",
         "failover.r1_needs_restore",
@@ -226,6 +229,14 @@ def check_service(path, data):
     if data["failover"]["r2_restart_ok"] is not True:
         rc |= fail(path, "restart with --chunk-replicas=2 did not survive "
                          "the node failure")
+    # A restart reads and decodes each distinct chunk once per node: the
+    # ranks share a library, so fewer decode jobs run than references.
+    refs = data["failover"]["r2_restart_chunk_refs"]
+    jobs = data["failover"]["r2_restart_decode_jobs"]
+    if not 0 < jobs < refs:
+        rc |= fail(path, f"R=2 restart ran {jobs} decode jobs for {refs} "
+                         "chunk references: a repeated chunk was fetched "
+                         "and decoded once per reference")
     if data["failover"]["r2_rereplicated_chunks"] <= 0:
         rc |= fail(path, "the re-replication daemon healed no chunks after "
                          "the R=2 node failure")
@@ -760,6 +771,8 @@ BASELINE_METRICS = {
             lambda d: d["summary"]["shard_speedup"], "higher"),
         "r2_restart_seconds": (
             lambda d: d["failover"]["r2_restart_seconds"], "lower"),
+        "r2_restart_decode_jobs": (
+            lambda d: d["failover"]["r2_restart_decode_jobs"], "lower"),
         "rewrite_ckpt_seconds": (
             lambda d: d["rewrite"]["ckpt_seconds"], "lower"),
     },
