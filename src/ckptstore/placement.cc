@@ -3,14 +3,17 @@
 #include <algorithm>
 
 #include "ckptstore/erasure.h"
+#include "rpc/rpc.h"
 #include "util/assertx.h"
 #include "util/rng.h"
 
 namespace dsim::ckptstore {
 
-ChunkPlacement::ChunkPlacement(int num_nodes, int k, int m)
-    : k_(k), m_(m), alive_(static_cast<size_t>(num_nodes), true) {
-  DSIM_CHECK_MSG(num_nodes >= 1, "placement needs at least one node");
+ChunkPlacement::ChunkPlacement(std::shared_ptr<const rpc::NodeHealth> health,
+                               int k, int m)
+    : health_(std::move(health)), k_(k), m_(m) {
+  DSIM_CHECK_MSG(health_ && health_->num_nodes() >= 1,
+                 "placement needs at least one node");
   DSIM_CHECK_MSG(k >= 1 && m >= 0 && k + m <= 32,
                  "erasure profile must satisfy 1 <= k, 0 <= m, k+m <= 32");
 }
@@ -18,7 +21,7 @@ ChunkPlacement::ChunkPlacement(int num_nodes, int k, int m)
 void ChunkPlacement::set_cold_profile(int k, int m) {
   DSIM_CHECK_MSG(k >= 1 && m >= 0 && k + m <= 32,
                  "cold profile must satisfy 1 <= k, 0 <= m, k+m <= 32");
-  DSIM_CHECK_MSG(k + m <= num_nodes(),
+  DSIM_CHECK_MSG(k + m <= health_->num_nodes(),
                  "cold profile needs k+m distinct nodes for the fragments");
   cold_k_ = k;
   cold_m_ = m;
@@ -43,10 +46,8 @@ u64 ChunkPlacement::score(const ChunkKey& key, NodeId node) {
 std::vector<NodeId> ChunkPlacement::place_n(const ChunkKey& key,
                                             size_t want) const {
   std::vector<std::pair<u64, NodeId>> scored;
-  for (size_t n = 0; n < alive_.size(); ++n) {
-    if (!alive_[n]) continue;
-    scored.emplace_back(score(key, static_cast<NodeId>(n)),
-                        static_cast<NodeId>(n));
+  for (NodeId n = 0; n < health_->num_nodes(); ++n) {
+    if (health_->up(n)) scored.emplace_back(score(key, n), n);
   }
   want = std::min(want, scored.size());
   std::partial_sort(scored.begin(),
@@ -81,7 +82,7 @@ i32 ChunkPlacement::holder(const ChunkKey& key) const {
   if (it == entries_.end()) return kNoHolder;
   const Entry& e = it->second;
   for (size_t i = 0; i < e.homes.size(); ++i) {
-    if (!node_alive(e.homes[i]) || (e.corrupt_mask >> i) & 1u) continue;
+    if (!health_->up(e.homes[i]) || (e.corrupt_mask >> i) & 1u) continue;
     return e.homes[i];
   }
   return kNoHolder;
@@ -103,15 +104,13 @@ std::vector<NodeId> ChunkPlacement::homes_of(const ChunkKey& key) const {
 }
 
 std::vector<ChunkPlacement::FetchSource> ChunkPlacement::read_plan(
-    const ChunkKey& key, bool* needs_decode,
-    const std::function<bool(NodeId)>& also_alive, NodeId reader) const {
+    const ChunkKey& key, bool* needs_decode, NodeId reader) const {
   *needs_decode = false;
   auto it = entries_.find(key);
   if (it == entries_.end()) return {};
   const Entry& e = it->second;
   auto usable = [&](size_t i) {
-    if (!node_alive(e.homes[i]) || (e.corrupt_mask >> i) & 1u) return false;
-    return !also_alive || also_alive(e.homes[i]);
+    return health_->up(e.homes[i]) && !((e.corrupt_mask >> i) & 1u);
   };
   // The k data fragments when healthy (systematic — no decode), else the
   // first k usable fragments of any kind plus a decode pass. A replica
@@ -134,7 +133,7 @@ std::vector<ChunkPlacement::FetchSource> ChunkPlacement::read_plan(
     const size_t i = (first + j) % slots;
     if (usable(i)) picks.push_back(i);
   }
-  if (picks.size() < k) return {};  // unreadable through this view
+  if (picks.size() < k) return {};  // unreadable
   // Slot order picks ascending, so the plan is the data fragments exactly
   // when its last pick is slot k-1. Any copy is the whole chunk at k = 1.
   *needs_decode = k > 1 && picks.back() != k - 1;
@@ -147,7 +146,8 @@ std::vector<ChunkPlacement::FetchSource> ChunkPlacement::read_plan(
 bool ChunkPlacement::degraded(const ChunkKey& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
-  return entry_degraded(it->second, count_alive());
+  return entry_degraded(it->second,
+                        static_cast<size_t>(health_->num_up()));
 }
 
 bool ChunkPlacement::corrupt_fragment(const ChunkKey& key, int index) {
@@ -176,7 +176,7 @@ std::vector<NodeId> ChunkPlacement::repair_fragments(const ChunkKey& key) {
     if (!((e.corrupt_mask >> i) & 1u)) continue;
     // A corrupt fragment on a dead node is the heal daemon's problem (the
     // slot gets a fresh home anyway); repair rewrites the alive ones.
-    if (node_alive(e.homes[i])) rewritten.push_back(e.homes[i]);
+    if (health_->up(e.homes[i])) rewritten.push_back(e.homes[i]);
     e.corrupt_mask &= ~(1u << i);
   }
   return rewritten;
@@ -187,7 +187,7 @@ std::vector<NodeId> ChunkPlacement::forget(const ChunkKey& key) {
   if (it == entries_.end()) return {};
   std::vector<NodeId> alive_homes;
   for (NodeId n : it->second.homes) {
-    if (node_alive(n)) alive_homes.push_back(n);
+    if (health_->up(n)) alive_homes.push_back(n);
   }
   entries_.erase(it);
   return alive_homes;
@@ -211,8 +211,8 @@ std::vector<NodeId> ChunkPlacement::re_place(const ChunkKey& key) {
 
 std::vector<ChunkKey> ChunkPlacement::degraded_chunks() const {
   std::vector<ChunkKey> out;
-  if (!any_dead()) return out;  // full placements everywhere: nothing to heal
-  const size_t alive_nodes = count_alive();
+  if (!health_->any_down()) return out;  // full placements: nothing to heal
+  const size_t alive_nodes = static_cast<size_t>(health_->num_up());
   for (const auto& [key, e] : entries_) {
     if (entry_degraded(e, alive_nodes)) out.push_back(key);
   }
@@ -220,8 +220,8 @@ std::vector<ChunkKey> ChunkPlacement::degraded_chunks() const {
 }
 
 u64 ChunkPlacement::degraded_count() const {
-  if (!any_dead()) return 0;
-  const size_t alive_nodes = count_alive();
+  if (!health_->any_down()) return 0;
+  const size_t alive_nodes = static_cast<size_t>(health_->num_up());
   u64 degraded = 0;
   for (const auto& [key, e] : entries_) {
     if (entry_degraded(e, alive_nodes)) ++degraded;
@@ -251,7 +251,7 @@ std::vector<NodeId> ChunkPlacement::heal(const ChunkKey& key) {
   for (size_t i = 0; i < slots && next < candidates.size(); ++i) {
     if (i == e.homes.size()) {
       e.homes.push_back(candidates[next++]);
-    } else if (!node_alive(e.homes[i])) {
+    } else if (!health_->up(e.homes[i])) {
       e.homes[i] = candidates[next++];
       e.corrupt_mask &= ~(1u << i);  // the rebuilt fragment is clean
     } else {
@@ -279,7 +279,7 @@ ChunkPlacement::DemotePlan ChunkPlacement::demote(const ChunkKey& key) {
   if (plan.read.empty()) return plan;  // unreadable: heal/restore territory
   plan.trim_bytes = e.frag_bytes;
   for (NodeId n : e.homes) {
-    if (node_alive(n)) plan.trim.push_back(n);
+    if (health_->up(n)) plan.trim.push_back(n);
   }
   e.k = static_cast<u16>(cold_k_);
   e.m = static_cast<u16>(cold_m_);
@@ -292,31 +292,10 @@ ChunkPlacement::DemotePlan ChunkPlacement::demote(const ChunkKey& key) {
   return plan;
 }
 
-void ChunkPlacement::fail_node(NodeId node) {
-  DSIM_CHECK(node >= 0 && static_cast<size_t>(node) < alive_.size());
-  alive_[static_cast<size_t>(node)] = false;
-}
-
-void ChunkPlacement::revive_node(NodeId node) {
-  DSIM_CHECK(node >= 0 && static_cast<size_t>(node) < alive_.size());
-  // Revival restores the *node*, not the chunk bytes it lost: chunks whose
-  // homes all died stay lost until re-stored by a future generation.
-  alive_[static_cast<size_t>(node)] = true;
-}
-
-bool ChunkPlacement::node_alive(NodeId node) const {
-  return node >= 0 && static_cast<size_t>(node) < alive_.size() &&
-         alive_[static_cast<size_t>(node)];
-}
-
-bool ChunkPlacement::any_dead() const {
-  return std::find(alive_.begin(), alive_.end(), false) != alive_.end();
-}
-
 size_t ChunkPlacement::clean_alive(const Entry& e) const {
   size_t clean = 0;
   for (size_t i = 0; i < e.homes.size(); ++i) {
-    if (node_alive(e.homes[i]) && !((e.corrupt_mask >> i) & 1u)) ++clean;
+    if (health_->up(e.homes[i]) && !((e.corrupt_mask >> i) & 1u)) ++clean;
   }
   return clean;
 }
@@ -330,11 +309,6 @@ bool ChunkPlacement::entry_degraded(const Entry& e,
   const size_t clean = clean_alive(e);
   if (clean < e.k) return false;  // lost, not degraded
   return clean < std::min(static_cast<size_t>(e.k + e.m), alive_nodes);
-}
-
-size_t ChunkPlacement::count_alive() const {
-  return static_cast<size_t>(
-      std::count(alive_.begin(), alive_.end(), true));
 }
 
 u64 ChunkPlacement::lost_chunks() const {
@@ -354,7 +328,7 @@ u64 ChunkPlacement::lost_bytes() const {
 }
 
 std::vector<u64> ChunkPlacement::bytes_per_node() const {
-  std::vector<u64> out(alive_.size(), 0);
+  std::vector<u64> out(static_cast<size_t>(health_->num_nodes()), 0);
   for (const auto& [key, e] : entries_) {
     for (NodeId n : e.homes) out[static_cast<size_t>(n)] += e.frag_bytes;
   }

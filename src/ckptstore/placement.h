@@ -15,6 +15,11 @@
 // R x stored bytes. The cost helpers in erasure.h price k = 1 as plain
 // copies; nothing here treats it specially.
 //
+// Liveness is not placement's to record: every query reads the cluster's
+// rpc::NodeHealth map, the one every RPC reads, so a fragment is unreachable
+// the instant its node is killed and reachable again the instant the node
+// is revived.
+//
 // Rendezvous properties:
 //   - restart reads are charged to the devices of the nodes that actually
 //     hold each chunk's bytes, not the restarting node's;
@@ -32,12 +37,16 @@
 // chunks coexist in one placement map.
 #pragma once
 
-#include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "ckptstore/chunk.h"
 #include "util/types.h"
+
+namespace dsim::rpc {
+class NodeHealth;
+}  // namespace dsim::rpc
 
 namespace dsim::ckptstore {
 
@@ -45,10 +54,10 @@ class ChunkPlacement {
  public:
   /// New stores are striped (k, m): 1 <= k, 0 <= m, and at most 32
   /// fragments (the corrupt-mask width). A chunk gets min(k+m, alive nodes)
-  /// homes, so 5 copies on 2 nodes degrade to one copy per node.
-  ChunkPlacement(int num_nodes, int k, int m);
+  /// homes, so 5 copies on 2 nodes degrade to one copy per node. `health`
+  /// is the cluster's liveness map, read here and never written.
+  ChunkPlacement(std::shared_ptr<const rpc::NodeHealth> health, int k, int m);
 
-  int num_nodes() const { return static_cast<int>(alive_.size()); }
   /// Arm demote(): the wider (k,m) profile cold chunks re-stripe to.
   void set_cold_profile(int k, int m);
 
@@ -84,7 +93,7 @@ class ChunkPlacement {
   bool available(const ChunkKey& key) const;
   /// The recorded homes of `key`, best-first as placed (dead ones
   /// included; fragment i lives on homes[i]). Restart uses read_plan()
-  /// instead — it additionally filters corruption and membership.
+  /// instead — it additionally filters death and corruption.
   std::vector<NodeId> homes_of(const ChunkKey& key) const;
 
   /// The devices to read `key` back from: k clean alive fragment homes at
@@ -97,19 +106,14 @@ class ChunkPlacement {
   /// it takes the first usable copy in rotation from slot score(key,
   /// reader) mod R, so the nodes that read a chunk spread over its copies.
   /// Without a reader (kAnyReader: heal, scrub, demotion) copies go in slot
-  /// order.
-  /// `also_alive`, when set, additionally filters sources (restart passes
-  /// the membership view — belt and braces over placement's ground truth).
-  /// Empty when the chunk is not readable (lost, or never recorded).
+  /// order. Empty when the chunk is not readable (lost, or never recorded).
   struct FetchSource {
     NodeId node = 0;
     u64 bytes = 0;
   };
   static constexpr NodeId kAnyReader = -1;
-  std::vector<FetchSource> read_plan(
-      const ChunkKey& key, bool* needs_decode,
-      const std::function<bool(NodeId)>& also_alive = nullptr,
-      NodeId reader = kAnyReader) const;
+  std::vector<FetchSource> read_plan(const ChunkKey& key, bool* needs_decode,
+                                     NodeId reader = kAnyReader) const;
 
   /// True when `key` is recorded, readable, and below full redundancy
   /// (alive, clean homes < min(k+m, alive nodes)) — the per-key form of
@@ -182,16 +186,6 @@ class ChunkPlacement {
   };
   DemotePlan demote(const ChunkKey& key);
 
-  /// Simulated node failure / recovery. Failure does not touch the
-  /// repository (content survives in the index) — it makes the bytes on
-  /// that node unreachable, which is exactly what placement models.
-  void fail_node(NodeId node);
-  void revive_node(NodeId node);
-  bool node_alive(NodeId node) const;
-  /// Any node currently failed? The cheap guard in front of
-  /// O(chunk-refs) loss scans: with every node alive nothing can be lost.
-  bool any_dead() const;
-
   /// Chunks / stored bytes that are unreadable (> m fragments gone).
   /// O(placed chunks); called from pre-flight and tests.
   u64 lost_chunks() const;
@@ -217,13 +211,12 @@ class ChunkPlacement {
   size_t clean_alive(const Entry& e) const;
   bool entry_lost(const Entry& e) const;
   bool entry_degraded(const Entry& e, size_t alive_nodes) const;
-  size_t count_alive() const;
 
+  std::shared_ptr<const rpc::NodeHealth> health_;
   int k_;
   int m_;
   int cold_k_ = 0;
   int cold_m_ = 0;
-  std::vector<bool> alive_;
   std::map<ChunkKey, Entry> entries_;
 };
 

@@ -25,7 +25,7 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
       lookup_batch_(lookup_batch),
       erasure_(erasure),
       repo_(std::make_shared<Repository>()),
-      placement_(net.num_nodes(), erasure.k, erasure.m) {
+      placement_(health_, erasure.k, erasure.m) {
   DSIM_CHECK_MSG(shards >= 1, "chunk-store service needs at least one shard");
   DSIM_CHECK_MSG(lookup_batch >= 1,
                  "lookup batch must carry at least one key per RPC");
@@ -591,15 +591,11 @@ void ChunkStoreService::charge_cpu(NodeId node, double seconds,
 
 void ChunkStoreService::watch(cluster::Membership& membership) {
   membership_ = &membership;
-  // Listeners fire only on a change, so a transition to kAlive is a
-  // revival: explicit, or a transient death re-acked before declaration.
+  // Only a death needs a reaction here: a node comes back only through
+  // revive_node(), which runs the revival reaction itself.
   membership.subscribe(
       [this](NodeId node, cluster::NodeState, cluster::NodeState to) {
-        if (to == cluster::NodeState::kDead) {
-          handle_node_death(node);
-        } else if (to == cluster::NodeState::kAlive) {
-          handle_node_revival(node);
-        }
+        if (to == cluster::NodeState::kDead) handle_node_death(node);
       });
 }
 
@@ -608,31 +604,22 @@ void ChunkStoreService::fail_node(NodeId node) {
                  "killing the membership monitor is not modeled (the "
                  "coordinator is outside the computation, §3)");
   // Ground truth first, unconditionally: the instant the node dies its
-  // chunk copies are unreachable and its RPCs stop being chargeable. The
-  // *reaction* — heal kick, shard re-home, replay — is detection's job:
-  // watched, membership's kDead declaration runs it after the heartbeat
-  // misses.
+  // chunk copies are unreachable (placement reads the same map) and its
+  // RPCs stop being chargeable. The *reaction* — heal kick, shard re-home,
+  // replay — is detection's job: watched, membership's kDead declaration
+  // runs it after the heartbeat misses.
   health_->fail(node);
-  placement_.fail_node(node);
   if (!membership_) handle_node_death(node);
 }
 
 void ChunkStoreService::revive_node(NodeId node) {
+  // Membership readmits the node (health up, state kAlive); unwatched, the
+  // map flips directly.
   if (membership_) {
-    // Membership readmits the node; its transition back to kAlive runs
-    // handle_node_revival() first. A revival *before the first miss*
-    // changes no membership state and fires no listener, so the reaction
-    // also runs directly: it is idempotent, and requests parked in that
-    // window must not strand.
     membership_->revive_node(node);
   } else {
     health_->revive(node);
   }
-  handle_node_revival(node);
-}
-
-void ChunkStoreService::handle_node_revival(NodeId node) {
-  placement_.revive_node(node);
   // Requests parked against this node's endpoints replay directly: the
   // node never reached kDead (or just came back), so no re-home will ever
   // flush those queues — without this they would strand forever.
@@ -642,10 +629,6 @@ void ChunkStoreService::handle_node_revival(NodeId node) {
 }
 
 void ChunkStoreService::handle_node_death(NodeId node) {
-  // Idempotent reaction to a detected death: placement may already know
-  // (fail_node's ground truth), but a death declared by membership alone
-  // must land there too before heal scans run.
-  placement_.fail_node(node);
   // Its writers can no longer store what they claimed: the next writer to
   // probe such a key claims it.
   std::erase_if(claims_,

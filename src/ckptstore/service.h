@@ -54,12 +54,14 @@
 // the "t<id>/<vpid>" owner convention (tenant.h). `--fair-queueing off`
 // reverts every shard to the PR-3 arrival FIFO (the bench_tenants ablation).
 //
-// Failure tolerance: every service RPC carries a failure path. A request
-// whose endpoint node died *parks* on its shard instead of erroring. The
-// service watches cluster membership (src/cluster/): when it declares the
-// node dead, the service re-homes the shard to the next live node in the
-// shard's rendezvous order and the parked requests replay there in FIFO
-// order. Requests are idempotent by chunk key, so callers observe elevated
+// Failure tolerance: node liveness lives in one map, rpc::NodeHealth, which
+// fail_node()/revive_node() write and the fabrics, membership and placement
+// read. Every service RPC carries a failure path. A request whose endpoint
+// node died *parks* on its shard instead of erroring. The service watches
+// cluster membership (src/cluster/): when it declares the node dead, the
+// service re-homes the shard to the next live node in the shard's
+// rendezvous order and the parked requests replay there in FIFO order.
+// Requests are idempotent by chunk key, so callers observe elevated
 // latency — never an error. Changing the shard count between rounds runs a
 // consistent-hash rebalance: only the keys whose rendezvous winner changed
 // migrate, in batched metadata RPCs through the normal queues.
@@ -225,8 +227,8 @@ class ChunkStoreService {
   Repository& repo() { return *repo_; }
   ChunkPlacement& placement() { return placement_; }
   const ChunkPlacement& placement() const { return placement_; }
-  /// The cluster's shared RPC liveness map (ground truth of node death;
-  /// the membership service's fabric shares it).
+  /// The cluster's one liveness map (ground truth of node death): the
+  /// fabrics, the membership service and placement all read it.
   const std::shared_ptr<rpc::NodeHealth>& health() const { return health_; }
 
   /// Per-tenant config (DRR weights, admission budgets, cold-demotion
@@ -270,10 +272,10 @@ class ChunkStoreService {
 
   /// Wire the service to the failure detector (the DMTCP world does it
   /// once, at startup). The service subscribes to `membership`: a
-  /// transition to kDead runs the death reaction, a transition back to
-  /// kAlive the revival reaction. From then on fail_node() leaves the
-  /// reaction to detection. Each keeps a pointer to the other, so both
-  /// must live while either is used (DmtcpShared owns both).
+  /// transition to kDead runs the death reaction, and from then on
+  /// fail_node() leaves the reaction to detection. Each keeps a pointer to
+  /// the other, so both must live while either is used (DmtcpShared owns
+  /// both).
   void watch(cluster::Membership& membership);
 
   /// THE service entry point: every Lookup/Store/Restore/Fetch/Drop flows
@@ -290,17 +292,16 @@ class ChunkStoreService {
   /// within a shard is the fair-queueing scheduler's business.
   StoreReply submit(StoreRequest req);
 
-  /// Simulated node failure. Ground truth lands immediately — the node's
-  /// chunk copies become unreachable (placement) and its RPCs stop being
-  /// chargeable (NodeHealth). A watched service reacts when membership
+  /// Simulated node failure. Ground truth lands immediately: the node goes
+  /// down in NodeHealth, so its chunk copies become unreachable and its
+  /// RPCs stop being chargeable. A watched service reacts when membership
   /// declares the death, detection latency and all; an unwatched one
   /// (standalone tests) reacts at once. The membership monitor cannot be
   /// killed.
   void fail_node(NodeId node);
-  /// Simulated node revival, the mirror image: health flips up and the
-  /// node is readmitted to placement, and requests parked against its
-  /// endpoints replay. A watched service readmits the node to membership
-  /// first.
+  /// Simulated node revival, the mirror image and the only way back: the
+  /// node comes up in NodeHealth (through membership when watched), and
+  /// requests parked against its endpoints replay.
   void revive_node(NodeId node);
 
   /// Move every shard whose current endpoint differs from its *assigned*
@@ -449,12 +450,6 @@ class ChunkStoreService {
   /// to the next live node in the shard's rendezvous order, replaying
   /// parked requests there. Idempotent.
   void handle_node_death(NodeId node);
-  /// Reaction to a revival (including a transient death the heartbeats
-  /// re-acked before declaring): readmit the node to placement and replay
-  /// requests parked against its endpoints, which would otherwise strand
-  /// forever (no death declaration means no re-home to flush them).
-  /// Idempotent.
-  void handle_node_revival(NodeId node);
   NodeId endpoint_of(int shard) const {
     return endpoints_[static_cast<size_t>(shard)];
   }

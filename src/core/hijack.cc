@@ -225,7 +225,7 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
     // !available(): a hit on a key another rank's Store is still carrying
     // is merely unrecorded. dup_chunks holds one entry per *reference*,
     // known or not, so each lost key heals once.
-    if (svc->placement().any_dead()) {
+    if (svc->health()->any_down()) {
       for (size_t i = 0; i < dup_chunks.size(); ++i) {
         const auto& [key, bytes] = dup_chunks[i];
         if (svc->placement().lost(key) && taken.insert(key).second) {

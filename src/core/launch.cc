@@ -541,7 +541,7 @@ const RestartRun& DmtcpControl::restart(std::map<NodeId, NodeId> host_map) {
   // unavailable the same way: restarting into a chunk the scrubber
   // condemned would fail its CRC check anyway.
   if (const auto* svc = shared_->store_service.get();
-      svc != nullptr && (svc->placement().any_dead() ||
+      svc != nullptr && (svc->health()->any_down() ||
                          svc->repo_ptr()->quarantined_count() > 0)) {
     // Every node alive (and no quarantine) means nothing can be lost — the
     // O(chunk-refs) manifest walk below only runs after an actual failure.

@@ -174,18 +174,7 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
       DSIM_CHECK_MSG(err.empty(), err.c_str());
       // Placement-aware read plan. decode_incremental succeeded, so every
       // referenced chunk is resident; the pre-flight in
-      // DmtcpControl::restart guarantees a surviving holder. The holder
-      // choice consults *membership* on top of placement: a node the
-      // cluster has declared dead is never fetched from, even in the window
-      // where a detected death has not yet propagated everywhere (placement
-      // and membership share ground truth, but belt and braces is exactly
-      // what a restart path wants).
-      const auto& membership = shared->membership;
-      const std::function<bool(NodeId)> member_alive =
-          membership ? std::function<bool(NodeId)>([&membership](NodeId n) {
-            return membership->alive(n);
-          })
-                     : nullptr;
+      // DmtcpControl::restart guarantees a surviving holder.
       const auto codec = static_cast<compress::CodecKind>(mf.codec);
       for (const auto& sm : mf.segments) {
         for (const auto& ref : sm.chunks) {
@@ -215,16 +204,16 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
             // it holds one, else the copy read_plan draws for this node.
             bool needs_decode = false;
             cr.sources = svc->placement().read_plan(ref.key, &needs_decode,
-                                                    member_alive, self.node());
+                                                    self.node());
             if (needs_decode && !cr.sources.empty()) {
               cr.decode_seconds += ckptstore::erasure::decode_seconds(
                   c->charged_bytes, svc->placement().erasure_info(ref.key).k);
             }
           }
           // Without the service the chunk sits on this node's device. With
-          // it, the pre-flight guarantees availability, so an empty plan
-          // means the membership view lags placement — read locally rather
-          // than off a node the cluster considers dead.
+          // it, an empty plan is a Store not yet placed, or rot past repair
+          // that the pre-flight's any_down() || quarantined guard does not
+          // scan for; the chunk is then read off this node's device too.
           if (cr.sources.empty()) {
             cr.sources.push_back({self.node(), c->charged_bytes});
           }

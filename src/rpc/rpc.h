@@ -34,6 +34,7 @@
 // queue, endpoint egress) is itself FIFO.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -46,11 +47,12 @@
 
 namespace dsim::rpc {
 
-/// Ground truth of node liveness for RPC purposes, shared by every fabric
-/// of one cluster (the membership heartbeat fabric and the chunk-store
-/// request fabric must agree). Modeled at the RPC layer, not the network:
-/// the simulations that kill a "storage" node may keep its compute
-/// processes running until the experimenter kills them separately.
+/// Ground truth of node liveness, shared by every fabric of one cluster
+/// (the membership heartbeat fabric and the chunk-store request fabric must
+/// agree) and by the store's placement, which keeps no copy. Modeled at the
+/// RPC layer, not the network: the simulations that kill a "storage" node
+/// may keep its compute processes running until the experimenter kills them
+/// separately.
 class NodeHealth {
  public:
   explicit NodeHealth(int num_nodes)
@@ -62,6 +64,12 @@ class NodeHealth {
            up_[static_cast<size_t>(n)];
   }
   int num_nodes() const { return static_cast<int>(up_.size()); }
+  int num_up() const {
+    return static_cast<int>(std::count(up_.begin(), up_.end(), true));
+  }
+  /// The cheap guard in front of O(chunk-refs) loss scans: with every node
+  /// up, nothing can be lost.
+  bool any_down() const { return num_up() < num_nodes(); }
 
  private:
   std::vector<bool> up_;

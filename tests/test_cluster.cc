@@ -643,9 +643,9 @@ TEST(ScrubRepair, DegradedStragglersAreRoutedToTheHealDaemon) {
     svc.repo().put(key_of(i), std::move(c));
   }
   loop.run();
-  // Degrade the store behind the heal daemon's back (placement-only death:
-  // the one-shot heal scan a service-level fail_node would kick).
-  svc.placement().fail_node(1);
+  // Degrade the store behind the heal daemon's back (a health-only death
+  // skips the one-shot heal scan a service-level fail_node would kick).
+  svc.health()->fail(1);
   ASSERT_GT(svc.placement().degraded_count(), 0u);
   ASSERT_TRUE(svc.rereplication_idle());
   // The scrub walk trips over the degraded survivors and routes them into

@@ -128,7 +128,7 @@ TEST(ErasureCodec, CostModelPricesParityAndDecodePasses) {
 // --- placement ---------------------------------------------------------------
 
 TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
-  ChunkPlacement pl(8, 4, 2);
+  ChunkPlacement pl(std::make_shared<rpc::NodeHealth>(8), 4, 2);
   for (u64 i = 0; i < 100; ++i) {
     const auto homes = pl.record_store(key_of(i), 4096);
     ASSERT_EQ(homes.size(), 6u);
@@ -145,7 +145,7 @@ TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
   u64 erasure_total = 0;
   for (u64 b : per_node) erasure_total += b;
   EXPECT_EQ(erasure_total, 100u * 6 * erasure::fragment_bytes(4096, 4));
-  ChunkPlacement repl(8, 1, 1);  // R=2
+  ChunkPlacement repl(std::make_shared<rpc::NodeHealth>(8), 1, 1);  // R=2
   for (u64 i = 0; i < 100; ++i) repl.record_store(key_of(i), 4096);
   u64 repl_total = 0;
   for (u64 b : repl.bytes_per_node()) repl_total += b;
@@ -154,7 +154,8 @@ TEST(ErasurePlacement, FragmentsLandOnDistinctNodesWithFragmentCharges) {
 }
 
 TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
-  ChunkPlacement pl(8, 4, 2);
+  auto health = std::make_shared<rpc::NodeHealth>(8);
+  ChunkPlacement pl(health, 4, 2);
   const ChunkKey key = key_of(42);
   const auto homes = pl.record_store(key, 4096);
   ASSERT_EQ(homes.size(), 6u);
@@ -170,27 +171,27 @@ TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
 
   // One data fragment dies: the plan substitutes a parity fragment and the
   // caller must pay decode CPU. Still no loss.
-  pl.fail_node(homes[1]);
+  health->fail(homes[1]);
   plan = pl.read_plan(key, &needs_decode);
   ASSERT_EQ(plan.size(), 4u);
   EXPECT_TRUE(needs_decode);
   for (const auto& src : plan) {
     EXPECT_NE(src.node, homes[1]);
-    EXPECT_TRUE(pl.node_alive(src.node));
+    EXPECT_TRUE(health->up(src.node));
   }
   EXPECT_EQ(pl.lost_chunks(), 0u);
   EXPECT_TRUE(pl.available(key));
 
   // A *parity* loss alone never forces a decode: data fragments intact.
-  pl.revive_node(homes[1]);
-  pl.fail_node(homes[5]);
+  health->revive(homes[1]);
+  health->fail(homes[5]);
   plan = pl.read_plan(key, &needs_decode);
   ASSERT_EQ(plan.size(), 4u);
   EXPECT_FALSE(needs_decode);
 
   // Beyond m losses the chunk is gone: empty plan, counted lost.
-  pl.fail_node(homes[0]);
-  pl.fail_node(homes[1]);
+  health->fail(homes[0]);
+  health->fail(homes[1]);
   EXPECT_TRUE(pl.read_plan(key, &needs_decode).empty());
   EXPECT_FALSE(pl.available(key));
   EXPECT_TRUE(pl.lost(key));
@@ -204,8 +205,9 @@ TEST(ErasurePlacement, ReadPlanIsSystematicUntilFragmentsDie) {
 TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
   constexpr int kNodes = 10;
   constexpr u64 kKeys = 300;
-  ChunkPlacement repl(kNodes, 1, 1);  // R=2
-  ChunkPlacement striped(kNodes, 4, 2);
+  auto health = std::make_shared<rpc::NodeHealth>(kNodes);
+  ChunkPlacement repl(health, 1, 1);  // R=2
+  ChunkPlacement striped(std::make_shared<rpc::NodeHealth>(kNodes), 4, 2);
   u64 served[2] = {0, 0};  // (key, reader) pairs per slot, non-holders
   for (u64 i = 0; i < kKeys; ++i) {
     const ChunkKey key = key_of(i);
@@ -214,7 +216,7 @@ TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
     ASSERT_EQ(homes.size(), 2u);
     for (NodeId reader = 0; reader < kNodes; ++reader) {
       bool needs_decode = true;
-      const auto plan = repl.read_plan(key, &needs_decode, nullptr, reader);
+      const auto plan = repl.read_plan(key, &needs_decode, reader);
       ASSERT_EQ(plan.size(), 1u);
       EXPECT_FALSE(needs_decode);
       EXPECT_EQ(plan[0].bytes, 4096u);
@@ -226,7 +228,7 @@ TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
         served[plan[0].node == homes[0] ? 0 : 1]++;
       }
       needs_decode = true;
-      const auto data = striped.read_plan(key, &needs_decode, nullptr, reader);
+      const auto data = striped.read_plan(key, &needs_decode, reader);
       EXPECT_FALSE(needs_decode);
       ASSERT_EQ(data.size(), 4u);
       for (size_t f = 0; f < data.size(); ++f) {
@@ -244,7 +246,7 @@ TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
   // Node 3 dies and every other key's slot-0 copy rots: each reader,
   // holders included, gets the one usable copy, or nothing when neither
   // is, and still never a decode.
-  repl.fail_node(3);
+  health->fail(3);
   for (u64 i = 0; i < kKeys; i += 2) {
     ASSERT_TRUE(repl.corrupt_fragment(key_of(i), 0));
   }
@@ -257,7 +259,7 @@ TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
     };
     for (NodeId reader = 0; reader < kNodes; ++reader) {
       bool needs_decode = true;
-      const auto plan = repl.read_plan(key, &needs_decode, nullptr, reader);
+      const auto plan = repl.read_plan(key, &needs_decode, reader);
       EXPECT_FALSE(needs_decode);
       if (!usable(0) && !usable(1)) {
         EXPECT_TRUE(plan.empty());
@@ -272,12 +274,13 @@ TEST(ErasurePlacement, ReplicaReadersSpreadAndFragmentReadsStaySystematic) {
 }
 
 TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
-  ChunkPlacement pl(8, 4, 2);
+  auto health = std::make_shared<rpc::NodeHealth>(8);
+  ChunkPlacement pl(health, 4, 2);
   const ChunkKey key = key_of(7);
   const auto before = pl.record_store(key, 8192);
   ASSERT_EQ(before.size(), 6u);
 
-  pl.fail_node(before[2]);
+  health->fail(before[2]);
   ASSERT_TRUE(pl.degraded(key));
   const auto fresh = pl.heal(key);
   ASSERT_EQ(fresh.size(), 1u);  // exactly the dead slot is rebuilt
@@ -293,13 +296,13 @@ TEST(ErasurePlacement, HealPinsSurvivorsAndReassignsOnlyDeadSlots) {
   }
   EXPECT_FALSE(pl.degraded(key));
   // Full strength again: two *more* losses are survivable.
-  pl.fail_node(after[0]);
-  pl.fail_node(after[4]);
+  health->fail(after[0]);
+  health->fail(after[4]);
   EXPECT_EQ(pl.lost_chunks(), 0u);
 }
 
 TEST(ErasurePlacement, CorruptFragmentsRepairInPlace) {
-  ChunkPlacement pl(8, 4, 2);
+  ChunkPlacement pl(std::make_shared<rpc::NodeHealth>(8), 4, 2);
   const ChunkKey key = key_of(3);
   const auto homes = pl.record_store(key, 4096);
   ASSERT_EQ(homes.size(), 6u);

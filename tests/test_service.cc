@@ -48,24 +48,26 @@ ChunkKey key_of(u64 n) {
 // --- placement --------------------------------------------------------------
 
 TEST(Placement, ReplicasAreDistinctAliveNodes) {
-  ChunkPlacement pl(8, 1, 2);  // R=3
+  auto health = std::make_shared<rpc::NodeHealth>(8);
+  ChunkPlacement pl(health, 1, 2);  // R=3
   for (u64 i = 0; i < 200; ++i) {
     const auto homes = pl.place(key_of(i));
     ASSERT_EQ(homes.size(), 3u);
     std::set<NodeId> uniq(homes.begin(), homes.end());
     EXPECT_EQ(uniq.size(), 3u);
-    for (NodeId n : homes) EXPECT_TRUE(pl.node_alive(n));
+    for (NodeId n : homes) EXPECT_TRUE(health->up(n));
   }
   // More replicas than nodes degrades gracefully to one copy per node.
-  ChunkPlacement small(2, 1, 4);  // R=5
+  ChunkPlacement small(std::make_shared<rpc::NodeHealth>(2), 1, 4);  // R=5
   EXPECT_EQ(small.place(key_of(1)).size(), 2u);
   // A copy set recorded while nodes were down fills up once they return.
-  ChunkPlacement grow(3, 1, 2);  // R=3
-  grow.fail_node(1);
-  grow.fail_node(2);
+  auto grow_health = std::make_shared<rpc::NodeHealth>(3);
+  ChunkPlacement grow(grow_health, 1, 2);  // R=3
+  grow_health->fail(1);
+  grow_health->fail(2);
   ASSERT_EQ(grow.record_store(key_of(2), 100).size(), 1u);
-  grow.revive_node(1);
-  grow.revive_node(2);
+  grow_health->revive(1);
+  grow_health->revive(2);
   EXPECT_TRUE(grow.degraded(key_of(2)));
   EXPECT_EQ(grow.heal(key_of(2)).size(), 2u);
   EXPECT_EQ(grow.homes_of(key_of(2)).size(), 3u);
@@ -73,7 +75,8 @@ TEST(Placement, ReplicasAreDistinctAliveNodes) {
 }
 
 TEST(Placement, RendezvousSpreadsAndIsStableUnderFailure) {
-  ChunkPlacement pl(4, 1, 0);  // R=1
+  auto health = std::make_shared<rpc::NodeHealth>(4);
+  ChunkPlacement pl(health, 1, 0);  // R=1
   std::vector<int> per_node(4, 0);
   std::vector<std::vector<NodeId>> before;
   for (u64 i = 0; i < 400; ++i) {
@@ -88,7 +91,7 @@ TEST(Placement, RendezvousSpreadsAndIsStableUnderFailure) {
     EXPECT_LT(per_node[static_cast<size_t>(n)], 200);
   }
   // Rendezvous property: failing node 2 moves only node-2 chunks.
-  pl.fail_node(2);
+  health->fail(2);
   for (u64 i = 0; i < 400; ++i) {
     const auto homes = pl.place(key_of(i));
     if (before[i][0] != 2) {
@@ -100,7 +103,8 @@ TEST(Placement, RendezvousSpreadsAndIsStableUnderFailure) {
 }
 
 TEST(Placement, FailoverPrefersSurvivingHomesInOrder) {
-  ChunkPlacement pl(6, 1, 1);  // R=2
+  auto health = std::make_shared<rpc::NodeHealth>(6);
+  ChunkPlacement pl(health, 1, 1);  // R=2
   // Record every key with its homes, fail two nodes, and check each
   // holder: the best surviving home when one exists, kNoHolder when both
   // replicas died with their nodes.
@@ -112,13 +116,13 @@ TEST(Placement, FailoverPrefersSurvivingHomesInOrder) {
   }
   EXPECT_EQ(pl.lost_chunks(), 0u);
 
-  pl.fail_node(0);
-  pl.fail_node(1);
+  health->fail(0);
+  health->fail(1);
   u64 expected_lost = 0;
   for (const auto& [k, homes] : recorded) {
     i32 expected = ChunkPlacement::kNoHolder;
     for (NodeId n : homes) {
-      if (pl.node_alive(n)) {
+      if (health->up(n)) {
         expected = n;  // best-first order is preserved on failover
         break;
       }
@@ -132,7 +136,8 @@ TEST(Placement, FailoverPrefersSurvivingHomesInOrder) {
 }
 
 TEST(Placement, ReplicaOneLosesChunksWithTheirNode) {
-  ChunkPlacement pl(4, 1, 0);  // R=1
+  auto health = std::make_shared<rpc::NodeHealth>(4);
+  ChunkPlacement pl(health, 1, 0);  // R=1
   u64 on_node1 = 0;
   for (u64 i = 0; i < 200; ++i) {
     const auto homes = pl.record_store(key_of(i), 500);
@@ -140,18 +145,19 @@ TEST(Placement, ReplicaOneLosesChunksWithTheirNode) {
     if (homes[0] == 1) ++on_node1;
   }
   ASSERT_GT(on_node1, 0u);
-  pl.fail_node(1);
+  health->fail(1);
   EXPECT_EQ(pl.lost_chunks(), on_node1);
   EXPECT_EQ(pl.lost_bytes(), on_node1 * 500);
   // Revival restores the node, and with it the bytes it physically held.
-  pl.revive_node(1);
+  health->revive(1);
   EXPECT_EQ(pl.lost_chunks(), 0u);
 }
 
 TEST(Placement, ReplicaTwoSurvivesOneNodeFailure) {
-  ChunkPlacement pl(4, 1, 1);  // R=2
+  auto health = std::make_shared<rpc::NodeHealth>(4);
+  ChunkPlacement pl(health, 1, 1);  // R=2
   for (u64 i = 0; i < 200; ++i) pl.record_store(key_of(i), 500);
-  pl.fail_node(2);
+  health->fail(2);
   EXPECT_EQ(pl.lost_chunks(), 0u);
   for (u64 i = 0; i < 200; ++i) {
     const i32 h = pl.holder(key_of(i));
