@@ -16,8 +16,10 @@ void FairQueue::push(QosClass qos, TenantId tenant, double weight,
   sq.quantum = static_cast<u64>(static_cast<double>(kFairQueueQuantumBytes) *
                                 std::max(weight, 0.01));
   if (sq.items.empty()) {
+    // Becoming active is the sub-queue's first visit: grant its quantum
+    // now, so its head is served as soon as it reaches the front.
     b.active.push_back(tenant);
-    sq.deficit = 0;
+    sq.deficit = sq.quantum;
   }
   sq.items.push_back(std::move(item));
   ++size_;
@@ -44,9 +46,9 @@ FairQueue::Item FairQueue::pop() {
         }
         return item;
       }
-      // Head doesn't fit the deficit: grant a quantum and rotate. Each
-      // full rotation grows every waiting queue's deficit, so even an
-      // oversized head is served after finitely many rounds.
+      // Head doesn't fit the deficit: grant the next visit's quantum and
+      // rotate. Each full rotation grows every waiting queue's deficit, so
+      // even an oversized head is served after finitely many rounds.
       sq.deficit += sq.quantum;
       b.active.pop_front();
       b.active.push_back(t);

@@ -160,11 +160,14 @@ inline constexpr u64 kFairQueueQuantumBytes = 256 * 1024;
 /// Deficit round-robin over per-(QoS band, tenant) sub-queues.
 ///
 /// Strict priority between bands: pop() drains the restart band before the
-/// checkpoint band ever runs. Within a band, classic DRR: each sub-queue
-/// holds a deficit counter; visiting a queue whose head doesn't fit grants
-/// it quantum * weight and rotates it to the back, so over time each
-/// tenant's share of device-bytes converges to its weight regardless of who
-/// floods the queue. Per-tenant order stays FIFO.
+/// checkpoint band ever runs. Within a band, Shreedhar and Varghese's DRR:
+/// each sub-queue holds a deficit counter, granted quantum * weight for a
+/// visit and spent serving its head while the head fits. A sub-queue is
+/// granted when it becomes active and again each time it rotates to the
+/// back, so a tenant that joins a busy band waits out at most the
+/// incumbent's remaining grant, and over time each tenant's share of
+/// device-bytes converges to its weight regardless of who floods the
+/// queue. Per-tenant order stays FIFO.
 class FairQueue {
  public:
   struct Item {

@@ -100,6 +100,24 @@ TEST(FairQueueTest, WeightsShareServiceProportionally) {
   EXPECT_LT(t1, 2.4 * t2);
 }
 
+TEST(FairQueueTest, ATenantThatBecomesActiveIsGrantedItsQuantumAtOnce) {
+  // DRR's visit grants, then serves while the head fits. A sub-queue is
+  // granted its quantum when it becomes active, so a newcomer waits out
+  // only the incumbent's remaining grant, not one more full grant on top.
+  FairQueue fq;
+  std::vector<int> served;
+  constexpr u64 kCost = ckptstore::kFairQueueQuantumBytes / 4;
+  for (int i = 0; i < 12; ++i) {
+    fq.push(QosClass::kCheckpoint, 1, 1.0, item(kCost, &served, 1));
+  }
+  fq.pop().run();
+  fq.push(QosClass::kCheckpoint, 2, 1.0, item(kCost, &served, 2));
+  // Three quarters of the incumbent's grant are left: the newcomer's item
+  // is the fourth pop after it arrived.
+  for (int i = 0; i < 4; ++i) fq.pop().run();
+  EXPECT_EQ(served, (std::vector<int>{1, 1, 1, 1, 2}));
+}
+
 TEST(FairQueueTest, PerTenantOrderStaysFifo) {
   FairQueue fq;
   std::vector<int> served;
