@@ -38,10 +38,12 @@
 // Knobs: DSIM_SVC_MAX_RANKS (16), DSIM_SVC_LIB_MB (4), DSIM_SVC_PRIV_MB (1).
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "ckptstore/manifest.h"
 #include "ckptstore/service.h"
 #include "tests/testutil.h"
 
@@ -177,11 +179,31 @@ struct FailoverResult {
   double r2_restart_seconds = 0;
   u64 r2_restart_chunk_refs = 0;
   u64 r2_restart_decode_jobs = 0;
+  u64 r2_restart_node_keys = 0;
   u64 r2_rereplicated_chunks = 0;
   u64 r2_degraded_after_heal = 0;
   bool r1_needs_restore = false;
   u64 r1_lost_chunks = 0;
 };
+
+/// The distinct (target node, chunk key) pairs a restart under `host_map`
+/// reads, from the restart plan's manifests: the decode jobs a restart that
+/// reads each key once per node runs.
+u64 restart_node_keys(World& w, const std::map<NodeId, NodeId>& host_map) {
+  std::set<std::pair<NodeId, ckptstore::ChunkKey>> pairs;
+  for (const auto& host : w.ctl->read_restart_plan().hosts) {
+    const auto mapped = host_map.find(host.host);
+    const NodeId target =
+        mapped == host_map.end() ? host.host : mapped->second;
+    for (const auto& img : host.images) {
+      auto inode = w.k().fs_for(host.host, img).lookup(img);
+      const auto mf = ckptstore::Manifest::decode(
+          inode->data.materialize(0, inode->data.size()));
+      for (const auto& key : mf.all_keys()) pairs.emplace(target, key);
+    }
+  }
+  return pairs.size();
+}
 
 FailoverResult run_failover(u64 lib_bytes, u64 priv_bytes) {
   FailoverResult fr;
@@ -201,7 +223,9 @@ FailoverResult run_failover(u64 lib_bytes, u64 priv_bytes) {
     fr.r2_rereplicated_chunks = svc.stats().rereplicated_chunks;
     fr.r2_degraded_after_heal = svc.placement().degraded_count();
     w.ctl->kill_computation();
-    const auto& rr = w.ctl->restart({{1, 2}});
+    const std::map<NodeId, NodeId> host_map{{1, 2}};
+    fr.r2_restart_node_keys = restart_node_keys(w, host_map);
+    const auto& rr = w.ctl->restart(host_map);
     fr.r2_restart_ok = !rr.needs_restore && rr.procs == 4;
     fr.r2_restart_seconds = rr.total_seconds();
     fr.r2_restart_chunk_refs = rr.chunk_refs;
@@ -353,10 +377,12 @@ int main() {
 
   const FailoverResult fr = run_failover(lib_bytes, priv_bytes);
   std::printf("failover: R=2 restart %s (%.3f s, %llu decode jobs for %llu "
-              "chunk references, %llu chunks re-replicated, %llu still "
-              "degraded); R=1 needs_restore=%s (%llu chunks lost)\n",
+              "(node, chunk) pairs and %llu chunk references, %llu chunks "
+              "re-replicated, %llu still degraded); R=1 needs_restore=%s "
+              "(%llu chunks lost)\n",
               fr.r2_restart_ok ? "ok" : "FAILED", fr.r2_restart_seconds,
               static_cast<unsigned long long>(fr.r2_restart_decode_jobs),
+              static_cast<unsigned long long>(fr.r2_restart_node_keys),
               static_cast<unsigned long long>(fr.r2_restart_chunk_refs),
               static_cast<unsigned long long>(fr.r2_rereplicated_chunks),
               static_cast<unsigned long long>(fr.r2_degraded_after_heal),
@@ -427,6 +453,7 @@ int main() {
        << ", \"r2_restart_seconds\": " << fr.r2_restart_seconds
        << ", \"r2_restart_chunk_refs\": " << fr.r2_restart_chunk_refs
        << ", \"r2_restart_decode_jobs\": " << fr.r2_restart_decode_jobs
+       << ", \"r2_restart_node_keys\": " << fr.r2_restart_node_keys
        << ", \"r2_rereplicated_chunks\": " << fr.r2_rereplicated_chunks
        << ", \"r2_degraded_after_heal\": " << fr.r2_degraded_after_heal
        << ", \"r1_needs_restore\": "

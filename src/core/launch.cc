@@ -1,5 +1,6 @@
 #include "core/launch.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -583,6 +584,10 @@ const RestartRun& DmtcpControl::restart(std::map<NodeId, NodeId> host_map) {
   shared_->stats.restarts.push_back(run);
   const size_t idx = shared_->stats.restarts.size() - 1;
 
+  // One dmtcp_restart per target node, carrying the images of every host
+  // line host_map sends there, so the chunks they share are fetched and
+  // decoded once per node. Targets keep the plan's host order.
+  std::vector<std::pair<NodeId, std::vector<std::string>>> targets;
   for (const auto& host : plan.hosts) {
     NodeId target = host.host;
     if (auto it = host_map.find(host.host); it != host_map.end()) {
@@ -625,12 +630,19 @@ const RestartRun& DmtcpControl::restart(std::map<NodeId, NodeId> host_map) {
         }
       }
     }
+    auto t = std::find_if(targets.begin(), targets.end(), [target](auto& e) {
+      return e.first == target;
+    });
+    if (t == targets.end()) t = targets.insert(t, {target, {}});
+    t->second.insert(t->second.end(), host.images.begin(), host.images.end());
+  }
+  for (const auto& [target, images] : targets) {
     std::vector<std::string> argv{
         "--coord-node", std::to_string(plan.coord_node),
         "--coord-port", std::to_string(plan.coord_port),
         "--expected",   std::to_string(plan.total_procs),
-        "--hosts",      std::to_string(plan.hosts.size())};
-    for (const auto& img : host.images) argv.push_back(img);
+        "--hosts",      std::to_string(targets.size())};
+    argv.insert(argv.end(), images.begin(), images.end());
     // The port tag lets the restart process (and the user processes it
     // forks, which inherit its environment) resolve to this computation
     // when several share the kernel.

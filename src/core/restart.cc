@@ -244,8 +244,11 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
   // checkpointed id, so ptsname() and the controlling terminal still name it.
   const SimTime t_files = ctx.now();
   std::map<u64, std::shared_ptr<sim::OpenFile>> descs;
-  std::map<i32, std::pair<std::shared_ptr<sim::OpenFile>,
-                          std::shared_ptr<sim::OpenFile>>>
+  // Pty ids are per node, and one restart can carry the images of several
+  // checkpoint-time nodes (host_map merges them), so a pty is keyed by the
+  // node its id was allocated on.
+  std::map<std::pair<NodeId, i32>, std::pair<std::shared_ptr<sim::OpenFile>,
+                                             std::shared_ptr<sim::OpenFile>>>
       ptys;
   struct EstabWork {
     const ConnRecord* rec;
@@ -268,12 +271,13 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
         }
         case ConnType::kPtyMaster:
         case ConnType::kPtySlave: {
-          auto it = ptys.find(rec.pty_id);
+          const std::pair<NodeId, i32> pty{li.img.origin_node, rec.pty_id};
+          auto it = ptys.find(pty);
           if (it == ptys.end()) {
             auto [m, s] = k.make_pty(self, rec.pty_id);
             static_cast<sim::PtyVNode&>(*m->vnode).pair().termios =
                 rec.termios;
-            it = ptys.emplace(rec.pty_id, std::make_pair(m, s)).first;
+            it = ptys.emplace(pty, std::make_pair(m, s)).first;
           }
           descs[rec.desc_id] = rec.type == ConnType::kPtyMaster
                                    ? it->second.first

@@ -4,6 +4,9 @@
 // checkpointing correctness, multi-generation restarts.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/hijack.h"
 #include "core/launch.h"
 #include "core/restart_script.h"
@@ -99,35 +102,50 @@ TEST(SharedMemory, ReadOnlyBackingFileKeepsItsCurrentBytesOnRestart) {
   }
 }
 
+// One shell, then one shell on each of nodes 0 and 1, both restarted onto
+// node 0: each node numbered its own pty 0, and each shell gets a pair of
+// its own back.
 TEST(Pty, TermiosAndStreamSurviveRestart) {
-  World w(1);
-  w.ctl.launch(0, kPtyShell, {"30", "pty1"});
-  w.ctl.run_for(15 * timeconst::kMillisecond);
-  w.ctl.checkpoint_now();
-  w.ctl.kill_computation();
-  w.ctl.restart();
-  // The pair is recreated under its checkpointed id, so the controlling
-  // terminal restored from the image still names it.
-  sim::Process* restored = nullptr;
-  for (Pid live : w.k().live_pids()) {
-    sim::Process* p = w.k().find_process(live);
-    if (p != nullptr && p->prog_name() == kPtyShell) restored = p;
+  for (const int shells : {1, 2}) {
+    SCOPED_TRACE(std::to_string(shells) + " shell(s)");
+    World w(shells);
+    for (int n = 0; n < shells; ++n) {
+      w.ctl.launch(n, kPtyShell, {"30", "pty" + std::to_string(n + 1)});
+    }
+    w.ctl.run_for(15 * timeconst::kMillisecond);
+    w.ctl.checkpoint_now();
+    w.ctl.kill_computation();
+    w.ctl.restart({{1, 0}});
+    // The pair is recreated under its checkpointed id, so the controlling
+    // terminal restored from the image still names it.
+    std::set<const sim::PtyPair*> pairs;
+    for (Pid live : w.k().live_pids()) {
+      sim::Process* restored = w.k().find_process(live);
+      if (restored == nullptr || restored->prog_name() != kPtyShell) continue;
+      int masters = 0;
+      for (const auto& [fd, of] : restored->fds().entries()) {
+        if (of->vnode->kind() != sim::VKind::kPtyMaster) continue;
+        ++masters;
+        const sim::PtyPair& pair =
+            static_cast<sim::PtyVNode&>(*of->vnode).pair();
+        EXPECT_EQ(pair.id, restored->ctty());
+        pairs.insert(&pair);
+      }
+      EXPECT_EQ(masters, 1);
+    }
+    EXPECT_EQ(pairs.size(), static_cast<size_t>(shells));
+    for (int n = 0; n < shells; ++n) {
+      const std::string name = "pty" + std::to_string(n + 1);
+      ASSERT_TRUE(w.wait_result(name));
+      // Raw mode (echo off, icanon off) set before the checkpoint must
+      // survive.
+      EXPECT_NE(read_result(w.k(), name).find("echo=0 icanon=0"),
+                std::string::npos);
+    }
+    // So must the pty's name.
+    const auto result = read_result(w.k(), "pty1");
+    EXPECT_NE(result.find("pts=/dev/pts/0"), std::string::npos) << result;
   }
-  ASSERT_NE(restored, nullptr);
-  int masters = 0;
-  for (const auto& [fd, of] : restored->fds().entries()) {
-    if (of->vnode->kind() != sim::VKind::kPtyMaster) continue;
-    ++masters;
-    EXPECT_EQ(static_cast<sim::PtyVNode&>(*of->vnode).pair().id,
-              restored->ctty());
-  }
-  EXPECT_EQ(masters, 1);
-  ASSERT_TRUE(w.wait_result("pty1"));
-  const auto result = read_result(w.k(), "pty1");
-  // Raw mode (echo off, icanon off) set before the checkpoint must survive,
-  // and so must the pty's name.
-  EXPECT_NE(result.find("echo=0 icanon=0"), std::string::npos);
-  EXPECT_NE(result.find("pts=/dev/pts/0"), std::string::npos) << result;
 }
 
 TEST(PidVirtualization, SpawnTreeSurvivesRestartAndReportsVpid) {

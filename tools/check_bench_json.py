@@ -141,6 +141,7 @@ def check_service(path, data):
         "failover.r2_restart_ok",
         "failover.r2_restart_chunk_refs",
         "failover.r2_restart_decode_jobs",
+        "failover.r2_restart_node_keys",
         "failover.r2_rereplicated_chunks",
         "failover.r2_degraded_after_heal",
         "failover.r1_needs_restore",
@@ -237,6 +238,13 @@ def check_service(path, data):
         rc |= fail(path, f"R=2 restart ran {jobs} decode jobs for {refs} "
                          "chunk references: a repeated chunk was fetched "
                          "and decoded once per reference")
+    # Exactly once per node: one decode job per distinct (target node, key)
+    # pair of the host-mapped plan, however many hosts share the node.
+    node_keys = data["failover"]["r2_restart_node_keys"]
+    if jobs != node_keys:
+        rc |= fail(path, f"R=2 restart ran {jobs} decode jobs for {node_keys} "
+                         "distinct (target node, chunk) pairs: a chunk was "
+                         "fetched and decoded more than once on one node")
     if data["failover"]["r2_rereplicated_chunks"] <= 0:
         rc |= fail(path, "the re-replication daemon healed no chunks after "
                          "the R=2 node failure")
