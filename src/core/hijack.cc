@@ -46,7 +46,8 @@ double stripe_seconds(const ckptstore::ChunkStoreService* svc, u64 bytes) {
 ///   Lookups in the writer's rendezvous order -> per chunk it is to store:
 ///   its encode share on the writer's core pool -> after the last verdict,
 ///   each encoded chunk's Store (heals re-store directly) -> home-device
-///   and manifest writes -> --sync flush -> retention -> done
+///   and manifest writes -> --sync flush of every device written ->
+///   retention -> done
 ///
 /// The synchronous write co_awaits it inside the write barrier. Its Lookups
 /// take claims: of the writers presenting one chunk, the one whose probe
@@ -76,7 +77,8 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   /// caller has charged the encode already.
   std::vector<double> encode;
   bool claims = false;  // the Lookups take claims (synchronous writes)
-  bool flush = false;  // --sync: flush the writer's device before retention
+  /// --sync after: flush every device the round wrote before retention.
+  bool flush = false;
   u64 manifest_size = 0;
   u64 submitted_bytes = 0;
   std::function<void()> done;
@@ -293,13 +295,21 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
                          [self = shared_from_this()] { self->durable(); });
   }
 
+  /// The writer's device holds the manifest (all of the write without the
+  /// service), and each placement home its share of the chunk bytes.
   void durable() {
     if (!flush) {
       gc_and_done();
       return;
     }
-    k->sync_storage_bg(node, path,
-                       [self = shared_from_this()] { self->gc_and_done(); });
+    std::set<NodeId> written{node};
+    for (const auto& [home, bytes] : home_bytes) written.insert(home);
+    pending = static_cast<int>(written.size());
+    for (const NodeId n : written) {
+      k->sync_storage_bg(n, path, [self = shared_from_this()] {
+        if (--self->pending == 0) self->gc_and_done();
+      });
+    }
   }
 
   /// Retention: drop generations beyond the keep window and trim the

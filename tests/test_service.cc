@@ -1101,6 +1101,25 @@ TEST(ServiceE2E, FullImageRestartDecodesEachImageAsOneJob) {
   EXPECT_GT(rr.decode_cpu_seconds, 0.0);
 }
 
+// --sync after makes a round durable before the computation resumes, and
+// a chunk-store round writes more than the writer's device: each chunk's
+// bytes land on its placement homes. Every device the round wrote is
+// flushed.
+TEST(ServiceE2E, SyncAfterFlushesEveryNodeTheRoundWrote) {
+  DmtcpOptions o = service_opts(/*replicas=*/2);
+  o.sync = core::SyncMode::kSyncAfter;
+  World w(4, o);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 1024 * 1024, 0xBB);
+  w.ctl.checkpoint_now();
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(w.k().node(n).storage().dirty_bytes(), 0u) << "node " << n;
+  }
+}
+
 TEST(ServiceE2E, StreamedCheckpointEncodesEachNewChunkOnABoundedPool) {
   // Chunks compress independently, so the write stage runs each new
   // chunk's codec CPU as its own job on the writer's core pool, and the
