@@ -254,10 +254,6 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
         std::fabs(r.critical_path.total_seconds() - r.total_seconds()) <=
             1e-9,
         "round critical path must sum to the round's total");
-    if (!r.critical_path.entries.empty()) {
-      LOG_DEBUG("coordinator: round %d critical path: %s", st->current_round,
-                r.critical_path.top_blame().c_str());
-    }
   }
   if (st->shared->health_series) {
     // Health time-series sample: the round's delta flattened to named

@@ -49,22 +49,6 @@ double CritPathReport::fraction(size_t i) const {
          static_cast<double>(total_ns());
 }
 
-std::string CritPathReport::top_blame() const {
-  if (entries.empty()) return "empty window";
-  const CritPathEntry& e = entries.front();
-  std::string where;
-  if (e.pid >= 0) {
-    where = " on ";
-    where += e.pid == kServicePid ? std::string("store-service")
-                                  : "node" + std::to_string(e.pid);
-    if (!e.lane.empty()) where += "/" + e.lane;
-    if (e.tenant != 0) where += " tenant " + std::to_string(e.tenant);
-  }
-  char pct[32];
-  std::snprintf(pct, sizeof(pct), "%.1f", fraction(0) * 100.0);
-  return e.stage + where + " = " + pct + "% of pause";
-}
-
 std::string CritPathReport::json() const {
   std::string out = "{\"begin_us\":" + fmt_us(window_begin);
   out += ",\"end_us\":" + fmt_us(window_end);

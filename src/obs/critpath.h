@@ -72,9 +72,6 @@ struct CritPathReport {
 
   /// Fraction of the window attributed to `entries[i]` (0 when empty).
   double fraction(size_t i) const;
-  /// Human-readable top blame line, e.g.
-  /// "fq_wait on store-service/shard3.q tenant 1 = 41.0% of pause".
-  std::string top_blame() const;
   /// Stable JSON: {"begin_us":...,"end_us":...,"total_seconds":...,
   /// "entries":[{"stage":...,"pid":...,"lane":...,"tenant":...,
   /// "seconds":...,"fraction":...},...]}. Timestamps are µs with ns

@@ -97,9 +97,6 @@ class LocalStorage {
   u64 dirty_bytes() const { return dirty_; }
   const StorageDevice& cache() const { return cache_; }
   const StorageDevice& disk() const { return disk_; }
-  /// Drop dirty accounting without cost (models writeback completing in the
-  /// background between experiments).
-  void writeback_complete() { dirty_ = 0; }
 
   void set_jitter(Rng* rng, double sigma) {
     cache_.set_jitter(rng, sigma);
