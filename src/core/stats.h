@@ -117,18 +117,18 @@ struct RestartRun {
   SimTime script_started = 0;
   SimTime refilled = 0;      // == resume point (§4.4 steps 6-7)
   int procs = 0;
-  // Per-host stage durations, averaged across the hosts' stage notes
-  // (Table 1b methodology).
+  // Per-node stage durations, averaged across the stage notes of the
+  // restart processes, one per target node (Table 1b methodology).
   double files_ptys_seconds = 0;
   double reconnect_seconds = 0;
   double memory_threads_seconds = 0;
 
-  // Memory-stage decode, summed over hosts: CPU-seconds charged to the
-  // restarting nodes' cores (gunzip/assembly, degraded-read erasure decode,
-  // and a copy per repeated chunk reference), the CPU jobs that carried
-  // them — one per full image, one per distinct chunk in a host's
+  // Memory-stage decode, summed over target nodes: CPU-seconds charged to
+  // the restarting nodes' cores (gunzip/assembly, degraded-read erasure
+  // decode, and a copy per repeated chunk reference), the CPU jobs that
+  // carried them — one per full image, one per distinct chunk in a node's
   // manifests — the manifest chunk references restored, and the most chunk
-  // jobs one host's decoder pool ran at once (0 when every image is a full
+  // jobs one node's decoder pool ran at once (0 when every image is a full
   // image).
   double decode_cpu_seconds = 0;
   u64 decode_jobs = 0;
@@ -204,8 +204,8 @@ struct DmtcpShared {
   /// coordinator's node), which the store service watches for death
   /// events. Created alongside the store service; the membership's
   /// fabric shares the service's NodeHealth map, so a killed node fails
-  /// heartbeats and store RPCs identically. Restart consults membership
-  /// before choosing a chunk's holder.
+  /// heartbeats and store RPCs identically. Liveness itself is that map,
+  /// which chunk placement reads too; membership only detects deaths.
   std::shared_ptr<cluster::Membership> membership;
   /// Async COW checkpoint pipeline (--ckpt-async): snapshot trackers +
   /// background encode/store jobs. Created by DmtcpControl.
