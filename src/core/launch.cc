@@ -1,6 +1,5 @@
 #include "core/launch.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -586,8 +585,9 @@ const RestartRun& DmtcpControl::restart(std::map<NodeId, NodeId> host_map) {
 
   // One dmtcp_restart per target node, carrying the images of every host
   // line host_map sends there, so the chunks they share are fetched and
-  // decoded once per node. Targets keep the plan's host order.
-  std::vector<std::pair<NodeId, std::vector<std::string>>> targets;
+  // decoded once per node. The plan lists hosts in node order, so without
+  // a host map the spawns follow it.
+  std::map<NodeId, std::vector<std::string>> targets;
   for (const auto& host : plan.hosts) {
     NodeId target = host.host;
     if (auto it = host_map.find(host.host); it != host_map.end()) {
@@ -630,11 +630,8 @@ const RestartRun& DmtcpControl::restart(std::map<NodeId, NodeId> host_map) {
         }
       }
     }
-    auto t = std::find_if(targets.begin(), targets.end(), [target](auto& e) {
-      return e.first == target;
-    });
-    if (t == targets.end()) t = targets.insert(t, {target, {}});
-    t->second.insert(t->second.end(), host.images.begin(), host.images.end());
+    auto& images = targets[target];
+    images.insert(images.end(), host.images.begin(), host.images.end());
   }
   for (const auto& [target, images] : targets) {
     std::vector<std::string> argv{
