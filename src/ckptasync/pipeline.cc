@@ -99,36 +99,29 @@ void CkptAsyncPipeline::start(JobSpec spec) {
   }
   active_.emplace(job->key, job);
 
-  // Stage chain: chunk CPU -> compress CPU -> store traffic -> finish. Each
-  // stage runs as a background CPU job on the snapshot node, sharing cores
-  // with the app through the fluid-share model. With a tracer installed the
-  // chain emits standalone spans (async.drain covering the whole job, plus
-  // one span per stage); the tracer never charges sim time, so traced and
-  // untraced runs are event-for-event identical.
+  // Stage chain: chunk CPU -> store sequence -> finish. The chunk stage runs
+  // as a background CPU job on the snapshot node, sharing cores with the
+  // app through the fluid-share model; the store sequence encodes on the
+  // writer's core pool. With a tracer installed the chain emits standalone
+  // spans (async.drain covering the whole job, plus one span per stage);
+  // the tracer never charges sim time, so traced and untraced runs are
+  // event-for-event identical.
   job->drain_span = loop_.begin_span("async.drain", obs::kServicePid, "async");
   const u64 chunk_span =
       loop_.begin_span("async.chunk", obs::kServicePid, "async");
-  const std::string key = job->key;
-  auto store = std::move(spec.store);
   charge_(spec.node, spec.chunk_seconds,
-          [this, key, node = spec.node, cs = spec.compress_seconds,
-           store = std::move(store), chunk_span]() mutable {
+          [this, key = job->key, store = std::move(spec.store),
+           chunk_span]() mutable {
             loop_.end_span(chunk_span);
-            const u64 compress_span =
-                loop_.begin_span("async.compress", obs::kServicePid, "async");
-            charge_(node, cs, [this, key, store = std::move(store),
-                               compress_span]() mutable {
-              loop_.end_span(compress_span);
-              if (!store) {
-                finish(key);
-                return;
-              }
-              const u64 store_span =
-                  loop_.begin_span("async.store", obs::kServicePid, "async");
-              store([this, key, store_span] {
-                loop_.end_span(store_span);
-                finish(key);
-              });
+            if (!store) {
+              finish(key);
+              return;
+            }
+            const u64 store_span =
+                loop_.begin_span("async.store", obs::kServicePid, "async");
+            store([this, key, store_span] {
+              loop_.end_span(store_span);
+              finish(key);
             });
           });
 }

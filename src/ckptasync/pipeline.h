@@ -1,9 +1,13 @@
 // Async copy-on-write checkpoint pipeline (--ckpt-async).
 //
-// At checkpoint time the app pays only a fork/COW snapshot cost; chunking,
-// compression and store traffic drain through a background job per process:
+// At checkpoint time the app pays only a fork/COW snapshot cost; chunking
+// and the store sequence drain through a background job per process:
 //
-//   snapshot --> [bg CPU] chunk/CDC --> [bg CPU] compress --> store RPCs
+//   snapshot --> [bg CPU] chunk/CDC --> store sequence (each new chunk's
+//                encode on the writer's core pool, then its Store)
+//
+// The store sequence is the synchronous write's (core/hijack.cc), with its
+// codec priced at --compress-bw per core.
 //
 // While a job drains, its process's memory segments carry a write observer:
 // the first app write to each snapshotted page charges a COW fault + page
@@ -16,9 +20,9 @@
 //
 // The pipeline is deliberately core-free: the DMTCP layer injects a CPU
 // charger and the event loop, so this subsystem depends only on sim/
-// primitives. Each drain job emits async.drain / async.chunk /
-// async.compress / async.store spans through the loop's span helpers
-// when a tracer is installed there.
+// primitives. Each drain job emits async.drain / async.chunk / async.store
+// spans through the loop's span helpers when a tracer is installed there;
+// the store stage's encodes show as the pool's ckpt.encode spans.
 #pragma once
 
 #include <functional>
@@ -56,17 +60,17 @@ struct PipelineStats {
 /// One background encode/store job, described by the DMTCP layer.
 struct JobSpec {
   std::string key;  // one in-flight job per process (universal pid string)
-  NodeId node = 0;  // node whose background CPU the encode stages occupy
+  NodeId node = 0;  // node whose background CPU the drain occupies
   double chunk_seconds = 0;     // snapshot scan + chunking stage CPU
-  double compress_seconds = 0;  // compress stage CPU (codec- and bw-scaled)
   u64 queued_bytes = 0;         // logical bytes this job drains
   u64 raw_new_bytes = 0;
   u64 compressed_new_bytes = 0;
   /// Live memory segments of the snapshotted process; the pipeline arms a
   /// COW write observer on each for the duration of the drain.
   std::vector<std::shared_ptr<sim::MemSegment>> segments;
-  /// Store stage: issue the chunk/manifest store traffic, call the provided
-  /// continuation once everything is durable. Runs after the CPU stages.
+  /// Store stage: encode and store the new chunks and the manifest, call
+  /// the provided continuation once everything is durable. Runs after the
+  /// chunk stage.
   std::function<void(std::function<void()>)> store;
   /// Fired when the job is fully drained (after observer disarm).
   std::function<void()> on_complete;
@@ -81,8 +85,9 @@ class CkptAsyncPipeline {
   CkptAsyncPipeline(const CkptAsyncPipeline&) = delete;
   CkptAsyncPipeline& operator=(const CkptAsyncPipeline&) = delete;
 
-  /// Background compress-stage input rate (bytes/s) for the gzip-class
-  /// baseline codec; resolved from --compress-bw / kCompressBw at launch.
+  /// Per-core codec input rate (bytes/s) of the gzip-class baseline codec
+  /// for the drain's chunk encodes; resolved from --compress-bw /
+  /// kCompressBw at launch.
   double compress_bw() const { return compress_bw_; }
 
   /// True while `key`'s previous job is still draining.

@@ -52,9 +52,9 @@ double stripe_seconds(const ckptstore::ChunkStoreService* svc, u64 bytes) {
 /// The synchronous write co_awaits it inside the write barrier. Its Lookups
 /// take claims: of the writers presenting one chunk, the one whose probe
 /// the key's shard serves first stores it, and each chunk's encode starts
-/// on its own verdict. The async pipeline runs it after its own chunk and
-/// compress stages, so it passes no encode shares, takes no claims, and
-/// stores exactly the chunks its scan found new. Without the service the
+/// on its own verdict. The async pipeline runs it after its chunk stage
+/// without claims: it stores exactly the chunks its scan found new, so
+/// every encode starts before the Lookups leave. Without the service the
 /// encodes still run on the pool and one local write follows the last.
 /// Kept alive by the callbacks it registers; it owns nothing of
 /// DmtcpShared or the service, so a drain still in flight at teardown
@@ -73,8 +73,7 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   std::vector<std::pair<ckptstore::ChunkKey, u64>> fresh;
   std::vector<std::pair<ckptstore::ChunkKey, u64>> dup_chunks;
   std::vector<bool> dup_known;  // EncodedDelta::dup_known: no Lookup
-  /// Per fresh chunk: its codec CPU plus its erasure stripe. Empty when the
-  /// caller has charged the encode already.
+  /// Per fresh chunk: its codec CPU plus its erasure stripe.
   std::vector<double> encode;
   bool claims = false;  // the Lookups take claims (synchronous writes)
   /// --sync after: flush every device the round wrote before retention.
@@ -113,11 +112,15 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
         return;
       }
       for (size_t i = 0; i < fresh.size(); ++i) {
-        encode_then(i < encode.size() ? encode[i] : 0.0, [self] {
+        encode_then(encode[i], [self] {
           if (--self->pending == 0) self->write_local();
         });
       }
       return;
+    }
+    // Without claims the writer stores exactly what its scan found new.
+    if (!claims) {
+      for (size_t i = 0; i < fresh.size(); ++i) take(i);
     }
     // Every chunk the writer cannot vouch for is a Lookup RPC (hit or miss
     // alike) routed to its key's shard: the probes cross this node's NIC,
@@ -193,8 +196,8 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   }
 
   /// Run `then` once `secs` of encode has run on the writer's core pool —
-  /// at once when there is none (codec none without erasure, or an encode
-  /// already charged): no zero-length jobs.
+  /// at once when there is none (codec none without erasure): no
+  /// zero-length jobs.
   void encode_then(double secs, std::function<void()> then) {
     if (secs <= 0) {
       then();
@@ -216,10 +219,6 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   /// The last verdict is in: Stores leave from here on, each as soon as
   /// its encode has run, so none queues between this writer's probes.
   void stores() {
-    // Without claims the writer stores exactly what its scan found new.
-    if (!claims) {
-      for (size_t i = 0; i < fresh.size(); ++i) take(i);
-    }
     // Dedup hits normally cost nothing — but a hit on a chunk whose every
     // replica died with its node would pin permanently unrestorable data
     // into this generation's manifest, so those are re-stored over the
@@ -885,15 +884,14 @@ Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     stats.new_chunks = delta.new_chunks;
     stats.dup_bytes = delta.dup_chunk_bytes;
     stats.new_chunk_bytes = delta.new_chunk_bytes;
-    stats.raw_new_bytes = delta.new_logical_bytes();
+    stats.raw_new_bytes = delta.raw_new_bytes;
     if (pipe == nullptr) {
       // The manager's serial pass is the scan and hash; each new chunk's
       // encode streams through the drain below.
       co_await ctx.cpu(delta.assemble_seconds);
     } else {
       // Async mode: the app pays only the fork/COW snapshot cost here; the
-      // scan/chunk and compress CPU are re-priced onto the background
-      // pipeline below.
+      // scan/chunk stage and the encodes run in the background pipeline.
       co_await ctx.sleep(fork_pause);
     }
     inode->data = sim::ByteImage(delta.manifest_bytes.size());
@@ -914,33 +912,26 @@ Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     drain->dup_known = std::move(delta.dup_known);
     drain->manifest_size = delta.manifest_bytes.size();
     drain->submitted_bytes = delta.submitted_bytes;
+    // Each new chunk's encode share: its codec CPU plus its erasure stripe.
+    // The async drain runs the codec at --compress-bw per core; both content
+    // classes' rates are fixed multiples of kGzipDataBw, so scaling the
+    // share prices zero input at the same zero:data ratio.
+    const double codec_scale =
+        pipe == nullptr ? 1.0 : params::kGzipDataBw / pipe->compress_bw();
+    drain->encode = std::move(delta.encode_seconds);
+    for (size_t i = 0; i < drain->fresh.size(); ++i) {
+      drain->encode[i] = drain->encode[i] * codec_scale +
+                         stripe_seconds(svc, drain->fresh[i].second);
+    }
     if (pipe != nullptr) {
-      // Hand the drain to the pipeline: chunk CPU, compress CPU (re-priced
-      // under --compress-bw and the codec's cost factor), then the store
-      // sequence with the encode already charged.
-      double compress_seconds = 0;
-      if (shared_->opts.codec != compress::CodecKind::kNone) {
-        // Zero-class input flies through the codec at the same zero:data
-        // rate ratio the synchronous gzip model uses.
-        const double zero_speedup =
-            params::kGzipZeroBw / params::kGzipDataBw;
-        compress_seconds =
-            compress::codec_cost_factor(shared_->opts.codec) *
-            (static_cast<double>(delta.new_logical_data_bytes) /
-                 pipe->compress_bw() +
-             static_cast<double>(delta.new_logical_zero_bytes) /
-                 (pipe->compress_bw() * zero_speedup));
-      }
-      // The background drain stripes compressed chunks on the way out, so
-      // the erasure encode rides the pipeline's compress stage.
-      compress_seconds += stripe_seconds(svc, delta.new_chunk_bytes);
+      // Hand the drain to the pipeline: the chunk stage, then the store
+      // sequence without claims, since it stores what its scan found new.
       ckptasync::JobSpec spec;
       spec.key = upid_.str();
       spec.node = p_.node();
       spec.chunk_seconds = delta.assemble_seconds;
-      spec.compress_seconds = compress_seconds;
       spec.queued_bytes = delta.submitted_bytes;
-      spec.raw_new_bytes = delta.new_logical_bytes();
+      spec.raw_new_bytes = delta.raw_new_bytes;
       spec.compressed_new_bytes = delta.new_chunk_bytes;
       spec.segments = p_.mem().segments();
       spec.store = [drain](std::function<void()> done) {
@@ -950,10 +941,6 @@ Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       spec.on_complete = background_done;
       pipe->start(std::move(spec));
     } else {
-      drain->encode = std::move(delta.encode_seconds);
-      for (size_t i = 0; i < drain->fresh.size(); ++i) {
-        drain->encode[i] += stripe_seconds(svc, drain->fresh[i].second);
-      }
       drain->claims = true;
       drain->flush = shared_->opts.sync == SyncMode::kSyncAfter;
       auto drained = std::make_shared<sim::CountLatch>(1);

@@ -249,8 +249,6 @@ EncodedDelta encode_incremental(const ProcessImage& img,
     jobs[j].container = compress::codec(codec).compress(jobs[j].content);
   });
 
-  u64 new_zero_bytes = 0;
-  u64 new_other_bytes = 0;
   size_t next_job = 0;
   for (size_t si = 0; si < img.segments.size(); ++si) {
     const SegmentImage& seg = img.segments[si];
@@ -290,7 +288,6 @@ EncodedDelta encode_incremental(const ProcessImage& img,
               container.begin(), container.end());
           c.crc = compress::container_crc(*c.stored);  // hashed by compress
           c.charged_bytes = c.stored->size();
-          new_other_bytes += span.len;
         } else {
           c.crc = ckptstore::span_crc(seg.data, span);
           // Pattern chunk: stored as a descriptor; the device is charged at
@@ -305,10 +302,9 @@ EncodedDelta encode_incremental(const ProcessImage& img,
                                    : pattern_ratio(codec, ext, span.off);
           c.charged_bytes = std::max<u64>(
               1, static_cast<u64>(static_cast<double>(span.len) * ratio));
-          if (span.kind == ExtentKind::kZero) new_zero_bytes += span.len;
-          else new_other_bytes += span.len;
         }
         ref.crc = c.crc;
+        out.raw_new_bytes += span.len;
         out.new_chunk_bytes += c.charged_bytes;
         out.new_chunks++;
         out.stored_chunks.emplace_back(key, c.charged_bytes);
@@ -342,8 +338,6 @@ EncodedDelta encode_incremental(const ProcessImage& img,
     out.assemble_seconds += static_cast<double>(out.scan_real_bytes) /
                             sim::params::kGearHashBw;
   }
-  out.new_logical_zero_bytes = new_zero_bytes;
-  out.new_logical_data_bytes = new_other_bytes;
   repo.commit_generation(owner, generation, mf.all_keys(), mf.full_bytes());
   return out;
 }

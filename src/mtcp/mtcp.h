@@ -71,15 +71,7 @@ struct EncodedDelta {
   u64 dup_chunk_bytes = 0;
   u64 total_chunks = 0;
   u64 new_chunks = 0;
-  /// Logical (pre-codec) bytes of the *new* chunks, split by content class:
-  /// zero-dominated input compresses at a very different rate than typical
-  /// program data, and the async pipeline re-prices the compress stage from
-  /// these under its own --compress-bw knob.
-  u64 new_logical_zero_bytes = 0;
-  u64 new_logical_data_bytes = 0;
-  u64 new_logical_bytes() const {
-    return new_logical_zero_bytes + new_logical_data_bytes;
-  }
+  u64 raw_new_bytes = 0;  // logical (pre-codec) bytes of the new chunks
   /// Modeled serial pass: assembly of the full image, plus (CDC) the gear
   /// pass over every real byte — scan_real_bytes — as a full scan would
   /// pay it. Simulated time only: the host's rescan of the dirty windows

@@ -1,16 +1,19 @@
 // The async COW checkpoint pipeline (src/ckptasync/): app-visible pause
-// vs sync encode, backpressure policies (block and skip), COW page
-// accounting while the drain overlaps computation, manifest byte-identity
-// between sync and async rounds, and the new option surface.
+// vs sync encode, the drain's per-chunk encodes on the writer's core pool,
+// backpressure policies (block and skip), COW page accounting while the
+// drain overlaps computation, manifest byte-identity between sync and
+// async rounds, and the new option surface.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckptasync/pipeline.h"
 #include "ckptstore/service.h"
 #include "compress/compressor.h"
 #include "core/launch.h"
+#include "obs/trace.h"
 #include "sim/cluster.h"
 #include "sim/model_params.h"
 #include "tests/testprogs.h"
@@ -142,6 +145,45 @@ TEST(CkptAsync, PauseBeatsSyncEncodeAndManifestsAreByteIdentical) {
   EXPECT_FALSE(rr.needs_restore);
   EXPECT_EQ(rr.procs, 2);
   ASSERT_TRUE(async_w.run_until_results({"a", "b"}));
+}
+
+TEST(CkptAsync, DrainEncodesEachNewChunkOnTheWritersPool) {
+  // The drain runs the synchronous write's store sequence: each new chunk's
+  // encode is its own job on the writer's core pool, priced at
+  // --compress-bw per core, and its Store leaves when the encode ends.
+  const auto opts = async_opts(true);
+  World w(4, opts);
+  auto tracer = std::make_shared<obs::Tracer>();
+  w.k().loop().set_tracer(tracer.get());
+  w.ctl.shared().tracer = tracer;
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 4 * 1024 * 1024, 0xAA);
+  w.ctl.checkpoint_now();
+  ASSERT_TRUE(w.drain_pipeline());
+
+  const auto& pipe = *w.ctl.shared().async_pipeline;
+  const auto [serial_seconds, chunks] = first_round_serial_encode(
+      w.ctl, opts.codec, 1, 0, sim::params::kGzipDataBw / pipe.compress_bw());
+  const core::CkptRound& r = w.ctl.stats().rounds.back();
+  ASSERT_GT(chunks, 2u * sim::params::kCoresPerNode);
+  EXPECT_EQ(r.new_chunks, chunks);
+  EXPECT_EQ(r.encode_jobs, chunks);
+  // Per-chunk shares sum to the whole-image compress charge.
+  EXPECT_NEAR(r.encode_cpu_seconds, serial_seconds, 1e-9 * serial_seconds);
+  EXPECT_EQ(r.peak_encode_jobs, sim::params::kCoresPerNode);
+
+  // One serial stage would take the chunk stage plus all the encode CPU;
+  // the pool overlaps the encodes with each other and with the Stores.
+  double chunk_stage = 0;
+  for (const auto& s : tracer->spans()) {
+    if (std::string_view(s.name) == "async.chunk") {
+      chunk_stage = to_seconds(s.end - s.begin);
+    }
+  }
+  ASSERT_GT(chunk_stage, 0.0);
+  EXPECT_LT(pipe.stats().max_drain_seconds,
+            chunk_stage + 0.5 * r.encode_cpu_seconds);
 }
 
 TEST(CkptAsync, CompressedAndUncompressedRestartsAgree) {

@@ -93,11 +93,12 @@ inline std::set<ckptstore::ChunkKey> segment_keys(
 /// per writer — summed over writers — and the new chunks it covered, for
 /// the first round into an empty store (so every key the manifests name is
 /// one new chunk). The codec share is the gzip-class content-class model
-/// over the round's new bytes, plus the (erasure_k, erasure_m) parity
+/// over the round's new bytes, times `codec_scale` (the async drain's
+/// kGzipDataBw / --compress-bw), plus the (erasure_k, erasure_m) parity
 /// stripe over their stored bytes (none at the default k = 1).
 inline std::pair<double, u64> first_round_serial_encode(
     core::DmtcpControl& ctl, compress::CodecKind codec, int erasure_k = 1,
-    int erasure_m = 0) {
+    int erasure_m = 0, double codec_scale = 1.0) {
   std::set<ckptstore::ChunkKey> seen;
   u64 zero = 0, other = 0, stored = 0;
   for (const auto& host : ctl.read_restart_plan().hosts) {
@@ -117,7 +118,7 @@ inline std::pair<double, u64> first_round_serial_encode(
     }
   }
   const double seconds =
-      compress::codec_cost_factor(codec) *
+      codec_scale * compress::codec_cost_factor(codec) *
           (static_cast<double>(zero) / sim::params::kGzipZeroBw +
            static_cast<double>(other) / sim::params::kGzipDataBw) +
       ckptstore::erasure::encode_seconds(stored, erasure_k, erasure_m);
