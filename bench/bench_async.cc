@@ -6,7 +6,8 @@
 //
 //   1. App-visible pause per generation, sync vs --ckpt-async: the async
 //      world pays fork/COW only, the encode+store CPU runs behind the
-//      app's back (gate: >= 5x total-pause speedup).
+//      app's back (gate: >= 5x total-pause speedup), and the drain encodes
+//      new chunks on the writer's core pool (gate: peak_encode_jobs > 1).
 //   2. Byte identity: generation-0 manifests are CRC-compared sync vs
 //      async, and restored ballast content is CRC-compared across
 //      --compress=none and --compress=lz77+huffman (gates: equal).
@@ -21,6 +22,7 @@
 // Emits BENCH_async.json. Knobs: DSIM_ASYNC_GENS (4),
 // DSIM_ASYNC_BALLAST_MB (16), DSIM_ASYNC_DIRTY_PCT (50),
 // DSIM_ASYNC_RANKS (2).
+#include <algorithm>
 #include <fstream>
 #include <vector>
 
@@ -141,6 +143,7 @@ int main() {
   u32 crc_sync = 0, crc_async = 0;
   u64 queued_bytes = 0, cow_pages = 0;
   double max_drain = 0;
+  int peak_encode_jobs = 0;
   for (const bool async : {false, true}) {
     World w(nodes, async_opts(async, compress::CodecKind::kGzipish, ranks),
             0xA51C);
@@ -171,6 +174,9 @@ int main() {
       const auto& ps = w.ctl->shared().async_pipeline->stats();
       cow_pages = ps.cow_pages_copied;
       max_drain = ps.max_drain_seconds;
+      for (const auto& r : w.ctl->stats().rounds) {
+        peak_encode_jobs = std::max(peak_encode_jobs, r.peak_encode_jobs);
+      }
     }
   }
   double sync_total = 0, async_total = 0;
@@ -307,6 +313,7 @@ int main() {
        << ", \"async_queued_bytes\": " << queued_bytes
        << ", \"cow_pages_copied\": " << cow_pages
        << ", \"max_drain_seconds\": " << max_drain
+       << ", \"peak_encode_jobs\": " << peak_encode_jobs
        << "},\n  \"identity\": {\"manifests_match\": " << b2s(manifests_match)
        << ", \"manifest_crc_sync\": " << crc_sync
        << ", \"manifest_crc_async\": " << crc_async

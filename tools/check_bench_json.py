@@ -388,6 +388,7 @@ def check_async(path, data):
         "pause.generations",
         "pause.speedup",
         "pause.async_queued_bytes",
+        "pause.peak_encode_jobs",
         "identity.manifests_match",
         "identity.restored_match",
         "compression.raw_new_bytes",
@@ -424,6 +425,11 @@ def check_async(path, data):
             )
     if data["pause"]["async_queued_bytes"] <= 0:
         rc |= fail(path, "the background pipeline queued no bytes")
+    # The drain encodes each new chunk as its own job on the writer's core
+    # pool, so more than one encode runs at once.
+    if data["pause"]["peak_encode_jobs"] <= 1:
+        rc |= fail(path, f"peak_encode_jobs={data['pause']['peak_encode_jobs']}"
+                         " <= 1: the drain's encodes did not share the pool")
     # Moving the charging off the critical path must not move a byte.
     if data["identity"]["manifests_match"] is not True:
         rc |= fail(path, "sync and async generation-0 manifests diverged")
