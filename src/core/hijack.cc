@@ -78,6 +78,9 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   bool claims = false;  // the Lookups take claims (synchronous writes)
   /// --sync after: flush every device the round wrote before retention.
   bool flush = false;
+  /// Filled once the writes land: the writer's node and every placement
+  /// home, for the writer's next --sync previous.
+  std::shared_ptr<std::set<NodeId>> written;
   u64 manifest_size = 0;
   u64 submitted_bytes = 0;
   std::function<void()> done;
@@ -297,14 +300,14 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   /// The writer's device holds the manifest (all of the write without the
   /// service), and each placement home its share of the chunk bytes.
   void durable() {
+    written->insert(node);
+    for (const auto& [home, bytes] : home_bytes) written->insert(home);
     if (!flush) {
       gc_and_done();
       return;
     }
-    std::set<NodeId> written{node};
-    for (const auto& [home, bytes] : home_bytes) written.insert(home);
-    pending = static_cast<int>(written.size());
-    for (const NodeId n : written) {
+    pending = static_cast<int>(written->size());
+    for (const NodeId n : *written) {
       k->sync_storage_bg(n, path, [self = shared_from_this()] {
         if (--self->pending == 0) self->gc_and_done();
       });
@@ -799,9 +802,6 @@ std::string Hijack::ckpt_path() const {
 Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
                                      const ConnTable& table) {
   auto& k = ctx.kernel();
-  if (shared_->opts.sync == SyncMode::kSyncPrevious && generations_ > 0) {
-    co_await k.sync_storage(ctx.thread(), p_.node(), ckpt_path());
-  }
   ImageStats stats{.round = round, .node = p_.node(), .path = ckpt_path()};
 
   // Async backpressure: a new round reaching a process whose previous drain
@@ -820,6 +820,18 @@ Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       co_await ctx.sleep(250 * timeconst::kMicrosecond);
     }
     pipe->note_blocked(to_seconds(k.loop().now() - blocked_from));
+  }
+  if (shared_->opts.sync == SyncMode::kSyncPrevious && generations_ > 0) {
+    // Once the previous drain has landed: its image is on this node's
+    // device and, under the chunk store, on each placement home it wrote.
+    std::set<NodeId> nodes{p_.node()};
+    if (written_) nodes.insert(written_->begin(), written_->end());
+    auto synced =
+        std::make_shared<sim::CountLatch>(static_cast<int>(nodes.size()));
+    for (const NodeId n : nodes) {
+      k.sync_storage_bg(n, stats.path, [synced] { synced->done_one(); });
+    }
+    while (synced->remaining > 0) co_await synced->wq.wait(ctx.thread());
   }
 
   mtcp::ProcessImage img = mtcp::capture(p_);
@@ -912,6 +924,7 @@ Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
     drain->dup_known = std::move(delta.dup_known);
     drain->manifest_size = delta.manifest_bytes.size();
     drain->submitted_bytes = delta.submitted_bytes;
+    drain->written = written_ = std::make_shared<std::set<NodeId>>();
     // Each new chunk's encode share: its codec CPU plus its erasure stripe.
     // The async drain runs the codec at --compress-bw per core; both content
     // classes' rates are fixed multiples of kGzipDataBw, so scaling the

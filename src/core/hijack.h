@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "core/conn_table.h"
 #include "core/ids.h"
@@ -123,6 +124,9 @@ class Hijack final : public sim::Interposer {
   /// Incremental mode: each live private segment's last scan, by name, so
   /// the next generation rescans only what the process wrote since.
   std::map<std::string, mtcp::SegmentMemo> scan_memo_;
+  /// Chunk-store mode: the nodes the latest drain wrote, filled when its
+  /// writes land; the next --sync previous flushes each of them.
+  std::shared_ptr<std::set<NodeId>> written_;
 };
 
 }  // namespace dsim::core

@@ -1120,6 +1120,29 @@ TEST(ServiceE2E, SyncAfterFlushesEveryNodeTheRoundWrote) {
   }
 }
 
+// --sync previous flushes the previous round's writes at the start of the
+// next: under the chunk store those are on every placement home its chunks
+// went to, not only on the writer's device.
+TEST(ServiceE2E, SyncPreviousFlushesEveryNodeThePreviousRoundWrote) {
+  DmtcpOptions o = service_opts(/*replicas=*/2);
+  o.sync = core::SyncMode::kSyncPrevious;
+  World w(4, o);
+  const Pid pa = w.ctl.launch(0, kComputeLoop, {"1000000", "200", "a"});
+  const Pid pb = w.ctl.launch(1, kComputeLoop, {"1000000", "200", "b"});
+  w.ctl.run_for(20 * timeconst::kMillisecond);
+  add_ballast(w, pa, 1024 * 1024, 0xAA);
+  add_ballast(w, pb, 1024 * 1024, 0xBB);
+  for (int round = 1; round <= 3; ++round) {
+    w.ctl.checkpoint_now();
+    if (round == 1) continue;
+    // What is left dirty is this round's own small delta and manifests.
+    for (NodeId n = 0; n < 4; ++n) {
+      EXPECT_LT(w.k().node(n).storage().dirty_bytes(), 64u * 1024)
+          << "round " << round << ", node " << n;
+    }
+  }
+}
+
 TEST(ServiceE2E, StreamedCheckpointEncodesEachNewChunkOnABoundedPool) {
   // Chunks compress independently, so the write stage runs each new
   // chunk's codec CPU as its own job on the writer's core pool, and the
