@@ -1,6 +1,8 @@
 // Distributed checkpointing over the full MPI stack: mpdboot/mpd ring (or
 // orte star), mpirun, rank processes — all checkpointed together, exactly
-// the §5.2 configuration.
+// the §5.2 configuration. The Fig. 4 (hello), Fig. 6 (memhog) and DejaVu
+// (chombo) programs restart under orte at small sizes, and a jittered
+// cluster repeats its checkpoint and restart times per seed.
 #include <gtest/gtest.h>
 
 #include "apps/distributed.h"
@@ -17,10 +19,11 @@ using core::DmtcpControl;
 struct MpiWorld {
   sim::Cluster cluster;
   DmtcpControl ctl;
-  explicit MpiWorld(int nodes, u64 seed = 0x5eed)
+  explicit MpiWorld(int nodes, u64 seed = 0x5eed, double jitter_sigma = 0)
       : cluster([&] {
           auto cfg = sim::Cluster::lab_cluster(nodes);
           cfg.seed = seed;
+          cfg.jitter_sigma = jitter_sigma;
           return cfg;
         }()),
         ctl(cluster.kernel(), {}) {
@@ -110,6 +113,58 @@ TEST(MpiDmtcp, IPythonSocketsCheckpointKillRestart) {
   w.ctl.restart();
   ASSERT_TRUE(w.wait_result("ipy_t"));
   EXPECT_EQ(read_result(w.k(), "ipy_t"), expected);
+}
+
+struct OrteCase {
+  const char* prog;
+  std::vector<std::string> args;  // the program's own, before rank args
+  const char* result;
+};
+
+/// `c` under orte_mpirun, 4 ranks on 2 nodes: checkpoint mid-run, kill,
+/// restart. Returns the round's and the restart's simulated seconds.
+std::pair<double, double> orte_checkpoint_kill_restart(MpiWorld& w,
+                                                       const OrteCase& c) {
+  w.ctl.launch(0, "orte_mpirun", mpi::mpirun_argv(4, 2, c.prog, c.args));
+  w.ctl.run_for(150 * timeconst::kMillisecond);
+  const core::CkptRound round = w.ctl.checkpoint_now();
+  w.ctl.kill_computation();
+  const core::RestartRun& rr = w.ctl.restart();
+  EXPECT_EQ(rr.procs, round.procs) << c.prog;
+  return {round.total_seconds(), rr.total_seconds()};
+}
+
+const OrteCase kChombo{"chombo", {"20", "1", "chombo_t"}, "chombo_t"};
+
+TEST(MpiDmtcp, HelloMemhogAndChomboRestartUnderOrte) {
+  for (const OrteCase& c : {OrteCase{"hello", {"hello_t"}, "hello_t"},
+                            OrteCase{"memhog", {"1", "memhog_t"}, "memhog_t"},
+                            kChombo}) {
+    const auto expected = mpi_baseline("orte", 4, 2, c.prog, c.args, c.result);
+    ASSERT_FALSE(expected.empty()) << c.prog;
+    MpiWorld w(2);
+    orte_checkpoint_kill_restart(w, c);
+    ASSERT_TRUE(w.wait_result(c.result)) << c.prog;
+    EXPECT_EQ(read_result(w.k(), c.result), expected) << c.prog;
+  }
+}
+
+TEST(MpiDmtcp, JitteredClusterRepeatsItsTimesPerSeed) {
+  // Every NIC and storage device draws from the cluster seed's one jitter
+  // stream: a seed repeats its times bit for bit, another seed moves them.
+  auto times = [](u64 seed) {
+    MpiWorld w(2, seed, /*jitter_sigma=*/0.01);
+    const auto t = orte_checkpoint_kill_restart(w, kChombo);
+    EXPECT_TRUE(w.wait_result(kChombo.result));
+    return t;
+  };
+  const auto a = times(1);
+  const auto b = times(1);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
+  const auto c = times(2);
+  EXPECT_NE(a.first, c.first);
+  EXPECT_NE(a.second, c.second);
 }
 
 }  // namespace

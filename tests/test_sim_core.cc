@@ -408,6 +408,14 @@ TEST(Sockets, ExactIoMatchesSpanReference) {
   EXPECT_EQ(ref.shared_dirty.ranges, want_dirty[1]);
 }
 
+TEST(Sockets, ConnIdPrintsHostPidTimestampAndSequence) {
+  // write_exact's failure diagnostic names the connection this way: the
+  // host id in hex, then the pid, the creation time and the sequence.
+  const ConnId id{0xbeef, 42, 1234567, 3};
+  EXPECT_EQ(id.str(), "conn[beef:42:1234567:3]");
+  EXPECT_EQ(ConnId{}.str(), "conn[0:0:0:0]");
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
