@@ -15,7 +15,7 @@
 //      jobs are in flight; the heal-forwarding store path plus R=2 must
 //      lose nothing, and the revived node gets its shard back (gate:
 //      lost_chunks == 0, restart_ok).
-//   4. kCompressBw sweep: background compression trades compress-stage
+//   4. kCompressBw sweep: background compression trades per-core encode
 //      CPU for store/NIC bytes; a slow compressor loses the drain race,
 //      a fast one wins it (gates: loses at 8 MB/s, wins at 480 MB/s).
 //

@@ -61,8 +61,8 @@ struct PipelineStats {
 struct JobSpec {
   std::string key;  // one in-flight job per process (universal pid string)
   NodeId node = 0;  // node whose background CPU the drain occupies
-  double chunk_seconds = 0;     // snapshot scan + chunking stage CPU
-  u64 queued_bytes = 0;         // logical bytes this job drains
+  double chunk_seconds = 0;  // snapshot scan + chunking stage CPU
+  u64 queued_bytes = 0;      // logical bytes this job drains
   u64 raw_new_bytes = 0;
   u64 compressed_new_bytes = 0;
   /// Live memory segments of the snapshotted process; the pipeline arms a

@@ -35,8 +35,8 @@ bool parse_codec(const std::string& name, CodecKind* out);
 /// Relative single-core CPU cost of compressing one input byte under
 /// `kind`, as a multiple of the gzip-class baseline (kGzipish == 1.0): the
 /// match stage dominates, the entropy stage alone is cheap, and the null
-/// codec costs nothing. The async pipeline prices its compress stage as
-/// cost_factor * input_bytes / kCompressBw.
+/// codec costs nothing. The async drain prices a chunk's encode of data
+/// input as cost_factor * input_bytes / kCompressBw on one pool core.
 double codec_cost_factor(CodecKind kind);
 
 /// A compression codec. Implementations are pure functions of their input

@@ -121,7 +121,8 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
       }
       return;
     }
-    // Without claims the writer stores exactly what its scan found new.
+    // Without claims the writer stores exactly what its scan found new, so
+    // every encode starts now, beside the Lookups.
     if (!claims) {
       for (size_t i = 0; i < fresh.size(); ++i) take(i);
     }

@@ -84,9 +84,9 @@ struct StoreConfig {
   /// --async-backpressure: what happens when a round starts before the
   /// previous drain finished ('block' or 'skip').
   AsyncBackpressure async_backpressure = AsyncBackpressure::kBlock;
-  /// --compress-bw: background compress-stage input rate in bytes/second
-  /// for the async pipeline's gzip-class baseline (0 = model default
-  /// kCompressBw). Other codecs scale by compress::codec_cost_factor.
+  /// --compress-bw: codec input rate in bytes/second of each core of the
+  /// async drain's encode pool for the gzip-class baseline (0 = model
+  /// default kCompressBw). Other codecs scale by codec_cost_factor.
   double compress_bw = 0;
   u64 chunk_bytes = 64 * 1024;  // --chunk-bytes: power-of-two chunk size
   int keep_generations = 2;     // --keep-generations: GC retention window

@@ -92,9 +92,9 @@ inline constexpr SimTime kForkBase = 300 * timeconst::kMicrosecond;
 // fault/TLB overhead).
 inline constexpr u64 kCowPageBytes = 4 * 1024;
 inline constexpr double kCowPageFaultSeconds = 2e-6;
-// Background compress-stage input rate (single core) for the async
-// pipeline's gzip-class baseline codec; other codecs scale by their
-// relative cost factor (compress::codec_cost_factor). This is the knob the
+// Codec input rate of each core of the async drain's encode pool for the
+// gzip-class baseline codec; other codecs scale by their relative cost
+// factor (compress::codec_cost_factor). This is the knob the
 // compress-vs-NIC/device crossover sweeps: a slow core makes compression
 // lose to shipping raw bytes over a fast fabric, a fast core makes it win
 // on a slow NIC/device. Overridable per run via --compress-bw.

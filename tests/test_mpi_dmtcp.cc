@@ -5,6 +5,10 @@
 // cluster repeats its checkpoint and restart times per seed.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/distributed.h"
 #include "core/launch.h"
 #include "mpi/runtime.h"
