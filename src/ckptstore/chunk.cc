@@ -4,6 +4,7 @@
 #include <map>
 #include <unordered_set>
 
+#include "compress/compressor.h"
 #include "util/assertx.h"
 #include "util/crc32.h"
 #include "util/parallel.h"
@@ -47,7 +48,7 @@ ChunkKey rand_key(u64 seed, u64 pos, u64 len) {
                   mix64(pos) ^ mix64(mix64(len) ^ seed)};
 }
 
-std::vector<std::byte> Chunk::materialize(compress::CodecKind codec) const {
+std::vector<std::byte> Chunk::materialize() const {
   switch (kind) {
     case sim::ExtentKind::kZero:
       return std::vector<std::byte>(len);
@@ -61,34 +62,31 @@ std::vector<std::byte> Chunk::materialize(compress::CodecKind codec) const {
     }
     case sim::ExtentKind::kReal: {
       DSIM_CHECK_MSG(stored != nullptr, "real chunk has no stored container");
-      return compress::codec(codec).decompress(*stored);
+      return compress::Codec::decompress(*stored);
     }
   }
   DSIM_UNREACHABLE("bad chunk kind");
 }
 
-std::shared_ptr<const std::vector<std::byte>> Chunk::decoded(
-    compress::CodecKind codec) const {
+std::shared_ptr<const std::vector<std::byte>> Chunk::decoded() const {
   const Chunk* self = this;
-  warm_decoded({&self, 1}, codec);
+  warm_decoded({&self, 1});
   return decoded_;
 }
 
-void Chunk::warm_decoded(std::span<const Chunk* const> chunks,
-                         compress::CodecKind codec) {
+void Chunk::warm_decoded(std::span<const Chunk* const> chunks) {
   std::vector<const Chunk*> cold;
   std::unordered_set<const Chunk*> seen;
   for (const Chunk* c : chunks) {
     DSIM_CHECK_MSG(c->kind == sim::ExtentKind::kReal && c->stored != nullptr,
                    "only a stored real chunk has a decode");
-    const bool cached = c->decoded_ != nullptr &&
-                        c->decoded_from_ == c->stored &&
-                        c->decoded_codec_ == codec;
+    const bool cached =
+        c->decoded_ != nullptr && c->decoded_from_ == c->stored;
     if (!cached && seen.insert(c).second) cold.push_back(c);
   }
   std::vector<std::vector<std::byte>> content(cold.size());
   parallel_for(cold.size(), [&](size_t i) {
-    content[i] = compress::codec(codec).decompress(*cold[i]->stored);
+    content[i] = compress::Codec::decompress(*cold[i]->stored);
   });
   for (size_t i = 0; i < cold.size(); ++i) {
     const Chunk& c = *cold[i];
@@ -97,7 +95,6 @@ void Chunk::warm_decoded(std::span<const Chunk* const> chunks,
     c.decoded_ = std::make_shared<std::vector<std::byte>>(content[i].begin(),
                                                           content[i].end());
     c.decoded_from_ = c.stored;
-    c.decoded_codec_ = codec;
   }
 }
 

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/compressor.h"
 #include "sim/byte_image.h"
 #include "util/serialize.h"
 #include "util/types.h"
@@ -108,17 +107,16 @@ struct Chunk {
   /// synthesizes pattern chunks). Never cached: the scrubber verifies
   /// through this, and pinning every scrubbed chunk's bytes would buy
   /// nothing.
-  std::vector<std::byte> materialize(compress::CodecKind codec) const;
+  std::vector<std::byte> materialize() const;
 
   /// Real chunks only: the content of `stored`, decompressed and verified
   /// against the container's CRC-32 on first use and shared after that.
-  /// The cache is keyed on the container it decoded and on `codec`, so
-  /// replacing `stored` (a re-store, or a test rotting the chunk) decodes
-  /// the new container on the next call. The buffer is shared with every
+  /// The cache is keyed on the container it decoded, so replacing
+  /// `stored` (a re-store, or a test rotting the chunk) decodes the new
+  /// container on the next call. The buffer is shared with every
   /// ByteImage that adopted it; ByteImage never writes a shared buffer in
   /// place, so it stays the container's content for as long as it lives.
-  std::shared_ptr<const std::vector<std::byte>> decoded(
-      compress::CodecKind codec) const;
+  std::shared_ptr<const std::vector<std::byte>> decoded() const;
 
   /// Fill decoded()'s cache for every stored real chunk in `chunks` whose
   /// cache is cold, decompressing and verifying the containers on the host
@@ -127,13 +125,11 @@ struct Chunk {
   /// are allocated on the calling thread: a worker's allocator arena keeps
   /// what it held, so a long-lived buffer built there would pin host
   /// memory.
-  static void warm_decoded(std::span<const Chunk* const> chunks,
-                           compress::CodecKind codec);
+  static void warm_decoded(std::span<const Chunk* const> chunks);
 
  private:
   mutable std::shared_ptr<const std::vector<std::byte>> decoded_;
   mutable std::shared_ptr<const std::vector<std::byte>> decoded_from_;
-  mutable compress::CodecKind decoded_codec_ = compress::CodecKind::kNone;
 };
 
 /// One chunk-to-be of a segment scan, before repository lookup. `kind` is a

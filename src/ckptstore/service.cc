@@ -5,6 +5,7 @@
 
 #include "ckptstore/erasure.h"
 #include "cluster/membership.h"
+#include "compress/compressor.h"
 #include "obs/trace.h"
 #include "sim/model_params.h"
 #include "util/assertx.h"
@@ -769,7 +770,7 @@ void ChunkStoreService::run_repair(RepairJob job, std::function<void()> done) {
   }
 }
 
-void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
+void ChunkStoreService::scrub(u64 max_chunks) {
   bool saw_degraded = false;
   const auto batch =
       repo_->chunks_after(scrub_cursor_, static_cast<size_t>(max_chunks));
@@ -821,7 +822,7 @@ void ChunkStoreService::scrub(u64 max_chunks, compress::CodecKind codec) {
     if (!missing && !corrupt && chunk->kind == sim::ExtentKind::kReal) {
       // Decoding verifies the content against the container's header CRC;
       // the header CRC then stands for the content.
-      chunk->materialize(codec);
+      chunk->materialize();
       corrupt = compress::container_crc(*chunk->stored) != chunk->crc;
     }
     if (!missing && !corrupt && placement_.degraded(key)) {

@@ -71,7 +71,7 @@
 // not above it):
 //   - heal: after a node death, degraded chunks (>= k but < k+m clean
 //     fragments) get each dead fragment rebuilt on a fresh rendezvous home;
-//   - scrubbing: scrub(N, codec) verifies up to N resident chunks per round
+//   - scrubbing: scrub(N) verifies up to N resident chunks per round
 //     against their manifest CRCs. A rotten fragment (or replica copy) is
 //     repaired in place from its clean siblings; a corrupt container is
 //     *quarantined* (repo entry masked, placement forgotten) so the next
@@ -99,7 +99,6 @@
 #include "ckptstore/placement.h"
 #include "ckptstore/repository.h"
 #include "ckptstore/tenant.h"
-#include "compress/compressor.h"
 #include "rpc/rpc.h"
 #include "sim/net.h"
 #include "sim/storage.h"
@@ -348,13 +347,13 @@ class ChunkStoreService {
 
   /// Scrub pass: verify up to `max_chunks` resident chunks (round-robin
   /// cursor) against their recorded CRCs, charging each verification read
-  /// to the owning shard's queue. `codec` decompresses real containers.
-  /// Corrupt containers are quarantined for forward re-store; degraded
+  /// to the owning shard's queue. Real containers decode by the codec their
+  /// header names. Corrupt containers are quarantined for forward re-store; degraded
   /// survivors kick the heal daemon. Per-fragment rot (corrupt_fragment())
   /// is *repaired* in place — the fragment (or replica copy) is rebuilt
   /// from k clean survivors by the repair job — and only a chunk with
   /// > m bad fragments falls back to quarantine.
-  void scrub(u64 max_chunks, compress::CodecKind codec);
+  void scrub(u64 max_chunks);
 
   /// Simulated fragment rot: mark fragment `index` of `key` (copy `index`
   /// under replication) corrupt, to be found and repaired by a later scrub

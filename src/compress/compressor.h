@@ -1,14 +1,18 @@
-// Compression codecs for checkpoint images.
+// Compression codec for checkpoint images.
 //
 // DMTCP pipes checkpoint images through gzip by default (§5: "DMTCP
 // dynamically invokes gzip before saving"). We implement a real gzip-like
 // codec from scratch (LZ77 with hash-chain matching + order-0 canonical
 // Huffman entropy stage, CRC-32 verified container) so that reported
-// compressed sizes are measured, not modeled. An RLE codec and a null codec
-// exist for tests and ablations.
+// compressed sizes are measured, not modeled. Each CodecKind names the
+// stages one Codec runs: both (the gzip default), either alone, RLE, or a
+// plain store; RLE and the store exist for tests and ablations. The
+// container records the kind that made it, so decoding never asks the
+// caller for a codec: tenants of one shared store may each use their own
+// --compress, and every reader decodes a chunk by the kind its first
+// writer stored.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,9 +31,9 @@ enum class CodecKind : u8 {
 
 std::string codec_name(CodecKind kind);
 
-/// Parse a --compress value into a codec: "none", "lz77", "huffman",
-/// "lz77+huffman" (the gzip-style two-stage default; "gzip" is accepted as
-/// an alias). Returns false on an unknown name.
+/// Parse a --compress value into a codec: "none", "rle", "lz77",
+/// "huffman", "lz77+huffman" (the gzip-style two-stage default; "gzip" is
+/// accepted as an alias). Returns false on an unknown name.
 bool parse_codec(const std::string& name, CodecKind* out);
 
 /// Relative single-core CPU cost of compressing one input byte under
@@ -39,31 +43,38 @@ bool parse_codec(const std::string& name, CodecKind* out);
 /// input as cost_factor * input_bytes / kCompressBw on one pool core.
 double codec_cost_factor(CodecKind kind);
 
-/// A compression codec. Implementations are pure functions of their input
-/// (no hidden state), so they are safe to share.
+/// The codec. Pure functions of their input (no hidden state), so the
+/// one instance per kind (codec()) is safe to share across threads.
 class Codec {
  public:
-  virtual ~Codec() = default;
-  virtual CodecKind kind() const = 0;
+  explicit constexpr Codec(CodecKind kind) : kind_(kind) {}
 
-  /// Compress `input` into a self-describing container (magic, original
-  /// size, CRC-32 of the original data, payload).
-  virtual std::vector<std::byte> compress(
-      std::span<const std::byte> input) const = 0;
+  /// Compress `input` into a self-describing container (magic, kind,
+  /// original size, CRC-32 of the original data, payload) by the stages
+  /// this codec's kind names.
+  std::vector<std::byte> compress(std::span<const std::byte> input) const;
 
-  /// Decompress a container produced by `compress`. Aborts (DSIM_CHECK) on
-  /// corrupt containers — checkpoint integrity is a hard invariant.
-  virtual std::vector<std::byte> decompress(
-      std::span<const std::byte> container) const = 0;
+  /// Decompress a container produced by any codec's `compress`, by the kind
+  /// its header names. Aborts (DSIM_CHECK) on corrupt containers —
+  /// checkpoint integrity is a hard invariant.
+  static std::vector<std::byte> decompress(
+      std::span<const std::byte> container);
+
+ private:
+  CodecKind kind_;
 };
 
 /// The CRC-32 of the original data, read from a container's header (checks
-/// the magic, decodes nothing). Once `decompress` has accepted a container
+/// the magic and the kind byte, decodes nothing). Once `decompress` has accepted a container
 /// — it verifies the decoded bytes against exactly this value — the header
 /// CRC stands for the content, so callers need not hash it again.
 u32 container_crc(std::span<const std::byte> container);
 
-/// Singleton accessor for a codec implementation.
+/// The kind that made a container, read from its header as container_crc
+/// reads the CRC.
+CodecKind container_kind(std::span<const std::byte> container);
+
+/// The shared codec of `kind`.
 const Codec& codec(CodecKind kind);
 
 /// Measured compression ratio (compressed/original) of a data sample under

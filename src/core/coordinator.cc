@@ -216,7 +216,7 @@ Task<void> finish_round(CoordState* st, sim::ProcessCtx& ctx) {
     // pass; its results land in the next round's delta (the pass drains
     // through the shard queues asynchronously).
     if (st->shared->opts.scrub_chunks > 0) {
-      svc->scrub(st->shared->opts.scrub_chunks, st->shared->opts.codec);
+      svc->scrub(st->shared->opts.scrub_chunks);
     }
     // Cold-tier demotion rides the same round boundary: chunks only old
     // generations still reference re-stripe to the wider cold profile in

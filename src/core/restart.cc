@@ -223,7 +223,7 @@ Task<int> restart_main(sim::ProcessCtx& ctx,
       local_read_bytes += container.size();
     } else {
       double decode_seconds = 0;
-      li.img = mtcp::decode(container, shared->opts.codec, &decode_seconds);
+      li.img = mtcp::decode(container, &decode_seconds);
       image_decodes.push_back(decode_seconds);
       local_read_bytes += inode->charge_or_size();
     }

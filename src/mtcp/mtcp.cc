@@ -124,12 +124,13 @@ EncodedImage encode(const ProcessImage& img, compress::CodecKind codec) {
 }
 
 ProcessImage decode(std::span<const std::byte> container,
-                    compress::CodecKind codec, double* decode_seconds) {
-  auto serialized = compress::codec(codec).decompress(container);
+                    double* decode_seconds) {
+  auto serialized = compress::Codec::decompress(container);
   ByteReader r(serialized);
   ProcessImage img = ProcessImage::deserialize(r);
   if (decode_seconds) {
-    *decode_seconds = decode_cpu_seconds(img.memory_bytes(), codec);
+    *decode_seconds = decode_cpu_seconds(img.memory_bytes(),
+                                         compress::container_kind(container));
   }
   return img;
 }
@@ -352,7 +353,6 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
     ByteReader r(mf.meta_blob);
     img = ProcessImage::deserialize_meta(r);
   }
-  const auto codec = static_cast<compress::CodecKind>(mf.codec);
   u64 reads = 0;  // chunk fetches; the caller adds the manifest file itself
 
   auto fail = [&](std::string msg) {
@@ -370,7 +370,7 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
         if (c != nullptr && c->kind == ExtentKind::kReal) real.push_back(c);
       }
     }
-    ckptstore::Chunk::warm_decoded(real, codec);
+    ckptstore::Chunk::warm_decoded(real);
   }
 
   for (const auto& sm : mf.segments) {
@@ -395,7 +395,7 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
         // when it decompressed this container, so comparing that CRC with
         // the manifest's checks the content. The segment adopts the chunk's
         // shared buffer: no decompress or copy after the first restore.
-        auto content = c->decoded(codec);
+        auto content = c->decoded();
         if (content->size() != ref.len ||
             compress::container_crc(*c->stored) != ref.crc) {
           return fail("restart: corrupted chunk " + ref.key.str() +
@@ -422,7 +422,8 @@ ProcessImage decode_incremental(const ckptstore::Manifest& mf,
 
   if (read_bytes) *read_bytes = reads;
   if (decode_seconds) {
-    *decode_seconds = decode_cpu_seconds(img.memory_bytes(), codec);
+    *decode_seconds = decode_cpu_seconds(
+        img.memory_bytes(), static_cast<compress::CodecKind>(mf.codec));
   }
   return img;
 }

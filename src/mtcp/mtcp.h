@@ -37,10 +37,11 @@ ProcessImage capture(sim::Process& p);
 /// ratios (DESIGN.md §5); real extents are actually compressed.
 EncodedImage encode(const ProcessImage& img, compress::CodecKind codec);
 
-/// Inverse of encode. Also returns the decode CPU cost in seconds via
-/// `decode_seconds` (decode_cpu_seconds of the image's memory bytes).
+/// Inverse of encode, under the codec the container's header names. Also
+/// returns the decode CPU cost in seconds via `decode_seconds`
+/// (decode_cpu_seconds of the image's memory bytes under that codec).
 ProcessImage decode(std::span<const std::byte> container,
-                    compress::CodecKind codec, double* decode_seconds);
+                    double* decode_seconds);
 
 /// Decode CPU for `bytes` of restored memory: gunzip is output-rate-bound
 /// (§5.4); an uncompressed image is an assembly copy.
@@ -158,7 +159,9 @@ EncodedDelta encode_incremental(const ProcessImage& img,
 /// chunk key) and an empty image is returned. `read_bytes` receives the
 /// device bytes a restart must fetch for every referenced chunk (the
 /// manifest file itself is charged by the caller); `decode_seconds` the
-/// decompression CPU cost, as with decode().
+/// decompression CPU cost, as with decode(), under the manifest's codec.
+/// Each container decodes by the codec its own header names: a chunk
+/// another tenant stored first may carry a different one.
 ///
 /// Real chunks are restored zero-copy: each segment range adopts the
 /// chunk's Chunk::decoded() buffer, so a container is decompressed and

@@ -270,7 +270,7 @@ TEST(CkptStore, DeltaDecodeEqualsFullDecode) {
 
   // Full path.
   auto enc = mtcp::encode(img, codec);
-  auto full = mtcp::decode(enc.bytes, codec, nullptr);
+  auto full = mtcp::decode(enc.bytes, nullptr);
 
   // Incremental path.
   auto delta = mtcp::encode_incremental(img, codec, fixed_params(kChunk),
@@ -945,7 +945,7 @@ TEST(CkptStore, RestoreDecodesEachColdChunkOnce) {
       });
   ASSERT_EQ(buffers.size(), 2u);
   EXPECT_EQ(buffers[0], buffers[1]);
-  EXPECT_EQ(buffers[0], repo.find(key)->decoded(codec).get());
+  EXPECT_EQ(buffers[0], repo.find(key)->decoded().get());
 }
 
 // --- GC ----------------------------------------------------------------------
@@ -1116,7 +1116,7 @@ TEST(CkptStore, CorruptedChunkIsDetectedOnRestore) {
   EXPECT_NE(err.find("corrupted chunk"), std::string::npos);
   EXPECT_NE(err.find(victim->key.str()), std::string::npos);
   // The replaced container was decoded afresh, not served from the cache.
-  EXPECT_EQ(*chunk->decoded(codec), pseudo_bytes(victim->len, 0xBAD));
+  EXPECT_EQ(*chunk->decoded(), pseudo_bytes(victim->len, 0xBAD));
 }
 
 TEST(ImageIntegrity, WholeImageCrcCatchesBitRot) {

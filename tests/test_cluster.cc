@@ -594,7 +594,7 @@ TEST(ScrubRepair, CorruptChunkIsQuarantinedAndRestoredNextRound) {
   // The scrubber finds the rot and wires it into the repair path: the key
   // is quarantined (masked from the repository) so the next generation's
   // encode re-stores fresh content from the live process.
-  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  svc.scrub(1u << 20);
   w.ctl.run_for(100 * timeconst::kMillisecond);
   EXPECT_GE(svc.stats().scrub_corrupt_chunks, 1u);
   EXPECT_GE(svc.stats().scrub_quarantined_chunks, 1u);
@@ -650,7 +650,7 @@ TEST(ScrubRepair, DegradedStragglersAreRoutedToTheHealDaemon) {
   ASSERT_TRUE(svc.rereplication_idle());
   // The scrub walk trips over the degraded survivors and routes them into
   // the heal path.
-  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  svc.scrub(1u << 20);
   loop.run();
   EXPECT_EQ(svc.placement().degraded_count(), 0u);
   EXPECT_GT(svc.stats().rereplicated_chunks, 0u);

@@ -388,7 +388,7 @@ TEST(ErasureScrub, RepairGathersKFragmentsBeforeRewriting) {
     nic_before.push_back(net.egress(n).total_submitted_bytes());
   }
   charges.clear();
-  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  svc.scrub(1u << 20);
   loop.run();
 
   EXPECT_EQ(svc.stats().scrub_repaired_fragments, 1u);
@@ -587,7 +587,6 @@ TEST(ErasureE2E, RepeatedRestartsShareEachChunksVerifiedDecode) {
       auto inode = w.k().fs_for(host.host, path).lookup(path);
       const auto mf = ckptstore::Manifest::decode(
           inode->data.materialize(0, inode->data.size()));
-      const auto codec = static_cast<compress::CodecKind>(mf.codec);
       ByteReader r(mf.meta_blob);
       const auto meta = mtcp::ProcessImage::deserialize_meta(r);
       sim::Process* p = live_process(w, meta.argv.back());
@@ -609,7 +608,7 @@ TEST(ErasureE2E, RepeatedRestartsShareEachChunksVerifiedDecode) {
             ++real_chunks;
             auto it = real.find(off);
             ASSERT_NE(it, real.end()) << "@" << off;
-            EXPECT_EQ(it->second->data.get(), c->decoded(codec).get())
+            EXPECT_EQ(it->second->data.get(), c->decoded().get())
                 << "@" << off;
             EXPECT_EQ(it->second->data_off, 0u);
             EXPECT_EQ(it->second->len, ref.len);
@@ -771,7 +770,7 @@ TEST(ErasureE2E, ScrubRepairsRottenFragmentInPlace) {
   EXPECT_TRUE(svc.placement().available(victim));
 
   const u64 repaired_before = svc.stats().scrub_repaired_fragments;
-  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  svc.scrub(1u << 20);
   w.ctl.run_for(200 * timeconst::kMillisecond);
   EXPECT_EQ(svc.stats().scrub_repaired_fragments, repaired_before + 1);
   EXPECT_EQ(svc.stats().scrub_quarantined_chunks, 0u);

@@ -389,7 +389,7 @@ TEST(ObsWorld, EveryRequestKindAndDaemonClosesItsSpans) {
         svc.repo().chunks_after(ckptstore::ChunkKey{}, 1).front().first;
     ASSERT_TRUE(svc.corrupt_fragment(victim, 0));
     ASSERT_TRUE(svc.corrupt_fragment(victim, 1));
-    svc.scrub(1u << 20, compress::CodecKind::kNone);
+    svc.scrub(1u << 20);
     w.ctl.run_for(100 * timeconst::kMillisecond);
     EXPECT_EQ(svc.stats().scrub_quarantined_chunks, 1u);
     w.ctl.set_store_shards(3);

@@ -730,7 +730,7 @@ TEST(ServiceE2E, ScrubReportsCorruptAndMissingChunks) {
   ASSERT_GT(svc.placement().lost_chunks(), 0u);
 
   const u64 corrupt_before = svc.stats().scrub_corrupt_chunks;
-  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  svc.scrub(1u << 20);
   w.ctl.run_for(200 * timeconst::kMillisecond);  // the pass drains async
   EXPECT_EQ(svc.stats().scrub_corrupt_chunks, corrupt_before + 1);
   EXPECT_GT(svc.stats().scrub_missing_chunks, 0u);
@@ -764,7 +764,7 @@ TEST(ServiceE2E, ScrubRepairsARottenReplicaFromItsCleanSibling) {
   EXPECT_NE(svc.placement().holder(victim), rotten_home);
 
   const auto st0 = svc.stats();
-  svc.scrub(1u << 20, compress::CodecKind::kNone);
+  svc.scrub(1u << 20);
   w.ctl.run_for(200 * timeconst::kMillisecond);
   EXPECT_EQ(svc.stats().scrub_repaired_fragments,
             st0.scrub_repaired_fragments + 1);
