@@ -11,6 +11,7 @@
 #include "core/coordinator.h"
 #include "core/hijack.h"
 #include "core/restart.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/model_params.h"
@@ -66,12 +67,6 @@ void arm_observability(sim::Kernel& k, DmtcpShared* shared) {
   const std::string err = shared->slo_engine->add_rules(
       opts.slo.empty() ? kDefaultSloRules : opts.slo);
   DSIM_CHECK_MSG(err.empty(), err.c_str());
-}
-
-std::string fmt_us(SimTime t) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(t) / 1e3);
-  return buf;
 }
 
 }  // namespace
@@ -338,8 +333,8 @@ std::string DmtcpControl::health_json() const {
     for (size_t i = 0; i < phases.size(); ++i) {
       if (i != 0) out += ",";
       out += "{\"name\":\"" + phases[i].name + "\"";
-      out += ",\"begin_us\":" + fmt_us(phases[i].begin);
-      out += ",\"end_us\":" + fmt_us(phases[i].end) + "}";
+      out += ",\"begin_us\":" + obs::fmt_us(phases[i].begin);
+      out += ",\"end_us\":" + obs::fmt_us(phases[i].end) + "}";
     }
     return out + "]";
   };
@@ -355,12 +350,12 @@ std::string DmtcpControl::health_json() const {
     if (!first) out += ",";
     first = false;
     out += "{\"round\":" + std::to_string(i);
-    out += ",\"ts_us\":{\"requested\":" + fmt_us(r.requested);
-    out += ",\"suspended\":" + fmt_us(r.suspended);
-    out += ",\"elected\":" + fmt_us(r.elected);
-    out += ",\"drained\":" + fmt_us(r.drained);
-    out += ",\"checkpointed\":" + fmt_us(r.checkpointed);
-    out += ",\"refilled\":" + fmt_us(r.refilled);
+    out += ",\"ts_us\":{\"requested\":" + obs::fmt_us(r.requested);
+    out += ",\"suspended\":" + obs::fmt_us(r.suspended);
+    out += ",\"elected\":" + obs::fmt_us(r.elected);
+    out += ",\"drained\":" + obs::fmt_us(r.drained);
+    out += ",\"checkpointed\":" + obs::fmt_us(r.checkpointed);
+    out += ",\"refilled\":" + obs::fmt_us(r.refilled);
     out += "},\"phases\":" + phases_json(round_phases(r));
     out += ",\"report\":" + rep.json() + "}";
   }
@@ -374,8 +369,8 @@ std::string DmtcpControl::health_json() const {
     if (!first) out += ",";
     first = false;
     out += "{\"restart\":" + std::to_string(i);
-    out += ",\"ts_us\":{\"script_started\":" + fmt_us(rr.script_started);
-    out += ",\"refilled\":" + fmt_us(rr.refilled);
+    out += ",\"ts_us\":{\"script_started\":" + obs::fmt_us(rr.script_started);
+    out += ",\"refilled\":" + obs::fmt_us(rr.refilled);
     out += "},\"phases\":" + phases_json(restart_phases(rr));
     out += ",\"report\":" + rep.json() + "}";
   }

@@ -5,33 +5,12 @@
 #include <map>
 #include <tuple>
 
+#include "obs/json.h"
 #include "util/assertx.h"
 
 namespace dsim::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string fmt_us(SimTime t) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(t) / 1e3);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 using AggKey = std::tuple<std::string, i32, std::string, i32>;
 

@@ -5,17 +5,9 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/json.h"
+
 namespace dsim::obs {
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 int Histogram::bucket_of(double v) {
   if (!(v > 0)) return 0;  // zero, negatives, NaN -> bottom bucket

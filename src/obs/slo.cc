@@ -3,21 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/json.h"
+
 namespace dsim::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string fmt_us(SimTime t) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(t) / 1e3);
-  return buf;
-}
 
 std::string trim(const std::string& s) {
   size_t b = 0, e = s.size();
@@ -72,16 +62,6 @@ bool split_call(const std::string& s, size_t fn_len, std::string* a,
   *a = trim(inner.substr(0, comma));
   *b = trim(inner.substr(comma + 1));
   return !a->empty() && !b->empty();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

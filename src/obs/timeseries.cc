@@ -5,23 +5,9 @@
 #include <cstdio>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace dsim::obs {
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string fmt_us(SimTime t) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(t) / 1e3);
-  return buf;
-}
-
-}  // namespace
 
 void RoundSeries::push(Sample s) {
   samples_.push_back(std::move(s));
