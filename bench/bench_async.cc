@@ -203,9 +203,10 @@ int main() {
     w.ctl->checkpoint_now();
     drain_pipeline(w);
     if (codec == compress::CodecKind::kGzipish) {
-      const auto& ps = w.ctl->shared().async_pipeline->stats();
-      raw_new = ps.raw_new_bytes;
-      compressed_new = ps.compressed_new_bytes;
+      // One round: its new-chunk byte sums are the drains'.
+      const auto& r = w.ctl->stats().last_round();
+      raw_new = r.store_raw_new_bytes;
+      compressed_new = r.store_new_chunk_bytes;
     }
     w.ctl->kill_computation();
     w.ctl->restart();

@@ -79,8 +79,6 @@ void CkptAsyncPipeline::start(JobSpec spec) {
 
   stats_.jobs_started++;
   stats_.queued_bytes += spec.queued_bytes;
-  stats_.raw_new_bytes += spec.raw_new_bytes;
-  stats_.compressed_new_bytes += spec.compressed_new_bytes;
 
   // Arm a first-touch COW tracker on every live segment for the duration of
   // the drain. The snapshot copies taken by capture() never propagate the

@@ -48,8 +48,6 @@ struct PipelineStats {
   u64 jobs_started = 0;
   u64 jobs_completed = 0;
   u64 queued_bytes = 0;        // logical bytes handed to background jobs
-  u64 raw_new_bytes = 0;       // pre-codec bytes of new chunks drained
-  u64 compressed_new_bytes = 0;  // post-codec container bytes drained
   u64 cow_pages_copied = 0;
   double cow_copy_seconds = 0;   // background CPU charged for COW copies
   double drain_seconds = 0;      // cumulative job snapshot -> durable latency
@@ -63,8 +61,6 @@ struct JobSpec {
   NodeId node = 0;  // node whose background CPU the drain occupies
   double chunk_seconds = 0;  // snapshot scan + chunking stage CPU
   u64 queued_bytes = 0;      // logical bytes this job drains
-  u64 raw_new_bytes = 0;
-  u64 compressed_new_bytes = 0;
   /// Live memory segments of the snapshotted process; the pipeline arms a
   /// COW write observer on each for the duration of the drain.
   std::vector<std::shared_ptr<sim::MemSegment>> segments;

@@ -945,8 +945,6 @@ Task<ImageStats> Hijack::write_image(sim::ProcessCtx& ctx, int round,
       spec.node = p_.node();
       spec.chunk_seconds = delta.assemble_seconds;
       spec.queued_bytes = delta.submitted_bytes;
-      spec.raw_new_bytes = delta.raw_new_bytes;
-      spec.compressed_new_bytes = delta.new_chunk_bytes;
       spec.segments = p_.mem().segments();
       spec.store = [drain](std::function<void()> done) {
         drain->done = std::move(done);
