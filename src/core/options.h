@@ -461,8 +461,8 @@ struct DmtcpOptions : StoreConfig {
         const std::string v = strval("--compress");
         if (!err.empty()) return err;
         if (!compress::parse_codec(v, &codec)) {
-          return "--compress: expected 'none', 'lz77', 'huffman' or "
-                 "'lz77+huffman', got '" + v + "'";
+          return "--compress: expected 'none', 'rle', 'lz77', 'huffman', "
+                 "'lz77+huffman' or 'gzip', got '" + v + "'";
         }
       } else if (a == "--compress-bw") {
         const long n = intval("--compress-bw");

@@ -301,9 +301,19 @@ TEST(CkptAsync, OptionSurfaceParsesAndValidates) {
   forked.forked_checkpointing = true;
   EXPECT_NE(forked.validate(), "");  // the two pipelines conflict
 
+  DmtcpOptions rle;
+  std::vector<std::string> rle_flag{"--compress", "rle"};
+  EXPECT_EQ(rle.apply_flags(rle_flag), "");
+  EXPECT_EQ(rle.codec, compress::CodecKind::kRle);
+
   DmtcpOptions bad_codec;
   std::vector<std::string> zstd{"--compress", "zstd"};
-  EXPECT_NE(bad_codec.apply_flags(zstd), "");
+  const std::string codec_err = bad_codec.apply_flags(zstd);
+  EXPECT_NE(codec_err, "");
+  for (const char* name :
+       {"'none'", "'rle'", "'lz77'", "'huffman'", "'lz77+huffman'", "'gzip'"}) {
+    EXPECT_NE(codec_err.find(name), std::string::npos) << name;
+  }
 
   DmtcpOptions bad_policy;
   std::vector<std::string> pol{"--async-backpressure", "shrug"};

@@ -504,6 +504,76 @@ TEST(TenantsE2E, AggressiveTenantGcAndScrubPreserveTheNeighborsChunks) {
   ASSERT_TRUE(w.run_until_results({"a", "b"}));
 }
 
+/// Tenant options on fixed 16 KiB chunks under `codec`.
+DmtcpOptions fixed_tenant_opts(int tenant, u16 coord_port,
+                               compress::CodecKind codec) {
+  DmtcpOptions o = tenant_opts(tenant, coord_port);
+  o.codec = codec;
+  o.chunking = ckptstore::ChunkingMode::kFixed;
+  o.chunk_bytes = 16 * 1024;
+  return o;
+}
+
+/// A compute loop that maps `bytes` of real content (pseudo_bytes).
+Pid launch_with_content(DmtcpControl& ctl, NodeId node, const char* name,
+                        u64 bytes, u64 seed) {
+  const Pid pid = ctl.launch(node, kComputeLoop, {"1000000", "200", name});
+  ctl.run_for(20 * timeconst::kMillisecond);
+  sim::Process* p = ctl.kernel().find_process(pid);
+  EXPECT_NE(p, nullptr);
+  p->mem().add("lib", sim::MemKind::kHeap, bytes).data.write(
+      0, pseudo_bytes(bytes, seed));
+  return pid;
+}
+
+TEST(TenantsE2E, ATenantRestartsFromChunksAnotherCodecStored) {
+  // The host stores the shared content first, as gzip containers; the
+  // guest's round on --compress none is all dedup hits on them.
+  constexpr u64 kLib = 256 * 1024;
+  TenantWorld w(4,
+                fixed_tenant_opts(1, 7779, compress::CodecKind::kGzipish),
+                fixed_tenant_opts(2, 7791, compress::CodecKind::kNone));
+  launch_with_content(w.host, 0, "a", kLib, 0x1B);
+  launch_with_content(w.guest, 1, "b", kLib, 0x1B);
+  w.host.checkpoint_now();
+  const auto& r = w.guest.checkpoint_now();
+  EXPECT_EQ(r.store_dup_bytes, kLib);
+
+  w.guest.kill_computation();
+  const auto& rr = w.guest.restart();
+  EXPECT_FALSE(rr.needs_restore);
+  EXPECT_EQ(rr.lost_chunks, 0u);
+  sim::Process* back = nullptr;
+  for (const Pid pid : w.k().live_pids()) {
+    sim::Process* p = w.k().find_process(pid);
+    if (!p->argv().empty() && p->argv().back() == "b") back = p;
+  }
+  ASSERT_NE(back, nullptr);
+  const sim::MemSegment* lib = back->mem().find("lib");
+  ASSERT_NE(lib, nullptr);
+  EXPECT_TRUE(lib->data.materialize(0, lib->data.size()) ==
+              pseudo_bytes(kLib, 0x1B));
+  ASSERT_TRUE(w.run_until_results({"a", "b"}));
+}
+
+TEST(TenantsE2E, ScrubVerifiesChunksAnotherCodecStored) {
+  // A --compress none host scrubs the whole store at its round close,
+  // after a gzip guest stored the content.
+  constexpr u64 kLib = 256 * 1024;
+  auto host_opts = fixed_tenant_opts(1, 7779, compress::CodecKind::kNone);
+  host_opts.scrub_chunks = 1u << 20;
+  TenantWorld w(4, host_opts,
+                fixed_tenant_opts(2, 7791, compress::CodecKind::kGzipish));
+  launch_with_content(w.host, 0, "a", kLib, 0x1B);
+  launch_with_content(w.guest, 1, "b", kLib, 0x1B);
+  w.guest.checkpoint_now();
+  w.host.checkpoint_now();
+  const auto& st = w.host.shared().store_service->stats();
+  EXPECT_GE(st.scrubbed_chunks, kLib / (16 * 1024));
+  EXPECT_EQ(st.scrub_corrupt_chunks, 0u);
+  EXPECT_EQ(st.scrub_quarantined_chunks, 0u);
+}
+
 /// Chunk references (key, len, crc) of every manifest in `ctl`'s latest
 /// restart plan, in plan order — the byte-identity fingerprint.
 std::vector<std::tuple<ChunkKey, u64, u32>> manifest_refs(sim::Kernel& k,
