@@ -73,8 +73,8 @@ struct CkptRound {
   // CPU-seconds (codec plus erasure stripe) charged to the writers' core
   // pools, the pool jobs that carried them — one per new chunk that needs
   // CPU — and the most jobs one writer's pool ran at once. All 0 when the
-  // pool went unused: full images, async drains (their pipeline charges
-  // the encode), codec none without erasure.
+  // pool went unused: full images, codec none without erasure. An async
+  // drain's encodes run on the same pool, after the round has closed.
   double encode_cpu_seconds = 0;
   u64 encode_jobs = 0;
   int peak_encode_jobs = 0;
