@@ -348,11 +348,11 @@ class ChunkStoreService {
   /// Scrub pass: verify up to `max_chunks` resident chunks (round-robin
   /// cursor) against their recorded CRCs, charging each verification read
   /// to the owning shard's queue. Real containers decode by the codec their
-  /// header names. Corrupt containers are quarantined for forward re-store; degraded
-  /// survivors kick the heal daemon. Per-fragment rot (corrupt_fragment())
-  /// is *repaired* in place — the fragment (or replica copy) is rebuilt
-  /// from k clean survivors by the repair job — and only a chunk with
-  /// > m bad fragments falls back to quarantine.
+  /// header names. Corrupt containers are quarantined for forward
+  /// re-store; degraded survivors kick the heal daemon. Per-fragment rot
+  /// (corrupt_fragment()) is *repaired* in place — the fragment (or
+  /// replica copy) is rebuilt from k clean survivors by the repair job —
+  /// and only a chunk with > m bad fragments falls back to quarantine.
   void scrub(u64 max_chunks);
 
   /// Simulated fragment rot: mark fragment `index` of `key` (copy `index`

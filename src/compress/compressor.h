@@ -65,9 +65,10 @@ class Codec {
 };
 
 /// The CRC-32 of the original data, read from a container's header (checks
-/// the magic and the kind byte, decodes nothing). Once `decompress` has accepted a container
-/// — it verifies the decoded bytes against exactly this value — the header
-/// CRC stands for the content, so callers need not hash it again.
+/// the magic and the kind byte, decodes nothing). Once `decompress` has
+/// accepted a container — it verifies the decoded bytes against exactly
+/// this value — the header CRC stands for the content, so callers need not
+/// hash it again.
 u32 container_crc(std::span<const std::byte> container);
 
 /// The kind that made a container, read from its header as container_crc
