@@ -18,7 +18,7 @@ namespace params = sim::params;
 
 ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
                                      ErasureConfig erasure, int shards,
-                                     int lookup_batch)
+                                     int lookup_batch, NodeId first)
     : loop_(loop),
       net_(net),
       health_(std::make_shared<rpc::NodeHealth>(net.num_nodes())),
@@ -30,6 +30,8 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
   DSIM_CHECK_MSG(shards >= 1, "chunk-store service needs at least one shard");
   DSIM_CHECK_MSG(lookup_batch >= 1,
                  "lookup batch must carry at least one key per RPC");
+  DSIM_CHECK_MSG(first >= 0 && first < net.num_nodes(),
+                 "shard endpoint names a node outside the cluster");
   if (erasure_.cold_enabled()) {
     placement_.set_cold_profile(erasure_.cold_k, erasure_.cold_m);
   }
@@ -37,24 +39,28 @@ ChunkStoreService::ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
   endpoints_.reserve(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     shards_.push_back(Shard{make_queue(s), {}});
-    // Default spread until the coordinator assigns real endpoints.
-    endpoints_.push_back(static_cast<NodeId>(s % net.num_nodes()));
+    endpoints_.push_back(static_cast<NodeId>((first + s) % net.num_nodes()));
   }
-}
-
-void ChunkStoreService::set_endpoints(std::vector<NodeId> nodes) {
-  DSIM_CHECK_MSG(nodes.size() == shards_.size(),
-                 "endpoint assignment must name one node per shard");
-  for (NodeId n : nodes) {
-    DSIM_CHECK_MSG(n >= 0 && n < net_.num_nodes(),
-                   "shard endpoint names a node outside the cluster");
-  }
-  endpoints_ = std::move(nodes);
   assigned_endpoints_ = endpoints_;
 }
 
+void ChunkStoreService::place_on_spares(const std::set<NodeId>& busy) {
+  std::vector<NodeId> spares;
+  for (NodeId n = 0; n < net_.num_nodes(); ++n) {
+    if (busy.count(n) || (membership_ && !membership_->alive(n))) continue;
+    spares.push_back(n);
+  }
+  if (spares.empty()) return;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    endpoints_[s] = spares[s % spares.size()];
+  }
+  assigned_endpoints_ = endpoints_;
+  LOG_INFO("chunk store: %d shard endpoint(s) placed on %zu spare node(s) "
+           "(first: node %d)",
+           num_shards(), spares.size(), endpoints_.front());
+}
+
 int ChunkStoreService::rehome_to_owners() {
-  if (assigned_endpoints_.size() != shards_.size()) return 0;  // never set
   int moved = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const NodeId owner = assigned_endpoints_[s];
@@ -914,22 +920,34 @@ int ChunkStoreService::demote_cold(u64 max_chunks) {
 }
 
 void ChunkStoreService::rebalance(int new_shards,
-                                  std::vector<NodeId> new_endpoints,
                                   std::function<void()> done) {
   DSIM_CHECK_MSG(new_shards >= 1,
                  "rebalance needs at least one shard to move keys to");
-  DSIM_CHECK_MSG(new_endpoints.size() == static_cast<size_t>(new_shards),
-                 "rebalance endpoint assignment must name one node per "
-                 "shard");
-  for (NodeId n : new_endpoints) {
-    DSIM_CHECK_MSG(health_->up(n),
-                   "rebalance assigns a shard endpoint to a dead node");
-  }
   for (const Shard& s : shards_) {
     DSIM_CHECK_MSG(s.parked.empty(),
                    "rebalance with parked requests: finish failover first");
   }
   const int old_shards = num_shards();
+  // Surviving shards keep their live endpoints. The others walk the nodes
+  // from the current first endpoint, skipping the ones NodeHealth has down:
+  // ground truth, not membership's detected state, so a node killed inside
+  // the detection window is routed around, not crashed into.
+  const NodeId nodes = net_.num_nodes();
+  std::vector<NodeId> new_endpoints;
+  new_endpoints.reserve(static_cast<size_t>(new_shards));
+  for (int s = 0; s < new_shards; ++s) {
+    if (s < old_shards && health_->up(endpoint_of(s))) {
+      new_endpoints.push_back(endpoint_of(s));
+      continue;
+    }
+    NodeId n = (endpoints_.front() + s) % nodes;
+    for (int tries = 0; tries < nodes && !health_->up(n); ++tries) {
+      n = (n + 1) % nodes;
+    }
+    DSIM_CHECK_MSG(health_->up(n),
+                   "rebalance assigns a shard endpoint to a dead node");
+    new_endpoints.push_back(n);
+  }
   const std::vector<NodeId> old_endpoints = endpoints_;
   stats_.rebalances++;
 

@@ -37,8 +37,10 @@
 //
 // Chunk keys are rendezvous-hashed onto `shards` endpoints (stable: the same
 // key always reaches the same shard while the shard count holds), each shard
-// owning its own sim::StorageDevice queue. The coordinator assigns
-// shard -> node at startup.
+// owning its own sim::StorageDevice queue. The service alone decides which
+// node runs each shard: the startup spread from the first endpoint node, the
+// move onto spare nodes, a rebalance's new shards, failover and the move
+// back.
 //
 // Multi-tenancy (this PR): N computations share one service. Each shard's
 // single arrival FIFO is replaced by weighted deficit-round-robin over
@@ -93,6 +95,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -198,18 +201,24 @@ class ChunkStoreService {
 
   /// `erasure` is the profile every chunk is stored under; `shards`
   /// independent service endpoints; `lookup_batch` keys per lookup RPC.
-  /// Until set_endpoints() overrides them, shard s lives on node
-  /// (s mod nodes) so directly-constructed services (tests) work.
+  /// Shard s starts on node (first + s) mod nodes, which is also its
+  /// assigned endpoint (DMTCP passes --store-node, or the coordinator's
+  /// node when that is unset).
   ChunkStoreService(sim::EventLoop& loop, sim::Network& net,
                     ErasureConfig erasure, int shards = 1,
-                    int lookup_batch = 1);
+                    int lookup_batch = 1, NodeId first = 0);
 
   const ErasureConfig& erasure() const { return erasure_; }
 
-  /// Endpoint setup (done by the coordinator at startup: the shards run
-  /// where the coordinator says they run, as dmtcp_coordinator itself does).
-  void set_endpoints(std::vector<NodeId> nodes);
   const std::vector<NodeId>& endpoints() const { return endpoints_; }
+  /// Move every shard onto the spare nodes, round-robin: the nodes outside
+  /// `busy` that the watched membership has not declared dead. Does nothing
+  /// when there is no such node. stdchk runs its storage service on
+  /// dedicated machines for the reason bench_service pins it by hand: an
+  /// endpoint sharing a NIC with a rank's store burst couples the metadata
+  /// path to bulk traffic. The coordinator calls it once, at the first
+  /// round, with its own node and every client's.
+  void place_on_spares(const std::set<NodeId>& busy);
   int num_shards() const { return static_cast<int>(shards_.size()); }
   /// Rendezvous hash of `key` over `shards` endpoints — a pure function of
   /// (key, shard count), so the same key hits the same shard in every run
@@ -304,12 +313,13 @@ class ChunkStoreService {
   void revive_node(NodeId node);
 
   /// Move every shard whose current endpoint differs from its *assigned*
-  /// endpoint (set_endpoints()/rebalance()) back, provided the assigned
-  /// node is live again. Failover re-homes are meant to be temporary —
-  /// without this, a revived endpoint rejoins placement but its shards stay
-  /// wherever failover pushed them forever. Called by the coordinator at
-  /// the round boundary (no in-flight requests); replays anything parked on
-  /// the moved shards. Returns the number of shards moved back.
+  /// endpoint (the constructor's, place_on_spares()'s or rebalance()'s)
+  /// back, provided the assigned node is live again. Failover re-homes are
+  /// meant to be temporary — without this, a revived endpoint rejoins
+  /// placement but its shards stay wherever failover pushed them forever.
+  /// Called by the coordinator at the round boundary (no in-flight
+  /// requests); replays anything parked on the moved shards. Returns the
+  /// number of shards moved back.
   int rehome_to_owners();
 
   /// Let go of a chunk the repository no longer holds (GC reclaimed it, or
@@ -373,13 +383,14 @@ class ChunkStoreService {
   int demote_cold(u64 max_chunks);
 
   /// Consistent-hash rebalance to `new_shards` endpoints (between rounds;
-  /// no requests may be parked or in flight). Only the keys whose shard
+  /// no requests may be parked or in flight). Surviving shards keep their
+  /// live endpoints; the others take the next nodes up in NodeHealth,
+  /// walking from the current first endpoint. Only the keys whose shard
   /// assignment changed migrate: each batch costs an index read on the old
   /// shard's queue, a metadata RPC old endpoint -> new endpoint, and an
   /// index insert on the new shard's queue. `done` fires when every moved
   /// key has landed.
-  void rebalance(int new_shards, std::vector<NodeId> new_endpoints,
-                 std::function<void()> done);
+  void rebalance(int new_shards, std::function<void()> done);
 
   sim::StorageDevice& shard_device(int shard) {
     return *shards_[static_cast<size_t>(shard)].q->dev;
@@ -574,9 +585,10 @@ class ChunkStoreService {
   /// item owning its own queue would be a cycle nothing ever frees.
   std::vector<std::unique_ptr<IndexQueue>> queues_;
   std::vector<NodeId> endpoints_;
-  /// The coordinator-assigned (or rebalance-chosen) endpoint per shard:
-  /// where each shard *should* live when its node is up. endpoints_ drifts
-  /// from this under failover; rehome_to_owners() converges them.
+  /// The assigned endpoint per shard (startup spread, spare placement or
+  /// rebalance): where each shard *should* live when its node is up.
+  /// endpoints_ drifts from this under failover; rehome_to_owners()
+  /// converges them.
   std::vector<NodeId> assigned_endpoints_;
   int lookup_batch_;
   ErasureConfig erasure_;

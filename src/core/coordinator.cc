@@ -74,14 +74,10 @@ Task<void> send_to(sim::ProcessCtx& ctx, Fd fd, Msg m) {
   }
 }
 
-/// Automatic store-node placement (once, at the first round, when the
-/// registrations say which nodes compute): without an explicit
-/// --store-node, shard endpoints are pinned onto spare non-compute nodes
-/// when any exist — stdchk deploys its storage service on dedicated
-/// machines for exactly the reason bench_service pins them by hand: an
-/// endpoint sharing a NIC with a rank's store burst couples the metadata
-/// path to bulk traffic. No spares (every node computes) keeps the startup
-/// default, shards spreading from the coordinator's node.
+/// Automatic store-node placement, once, at the first round, when the
+/// registrations say which nodes compute: without an explicit --store-node
+/// the service moves its shards off the coordinator's and the clients'
+/// nodes onto spare ones, if any exist (ChunkStoreService::place_on_spares).
 void finalize_endpoints(CoordState* st, sim::ProcessCtx& ctx) {
   if (st->endpoints_finalized) return;
   st->endpoints_finalized = true;
@@ -90,24 +86,9 @@ void finalize_endpoints(CoordState* st, sim::ProcessCtx& ctx) {
       st->shared->opts.store_node != DmtcpOptions::kStoreNodeCoord) {
     return;  // no service, an attached tenant, or an explicitly pinned base
   }
-  std::set<NodeId> compute;
-  for (const auto& [fd, c] : st->clients) compute.insert(c.node);
-  std::vector<NodeId> spares;
-  for (NodeId n = 0; n < ctx.kernel().num_nodes(); ++n) {
-    if (compute.count(n) || n == ctx.process().node()) continue;
-    if (st->shared->membership && !st->shared->membership->alive(n)) continue;
-    spares.push_back(n);
-  }
-  if (spares.empty()) return;
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(static_cast<size_t>(svc->num_shards()));
-  for (int s = 0; s < svc->num_shards(); ++s) {
-    endpoints.push_back(spares[static_cast<size_t>(s) % spares.size()]);
-  }
-  LOG_INFO("coordinator: auto-placing %d shard endpoint(s) on %zu spare "
-           "non-compute node(s) (first: node %d)",
-           svc->num_shards(), spares.size(), endpoints.front());
-  svc->set_endpoints(std::move(endpoints));
+  std::set<NodeId> busy{ctx.process().node()};
+  for (const auto& [fd, c] : st->clients) busy.insert(c.node);
+  svc->place_on_spares(busy);
 }
 
 Task<void> initiate_checkpoint(CoordState* st, sim::ProcessCtx& ctx) {
@@ -524,31 +505,6 @@ Task<int> coordinator_main(sim::ProcessCtx& ctx,
   const bool ok = co_await ctx.bind(lfd, shared->opts.coord_port);
   DSIM_CHECK_MSG(ok, "coordinator: port already in use");
   co_await ctx.listen(lfd);
-
-  if (shared->store_service && shared->owns_store) {
-    // Endpoint setup: shard 0 runs where --store-node says (default:
-    // alongside the coordinator, as dmtcp's helper daemons do) and the
-    // remaining shards spread round-robin from there. Managers reach every
-    // shard over the RPC fabric from here on; the option set was validated
-    // against the cluster shape at launch (DmtcpOptions::validate_cluster),
-    // so the base node is in range by construction.
-    auto& svc = *shared->store_service;
-    const NodeId base =
-        shared->opts.store_node >= 0
-            ? static_cast<NodeId>(shared->opts.store_node)
-            : ctx.process().node();
-    std::vector<NodeId> endpoints;
-    endpoints.reserve(static_cast<size_t>(svc.num_shards()));
-    for (int s = 0; s < svc.num_shards(); ++s) {
-      endpoints.push_back(
-          static_cast<NodeId>((base + s) % ctx.kernel().num_nodes()));
-    }
-    svc.set_endpoints(std::move(endpoints));
-    LOG_INFO("coordinator: chunk-store service with %d shard(s) from node "
-             "%d (%d replica(s) per chunk, %d lookup key(s) per RPC)",
-             svc.num_shards(), base, shared->opts.chunk_replicas,
-             shared->opts.lookup_batch);
-  }
 
   {
     sim::Thread& t =

@@ -86,9 +86,11 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
     // The cluster-wide store is a *service* reached over the RPC fabric,
     // not a free index: it owns the shared repository (repos[kSharedRepo]
     // aliases it so stats aggregation and migration are unchanged), the
-    // fragment placement map, and one FIFO queue per shard. The coordinator
-    // assigns shard endpoints at startup. Every chunk is erasure-coded:
-    // --chunk-replicas R is the (1, R-1) code, whose fragments are copies.
+    // fragment placement map, and one FIFO queue per shard. Its shards
+    // spread from --store-node, or from the coordinator's node when that is
+    // unset, as dmtcp's helper daemons run alongside the coordinator. Every
+    // chunk is erasure-coded: --chunk-replicas R is the (1, R-1) code,
+    // whose fragments are copies.
     ckptstore::ChunkStoreService::ErasureConfig profile{
         1, opts.chunk_replicas - 1, opts.cold_erasure_k, opts.cold_erasure_m,
         opts.hot_generations};
@@ -97,7 +99,9 @@ DmtcpControl::DmtcpControl(sim::Kernel& kernel, DmtcpOptions opts)
       profile.m = opts.erasure_m;
     }
     shared_->store_service = std::make_shared<ckptstore::ChunkStoreService>(
-        k_.loop(), k_.net(), profile, opts.store_shards, opts.lookup_batch);
+        k_.loop(), k_.net(), profile, opts.store_shards, opts.lookup_batch,
+        opts.store_node >= 0 ? static_cast<NodeId>(opts.store_node)
+                             : opts.coord_node);
     // The heal daemon lands rebuilt fragments (and verification reads) on
     // node devices; the service names the nodes, the kernel does the
     // charging.
@@ -465,31 +469,8 @@ void DmtcpControl::set_store_shards(int new_shards) {
                  "set_store_shards mid-round: rebalance runs between "
                  "rounds");
   if (new_shards == svc->num_shards()) return;
-  // Endpoint policy mirrors the coordinator's: walk nodes from the current
-  // first endpoint, skipping dead ones, until every shard has a live home.
-  // Liveness is the ground-truth NodeHealth map — the same one rebalance()
-  // asserts against — not membership's *detected* state: a node killed
-  // inside the detection window must be routed around here, not crashed
-  // into.
-  const auto& health = *svc->health();
-  const auto& old_eps = svc->endpoints();
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(static_cast<size_t>(new_shards));
-  for (int s = 0; s < new_shards; ++s) {
-    if (s < static_cast<int>(old_eps.size()) &&
-        health.up(old_eps[static_cast<size_t>(s)])) {
-      endpoints.push_back(old_eps[static_cast<size_t>(s)]);
-      continue;
-    }
-    NodeId n = (old_eps.front() + s) % k_.num_nodes();
-    for (int tries = 0; tries < k_.num_nodes(); ++tries) {
-      if (health.up(n)) break;
-      n = (n + 1) % k_.num_nodes();
-    }
-    endpoints.push_back(n);
-  }
   bool moved = false;
-  svc->rebalance(new_shards, std::move(endpoints), [&moved] { moved = true; });
+  svc->rebalance(new_shards, [&moved] { moved = true; });
   const bool done =
       run_until([&moved] { return moved; },
                 k_.loop().now() + 600 * timeconst::kSecond);

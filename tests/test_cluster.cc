@@ -1,7 +1,8 @@
 // Cluster membership (src/cluster/) and the chunk store's shard failover:
 // heartbeat failure detection, dead-endpoint re-homing with in-flight
-// replay, consistent-hash rebalancing, scrub repair wiring, and automatic
-// store-node placement.
+// replay, consistent-hash rebalancing, scrub repair wiring, and shard
+// placement: the startup spread, a reshard's walk and the move onto spare
+// nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -173,8 +174,8 @@ TEST(RpcFabric, DeathWhileServingDropsTheResponse) {
 TEST(Failover, DeadEndpointShardRehomesAndReplaysInFlight) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/2);
-  svc.set_endpoints({2, 3});
+  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/2,
+                        /*lookup_batch=*/1, /*first=*/2);
   bool looked_up = false, stored = false;
   submit_lookups(svc, 0, keys_range(0, 40), [&] { looked_up = true; });
   for (u64 i = 0; i < 40; ++i) {
@@ -208,8 +209,8 @@ TEST(Failover, TransientDeathRevivedBeforeDeclarationReplaysParked) {
   // the revival itself must replay them or they strand forever.
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1);
-  svc.set_endpoints({2});
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1,
+                        /*lookup_batch=*/1, /*first=*/2);
   MembershipConfig cfg;
   cfg.heartbeat_interval = 10 * timeconst::kMillisecond;
   cfg.heartbeat_misses = 3;
@@ -629,8 +630,8 @@ TEST(ScrubRepair, CorruptChunkIsQuarantinedAndRestoredNextRound) {
 TEST(ScrubRepair, DegradedStragglersAreRoutedToTheHealDaemon) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/1);
-  svc.set_endpoints({0});
+  ChunkStoreService svc(loop, net, replicated(2), /*shards=*/1,
+                        /*lookup_batch=*/1, /*first=*/0);
   for (u64 i = 0; i < 60; ++i) {
     submit_store(svc, 0, key_of(i), 16 * 1024, [] {});
     // The scrub walk iterates the *repository* index; mirror the placement
@@ -654,6 +655,60 @@ TEST(ScrubRepair, DegradedStragglersAreRoutedToTheHealDaemon) {
   loop.run();
   EXPECT_EQ(svc.placement().degraded_count(), 0u);
   EXPECT_GT(svc.stats().rereplicated_chunks, 0u);
+}
+
+// --- shard placement at the service ------------------------------------------
+
+TEST(ShardPlacement, ShardsSpreadFromTheFirstEndpointNode) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 4);
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2,
+                        /*lookup_batch=*/1, /*first=*/2);
+  EXPECT_EQ(svc.endpoints(), (std::vector<NodeId>{2, 3}));
+}
+
+TEST(ShardPlacement, ReshardRoutesAroundANodeKilledInsideTheDetectionWindow) {
+  // Node 4 dies, and the shard count grows before membership declares it:
+  // the new shards walk from the first endpoint over NodeHealth's ground
+  // truth, so shard 2 skips node 4 for node 5.
+  sim::EventLoop loop;
+  sim::Network net(loop, 6);
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2,
+                        /*lookup_batch=*/1, /*first=*/2);
+  MembershipConfig cfg;
+  cfg.heartbeat_interval = 10 * timeconst::kMillisecond;
+  cfg.heartbeat_misses = 3;
+  Membership m(loop, net, svc.health(), cfg);
+  svc.watch(m);
+  m.start();
+  loop.run_until(loop.now() + 5 * timeconst::kMillisecond);
+  svc.fail_node(4);
+  ASSERT_TRUE(m.alive(4));  // not declared yet
+  bool done = false;
+  svc.rebalance(4, [&done] { done = true; });
+  EXPECT_EQ(svc.endpoints(), (std::vector<NodeId>{2, 3, 5, 5}));
+  for (NodeId ep : svc.endpoints()) EXPECT_TRUE(svc.health()->up(ep));
+  loop.run_until(loop.now() + 5 * timeconst::kMillisecond);
+  EXPECT_TRUE(done);
+  m.stop();
+}
+
+TEST(ShardPlacement, SparesSkipNodesMembershipDeclaredDead) {
+  sim::EventLoop loop;
+  sim::Network net(loop, 5);
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2);
+  MembershipConfig cfg;
+  cfg.heartbeat_interval = 10 * timeconst::kMillisecond;
+  cfg.heartbeat_misses = 3;
+  Membership m(loop, net, svc.health(), cfg);
+  svc.watch(m);
+  m.start();
+  svc.fail_node(3);
+  loop.run_until(loop.now() + 100 * timeconst::kMillisecond);
+  ASSERT_EQ(m.state(3), NodeState::kDead);
+  svc.place_on_spares({0, 1});
+  EXPECT_EQ(svc.endpoints(), (std::vector<NodeId>{2, 4}));
+  m.stop();
 }
 
 // --- automatic store placement -----------------------------------------------

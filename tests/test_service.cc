@@ -244,8 +244,8 @@ TEST(Service, LookupsAreServedFifoAndWaitsGrowWithQueueDepth) {
 TEST(Service, LookupsTraverseTheNetwork) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, replicated(1));
-  svc.set_endpoints({2});
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1,
+                        /*lookup_batch=*/1, /*first=*/2);
   bool done = false;
   submit_lookups(svc, 0, keys_range(0, 10), [&] { done = true; });
   loop.run();
@@ -1395,8 +1395,8 @@ void expect_claims_unplaced(const ChunkStoreService& svc) {
 TEST(Claims, EachKeyGoesToOneWriterAndIsNeverClaimedOncePlaced) {
   sim::EventLoop loop;
   sim::Network net(loop, 6);
-  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2);
-  svc.set_endpoints({4, 5});
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/2,
+                        /*lookup_batch=*/1, /*first=*/4);
   const std::vector<ChunkKey> keys = keys_range(0, 64);
   std::map<ChunkKey, int> given;
   std::vector<int> per_writer(4, 0);
@@ -1440,8 +1440,8 @@ TEST(Claims, EachKeyGoesToOneWriterAndIsNeverClaimedOncePlaced) {
 TEST(Claims, AWriterThatStartsFirstClaimsOnlyItsShareOfTheKeys) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, replicated(1));
-  svc.set_endpoints({3});
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1,
+                        /*lookup_batch=*/1, /*first=*/3);
   constexpr u64 kKeys = 4 * ChunkStoreService::kClaimWindow;
   const std::vector<ChunkKey> keys = keys_range(0, kKeys);
   std::map<NodeId, u64> taken;
@@ -1503,8 +1503,8 @@ TEST(Claims, KeyDroppedByRetentionIsStoredAgain) {
 TEST(Claims, DeadWritersClaimsDoNotBlockTheNextRound) {
   sim::EventLoop loop;
   sim::Network net(loop, 4);
-  ChunkStoreService svc(loop, net, replicated(1));
-  svc.set_endpoints({3});
+  ChunkStoreService svc(loop, net, replicated(1), /*shards=*/1,
+                        /*lookup_batch=*/1, /*first=*/3);
   const std::vector<ChunkKey> keys = keys_range(0, 8);
   std::vector<ChunkKey> dead, next;
   claim_lookups(svc, 0, keys, [&](const ChunkKey& k) { dead.push_back(k); });
