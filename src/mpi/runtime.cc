@@ -63,6 +63,101 @@ std::string join_words(const std::vector<std::string>& v) {
 }
 
 // ---------------------------------------------------------------------------
+// The control protocol both launchers speak, written once and templated over
+// each program's stored state (whose layout is part of every image).
+// ---------------------------------------------------------------------------
+
+/// Daemon side (mpd, orted): serve spawn / wait-all / ping frames on `s.ctl`
+/// until the client hangs up. Each step is recorded in the stored state, so
+/// a restored daemon resumes the frame it was serving.
+template <class State>
+Task<void> serve_control(sim::ProcessCtx& ctx, StateView<State>& st, State& s,
+                         MemRef frame) {
+  while (true) {
+    if (s.ctl_stage == 0) {
+      if (!co_await ctx.read_exact_or_eof(s.ctl, frame, kFrame, 0)) co_return;
+      s.ctl_stage = 1;
+      st.set(s);
+    }
+    Frame f = ctx.load<Frame>(frame);
+    switch (f.op) {
+      case kOpSpawn: {
+        // Delay checkpoints across the fork so the coordinator's client set
+        // stays stable (dmtcpaware critical section, §3.1).
+        core::DmtcpDelayGuard guard(ctx);
+        auto argv = split_words(
+            std::string(f.payload, strnlen(f.payload, sizeof f.payload)));
+        DSIM_CHECK(!argv.empty());
+        const std::string prog = argv.front();
+        argv.erase(argv.begin());
+        const Pid kid = co_await ctx.spawn(prog, std::move(argv));
+        s.kids[s.nkids++] = kid;
+        st.set(s);
+        ctx.store(frame, make_frame(kOpReply, static_cast<u32>(kid), ""));
+        break;
+      }
+      case kOpWaitAll: {
+        while (s.nwaited < s.nkids) {
+          co_await ctx.waitpid(s.kids[s.nwaited]);
+          s.nwaited++;
+          st.set(s);
+        }
+        ctx.store(frame, make_frame(kOpReply, 0, "alldone"));
+        break;
+      }
+      case kOpPing: {
+        ctx.store(frame, make_frame(kOpReply, 0, "pong"));
+        break;
+      }
+      default:
+        DSIM_UNREACHABLE("mpi daemon: bad control op");
+    }
+    co_await ctx.write_exact_or_eof(s.ctl, frame, kFrame, 1);
+    s.ctl_stage = 0;
+    st.set(s);
+  }
+}
+
+/// mpirun side: spawn the ranks round-robin (rank r on node r % nnodes)
+/// through each node's daemon, then wait for every daemon's ranks to exit.
+template <class State>
+Task<void> spawn_ranks_and_wait(sim::ProcessCtx& ctx, StateView<State>& st,
+                                State& s, MemRef frame, int np, int nnodes) {
+  const std::string prog = args(ctx, 2, "");
+  const auto& argv = ctx.process().argv();
+  while (s.nspawned < np) {
+    const int r = s.nspawned;
+    std::vector<std::string> rank_argv{prog};
+    for (size_t i = 3; i < argv.size(); ++i) rank_argv.push_back(argv[i]);
+    rank_argv.push_back(std::to_string(r));
+    rank_argv.push_back(std::to_string(np));
+    rank_argv.push_back(std::to_string(nnodes));
+    if (s.stage == 0) {
+      ctx.store(frame, make_frame(kOpSpawn, 0, join_words(rank_argv)));
+      co_await ctx.write_exact(s.ctl[r % nnodes], frame, kFrame, 0);
+      s.stage = 1;
+      st.set(s);
+    }
+    co_await ctx.read_exact(s.ctl[r % nnodes], frame, kFrame, 1);
+    s.stage = 0;
+    s.nspawned++;
+    st.set(s);
+  }
+  while (s.nwait_sent < nnodes) {
+    if (s.stage == 0) {
+      ctx.store(frame, make_frame(kOpWaitAll, 0, ""));
+      co_await ctx.write_exact(s.ctl[s.nwait_sent], frame, kFrame, 0);
+      s.stage = 1;
+      st.set(s);
+    }
+    co_await ctx.read_exact(s.ctl[s.nwait_sent], frame, kFrame, 1);
+    s.stage = 0;
+    s.nwait_sent++;
+    st.set(s);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // mpd <index> <nnodes>
 // ---------------------------------------------------------------------------
 
@@ -182,58 +277,12 @@ Task<int> mpd_main(sim::ProcessCtx& ctx) {
       st.set(s);
       ctx.phase() = 4;
     }
-    // Command loop on the current control connection.
-    while (ctx.phase() == 4) {
-      if (s.ctl_stage == 0) {
-        const bool open = co_await ctx.read_exact_or_eof(s.ctl, frame,
-                                                         kFrame, 0);
-        if (!open) {  // client exited; serve the next control connection
-          co_await ctx.close(s.ctl);
-          s.ctl = kNoFd;
-          st.set(s);
-          ctx.phase() = 3;
-          break;
-        }
-        s.ctl_stage = 1;
-        st.set(s);
-      }
-      Frame f = ctx.load<Frame>(frame);
-      switch (f.op) {
-        case kOpSpawn: {
-          // Delay checkpoints across the fork so the coordinator's client
-          // set stays stable (dmtcpaware critical section, §3.1).
-          core::DmtcpDelayGuard guard(ctx);
-          auto argv = split_words(
-              std::string(f.payload, strnlen(f.payload, sizeof f.payload)));
-          DSIM_CHECK(!argv.empty());
-          const std::string prog = argv.front();
-          argv.erase(argv.begin());
-          const Pid kid = co_await ctx.spawn(prog, std::move(argv));
-          s.kids[s.nkids++] = kid;
-          st.set(s);
-          ctx.store(frame, make_frame(kOpReply, static_cast<u32>(kid), ""));
-          break;
-        }
-        case kOpWaitAll: {
-          while (s.nwaited < s.nkids) {
-            co_await ctx.waitpid(s.kids[s.nwaited]);
-            s.nwaited++;
-            st.set(s);
-          }
-          ctx.store(frame, make_frame(kOpReply, 0, "alldone"));
-          break;
-        }
-        case kOpPing: {
-          ctx.store(frame, make_frame(kOpReply, 0, "pong"));
-          break;
-        }
-        default:
-          DSIM_UNREACHABLE("mpd: bad control op");
-      }
-      co_await ctx.write_exact_or_eof(s.ctl, frame, kFrame, 1);
-      s.ctl_stage = 0;
-      st.set(s);
-    }
+    // Serve the control connection until its client exits, then the next.
+    co_await serve_control(ctx, st, s, frame);
+    co_await ctx.close(s.ctl);
+    s.ctl = kNoFd;
+    st.set(s);
+    ctx.phase() = 3;
   }
 }
 
@@ -293,7 +342,6 @@ Task<int> mpdboot_main(sim::ProcessCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared mpirun logic: spawn ranks through per-node daemon control conns.
 // mpd_mpirun <np> <nnodes> <prog> <appargs...>  (connects to mpds)
 // ---------------------------------------------------------------------------
 
@@ -310,7 +358,6 @@ struct MpirunState {
 Task<int> mpd_mpirun_main(sim::ProcessCtx& ctx) {
   const int np = static_cast<int>(argi(ctx, 0, 1));
   const int nnodes = static_cast<int>(argi(ctx, 1, 1));
-  const std::string prog = args(ctx, 2, "");
   DSIM_CHECK(nnodes <= 64);
   StateView<MpirunState> st(ctx);
   MemRef frame = buffer(ctx, "frame", kFrame);
@@ -331,39 +378,7 @@ Task<int> mpd_mpirun_main(sim::ProcessCtx& ctx) {
     s.nconn++;
     st.set(s);
   }
-  // Spawn ranks round-robin (rank r on node r % nnodes).
-  const auto& argv = ctx.process().argv();
-  while (s.nspawned < np) {
-    const int r = s.nspawned;
-    std::vector<std::string> rank_argv{prog};
-    for (size_t i = 3; i < argv.size(); ++i) rank_argv.push_back(argv[i]);
-    rank_argv.push_back(std::to_string(r));
-    rank_argv.push_back(std::to_string(np));
-    rank_argv.push_back(std::to_string(nnodes));
-    if (s.stage == 0) {
-      ctx.store(frame, make_frame(kOpSpawn, 0, join_words(rank_argv)));
-      co_await ctx.write_exact(s.ctl[r % nnodes], frame, kFrame, 0);
-      s.stage = 1;
-      st.set(s);
-    }
-    co_await ctx.read_exact(s.ctl[r % nnodes], frame, kFrame, 1);
-    s.stage = 0;
-    s.nspawned++;
-    st.set(s);
-  }
-  // Wait for completion on every daemon.
-  while (s.nwait_sent < nnodes) {
-    if (s.stage == 0) {
-      ctx.store(frame, make_frame(kOpWaitAll, 0, ""));
-      co_await ctx.write_exact(s.ctl[s.nwait_sent], frame, kFrame, 0);
-      s.stage = 1;
-      st.set(s);
-    }
-    co_await ctx.read_exact(s.ctl[s.nwait_sent], frame, kFrame, 1);
-    s.stage = 0;
-    s.nwait_sent++;
-    st.set(s);
-  }
+  co_await spawn_ranks_and_wait(ctx, st, s, frame, np, nnodes);
   co_return 0;
 }
 
@@ -402,39 +417,8 @@ Task<int> orted_main(sim::ProcessCtx& ctx) {
     }
     ctx.phase() = 2;
   }
-  while (true) {
-    if (s.ctl_stage == 0) {
-      const bool open = co_await ctx.read_exact_or_eof(s.ctl, frame,
-                                                       kFrame, 0);
-      if (!open) co_return 0;  // mpirun exited; orted's job is done
-      s.ctl_stage = 1;
-      st.set(s);
-    }
-    Frame f = ctx.load<Frame>(frame);
-    if (f.op == kOpSpawn) {
-      core::DmtcpDelayGuard guard(ctx);
-      auto argv = split_words(
-          std::string(f.payload, strnlen(f.payload, sizeof f.payload)));
-      const std::string prog = argv.front();
-      argv.erase(argv.begin());
-      const Pid kid = co_await ctx.spawn(prog, std::move(argv));
-      s.kids[s.nkids++] = kid;
-      st.set(s);
-      ctx.store(frame, make_frame(kOpReply, static_cast<u32>(kid), ""));
-    } else if (f.op == kOpWaitAll) {
-      while (s.nwaited < s.nkids) {
-        co_await ctx.waitpid(s.kids[s.nwaited]);
-        s.nwaited++;
-        st.set(s);
-      }
-      ctx.store(frame, make_frame(kOpReply, 0, "alldone"));
-    } else {
-      ctx.store(frame, make_frame(kOpReply, 0, "pong"));
-    }
-    co_await ctx.write_exact_or_eof(s.ctl, frame, kFrame, 1);
-    s.ctl_stage = 0;
-    st.set(s);
-  }
+  co_await serve_control(ctx, st, s, frame);
+  co_return 0;  // mpirun exited; orted's job is done
 }
 
 struct OrteRunState {
@@ -451,7 +435,6 @@ struct OrteRunState {
 Task<int> orte_mpirun_main(sim::ProcessCtx& ctx) {
   const int np = static_cast<int>(argi(ctx, 0, 1));
   const int nnodes = static_cast<int>(argi(ctx, 1, 1));
-  const std::string prog = args(ctx, 2, "");
   DSIM_CHECK(nnodes <= 64);
   StateView<OrteRunState> st(ctx);
   MemRef frame = buffer(ctx, "frame", kFrame);
@@ -485,37 +468,7 @@ Task<int> orte_mpirun_main(sim::ProcessCtx& ctx) {
     s.naccepted++;
     st.set(s);
   }
-  const auto& argv = ctx.process().argv();
-  while (s.nspawned < np) {
-    const int r = s.nspawned;
-    std::vector<std::string> rank_argv{prog};
-    for (size_t i = 3; i < argv.size(); ++i) rank_argv.push_back(argv[i]);
-    rank_argv.push_back(std::to_string(r));
-    rank_argv.push_back(std::to_string(np));
-    rank_argv.push_back(std::to_string(nnodes));
-    if (s.stage == 0) {
-      ctx.store(frame, make_frame(kOpSpawn, 0, join_words(rank_argv)));
-      co_await ctx.write_exact(s.ctl[r % nnodes], frame, kFrame, 0);
-      s.stage = 1;
-      st.set(s);
-    }
-    co_await ctx.read_exact(s.ctl[r % nnodes], frame, kFrame, 1);
-    s.stage = 0;
-    s.nspawned++;
-    st.set(s);
-  }
-  while (s.nwait_sent < nnodes) {
-    if (s.stage == 0) {
-      ctx.store(frame, make_frame(kOpWaitAll, 0, ""));
-      co_await ctx.write_exact(s.ctl[s.nwait_sent], frame, kFrame, 0);
-      s.stage = 1;
-      st.set(s);
-    }
-    co_await ctx.read_exact(s.ctl[s.nwait_sent], frame, kFrame, 1);
-    s.stage = 0;
-    s.nwait_sent++;
-    st.set(s);
-  }
+  co_await spawn_ranks_and_wait(ctx, st, s, frame, np, nnodes);
   co_return 0;
 }
 
