@@ -63,8 +63,10 @@ void dmtcp_install_hooks(sim::ProcessCtx& ctx, std::function<void()> pre_ckpt,
                          std::function<void()> post_ckpt,
                          std::function<void()> post_restart) {
   if (Hijack* h = hijack_of(ctx)) {
-    h->set_hooks(std::move(pre_ckpt), std::move(post_ckpt),
-                 std::move(post_restart));
+    DmtcpShared& shared = h->shared();
+    shared.pre_ckpt_hooks[h->vpid()] = std::move(pre_ckpt);
+    shared.post_ckpt_hooks[h->vpid()] = std::move(post_ckpt);
+    shared.post_restart_hooks[h->vpid()] = std::move(post_restart);
   }
 }
 

@@ -47,9 +47,11 @@ struct DmtcpStatus {
 DmtcpStatus dmtcp_status(sim::ProcessCtx& ctx);
 
 /// Install hook functions run before a checkpoint, after a checkpoint
-/// resume, and after a restart (§3.1). Restored programs must re-install
-/// their hooks (function objects are not part of the checkpointed state —
-/// same contract as real dmtcpaware callbacks after exec).
+/// resume, and after a restart (§3.1). The hooks are kept by virtual pid
+/// and survive the process's restarts, as real dmtcpaware hooks live on in
+/// the restored memory: a restored process runs its post-restart hook, and
+/// later checkpoints run the others, without installing them again.
+/// Installing again replaces them.
 void dmtcp_install_hooks(sim::ProcessCtx& ctx, std::function<void()> pre_ckpt,
                          std::function<void()> post_ckpt,
                          std::function<void()> post_restart);

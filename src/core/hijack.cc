@@ -341,6 +341,13 @@ struct StoreDrain : std::enable_shared_from_this<StoreDrain> {
   }
 };
 
+/// Run `vpid`'s hook from one of DmtcpShared's dmtcpaware hook maps.
+void run_hook(const std::map<Pid, std::function<void()>>& hooks, Pid vpid) {
+  if (auto it = hooks.find(vpid); it != hooks.end() && it->second) {
+    it->second();
+  }
+}
+
 }  // namespace
 
 Task<void> hijack_manager_entry(Hijack* h, sim::ProcessCtx* ctx) {
@@ -1000,7 +1007,7 @@ Task<void> Hijack::do_checkpoint(sim::ProcessCtx& ctx, int round) {
   while (delay_count_ > 0) {
     co_await ctx.sleep(200 * timeconst::kMicrosecond);
   }
-  if (hook_pre_) hook_pre_();
+  run_hook(shared_->pre_ckpt_hooks, vpid_);
 
   // Stage 2: suspend user threads; save fd owners (§4.3).
   suspend_user_threads();
@@ -1044,7 +1051,7 @@ Task<void> Hijack::do_checkpoint(sim::ProcessCtx& ctx, int round) {
     if (of->dmtcp_internal || of->vnode->kind() != sim::VKind::kTcp) continue;
     of->fown_pid = of->fown_saved;
   }
-  if (hook_post_) hook_post_();
+  run_hook(shared_->post_ckpt_hooks, vpid_);
   resume_user_threads();
   ++generations_;
 }
@@ -1070,7 +1077,7 @@ Task<void> Hijack::restart_resume(sim::ProcessCtx& ctx) {
       parent->children().push_back(p_.pid());
     }
   }
-  if (hook_post_restart_) hook_post_restart_();
+  run_hook(shared_->post_restart_hooks, vpid_);
   resume_user_threads();
   ++generations_;
 }

@@ -58,12 +58,6 @@ class Hijack final : public sim::Interposer {
   // --- dmtcpaware surface (see core/dmtcpaware.h) ---
   void delay_lock() { ++delay_count_; }
   void delay_unlock() { --delay_count_; }
-  void set_hooks(std::function<void()> pre, std::function<void()> post,
-                 std::function<void()> post_restart) {
-    hook_pre_ = std::move(pre);
-    hook_post_ = std::move(post);
-    hook_post_restart_ = std::move(post_restart);
-  }
   int completed_generations() const { return generations_; }
   /// Incremental mode: the scan memo of each live private segment, by name.
   const std::map<std::string, mtcp::SegmentMemo>& scan_memo() const {
@@ -115,9 +109,6 @@ class Hijack final : public sim::Interposer {
   /// Fresh attach found its pid already used as a virtual pid (§4.5); the
   /// parent's fork wrapper kills this child and forks again.
   bool conflicted_ = false;
-  std::function<void()> hook_pre_;
-  std::function<void()> hook_post_;
-  std::function<void()> hook_post_restart_;
   /// Pre-accepted connections flushed from listener backlogs at suspend
   /// time: listener description id -> fds ready to hand to accept().
   std::map<u64, std::deque<Fd>> preaccepted_;

@@ -231,6 +231,12 @@ struct DmtcpShared {
   /// persist across exits (real pids are never reused within a run) and are
   /// re-pointed on restart.
   std::map<Pid, Pid> vpid_map;
+  /// dmtcpaware hooks (dmtcp_install_hooks, §3.1) by virtual pid: run
+  /// before a checkpoint, after it, and after a restart. Like vpid_map they
+  /// persist across exits, so a restored process runs the hooks it had
+  /// installed, as a real one finds them in its restored memory.
+  std::map<Pid, std::function<void()>> pre_ckpt_hooks, post_ckpt_hooks,
+      post_restart_hooks;
   /// True while a checkpoint round is in flight (new spawns are held at the
   /// wrapper until it completes, keeping the barrier membership stable).
   bool ckpt_active = false;

@@ -7,6 +7,8 @@
 #include <set>
 #include <string>
 
+#include "apps/app_util.h"
+#include "core/dmtcpaware.h"
 #include "core/hijack.h"
 #include "core/launch.h"
 #include "core/restart_script.h"
@@ -189,6 +191,52 @@ TEST(Dmtcpaware, IntervalCheckpointsFire) {
                   w.k().loop().now() + 60 * timeconst::kSecond);
   EXPECT_GE(w.ctl.stats().rounds.size(), 3u);
   ASSERT_TRUE(w.wait_result("iv1"));
+}
+
+struct HookCounts {
+  int pre = 0, post = 0, post_restart = 0;
+};
+
+struct HookedState {
+  u64 installed = 0;
+};
+
+// Installs counting hooks once, then idles: the restored process never
+// installs them again, as a real one finds them in its restored memory.
+sim::Task<int> hooked_main(sim::ProcessCtx& ctx, HookCounts* n) {
+  apps::StateView<HookedState> st(ctx);
+  if (!st.get().installed) {
+    core::dmtcp_install_hooks(
+        ctx, [n] { n->pre++; }, [n] { n->post++; },
+        [n] { n->post_restart++; });
+    st.set(HookedState{1});
+  }
+  while (true) co_await ctx.sleep(5 * timeconst::kMillisecond);
+}
+
+TEST(Dmtcpaware, HooksFireAcrossARestart) {
+  World w(1);
+  HookCounts n;
+  sim::Program p;
+  p.name = "hooked";
+  p.main = [&n](sim::ProcessCtx& ctx) { return hooked_main(ctx, &n); };
+  w.k().programs().add(std::move(p));
+  w.ctl.launch(0, "hooked");
+  w.ctl.run_for(10 * timeconst::kMillisecond);
+  w.ctl.checkpoint_now();
+  EXPECT_EQ(n.pre, 1);
+  EXPECT_EQ(n.post, 1);
+  EXPECT_EQ(n.post_restart, 0);
+  w.ctl.kill_computation();
+  w.ctl.restart();
+  EXPECT_EQ(n.post_restart, 1);
+  EXPECT_EQ(n.pre, 1);
+  EXPECT_EQ(n.post, 1);
+  w.ctl.run_for(10 * timeconst::kMillisecond);
+  w.ctl.checkpoint_now();
+  EXPECT_EQ(n.pre, 2);
+  EXPECT_EQ(n.post, 2);
+  EXPECT_EQ(n.post_restart, 1);
 }
 
 TEST(RestartScript, FormatParseRoundTrip) {
