@@ -41,8 +41,8 @@ void build_rank_memory(sim::ProcessCtx& ctx, const NasConfig& cfg, int rank,
   ctx.alloc("arrays", sim::MemKind::kHeap, working);
 }
 
-/// MPI init, once per computation: the flag lives in the stored state, so
-/// a restored rank skips it and keeps the connections its image carries.
+/// MPI init, once per rank: the flag lives in the stored state, so a
+/// restored rank skips it and keeps the connections its image carries.
 template <class State>
 Task<void> init_once(Engine& mpi, StateView<State>& st, State& s) {
   if (s.init_done) co_return;

@@ -33,7 +33,7 @@ class DmtcpControl {
   /// the kernel (the port is how spawned dmtcp_* processes resolve their
   /// computation). Service topology — shards, replicas, erasure profile,
   /// fair queueing — comes from the owning computation; this tenant's
-  /// --tenant-weight/--tenant-budget-mb/--keep-generations register its
+  /// --tenant-weight/--tenant-budget-mb/--hot-generations register its
   /// per-tenant policy with the shared service.
   DmtcpControl(DmtcpControl& host, DmtcpOptions opts);
 
@@ -80,9 +80,9 @@ class DmtcpControl {
   /// Change the chunk-store shard count between rounds. Runs the
   /// consistent-hash rebalance — only the keys whose rendezvous winner
   /// changed migrate, in batched metadata RPCs through the normal shard
-  /// queues — and blocks until every moved key has landed. Endpoints of
-  /// surviving shards stay put; new shards land on the next live nodes
-  /// from the current base (membership-checked).
+  /// queues — and blocks until every moved key has landed. The service
+  /// picks the endpoints: surviving shards stay put, and new shards land
+  /// on the next nodes up in NodeHealth from the current first endpoint.
   void set_store_shards(int new_shards);
 
   /// Parse dmtcp_restart_script.sh and run it. `host_map` relocates

@@ -111,8 +111,9 @@ struct StoreConfig {
   i32 store_node = kStoreNodeCoord;
   /// --store-shards: service endpoints the chunk store is sharded across.
   /// Chunk keys rendezvous-hash to shards; each shard owns its own request
-  /// queue, so the lookup contention knee moves right with S. The
-  /// coordinator assigns shard s to node (store_node + s) mod nodes.
+  /// queue, so the lookup contention knee moves right with S. Shard s
+  /// starts on node (store_node + s) mod nodes; the chunk-store service
+  /// alone moves it later (spare nodes, resharding, failover).
   int store_shards = 1;
   /// --lookup-batch: dedup-probe keys carried per lookup RPC. K > 1
   /// amortizes the RPC header and endpoint message CPU over K probes at the
