@@ -215,8 +215,8 @@ sim::Task<int> hooked_main(sim::ProcessCtx& ctx, HookCounts* n) {
 }
 
 TEST(Dmtcpaware, HooksFireAcrossARestart) {
+  HookCounts n;  // outlives the world that holds the hooks
   World w(1);
-  HookCounts n;
   sim::Program p;
   p.name = "hooked";
   p.main = [&n](sim::ProcessCtx& ctx) { return hooked_main(ctx, &n); };
